@@ -219,27 +219,67 @@ def components(c: ClosedDiagram) -> list:
     return comps
 
 
+def _least_serialization(c: ClosedDiagram, seeds) -> tuple:
+    """min(_serialize(c, _bidirectional_order(c, [s])) for s in seeds), seeds of one component.
+
+    Record r of a seed's serialization is fixed once the r-th point leaves
+    its breadth-first queue, so the seeds run in lockstep, one record per
+    round, and a seed whose record exceeds the round's least one is dropped:
+    its serialization can no longer be the minimum.  Seeds that tie to the
+    end serialize identically.
+    """
+    point_color, strand_color, base_set = c.point_color, c.strand_color, c.base_set
+    strand_from, strand_to, in_slots, out_slots = c.strand_from, c.strand_to, c.in_slots, c.out_slots
+    runs = [({s: 0}, deque([s])) for s in seeds]
+    records = []
+    while runs[0][1]:
+        best, kept = None, []
+        for run in runs:
+            order, queue = run
+            p = queue.popleft()
+            outs = []
+            for s in out_slots[p]:
+                q = strand_to[s]
+                if q not in order:
+                    order[q] = len(order)
+                    queue.append(q)
+                outs.append((strand_color[s], order[q], in_slots[q].index(s)))
+            for s in in_slots[p]:
+                q = strand_from[s]
+                if q not in order:
+                    order[q] = len(order)
+                    queue.append(q)
+            rec = (point_color[p], p in base_set, tuple(outs))
+            if best is None or rec < best:
+                best, kept = rec, [run]
+            elif rec == best:
+                kept.append(run)
+        records.append(best)
+        runs = kept
+    return tuple(records)
+
+
 def unordered_key(c: ClosedDiagram) -> tuple:
     """Canonical key modulo base line permutations.
 
-    Each component is serialized from its best base-point seed; the diagram
-    key is the sorted tuple of component keys.  Used to dedupe similarity
-    search states, where base order is free.
+    Each component is serialized from its best base-point seed, the one whose
+    serialization is least; the diagram key is the sorted tuple of component
+    keys.  Used to dedupe similarity search states, where base order is free.
+    The least serialization is found by seed pruning
+    (:func:`_least_serialization`), which gives the same key as serializing
+    from every seed.
     """
     if c._ukey is not None:
         return c._ukey
     comp_keys = []
-    for comp in components(c):
-        best = None
-        for seed in comp:
-            if seed not in c.base_set:
-                continue
-            order = _bidirectional_order(c, [seed])
-            ser = _serialize(c, order)
-            if best is None or ser < best:
-                best = ser
-        assert best is not None, "component without a base point"
-        comp_keys.append(best)
+    covered = set()
+    for b in c.base_line:
+        if b in covered:
+            continue
+        comp = _bidirectional_order(c, [b])
+        covered.update(comp)
+        comp_keys.append(_least_serialization(c, [p for p in comp if p in c.base_set]))
+    assert len(covered) == len(c.point_color), "component without a base point"
     key = tuple(sorted(comp_keys))
     c._ukey = key
     return key
@@ -364,8 +404,12 @@ def shift_reduce(c: ClosedDiagram, positions, direction=None):
     (direction "down") or successors of one split (direction "up").
     """
     positions = tuple(positions)
-    if list(positions) != list(range(positions[0], positions[0] + len(positions))):
-        raise PreconditionError("positions must be consecutive ascending")
+    if not positions or positions != tuple(range(positions[0], positions[0] + len(positions))):
+        raise PreconditionError("positions must be nonempty, consecutive and ascending")
+    if not 0 <= positions[0] <= positions[-1] < len(c.base_line):
+        raise PreconditionError("positions out of range")
+    if direction not in (None, "down", "up"):
+        raise PreconditionError(f"unknown direction {direction!r}; use 'down' or 'up'")
     points = [c.base_line[i] for i in positions]
 
     down_ok = False
@@ -377,8 +421,8 @@ def shift_reduce(c: ClosedDiagram, positions, direction=None):
     if v not in c.base_set and len(c.out_slots[v]) == len(points):
         up_ok = all(c.in_slots[points[j]][0] == c.out_slots[v][j] for j in range(len(points)))
     if direction is None:
-        direction = "down" if down_ok else ("up" if up_ok else None)
-    if direction == "down" and not down_ok or direction == "up" and not up_ok or direction is None:
+        direction = "down" if down_ok else "up"
+    if not (down_ok if direction == "down" else up_ok):
         raise PreconditionError("points are not the full ordered boundary of one split/merge")
 
     tabs = _tables(c)
@@ -618,10 +662,13 @@ def semi_reduce(c: ClosedDiagram, budget: int = 2, rng=None, probe: bool = True,
     Between reductions, a 0/1-cost breadth-first search explores reducing
     shifts (with their enabling permutations) freely and expanding shifts up
     to `budget` per reduction attempt.  Each reduction strictly decreases the
-    number of non-base points, so this terminates.  With `probe`, one extra
-    search at budget+1 runs at the end and raises LimitExceeded if it finds a
-    redex the configured budget missed.  `max_states` bounds each search's
-    state set; exceeding it raises rather than churning.
+    number of non-base points, so this terminates.  With `probe`, the final
+    search, once it runs dry, is resumed one expanding shift deeper, and
+    LimitExceeded is raised if that finds a redex the configured budget
+    missed; this refuses exactly when a fresh search at budget+1 would, but
+    does not revisit the states the final search already ruled out.
+    `max_states` bounds each search's state set, the resumed part included;
+    exceeding it raises rather than churning.
 
     Returns (semi-reduced diagram, trace of moves performed).
     """
@@ -629,12 +676,13 @@ def semi_reduce(c: ClosedDiagram, budget: int = 2, rng=None, probe: bool = True,
         raise ValueError("budget must be >= 1")
     trace = []
     while True:
-        found = _find_unlockable(c, budget, rng, max_states)
+        search = _find_unlockable(c, budget, rng, max_states)
+        found = next(search)
         if found is None:
             break
         c, moves = found
         trace.extend(moves)
-    if probe and _find_unlockable(c, budget + 1, rng, max_states) is not None:
+    if probe and next(search) is not None:
         raise LimitExceeded(
             "similarity-budget",
             f"a redex is reachable at depth {budget + 1} but not {budget}; raise --budget",
@@ -643,47 +691,64 @@ def semi_reduce(c: ClosedDiagram, budget: int = 2, rng=None, probe: bool = True,
 
 
 def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 200000):
-    """0/1-cost BFS over similarity moves for a state admitting a reduction."""
+    """0/1-cost BFS over similarity moves for a state admitting a reduction.
+
+    A generator.  It first yields (reduced diagram, moves) for the first
+    reducible state within `budget` expanding shifts, or None when there is
+    none.  Resumed after None, it takes one more expanding shift from each
+    state it popped at cost `budget`, closes the results under 0-cost moves
+    with the same `seen` map, and yields once more.  States pop in
+    nondecreasing cost and none of cost <= budget is reducible, so this
+    second answer is None exactly when a fresh search at budget+1 finds
+    nothing.
+    """
     start_key = unordered_key(c)
     queue = deque([(c, [], 0)])
     seen = {start_key: 0}
-    while queue:
-        state, path, cost = queue.popleft()
-        step = reduce_closed_step(state, rng)
-        if step is not None:
-            new, mv = step
-            return new, path + [mv]
-        nbrs = []
-        for mode, _, slot_points in _consolidations(state):
-            nbrs.append((0, ("cons", mode, slot_points)))
-        if cost < budget:
-            for i in range(len(state.base_line)):
-                for direction in shift_directions(state, i):
-                    nbrs.append((1, ("exp", i, direction)))
-        if rng is not None:
-            rng.shuffle(nbrs)
-            nbrs.sort(key=lambda t: t[0])
-        for extra, action in nbrs:
-            if action[0] == "cons":
-                nstate, mvs = _consolidate(state, action[1], action[2])
-            else:
-                nstate, mv = shift_expand(state, action[1], action[2])
-                mvs = [mv]
-            ncost = cost + extra
-            key = unordered_key(nstate)
-            if key in seen and seen[key] <= ncost:
-                continue
-            seen[key] = ncost
-            if len(seen) > max_states:
-                raise LimitExceeded(
-                    "similarity-states", f"more than {max_states} similarity states explored"
-                )
-            entry = (nstate, path + mvs, ncost)
-            if extra == 0:
-                queue.appendleft(entry)
-            else:
-                queue.append(entry)
-    return None
+    frontier = []
+    for limit in (budget, budget + 1):
+        while queue:
+            state, path, cost = queue.popleft()
+            nbrs = []
+            if limit == budget or cost == limit:  # frontier states were checked before the resume
+                step = reduce_closed_step(state, rng)
+                if step is not None:
+                    new, mv = step
+                    yield new, path + [mv]
+                    return
+                for mode, _, slot_points in _consolidations(state):
+                    nbrs.append((0, ("cons", mode, slot_points)))
+            if cost < limit:
+                for i in range(len(state.base_line)):
+                    for direction in shift_directions(state, i):
+                        nbrs.append((1, ("exp", i, direction)))
+            elif limit == budget:
+                frontier.append((state, path, cost))
+            if rng is not None:
+                rng.shuffle(nbrs)
+                nbrs.sort(key=lambda t: t[0])
+            for extra, action in nbrs:
+                if action[0] == "cons":
+                    nstate, mvs = _consolidate(state, action[1], action[2])
+                else:
+                    nstate, mv = shift_expand(state, action[1], action[2])
+                    mvs = [mv]
+                ncost = cost + extra
+                key = unordered_key(nstate)
+                if key in seen and seen[key] <= ncost:
+                    continue
+                seen[key] = ncost
+                if len(seen) > max_states:
+                    raise LimitExceeded(
+                        "similarity-states", f"more than {max_states} similarity states explored"
+                    )
+                entry = (nstate, path + mvs, ncost)
+                if extra == 0:
+                    queue.appendleft(entry)
+                else:
+                    queue.append(entry)
+        yield None
+        queue.extend(frontier)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from strandshift import closed
 from strandshift.closed import (
+    ClosedDiagram,
     close,
     closed_key,
     conjugator_of,
@@ -30,7 +32,7 @@ from strandshift.diagrams import (
 from strandshift.errors import LimitExceeded, PreconditionError, SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, random_element
+from strandshift.testkit import GeneratorConfig, random_element, random_graph
 
 from conftest import loops_closed
 
@@ -150,6 +152,21 @@ def test_shift_reduce_preconditions(fig1):
         shift_reduce(c2, (0,), "down")  # not all predecessors listed
     with pytest.raises(PreconditionError):
         shift_reduce(c2, (1, 0))  # not consecutive ascending
+
+
+def test_shift_reduce_rejects_unknown_direction(fig1):
+    c2, _ = shift_expand(expansion_caret(fig1), 0, "down")
+    with pytest.raises(PreconditionError, match="direction"):
+        shift_reduce(c2, (0, 1), "sideways")
+
+
+def test_shift_reduce_rejects_empty_positions(fig1):
+    c2, _ = shift_expand(expansion_caret(fig1), 0, "down")
+    with pytest.raises(PreconditionError):
+        shift_reduce(c2, ())
+    for outside in [(1, 2), (-1, 0)]:
+        with pytest.raises(PreconditionError, match="out of range"):
+            shift_reduce(c2, outside)
 
 
 def test_permute_base(fig1):
@@ -322,4 +339,101 @@ def test_semi_reduce_state_cap_surfaces(fig1, sigma):
     c = close(from_forest_pair(fig1, sigma))
     with pytest.raises(LimitExceeded) as exc:
         semi_reduce(c, max_states=2)
+    assert exc.value.limit == "similarity-states"
+
+
+def reference_unordered_key(c):
+    """Serialize every component from every base-point seed and keep the least."""
+    comp_keys = []
+    for comp in closed.components(c):
+        seeds = [p for p in comp if p in c.base_set]
+        comp_keys.append(min(closed._serialize(c, closed._bidirectional_order(c, [s])) for s in seeds))
+    return tuple(sorted(comp_keys))
+
+
+def renumbered(c, rng):
+    """The same closed diagram with fresh, shuffled point and strand ids."""
+    old = [*c.point_color, *c.strand_color]
+    new = rng.sample(range(1000, 1000 + 10 * len(old)), len(old))
+    m = dict(zip(old, new))
+    return ClosedDiagram(
+        {m[p]: v for p, v in c.point_color.items()},
+        {m[s]: v for s, v in c.strand_color.items()},
+        {m[s]: m[p] for s, p in c.strand_from.items()},
+        {m[s]: m[p] for s, p in c.strand_to.items()},
+        {m[p]: [m[s] for s in v] for p, v in c.in_slots.items()},
+        {m[p]: [m[s] for s in v] for p, v in c.out_slots.items()},
+        [m[b] for b in c.base_line],
+    )
+
+
+def fig1_element(fig1, base_bg, seed):
+    """Element seed `seed` of the fig1 suite: growth 8, 9 or 10."""
+    fp = random_element(fig1, base_bg, GeneratorConfig(seed=seed, growth_steps=8 + seed % 3))
+    return close(from_forest_pair(fig1, fp))
+
+
+def test_unordered_key_matches_all_seeds_reference(fig1, base_bg, monkeypatch):
+    elements = [fig1_element(fig1, base_bg, seed) for seed in (0, 4, 10)]
+    for gs in (1, 2, 3):
+        g, base = random_graph(GeneratorConfig(seed=gs))
+        for e in (0, 4):
+            fp = random_element(g, base, GeneratorConfig(seed=e, growth_steps=2 + e % 5))
+            elements.append(close(from_forest_pair(g, fp)))
+    keyed = []
+    search_key = closed.unordered_key
+
+    def recording_key(c):
+        keyed.append(c)
+        return search_key(c)
+
+    # the search looks the key up as a module global, so this records every state it keys
+    monkeypatch.setattr(closed, "unordered_key", recording_key)
+    for c in elements:
+        semi_reduce(c, budget=2, probe=False)
+    monkeypatch.undo()
+    assert len(keyed) > 300
+    rng = random.Random(0)
+    for c in keyed:
+        key = unordered_key(c)
+        assert key == reference_unordered_key(c)
+        assert unordered_key(renumbered(c, rng)) == key
+        perm = list(range(len(c.base_line)))
+        rng.shuffle(perm)
+        assert unordered_key(permute_base(c, perm)[0]) == key
+
+
+@pytest.mark.parametrize("seed", [10, 21, 30, 0, 1, 2, 3, 4, 5])
+def test_probe_refuses_exactly_when_a_fresh_deeper_search_reduces(fig1, base_bg, seed):
+    c = fig1_element(fig1, base_bg, seed)
+    for budget in (1, 2, 3):
+        semi, trace = semi_reduce(c, budget, probe=False)
+        deeper = bool(semi_reduce(semi, budget + 1, probe=False)[1])
+        try:
+            probed = semi_reduce(c, budget)
+        except LimitExceeded as exc:
+            assert exc.limit == "similarity-budget"
+            assert deeper
+        else:
+            assert not deeper
+            assert probed[1] == trace and closed_key(probed[0]) == closed_key(semi)
+
+
+def test_probe_counts_resumed_states_against_the_cap(fig1, base_bg):
+    c = fig1_element(fig1, base_bg, 0)
+
+    def fits(cap):
+        try:
+            semi_reduce(c, 2, probe=False, max_states=cap)
+        except LimitExceeded:
+            return False
+        return True
+
+    lo, hi = 1, 200000  # fits(hi), not fits(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    # the cap holds every search without the probe, so only the resumed part exceeds it
+    with pytest.raises(LimitExceeded) as exc:
+        semi_reduce(c, 2, max_states=hi)
     assert exc.value.limit == "similarity-states"
