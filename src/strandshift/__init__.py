@@ -47,7 +47,6 @@ from .graphs import (
     normalize_graph,
     validate_graph,
 )
-from .intlinalg import IntMatrix, smith_normal_form, solve_integer
 from .semigroup import (
     Presentation,
     bfs_equal,

@@ -173,7 +173,7 @@ def cmd_semigroup_eq(args):
         "rhs": format_loops(rhs),
     }
     lines = [f"{'equal' if verdict else 'not equal'} in stage {n}"]
-    if args.semigroup_cap:
+    if args.semigroup_cap is not None:
         oracle = bfs_equal(va, vb, pres, args.semigroup_cap)
         report["bfs_oracle"] = oracle
         lines.append(f"bfs oracle (cap {args.semigroup_cap}): {oracle}")

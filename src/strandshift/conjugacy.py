@@ -36,7 +36,6 @@ from .closed import (
 from .diagrams import StrandDiagram, compose, equal, identity_diagram, invert, reduce
 from .errors import SignatureMismatch
 from .graphs import ShiftGraph
-from .intlinalg import IntMatrix, solve_integer
 from .semigroup import bfs_path, decide_equal, max_winding, presentation_from_graph
 
 
@@ -64,28 +63,29 @@ class SplitMergeSkeleton:
         return sorted(self.point_color)
 
 
+def _chain(c: ClosedDiagram, s):
+    """Walk forward from strand s: (base points passed, strand entering the next non-base point)."""
+    passed = []
+    while c.strand_to[s] in c.base_set:
+        passed.append(c.strand_to[s])
+        s = c.out_slots[passed[-1]][0]
+    return passed, s
+
+
 def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
     pts = [p for p in part.point_color if p not in part.base_set]
     sk = SplitMergeSkeleton({p: part.point_color[p] for p in pts}, {}, {}, {}, {}, {}, {})
     in_acc = {p: [None] * len(part.in_slots[p]) for p in pts}
     for p in pts:
-        outs = []
         for s in part.out_slots[p]:
-            first = s
-            count = 0
-            cur = s
-            while part.strand_to[cur] in part.base_set:
-                count += 1
-                cur = part.out_slots[part.strand_to[cur]][0]
-            q = part.strand_to[cur]
-            islot = part.in_slots[q].index(cur)
-            sk.strand_from[first] = p
-            sk.strand_to[first] = q
-            sk.strand_color[first] = part.strand_color[first]
-            sk.cocycle[first] = count
-            in_acc[q][islot] = first
-            outs.append(first)
-        sk.out_slots[p] = tuple(outs)
+            passed, last = _chain(part, s)
+            q = part.strand_to[last]
+            sk.strand_from[s] = p
+            sk.strand_to[s] = q
+            sk.strand_color[s] = part.strand_color[s]
+            sk.cocycle[s] = len(passed)
+            in_acc[q][part.in_slots[q].index(last)] = s
+        sk.out_slots[p] = part.out_slots[p]
     for p in pts:
         assert all(s is not None for s in in_acc[p])
         sk.in_slots[p] = tuple(in_acc[p])
@@ -187,25 +187,42 @@ def _strand_image(a, b, phi, s):
     return b.out_slots[phi[p]][j]
 
 
+def solve_integer(edges, d):
+    """Integer x with x[u] - x[v] = d[i] for every edges[i] = (u, v), or None.
+
+    This is the incidence system of a directed graph: a solution is fixed up
+    to one constant per connected piece, so setting x = 0 at one point per
+    piece and propagating along a spanning tree finds it, and the system is
+    solvable exactly when every edge then checks.
+    """
+    nbrs = {}
+    for (u, v), di in zip(edges, d):
+        nbrs.setdefault(u, []).append((v, -di))
+        nbrs.setdefault(v, []).append((u, di))
+    x = {}
+    for root in nbrs:
+        if root in x:
+            continue
+        x[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, delta in nbrs[u]:
+                if v not in x:
+                    x[v] = x[u] + delta
+                    stack.append(v)
+    if any(x[u] - x[v] != di for (u, v), di in zip(edges, d)):
+        return None
+    return x
+
+
 def _coboundary_solution(a, comp_a, b, phi):
     """Integer x over comp points with (coboundary of x) = cocycle_a - phi*cocycle_b."""
-    pts = sorted(comp_a)
-    strands = [s for p in pts for s in a.out_slots[p]]
-    col = {p: i for i, p in enumerate(pts)}
-    rows = []
-    rhs = []
-    for s in strands:
-        row = [0] * len(pts)
-        row[col[a.strand_from[s]]] += 1
-        row[col[a.strand_to[s]]] -= 1
-        rows.append(row)
-        rhs.append(a.cocycle[s] - b.cocycle[_strand_image(a, b, phi, s)])
-    if not rows:
-        return {}
-    x = solve_integer(IntMatrix(rows), rhs)
-    if x is None:
-        return None
-    return {p: x[col[p]] for p in pts}
+    strands = [s for p in sorted(comp_a) for s in a.out_slots[p]]
+    return solve_integer(
+        [(a.strand_from[s], a.strand_to[s]) for s in strands],
+        [a.cocycle[s] - b.cocycle[_strand_image(a, b, phi, s)] for s in strands],
+    )
 
 
 @dataclass
@@ -407,94 +424,47 @@ def _fold_conjugators(moves, base_colors) -> StrandDiagram:
 
 def _chain_counts(c: ClosedDiagram, pts) -> dict:
     """(point, out-slot) -> number of base points on that chain."""
-    counts = {}
-    for p in pts:
-        for j, s in enumerate(c.out_slots[p]):
-            count = 0
-            cur = s
-            while c.strand_to[cur] in c.base_set:
-                count += 1
-                cur = c.out_slots[c.strand_to[cur]][0]
-            counts[(p, j)] = count
-    return counts
+    return {(p, j): len(_chain(c, s)[0]) for p in pts for j, s in enumerate(c.out_slots[p])}
 
 
-def _plan_cocycle_moves(c: ClosedDiagram, pts, target: dict, state_cap: int = 50000):
-    """Shift plan making every chain count hit `target`, or None.
+def _plan_cocycle_moves(c: ClosedDiagram, pts, x: dict) -> list:
+    """Shift plan carrying the chain counts of `pts` onto the matched part.
 
-    Breadth-first search in count space; each move is a legal shift through
-    one split or merge, so the plan is always realizable move for move.
+    `x` is step 2's solution: x[from s] - x[to s] is how many more base
+    points chain s holds than its image.  A forward push through p takes one
+    base point off each chain into p and puts one on each chain out of p (a
+    backward push undoes it), so pushing every p net m - x[p] times realizes
+    the difference for any constant m; a median m gives the fewest pushes.
+    A push is legal when its source chains all hold a base point.  While
+    pushes remain some push is legal, because every directed cycle crosses
+    the base line and pushes never change cycle sums.
     """
-    pts = sorted(pts)
-    slots = sorted(target)
-    start = tuple(_chain_counts(c, pts)[sl] for sl in slots)
-    goal = tuple(target[sl] for sl in slots)
-    if start == goal:
-        return []
-    idx = {sl: i for i, sl in enumerate(slots)}
-    in_chain = {}
-    out_chains = {}
-    for p in pts:
-        ins = []
-        for q in pts:
-            for j, s in enumerate(c.out_slots[q]):
-                cur = s
-                while c.strand_to[cur] in c.base_set:
-                    cur = c.out_slots[c.strand_to[cur]][0]
-                if c.strand_to[cur] == p:
-                    ins.append((q, j))
-        in_chain[p] = ins  # chains ending at p, as (origin, slot) pairs
-        out_chains[p] = [(p, j) for j in range(len(c.out_slots[p]))]
+    counts = _chain_counts(c, pts)
+    outs = {p: [(p, j) for j in range(len(c.out_slots[p]))] for p in pts}
+    ins = {p: [] for p in pts}
+    for q in pts:
+        for j, s in enumerate(c.out_slots[q]):
+            ins[c.strand_to[_chain(c, s)[1]]].append((q, j))
+    m = sorted(x[p] for p in pts)[len(pts) // 2]
+    left = {p: m - x[p] for p in sorted(pts) if x[p] != m}
 
-    def moves_from(vec):
-        for p in pts:
-            is_split = len(c.out_slots[p]) >= 2
-            ins = [idx[sl] for sl in in_chain[p] if sl in idx]
-            outs = [idx[sl] for sl in out_chains[p]]
-            if is_split:
-                if all(vec[i] >= 1 for i in ins) and ins:
-                    yield (p, "expand"), _apply(vec, ins, -1, outs, +1)
-                if all(vec[i] >= 1 for i in outs):
-                    yield (p, "reduce"), _apply(vec, outs, -1, ins, +1)
-            else:
-                if all(vec[i] >= 1 for i in outs) and outs:
-                    yield (p, "expand"), _apply(vec, outs, -1, ins, +1)
-                if all(vec[i] >= 1 for i in ins):
-                    yield (p, "reduce"), _apply(vec, ins, -1, outs, +1)
+    def legal(p):
+        return all(counts[ch] for ch in (ins[p] if left[p] > 0 else outs[p]))
 
-    bound = max(sum(start), sum(goal)) + 2 * len(pts) + 2
-    parents = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for action, new in moves_from(vec):
-                if sum(new) > bound or new in parents:
-                    continue
-                parents[new] = (vec, action)
-                if new == goal:
-                    plan = []
-                    cur = new
-                    while parents[cur] is not None:
-                        prev, act = parents[cur]
-                        plan.append(act)
-                        cur = prev
-                    plan.reverse()
-                    return plan
-                if len(parents) > state_cap:
-                    return None
-                nxt.append(new)
-        frontier = nxt
-    return None
-
-
-def _apply(vec, dec, dd, inc, di):
-    out = list(vec)
-    for i in dec:
-        out[i] += dd
-    for i in inc:
-        out[i] += di
-    return tuple(out)
+    plan = []
+    while left:
+        p = next(filter(legal, left), None)
+        assert p is not None, "no legal push: a directed cycle misses the base line"
+        step = 1 if left[p] > 0 else -1
+        for ch in ins[p]:
+            counts[ch] -= step
+        for ch in outs[p]:
+            counts[ch] += step
+        plan.append((p, "expand" if (step > 0) == (len(c.out_slots[p]) >= 2) else "reduce"))
+        left[p] -= step
+        if not left[p]:
+            del left[p]
+    return plan
 
 
 def _execute_cocycle_plan(c: ClosedDiagram, plan):
@@ -591,22 +561,12 @@ def _alignment_permutation(c: ClosedDiagram, target: ClosedDiagram, match: Skele
     for comp_a, comp_b, phi, _ in match.pairs:
         for p in comp_a:
             psi[p] = phi[p]
-        for p in comp_a:
             for j, s in enumerate(c.out_slots[p]):
-                chain_a = []
-                cur = s
-                while c.strand_to[cur] in c.base_set:
-                    chain_a.append(c.strand_to[cur])
-                    cur = c.out_slots[c.strand_to[cur]][0]
-                chain_b = []
-                cur = target.out_slots[phi[p]][j]
-                while target.strand_to[cur] in target.base_set:
-                    chain_b.append(target.strand_to[cur])
-                    cur = target.out_slots[target.strand_to[cur]][0]
+                chain_a = _chain(c, s)[0]
+                chain_b = _chain(target, target.out_slots[phi[p]][j])[0]
                 if len(chain_a) != len(chain_b):
                     return None
-                for pa, pb in zip(chain_a, chain_b):
-                    psi[pa] = pb
+                psi.update(zip(chain_a, chain_b))
     loops_a = sorted(_loop_components(c), key=lambda t: (t[0], t[1], min(t[2])))
     loops_b = sorted(_loop_components(target), key=lambda t: (t[0], t[1], min(t[2])))
     if [(t[0], t[1]) for t in loops_a] != [(t[0], t[1]) for t in loops_b]:
@@ -628,9 +588,10 @@ def conjugator_witness(
 ) -> StrandDiagram | None:
     """An explicit h with h g h^-1 = f, or None when realization fails.
 
-    Best-effort: requires the step 3 equality to be witnessed by a bounded
-    relation path and the step 2 coboundary to be realizable by legal shifts;
-    the returned diagram is verified by diagram algebra before returning.
+    The step 2 coboundary is always realized by legal shifts.  The witness is
+    best-effort only through step 3: the loop-part equality must be
+    witnessed by a bounded relation path.  The returned diagram is verified
+    by diagram algebra before returning.
     """
     if not (result.conjugate and result.analyses):
         return None
@@ -638,16 +599,8 @@ def conjugator_witness(
     moves_a = list(a.trace)
     cur = a.semi
 
-    sk_b = skeleton(b.part)
-    for comp_a, comp_b, phi, _ in result.match.pairs:
-        target = {}
-        for p in comp_a:
-            for j in range(len(cur.out_slots[p])):
-                target[(p, j)] = sk_b.cocycle[sk_b.out_slots[phi[p]][j]]
-        plan = _plan_cocycle_moves(cur, comp_a, target)
-        if plan is None:
-            return None
-        cur, mvs = _execute_cocycle_plan(cur, plan)
+    for comp_a, _, _, x in result.match.pairs:
+        cur, mvs = _execute_cocycle_plan(cur, _plan_cocycle_moves(cur, comp_a, x))
         moves_a.extend(mvs)
 
     if a.loops or b.loops:

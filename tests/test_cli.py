@@ -260,6 +260,28 @@ def test_semigroup_eq_command(files, capsys):
     assert code == 0 and out.startswith("not equal")
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_semigroup_eq_cap_below_input_degree(files, capsys, cap):
+    # a cap of 0 is a cap like any other, not "no oracle"
+    code, out, err = run(
+        capsys,
+        [
+            "semigroup-eq",
+            "--graph",
+            files["left.graph"],
+            "--lhs",
+            "L(R,1)",
+            "--rhs",
+            "L(B,1)",
+            "--semigroup-cap",
+            cap,
+        ],
+    )
+    assert code == 1
+    assert out == ""
+    assert "cap below the degree of an input" in err
+
+
 def test_export_dot(files, tmp_path, capsys):
     out_path = tmp_path / "sigma.dot"
     code, out, _ = run(

@@ -1,12 +1,19 @@
+import itertools
+import random
+
 import pytest
 
-from strandshift.closed import close, decompose_parts, semi_reduce, shift_expand
+from strandshift.closed import close, decompose_parts, semi_reduce, shift_directions, shift_expand
 from strandshift.conjugacy import (
+    _chain_counts,
+    _execute_cocycle_plan,
+    _plan_cocycle_moves,
     compare_split_merge,
     conjugator_witness,
     is_conjugate,
     similar_by_search,
     skeleton,
+    solve_integer,
 )
 from strandshift.diagrams import (
     compose,
@@ -16,10 +23,10 @@ from strandshift.diagrams import (
     invert,
     reduce,
 )
-from strandshift.errors import SignatureMismatch
+from strandshift.errors import LimitExceeded, SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, random_element
+from strandshift.testkit import GeneratorConfig, random_element, random_graph
 
 
 def caret_loop(fig1):
@@ -80,6 +87,76 @@ def test_compare_split_merge_shifted_copy(fig1):
             rows[s] = diff
     for s, diff in rows.items():
         assert diff == x[a.strand_from[s]] - x[a.strand_to[s]]
+
+
+def satisfies(x, edges, d):
+    return all(x[u] - x[v] == di for (u, v), di in zip(edges, d))
+
+
+def random_edges(rng, n, max_edges):
+    # any pairs of points: self-loops, parallel edges and isolated points allowed
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, max_edges))]
+
+
+def closed_trail_sums(edges, d):
+    """Signed d-sums of every closed trail; traversing (u, v) backwards counts -d."""
+    sums = set()
+
+    def walk(start, at, used, total):
+        for i, (u, v) in enumerate(edges):
+            if i in used:
+                continue
+            for a, b, sign in ((u, v, 1), (v, u, -1)):
+                if a == at:
+                    if b == start:
+                        sums.add(total + sign * d[i])
+                    walk(start, b, used | {i}, total + sign * d[i])
+
+    for start in {p for e in edges for p in e}:
+        walk(start, start, frozenset(), 0)
+    return sums
+
+
+def test_solve_integer_hand_example():
+    # a triangle: consistent exactly when the detour 0 -> 1 -> 2 matches 0 -> 2
+    edges = [(0, 1), (1, 2), (0, 2)]
+    assert solve_integer(edges, [2, 3, 5]) == {0: 0, 1: -2, 2: -5}
+    assert solve_integer(edges, [2, 3, 4]) is None
+    assert solve_integer([("a", "a")], [0]) == {"a": 0}
+    assert solve_integer([("a", "a")], [1]) is None
+    assert solve_integer([], []) == {}
+
+
+def test_solve_integer_planted_solution():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        edges = random_edges(rng, n, 9)
+        x0 = [rng.randint(-4, 4) for _ in range(n)]
+        d = [x0[u] - x0[v] for u, v in edges]
+        x = solve_integer(edges, d)
+        assert x is not None and satisfies(x, edges, d)
+        assert set(x) == {p for e in edges for p in e}
+
+
+def test_solve_integer_none_exactly_when_a_cycle_sum_is_nonzero():
+    # with |d| <= 1 on at most 4 points, a solution that is 0 at one point of
+    # each connected piece lies in [-3, 3], so the box search is exhaustive
+    rng = random.Random(9)
+    counts = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        edges = random_edges(rng, n, 5)
+        d = [rng.randint(-1, 1) for _ in edges]
+        x = solve_integer(edges, d)
+        solvable = x is not None
+        assert solvable == all(total == 0 for total in closed_trail_sums(edges, d))
+        box = any(satisfies(y, edges, d) for y in itertools.product(range(-3, 4), repeat=n))
+        assert solvable == box
+        if solvable:
+            assert satisfies(x, edges, d)
+        counts[solvable] += 1
+    assert min(counts.values()) >= 30
 
 
 def test_compare_split_merge_distinguishes_colors(fig1):
@@ -169,8 +246,6 @@ def test_step2_matches_bruteforce_on_shifted_parts(fig1, base_bg):
             continue
         shifted = part
         for i in range(len(part.base_line)):
-            from strandshift.closed import shift_directions
-
             dirs = shift_directions(part, i)
             if dirs:
                 shifted, _ = shift_expand(part, i, dirs[0])
@@ -178,6 +253,53 @@ def test_step2_matches_bruteforce_on_shifted_parts(fig1, base_bg):
         assert (compare_split_merge(skeleton(part), skeleton(shifted)) is not None) == (
             similar_by_search(part, shifted) is True
         )
+
+
+def shifted_parts(g, base, steps, seeds, rng):
+    """Semi-reduced split-merge parts and copies moved by 1-3 random expanding shifts."""
+    for seed in seeds:
+        try:
+            semi, _ = semi_reduce(close(element(g, base, seed, steps)), budget=4)
+        except LimitExceeded:
+            continue
+        part, _ = decompose_parts(semi)
+        if not part.point_color or len(part.base_line) > 6:
+            continue
+        other = part
+        for _ in range(rng.randint(1, 3)):
+            moves = [(i, d) for i in range(len(other.base_line)) for d in shift_directions(other, i)]
+            if not moves:
+                break
+            other, _ = shift_expand(other, *moves[rng.randrange(len(moves))])
+        yield part, other
+
+
+def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
+    rng = random.Random(17)
+    graphs = [(*random_graph(GeneratorConfig(seed=s)), 3) for s in (1, 3)] + [(fig1, base_bg, 4)]
+    plans = mixed = 0
+    for g, base, steps in graphs:
+        for part, other in shifted_parts(g, base, steps, range(30), rng):
+            for a, b in ((part, other), (other, part)):
+                sk_a, sk_b = skeleton(a), skeleton(b)
+                match = compare_split_merge(sk_a, sk_b)
+                assert match is not None
+                cur = a
+                for comp_a, _, phi, x in match.pairs:
+                    plan = _plan_cocycle_moves(cur, comp_a, x)
+                    assert len(plan) == min(sum(abs(m - x[p]) for p in comp_a) for m in x.values())
+                    forward = {(action == "expand") == (len(cur.out_slots[p]) >= 2) for p, action in plan}
+                    mixed += forward == {True, False}
+                    cur, _ = _execute_cocycle_plan(cur, plan)
+                    target = {
+                        (p, j): sk_b.cocycle[sk_b.out_slots[phi[p]][j]]
+                        for p in comp_a
+                        for j in range(len(cur.out_slots[p]))
+                    }
+                    assert _chain_counts(cur, comp_a) == target
+                    plans += bool(plan)
+    assert plans >= 60
+    assert mixed >= 1
 
 
 def test_witness_for_equal_elements_is_identity_class(fig1, base_bg, sigma):
@@ -237,9 +359,6 @@ def test_witness_cap_is_best_effort(nonconfluent_left):
 
 
 def test_witness_fuzz_over_random_graphs():
-    from strandshift.errors import LimitExceeded
-    from strandshift.testkit import random_graph
-
     verified = 0
     for gseed in range(3):
         g, base = random_graph(GeneratorConfig(seed=gseed, max_vertices=4))
