@@ -19,6 +19,13 @@ from dataclasses import dataclass
 
 from .diagrams import (
     StrandDiagram,
+    _choose_redex,
+    _copy_tables,
+    _drop_point,
+    _drop_strand,
+    _retarget,
+    _splice_out,
+    _Tables,
     apply_redex,
     find_redexes,
     identity_diagram,
@@ -31,26 +38,14 @@ from .errors import LimitExceeded, PreconditionError, SignatureMismatch
 from .graphs import ShiftGraph
 
 
-class ClosedDiagram:
-    __slots__ = (
-        "point_color",
-        "strand_color",
-        "strand_from",
-        "strand_to",
-        "in_slots",
-        "out_slots",
-        "base_line",
-        "base_set",
-        "_ukey",
-    )
+class ClosedDiagram(_Tables):
+    """The six diagram tables plus the base line, an ordered tuple of base
+    point ids, each of in- and out-degree 1."""
+
+    __slots__ = ("base_line", "base_set", "_ukey")
 
     def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, base_line):
-        self.point_color = dict(point_color)
-        self.strand_color = dict(strand_color)
-        self.strand_from = dict(strand_from)
-        self.strand_to = dict(strand_to)
-        self.in_slots = {p: tuple(v) for p, v in in_slots.items()}
-        self.out_slots = {p: tuple(v) for p, v in out_slots.items()}
+        _Tables.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots)
         self.base_line = tuple(base_line)
         self.base_set = frozenset(base_line)
         self._ukey = None
@@ -123,12 +118,7 @@ def close(d: StrandDiagram) -> ClosedDiagram:
     for p in d.sinks:
         if len(d.in_slots[p]) != 1:
             raise ValueError("sinks must be univalent to close; normalize the diagram")
-    pc = dict(d.point_color)
-    sc = dict(d.strand_color)
-    sf = dict(d.strand_from)
-    st = dict(d.strand_to)
-    ins = {p: list(v) for p, v in d.in_slots.items()}
-    outs = {p: list(v) for p, v in d.out_slots.items()}
+    pc, sc, sf, st, ins, outs = _copy_tables(d)
     base = []
     for src, snk in zip(d.sources, d.sinks):
         s_in = ins[snk][0]
@@ -141,13 +131,8 @@ def close(d: StrandDiagram) -> ClosedDiagram:
 
 def cut(c: ClosedDiagram) -> StrandDiagram:
     """Split every base point into a source/sink pair, ordered by the base line."""
-    pc = dict(c.point_color)
-    sc = dict(c.strand_color)
-    sf = dict(c.strand_from)
-    st = dict(c.strand_to)
-    ins = {p: list(v) for p, v in c.in_slots.items()}
-    outs = {p: list(v) for p, v in c.out_slots.items()}
-    nxt = 1 + max([*pc, *sc], default=0)
+    pc, sc, sf, st, ins, outs = _copy_tables(c)
+    nxt = _fresh_id(c)
     sinks = []
     for b in c.base_line:
         s_in = ins[b][0]
@@ -206,8 +191,8 @@ def closed_key(c: ClosedDiagram) -> tuple:
     return (_serialize(c, order), tuple(order[b] for b in c.base_line))
 
 
-def components(c: ClosedDiagram) -> list:
-    """Weakly connected components, each a sorted tuple of point ids."""
+def components(c) -> list:
+    """Weakly connected components of any table object, each a sorted tuple of point ids."""
     seen = set()
     comps = []
     for p in sorted(c.point_color):
@@ -286,18 +271,7 @@ def unordered_key(c: ClosedDiagram) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# shared table helpers
-
-def _tables(c):
-    return (
-        dict(c.point_color),
-        dict(c.strand_color),
-        dict(c.strand_from),
-        dict(c.strand_to),
-        {p: list(v) for p, v in c.in_slots.items()},
-        {p: list(v) for p, v in c.out_slots.items()},
-    )
-
+# base point helpers
 
 def _subdivide(tabs, nxt, strand):
     """Insert a fresh base-point-shaped point in the middle of `strand`.
@@ -306,40 +280,21 @@ def _subdivide(tabs, nxt, strand):
     strand continues to the original target in the same in-slot.
     """
     pc, sc, sf, st, ins, outs = tabs
-    b = nxt[0]
-    nxt[0] += 1
+    b, n = nxt[0], nxt[0] + 1
+    nxt[0] += 2
     color = sc[strand]
     pc[b] = color
-    target = st[strand]
-    n = nxt[0]
-    nxt[0] += 1
     sc[n] = color
     sf[n] = b
-    st[n] = target
-    slots = ins[target]
-    slots[slots.index(strand)] = n
+    _retarget(st, ins, n, strand)
     st[strand] = b
     ins[b] = [strand]
     outs[b] = [n]
     return b
 
 
-def _splice_out(tabs, p):
-    """Remove a degree-(1,1) point, fusing its strands (incoming id survives)."""
-    pc, sc, sf, st, ins, outs = tabs
-    s_in = ins[p][0]
-    s_out = outs[p][0]
-    assert s_in != s_out, "cannot splice a point on a one-strand loop"
-    target = st[s_out]
-    st[s_in] = target
-    slots = ins[target]
-    slots[slots.index(s_out)] = s_in
-    del pc[p], ins[p], outs[p]
-    del sc[s_out], sf[s_out], st[s_out]
-
-
-def _fresh_counter(c) -> list:
-    return [1 + max([*c.point_color, *c.strand_color], default=0)]
+def _fresh_id(c) -> int:
+    return 1 + max([*c.point_color, *c.strand_color], default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +319,8 @@ def shift_expand(c: ClosedDiagram, index: int, direction=None):
     The base point is replaced by one base point per child strand, inserted
     contiguously at its position in edge order.
     """
+    if not 0 <= index < len(c.base_line):
+        raise PreconditionError(f"base position {index} out of range")
     avail = shift_directions(c, index)
     if direction is None:
         if len(avail) != 1:
@@ -374,8 +331,8 @@ def shift_expand(c: ClosedDiagram, index: int, direction=None):
     if direction not in avail:
         raise PreconditionError(f"base point {index}: no movable point {direction}")
     b = c.base_line[index]
-    tabs = _tables(c)
-    nxt = _fresh_counter(c)
+    tabs = _copy_tables(c)
+    nxt = [_fresh_id(c)]
     if direction == "down":
         v = c.strand_to[c.out_slots[b][0]]
         new_points = [_subdivide(tabs, nxt, s) for s in c.out_slots[v]]
@@ -425,8 +382,8 @@ def shift_reduce(c: ClosedDiagram, positions, direction=None):
     if not (down_ok if direction == "down" else up_ok):
         raise PreconditionError("points are not the full ordered boundary of one split/merge")
 
-    tabs = _tables(c)
-    nxt = _fresh_counter(c)
+    tabs = _copy_tables(c)
+    nxt = [_fresh_id(c)]
     kids = tuple(c.point_color[p] for p in points)
     for p in points:
         _splice_out(tabs, p)
@@ -469,14 +426,8 @@ def reduce_closed_step(c: ClosedDiagram, rng=None):
     redexes = find_redexes(c, skip=c.base_set)
     if not redexes:
         return None
-    if rng is None:
-        order = _bidirectional_order(c, c.base_line)
-        redexes.sort(key=lambda r: (r[0], order[r[1]]))
-        chosen = redexes[0]
-    else:
-        chosen = redexes[rng.randrange(len(redexes))]
-    tabs = apply_redex(c, chosen)
-    new = ClosedDiagram(*tabs, c.base_line)
+    chosen = _choose_redex(redexes, rng, lambda: _bidirectional_order(c, c.base_line))
+    new = ClosedDiagram(*apply_redex(c, chosen), c.base_line)
     move = Move("reduce", (chosen[0], chosen[2]), c.base_colors(), new.base_colors())
     return new, move
 
@@ -494,6 +445,43 @@ def _loop_points(c: ClosedDiagram, start_point) -> list:
         cycle.append(p)
 
 
+def _replace_loops(c: ClosedDiagram, start, block, colors, k) -> ClosedDiagram:
+    """c with the loop points `block`, at base positions from `start` on,
+    replaced by d = len(colors) interleaved loops of winding k.
+
+    Loop j has color colors[j] and visits the new base positions start+j,
+    start+j+d, ...  New ids run on from c's largest: the points in base
+    order, then the strands loop by loop.
+    """
+    tabs = pc, sc, sf, st, ins, outs = _copy_tables(c)
+    for b in block:
+        _drop_strand(tabs, outs[b][0])
+        _drop_point(tabs, b)
+    d = len(colors)
+    first = _fresh_id(c)
+    new_points = list(range(first, first + k * d))
+    for p in new_points:
+        ins[p] = []
+        outs[p] = []
+    loops = [new_points[j::d] for j in range(d)]
+    for color, loop in zip(colors, loops):
+        for p in loop:
+            pc[p] = color
+    s = first + k * d
+    for color, loop in zip(colors, loops):
+        for t in range(k):
+            a, b = loop[t], loop[(t + 1) % k]
+            sc[s] = color
+            sf[s] = a
+            st[s] = b
+            outs[a].append(s)
+            ins[b].append(s)
+            s += 1
+    base = list(c.base_line)
+    base[start : start + len(block)] = new_points
+    return ClosedDiagram(*tabs, base)
+
+
 def type3_reduce(c: ClosedDiagram, g: ShiftGraph, start: int, d: int, k: int, vertex=None):
     """Collapse d interleaved loops of winding k into one loop of winding k.
 
@@ -502,6 +490,8 @@ def type3_reduce(c: ClosedDiagram, g: ShiftGraph, start: int, d: int, k: int, ve
     colors v_1..v_d must be the ordered child colors of a common vertex.  The
     replacement is a single loop of that vertex's color with k base points.
     """
+    if k < 1 or d < 1:
+        raise PreconditionError(f"winding k={k} and loop count d={d} must be positive")
     n = k * d
     if not (0 <= start and start + n <= len(c.base_line)):
         raise PreconditionError("block out of range")
@@ -521,32 +511,7 @@ def type3_reduce(c: ClosedDiagram, g: ShiftGraph, start: int, d: int, k: int, ve
     elif vertex not in candidates:
         raise PreconditionError(f"vertex {vertex} does not have ordered children {kids}")
 
-    tabs = _tables(c)
-    pc, sc, sf, st, ins, outs = tabs
-    for b in block:
-        s = outs[b][0]
-        del sc[s], sf[s], st[s]
-        del pc[b], ins[b], outs[b]
-    nxt = _fresh_counter(c)
-    new_points = []
-    for _ in range(k):
-        p = nxt[0]
-        nxt[0] += 1
-        pc[p] = vertex
-        ins[p] = []
-        outs[p] = []
-        new_points.append(p)
-    for t in range(k):
-        s = nxt[0]
-        nxt[0] += 1
-        sc[s] = vertex
-        sf[s] = new_points[t]
-        st[s] = new_points[(t + 1) % k]
-        outs[new_points[t]].append(s)
-        ins[new_points[(t + 1) % k]].append(s)
-    base = list(c.base_line)
-    base[start : start + n] = new_points
-    new = ClosedDiagram(*tabs, base)
+    new = _replace_loops(c, start, block, (vertex,), k)
     move = Move(
         "type3",
         (start, d, k, vertex),
@@ -563,6 +528,10 @@ def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
     Base positions start..start+k-1 must hold one `vertex`-colored loop of
     winding k, visited in this order; it becomes d interleaved child loops.
     """
+    if k < 1:
+        raise PreconditionError(f"winding k={k} must be positive")
+    if not (0 <= start and start + k <= len(c.base_line)):
+        raise PreconditionError("block out of range")
     block = [c.base_line[start + t] for t in range(k)]
     for t in range(k):
         if c.strand_to[c.out_slots[block[t]][0]] != block[(t + 1) % k]:
@@ -570,39 +539,7 @@ def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
     if c.point_color[block[0]] != vertex:
         raise PreconditionError("loop color differs from vertex")
     kids = g.child_colors(vertex)
-    d = len(kids)
-
-    tabs = _tables(c)
-    pc, sc, sf, st, ins, outs = tabs
-    for b in block:
-        s = outs[b][0]
-        del sc[s], sf[s], st[s]
-        del pc[b], ins[b], outs[b]
-    nxt = _fresh_counter(c)
-    new_points = []
-    for _ in range(k * d):
-        p = nxt[0]
-        nxt[0] += 1
-        ins[p] = []
-        outs[p] = []
-        new_points.append(p)
-    for j in range(d):
-        for t in range(k):
-            pc[new_points[j + t * d]] = kids[j]
-    for j in range(d):
-        for t in range(k):
-            a = new_points[j + t * d]
-            b = new_points[j + ((t + 1) % k) * d]
-            s = nxt[0]
-            nxt[0] += 1
-            sc[s] = kids[j]
-            sf[s] = a
-            st[s] = b
-            outs[a].append(s)
-            ins[b].append(s)
-    base = list(c.base_line)
-    base[start : start + k] = new_points
-    new = ClosedDiagram(*tabs, base)
+    new = _replace_loops(c, start, block, kids, k)
     move = Move(
         "type3-expand",
         (start, k, vertex),
@@ -796,8 +733,7 @@ def replay(c: ClosedDiagram, moves, g: ShiftGraph = None):
             c, _ = permute_base(c, *mv.data)
         elif mv.kind == "reduce":
             rtype, payload = mv.data
-            tabs = apply_redex(c, (rtype, None, payload))
-            c = ClosedDiagram(*tabs, c.base_line)
+            c = ClosedDiagram(*apply_redex(c, (rtype, None, payload)), c.base_line)
         elif mv.kind == "type3":
             c, _ = type3_reduce(c, g, *mv.data)
         elif mv.kind == "type3-expand":

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .closed import (
     ClosedDiagram,
     _consolidate,
-    _consolidations,
     _loop_points,
     close,
     components,
@@ -27,11 +26,9 @@ from .closed import (
     decompose_parts,
     permute_base,
     semi_reduce,
-    shift_directions,
     shift_expand,
     type3_expand,
     type3_reduce,
-    unordered_key,
 )
 from .diagrams import StrandDiagram, compose, equal, identity_diagram, invert, reduce
 from .errors import SignatureMismatch
@@ -58,9 +55,6 @@ class SplitMergeSkeleton:
     strand_to: dict
     strand_color: dict
     cocycle: dict
-
-    def points(self):
-        return sorted(self.point_color)
 
 
 def _chain(c: ClosedDiagram, s):
@@ -90,31 +84,6 @@ def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
         assert all(s is not None for s in in_acc[p])
         sk.in_slots[p] = tuple(in_acc[p])
     return sk
-
-
-def _sk_components(sk: SplitMergeSkeleton) -> list:
-    seen = set()
-    comps = []
-    for start in sk.points():
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for s in sk.out_slots[p]:
-                q = sk.strand_to[s]
-                if q not in comp:
-                    comp.add(q)
-                    stack.append(q)
-            for s in sk.in_slots[p]:
-                q = sk.strand_from[s]
-                if q not in comp:
-                    comp.add(q)
-                    stack.append(q)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def _point_sig(sk, p):
@@ -241,8 +210,8 @@ def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
     permutations are free, so feasibility of a perfect matching decides
     step 2.
     """
-    comps_a = _sk_components(a)
-    comps_b = _sk_components(b)
+    comps_a = components(a)
+    comps_b = components(b)
     if len(comps_a) != len(comps_b):
         return None
 
@@ -373,43 +342,6 @@ def is_conjugate(
                 False, 3, "loop parts differ in the loops semigroup", sizes, loopsets, False, (a, b), match
             )
     return ConjugacyResult(True, None, "equivalent closed diagrams", sizes, loopsets, False, (a, b), match)
-
-
-# ---------------------------------------------------------------------------
-# brute-force similarity search (oracle for step 2)
-
-def _similarity_neighbors(c: ClosedDiagram):
-    for mode, _, slot_points in _consolidations(c):
-        yield _consolidate(c, mode, slot_points)[0]
-    for i in range(len(c.base_line)):
-        for direction in shift_directions(c, i):
-            yield shift_expand(c, i, direction)[0]
-
-
-def similar_by_search(a: ClosedDiagram, b: ClosedDiagram, depth: int = 6) -> bool:
-    """Bounded bidirectional search over similarity moves, base order free.
-
-    Sound both ways on success; a False is only a statement about the depth.
-    """
-    keys = {0: {unordered_key(a)}, 1: {unordered_key(b)}}
-    if keys[0] & keys[1]:
-        return True
-    frontiers = {0: [a], 1: [b]}
-    for step in range(depth):
-        side = 0 if len(keys[0]) <= len(keys[1]) else 1
-        nxt = []
-        for state in frontiers[side]:
-            for nb in _similarity_neighbors(state):
-                k = unordered_key(nb)
-                if k in keys[1 - side]:
-                    return True
-                if k not in keys[side]:
-                    keys[side].add(k)
-                    nxt.append(nb)
-        frontiers[side] = nxt
-        if not nxt:
-            break
-    return False
 
 
 # ---------------------------------------------------------------------------

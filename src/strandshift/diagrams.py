@@ -13,6 +13,10 @@ position and one univalent sink per range position.  The validator still
 accepts split-sources and merge-sinks (they are legitimate diagrams), but the
 normalized form is what makes closing along a base line a bijection, so the
 constructors never emit them.
+
+The six tables and the edits on them (copy, retarget, splice, drop) are the
+core that closed diagrams (closed.py) share; a closed diagram trades the
+source and sink orders for a base line.
 """
 
 from __future__ import annotations
@@ -25,33 +29,33 @@ from .forest import ForestPair, validate_forest_pair
 from .graphs import PathWord, ShiftGraph
 
 
-class StrandDiagram:
-    """Immutable-by-convention diagram value.
+class _Tables:
+    """The six tables of a diagram, shared by open and closed diagrams.
 
     point_color/strand_color: id -> vertex id; strand_from/strand_to:
     strand id -> point id; in_slots/out_slots: point id -> tuple of strand
-    ids; sources/sinks: ordered point id tuples.
+    ids.  Points and strands share one id space.
     """
 
-    __slots__ = (
-        "point_color",
-        "strand_color",
-        "strand_from",
-        "strand_to",
-        "in_slots",
-        "out_slots",
-        "sources",
-        "sinks",
-        "_key",
-    )
+    __slots__ = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
 
-    def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, sources, sinks):
+    def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots):
         self.point_color = dict(point_color)
         self.strand_color = dict(strand_color)
         self.strand_from = dict(strand_from)
         self.strand_to = dict(strand_to)
         self.in_slots = {p: tuple(v) for p, v in in_slots.items()}
         self.out_slots = {p: tuple(v) for p, v in out_slots.items()}
+
+
+class StrandDiagram(_Tables):
+    """Immutable-by-convention diagram value: the six tables plus ordered
+    sources/sinks point id tuples."""
+
+    __slots__ = ("sources", "sinks", "_key")
+
+    def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, sources, sinks):
+        _Tables.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots)
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
         self._key = None
@@ -74,7 +78,7 @@ class StrandDiagram:
 
 
 def _check_structure(d) -> None:
-    """Cheap internal consistency checks shared by open and closed diagrams."""
+    """Cheap internal consistency checks of an open diagram's tables."""
     for s, p in d.strand_from.items():
         assert p in d.point_color and s in d.out_slots[p], f"strand {s} origin broken"
     for s, p in d.strand_to.items():
@@ -84,6 +88,49 @@ def _check_structure(d) -> None:
             assert d.strand_from[s] == p
         for s in d.in_slots[p]:
             assert d.strand_to[s] == p
+
+
+# ---------------------------------------------------------------------------
+# table edits, shared by open and closed diagrams
+
+def _copy_tables(d):
+    """Mutable copies of d's six tables, slot tuples as lists."""
+    return (
+        dict(d.point_color),
+        dict(d.strand_color),
+        dict(d.strand_from),
+        dict(d.strand_to),
+        {p: list(v) for p, v in d.in_slots.items()},
+        {p: list(v) for p, v in d.out_slots.items()},
+    )
+
+
+def _retarget(strand_to, in_slots, s, replacing):
+    """Strand s now ends where strand `replacing` ended, in the same in-slot."""
+    target = strand_to[replacing]
+    strand_to[s] = target
+    slots = in_slots[target]
+    slots[slots.index(replacing)] = s
+
+
+def _drop_point(tabs, p):
+    pc, _, _, _, ins, outs = tabs
+    del pc[p], ins[p], outs[p]
+
+
+def _drop_strand(tabs, s):
+    _, sc, sf, st, _, _ = tabs
+    del sc[s], sf[s], st[s]
+
+
+def _splice_out(tabs, p):
+    """Remove a degree-(1,1) point, fusing its strands (the incoming id survives)."""
+    pc, sc, sf, st, ins, outs = tabs
+    s_in, s_out = ins[p][0], outs[p][0]
+    assert s_in != s_out, "cannot splice a point on a one-strand loop"
+    _retarget(st, ins, s_in, s_out)
+    del pc[p], ins[p], outs[p]
+    del sc[s_out], sf[s_out], st[s_out]
 
 
 def kind_of(d, p) -> str:
@@ -411,11 +458,8 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     # Glue leaf i of the domain forest to leaf i of the range forest: the two
     # dangling strands fuse, keeping the domain-side id.
     for dw, rw in zip(fp.domain_leaves, fp.range_leaves):
-        s, t = d_strand[dw], r_strand[rw]
-        target = b.strand_to[t]
-        b.strand_to[s] = target
-        slots = b.in_slots[target]
-        slots[slots.index(t)] = s
+        t = r_strand[rw]
+        _retarget(b.strand_to, b.in_slots, d_strand[dw], t)
         del b.strand_to[t]
         del b.strand_color[t]
     return b.build(sources, sinks)
@@ -435,12 +479,7 @@ def compose(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     offset = 1 + max(
         itertools.chain(a.point_color, a.strand_color, [0]),
     )
-    pc = dict(a.point_color)
-    sc = dict(a.strand_color)
-    sf = dict(a.strand_from)
-    st = dict(a.strand_to)
-    ins = {p: list(v) for p, v in a.in_slots.items()}
-    outs = {p: list(v) for p, v in a.out_slots.items()}
+    tabs = pc, sc, sf, st, ins, outs = _copy_tables(a)
     for p, c in b.point_color.items():
         pc[p + offset] = c
         ins[p + offset] = [s + offset for s in b.in_slots[p]]
@@ -451,17 +490,12 @@ def compose(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
         st[s + offset] = b.strand_to[s] + offset
 
     for snk, src in zip(a.sinks, (p + offset for p in b.sources)):
-        s_a = ins[snk][0]
         s_b = outs[src][0]
-        target = st[s_b]
-        st[s_a] = target
-        slots = ins[target]
-        slots[slots.index(s_b)] = s_a
-        for table, key in ((pc, snk), (pc, src), (sc, s_b)):
-            del table[key]
-        del ins[snk], outs[snk], ins[src], outs[src]
-        del sf[s_b], st[s_b]
-    return StrandDiagram(pc, sc, sf, st, ins, outs, a.sources, tuple(p + offset for p in b.sinks))
+        _retarget(st, ins, ins[snk][0], s_b)
+        _drop_point(tabs, snk)
+        _drop_point(tabs, src)
+        _drop_strand(tabs, s_b)
+    return StrandDiagram(*tabs, a.sources, tuple(p + offset for p in b.sinks))
 
 
 def invert(d: StrandDiagram) -> StrandDiagram:
@@ -520,63 +554,40 @@ def find_redexes(d, skip=frozenset()) -> list:
     return redexes
 
 
-def _copy_tables(d):
-    return (
-        dict(d.point_color),
-        dict(d.strand_color),
-        dict(d.strand_from),
-        dict(d.strand_to),
-        {p: list(v) for p, v in d.in_slots.items()},
-        {p: list(v) for p, v in d.out_slots.items()},
-    )
-
-
 def apply_redex(d, redex):
     """Raw tables of d with one redex applied; shared by open and closed diagrams."""
     rtype, _, payload = redex
-    pc, sc, sf, st, ins, outs = _copy_tables(d)
-
-    def drop_point(p):
-        del pc[p], ins[p], outs[p]
-
-    def drop_strand(s):
-        del sc[s], sf[s], st[s]
-
-    def retarget(s, target, replacing):
-        # strand s now ends where `replacing` ended
-        st[s] = target
-        slots = ins[target]
-        slots[slots.index(replacing)] = s
-
+    tabs = _, _, _, st, ins, outs = _copy_tables(d)
     if rtype == 0:
-        p = payload
-        s_in = ins[p][0]
-        s_out = outs[p][0]
-        assert s_in != s_out, "self-loop degenerate point in an acyclic diagram"
-        retarget(s_in, st[s_out], s_out)
-        drop_point(p)
-        drop_strand(s_out)
+        _splice_out(tabs, payload)
     elif rtype == 1:
         v, w = payload
-        s_in = ins[v][0]
         s_out = outs[w][0]
         for s in outs[v]:
-            drop_strand(s)
-        retarget(s_in, st[s_out], s_out)
-        drop_strand(s_out)
-        drop_point(v)
-        drop_point(w)
+            _drop_strand(tabs, s)
+        _retarget(st, ins, ins[v][0], s_out)
+        _drop_strand(tabs, s_out)
+        _drop_point(tabs, v)
+        _drop_point(tabs, w)
     else:
         v, w = payload
-        joining = outs[v][0]
-        pairs = list(zip(list(ins[v]), list(outs[w])))
-        drop_point(v)
-        drop_point(w)
-        drop_strand(joining)
+        pairs = list(zip(ins[v], outs[w]))
+        _drop_strand(tabs, outs[v][0])
+        _drop_point(tabs, v)
+        _drop_point(tabs, w)
         for s_j, t_j in pairs:
-            retarget(s_j, st[t_j], t_j)
-            drop_strand(t_j)
-    return pc, sc, sf, st, ins, outs
+            _retarget(st, ins, s_j, t_j)
+            _drop_strand(tabs, t_j)
+    return tabs
+
+
+def _choose_redex(redexes, rng, order_of):
+    """The default redex order: least (type, order[primary point]) with
+    order = order_of(), or a uniform pick when `rng` is given."""
+    if rng is not None:
+        return redexes[rng.randrange(len(redexes))]
+    order = order_of()
+    return min(redexes, key=lambda r: (r[0], order[r[1]]))
 
 
 def reduce_with_log(d: StrandDiagram, rng=None):
@@ -591,15 +602,9 @@ def reduce_with_log(d: StrandDiagram, rng=None):
         redexes = find_redexes(d)
         if not redexes:
             return d, log
-        if rng is None:
-            order = canonical_order(d)
-            redexes.sort(key=lambda r: (r[0], order[r[1]]))
-            chosen = redexes[0]
-        else:
-            chosen = redexes[rng.randrange(len(redexes))]
+        chosen = _choose_redex(redexes, rng, lambda: canonical_order(d))
         log.append(chosen[0])
-        pc, sc, sf, st, ins, outs = apply_redex(d, chosen)
-        d = StrandDiagram(pc, sc, sf, st, ins, outs, d.sources, d.sinks)
+        d = StrandDiagram(*apply_redex(d, chosen), d.sources, d.sinks)
 
 
 def reduce(d: StrandDiagram, rng=None) -> StrandDiagram:

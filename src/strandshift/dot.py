@@ -40,17 +40,16 @@ _SHAPES = {
 }
 
 
-def diagram_dot(d: StrandDiagram, name: str = "strand_diagram") -> str:
-    """DOT text; rotation order is carried by out-slot labels and ordering."""
+def _dot(d, name, point_attrs, footer=()) -> str:
+    """DOT text of a table object: points sorted by id, styled by
+    point_attrs(p) -> (shape, extra attributes), then strands sorted by id."""
     table = _colors(set(d.point_color.values()) | set(d.strand_color.values()))
     lines = [f"digraph {name} {{", '  rankdir="TB";']
     for p in sorted(d.point_color):
-        kind = kind_of(d, p)
-        shape = _SHAPES.get(kind, "circle")
-        label = d.point_color[p]
+        shape, style = point_attrs(p)
         lines.append(
-            f'  p{p} [shape={shape}, ordering="out", label="{label}",'
-            f" color={table[d.point_color[p]]}];"
+            f'  p{p} [shape={shape}, ordering="out", label="{d.point_color[p]}",'
+            f" color={table[d.point_color[p]]}{style}];"
         )
     for s in sorted(d.strand_color):
         p, q = d.strand_from[s], d.strand_to[s]
@@ -60,32 +59,26 @@ def diagram_dot(d: StrandDiagram, name: str = "strand_diagram") -> str:
         if len(d.in_slots[q]) > 1:
             attrs.append(f'headlabel="{d.in_slots[q].index(s)}"')
         lines.append(f"  p{p} -> p{q} [{', '.join(attrs)}];")
+    lines.extend(footer)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def diagram_dot(d: StrandDiagram, name: str = "strand_diagram") -> str:
+    """DOT text; rotation order is carried by out-slot labels and ordering."""
+    return _dot(d, name, lambda p: (_SHAPES.get(kind_of(d, p), "circle"), ""))
 
 
 def closed_dot(c: ClosedDiagram, name: str = "closed_diagram") -> str:
     """DOT text; the base line is drawn as a dashed chain through the base points."""
-    table = _colors(set(c.point_color.values()) | set(c.strand_color.values()))
-    lines = [f"digraph {name} {{", '  rankdir="TB";']
-    for p in sorted(c.point_color):
+
+    def point_attrs(p):
         if p in c.base_set:
-            shape, style = "square", ', style="filled", fillcolor="lightgray"'
-        else:
-            shape, style = ("circle", "") if len(c.out_slots[p]) >= 2 or len(c.in_slots[p]) >= 2 else ("diamond", "")
-        lines.append(
-            f'  p{p} [shape={shape}, ordering="out", label="{c.point_color[p]}",'
-            f" color={table[c.point_color[p]]}{style}];"
-        )
-    for s in sorted(c.strand_color):
-        p, q = c.strand_from[s], c.strand_to[s]
-        attrs = [f"color={table[c.strand_color[s]]}"]
-        if len(c.out_slots[p]) > 1:
-            attrs.append(f'taillabel="{c.out_slots[p].index(s)}"')
-        if len(c.in_slots[q]) > 1:
-            attrs.append(f'headlabel="{c.in_slots[q].index(s)}"')
-        lines.append(f"  p{p} -> p{q} [{', '.join(attrs)}];")
-    for a, b in zip(c.base_line, c.base_line[1:]):
-        lines.append(f'  p{a} -> p{b} [style="dashed", color="gray", constraint=false, arrowhead=none];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            return "square", ', style="filled", fillcolor="lightgray"'
+        return ("circle", "") if len(c.out_slots[p]) >= 2 or len(c.in_slots[p]) >= 2 else ("diamond", "")
+
+    footer = [
+        f'  p{a} -> p{b} [style="dashed", color="gray", constraint=false, arrowhead=none];'
+        for a, b in zip(c.base_line, c.base_line[1:])
+    ]
+    return _dot(c, name, point_attrs, footer)

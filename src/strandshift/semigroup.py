@@ -242,31 +242,6 @@ def bfs_path(a: tuple, b: tuple, p: Presentation, cap: int):
     return None
 
 
-def enumerate_class(a: tuple, p: Presentation, cap: int, limit: int = 100000) -> set:
-    """Every vector congruent to `a` reachable without exceeding degree `cap`.
-
-    When the true congruence class has all degrees <= cap this is the exact
-    class, which upgrades "not-equal-within-cap" to a proof of inequality.
-    """
-    steps = []
-    for u, v in p.relations:
-        steps.append((u, v))
-        steps.append((v, u))
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        m = frontier.pop()
-        for u, v in steps:
-            if _divides(u, m):
-                n = tuple(x - c + d for x, c, d in zip(m, u, v))
-                if sum(n) <= cap and n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-                    if len(seen) > limit:
-                        raise LimitExceeded("class-enumeration", "class too large")
-    return seen
-
-
 def dump_presentation(p: Presentation) -> str:
     """One relation per line, generators printed L(color,n)."""
     lines = []

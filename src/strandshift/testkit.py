@@ -3,7 +3,10 @@
 Nothing here reuses the reduction or conjugacy machinery it is meant to
 check: semantic equality evaluates homeomorphisms word by word, conjugator
 search enumerates candidate elements outright, and the generators build
-forest pairs directly.
+forest pairs directly.  The similarity search reuses the closed moves but
+not step 2's skeleton comparison, which is what it checks; the class
+enumeration applies the loop relations one at a time instead of the
+completed rewriting system.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .closed import ClosedDiagram, _consolidate, _consolidations, shift_directions, shift_expand, unordered_key
 from .diagrams import compose, equal, from_forest_pair, invert
+from .errors import LimitExceeded
 from .forest import ForestPair, apply_to_word
 from .graphs import PathWord, ShiftGraph, color_of_word, normalize_graph, validate_graph
+from .semigroup import Presentation, _divides
 
 
 @dataclass
@@ -137,6 +143,65 @@ def brute_conjugate(g: ShiftGraph, f, target, size_bound: int = 2):
                 if equal(compose(compose(h, target), invert(h)), f):
                     return h
     return None
+
+
+def _similarity_neighbors(c: ClosedDiagram):
+    for mode, _, slot_points in _consolidations(c):
+        yield _consolidate(c, mode, slot_points)[0]
+    for i in range(len(c.base_line)):
+        for direction in shift_directions(c, i):
+            yield shift_expand(c, i, direction)[0]
+
+
+def similar_by_search(a: ClosedDiagram, b: ClosedDiagram, depth: int = 6) -> bool:
+    """Bounded bidirectional search over similarity moves, base order free.
+
+    Sound both ways on success; a False is only a statement about the depth.
+    """
+    keys = {0: {unordered_key(a)}, 1: {unordered_key(b)}}
+    if keys[0] & keys[1]:
+        return True
+    frontiers = {0: [a], 1: [b]}
+    for step in range(depth):
+        side = 0 if len(keys[0]) <= len(keys[1]) else 1
+        nxt = []
+        for state in frontiers[side]:
+            for nb in _similarity_neighbors(state):
+                k = unordered_key(nb)
+                if k in keys[1 - side]:
+                    return True
+                if k not in keys[side]:
+                    keys[side].add(k)
+                    nxt.append(nb)
+        frontiers[side] = nxt
+        if not nxt:
+            break
+    return False
+
+
+def enumerate_class(a: tuple, p: Presentation, cap: int, limit: int = 100000) -> set:
+    """Every vector congruent to `a` reachable without exceeding degree `cap`.
+
+    When the true congruence class has all degrees <= cap this is the exact
+    class, which upgrades "not-equal-within-cap" to a proof of inequality.
+    """
+    steps = []
+    for u, v in p.relations:
+        steps.append((u, v))
+        steps.append((v, u))
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        m = frontier.pop()
+        for u, v in steps:
+            if _divides(u, m):
+                n = tuple(x - c + d for x, c, d in zip(m, u, v))
+                if sum(n) <= cap and n not in seen:
+                    seen.add(n)
+                    frontier.append(n)
+                    if len(seen) > limit:
+                        raise LimitExceeded("class-enumeration", "class too large")
+    return seen
 
 
 def random_element(g: ShiftGraph, base, cfg: GeneratorConfig = None, rng=None) -> ForestPair:

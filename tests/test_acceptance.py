@@ -20,7 +20,6 @@ from strandshift.conjugacy import (
     _loop_components,
     compare_split_merge,
     is_conjugate,
-    similar_by_search,
     skeleton,
 )
 from strandshift.diagrams import (
@@ -37,7 +36,7 @@ from strandshift.errors import LimitExceeded
 from strandshift.forest import ForestPair, identity_pair
 from strandshift.graphs import PathWord, ShiftGraph
 from strandshift.semigroup import bfs_equal, decide_equal, presentation_from_graph
-from strandshift.testkit import GeneratorConfig, random_element, random_graph, semantic_equal
+from strandshift.testkit import GeneratorConfig, random_element, random_graph, semantic_equal, similar_by_search
 
 from conftest import loops_closed
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from strandshift.diagrams import (
     identity_diagram,
     invert,
     permutation_diagram,
+    reduce,
 )
 from strandshift.errors import LimitExceeded, PreconditionError, SignatureMismatch
 from strandshift.forest import ForestPair
@@ -169,6 +171,15 @@ def test_shift_reduce_rejects_empty_positions(fig1):
             shift_reduce(c2, outside)
 
 
+def test_shift_expand_rejects_bad_base_positions(fig1, sigma):
+    c = close(from_forest_pair(fig1, sigma))
+    assert shift_expand(c, 1, "down")  # the last base point has a split below
+    for index in (-1, len(c.base_line)):
+        for direction in ("down", None):
+            with pytest.raises(PreconditionError, match=f"base position {index} out of range"):
+                shift_expand(c, index, direction)
+
+
 def test_permute_base(fig1):
     left = loops_closed([("G", 2), ("R", 2)])  # base (G, G, R, R)
     right, mv = permute_base(left, (0, 2, 1, 3))
@@ -226,6 +237,19 @@ def test_type3_preconditions(fig1):
     c2 = loops_closed([("B", 1), ("B", 1)])
     with pytest.raises(PreconditionError):
         type3_reduce(c2, fig1, 0, 2, 1)  # no vertex has children (B, B)
+
+
+def test_type3_rejects_bad_blocks(fig1):
+    c = loops_closed([("B", 2), ("B", 1)])  # the last position is a loop of winding 1
+    for start, k in [(-1, 1), (3, 1), (2, 2), (-2, 2)]:
+        with pytest.raises(PreconditionError, match="block out of range"):
+            type3_expand(c, fig1, start, k, "B")
+    with pytest.raises(PreconditionError, match="k=0 must be positive"):
+        type3_expand(c, fig1, 0, 0, "B")
+    pair = loops_closed([("G", 1), ("R", 1)])
+    for d, k in [(2, 0), (0, 1), (0, 0)]:
+        with pytest.raises(PreconditionError, match="must be positive"):
+            type3_reduce(pair, fig1, 0, d, k)
 
 
 def test_type3_expand_round_trip(fig1):
@@ -437,3 +461,29 @@ def test_probe_counts_resumed_states_against_the_cap(fig1, base_bg):
     with pytest.raises(LimitExceeded) as exc:
         semi_reduce(c, 2, max_states=hi)
     assert exc.value.limit == "similarity-states"
+
+
+def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_shift2, thompson_x0):
+    """Pins every point and strand id a move allocates, through the traces.
+
+    Reduction payloads in the traces name point ids, and the search order
+    follows sorted ids, so a change to id allocation or to the default redex
+    order changes this digest.  A rewrite of the table core or of the
+    reducer must keep it.
+    """
+    records = []
+    for e in range(30):
+        fp = random_element(fig1, base_bg, GeneratorConfig(seed=e, growth_steps=2 + e % 5))
+        try:
+            semi, trace = semi_reduce(close(from_forest_pair(fig1, fp)), budget=2)
+        except LimitExceeded as exc:
+            records.append(("refused", exc.limit))
+            continue
+        records.append((closed_key(semi), [(m.kind, m.data) for m in trace]))
+    x0 = from_forest_pair(full_shift2, thompson_x0)
+    power = x0
+    for _ in range(15):
+        power = compose(power, x0)
+    records.append(canonical_key(reduce(power)))
+    assert sum(r[0] == "refused" for r in records[:-1]) == 2
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "7dc257c4babc4d1d"

@@ -7,10 +7,10 @@ from strandshift.semigroup import (
     bfs_path,
     decide_equal,
     dump_presentation,
-    enumerate_class,
     max_winding,
     presentation_from_graph,
 )
+from strandshift.testkit import enumerate_class
 
 
 def vec(p, **loops):
