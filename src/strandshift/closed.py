@@ -302,6 +302,8 @@ def _fresh_id(c) -> int:
 
 def shift_directions(c: ClosedDiagram, index: int) -> list:
     """Expanding shift directions available at a base point: "down", "up" or both."""
+    if not 0 <= index < len(c.base_line):
+        raise PreconditionError(f"base position {index} out of range")
     b = c.base_line[index]
     dirs = []
     v = c.strand_to[c.out_slots[b][0]]
@@ -319,8 +321,6 @@ def shift_expand(c: ClosedDiagram, index: int, direction=None):
     The base point is replaced by one base point per child strand, inserted
     contiguously at its position in edge order.
     """
-    if not 0 <= index < len(c.base_line):
-        raise PreconditionError(f"base position {index} out of range")
     avail = shift_directions(c, index)
     if direction is None:
         if len(avail) != 1:

@@ -12,6 +12,13 @@ vectors is the semigroup congruence.  Congruence equality is decided by
 completing the pure-difference binomial rewriting system (Buchberger on
 binomials under a graded lexicographic order) and comparing normal forms; an
 independent bidirectional search over relation applications cross-checks it.
+
+Because no relation mixes windings, stage N is the direct sum of N copies of
+the winding-1 presentation.  Generators are ordered winding-major, so winding
+k owns the block of coordinates [(k-1)|V|, k|V|).  Only the winding-1 block is
+completed; two vectors are congruent iff every block of one is congruent to
+the same block of the other.  A zero block stays zero, since every relation
+side is nonzero, so it matches only a zero block.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ class Presentation:
     gens: tuple  # ordered ((color, n), ...), grading ties broken by (n, vertex position)
     relations: tuple  # ((u, v), ...) exponent-vector pairs, both sides nonzero
     relation_info: tuple = ()  # (vertex, winding) per relation
-    _rules: list = field(default=None, repr=False, compare=False)
+    _rules: list = field(default=None, repr=False, compare=False)  # completed winding-1 block
 
     def index(self, color, n) -> int:
         return self.gens.index((color, n))
@@ -116,21 +123,24 @@ def _normal_form(m: tuple, rules) -> tuple:
     return m
 
 
-def completed_rules(p: Presentation, max_rules: int = DEFAULT_MAX_RULES) -> list:
-    """Confluent rewriting rules for the congruence, cached on the presentation.
+def _block_rules(p: Presentation, max_rules: int) -> list:
+    """Completed rules of the winding-1 block over its |V| coordinates, cached.
 
     Buchberger completion stays inside pure-difference binomials: the S-pair
     of two rules at the lcm of their leads reduces to two normal forms whose
     oriented difference, when nonzero, is a new rule.  Pairs with disjoint
-    lead supports resolve automatically and are skipped.
+    lead supports resolve automatically and are skipped.  The limit counts
+    stage rules, one copy of the block per winding.
     """
     if p._rules is not None:
         return p._rules
+    k = len(p.graph.vertices)
     rules = []
-    for a, b in p.relations:
-        o = _orient(a, b)
-        if o:
-            rules.append(o)
+    for (a, b), (_, n) in zip(p.relations, p.relation_info):
+        if n == 1:
+            o = _orient(a[:k], b[:k])
+            if o:
+                rules.append(o)
     pending = list(itertools.combinations(range(len(rules)), 2))
     while pending:
         i, j = pending.pop()
@@ -146,22 +156,50 @@ def completed_rules(p: Presentation, max_rules: int = DEFAULT_MAX_RULES) -> list
         o = _orient(s1, s2)
         assert o is not None
         rules.append(o)
-        if len(rules) > max_rules:
+        if len(rules) * p.max_winding > max_rules:
             raise LimitExceeded("semigroup-completion", f"more than {max_rules} rules")
         pending.extend((t, len(rules) - 1) for t in range(len(rules) - 1))
     p._rules = rules
     return rules
 
 
+def completed_rules(p: Presentation, max_rules: int = DEFAULT_MAX_RULES) -> list:
+    """Confluent rewriting rules for the stage congruence over full-stage vectors.
+
+    These are the completed winding-1 block rules lifted into each winding's
+    block, so there are max_winding times as many as in the block.  Leads in
+    different blocks are disjoint, so the lifted copies never interact.
+    """
+    rules = _block_rules(p, max_rules)
+    zero = (0,) * len(p.graph.vertices)
+    n = p.max_winding
+    return [
+        (zero * w + u + zero * (n - 1 - w), zero * w + v + zero * (n - 1 - w))
+        for w in range(n)
+        for u, v in rules
+    ]
+
+
 def decide_equal(a: tuple, b: tuple, p: Presentation, max_rules: int = DEFAULT_MAX_RULES) -> bool:
-    """Whether two nonzero vectors are congruent in stage max_winding."""
+    """Whether two nonzero vectors are congruent in stage max_winding.
+
+    The vectors are compared block by block, one block per winding, by their
+    normal forms under the completed winding-1 block rules.
+    """
     for vec in (a, b):
         if len(vec) != len(p.gens):
             raise ValueError("vector length does not match the presentation")
+        if min(vec) < 0:
+            raise ValueError("negative loop count")
         if not any(vec):
             raise ValueError("the semigroup has no identity; vectors must be nonzero")
-    rules = completed_rules(p, max_rules)
-    return _normal_form(a, rules) == _normal_form(b, rules)
+    rules = _block_rules(p, max_rules)
+    k = len(p.graph.vertices)
+    for i in range(0, len(a), k):
+        x, y = a[i : i + k], b[i : i + k]
+        if x != y and _normal_form(x, rules) != _normal_form(y, rules):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,9 @@ def parse_loops(text: str, vertices) -> dict:
         tok = _name(ts, "L or a multiplier")
         if tok.isdigit():
             count = int(tok)
+            if count < 1:
+                _, line, col = ts.toks[ts.pos - 1]
+                raise ParseError("multiplier must be a positive integer", line, col)
             ts.next("*")
             tok = ts.next("L")
         if tok != "L":

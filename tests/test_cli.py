@@ -260,6 +260,17 @@ def test_semigroup_eq_command(files, capsys):
     assert code == 0 and out.startswith("not equal")
 
 
+@pytest.mark.parametrize("lhs, col", [("0*L(R,1)", 1), ("00*L(R,1)", 1), ("L(R,1)+0*L(B,1)", 8)])
+def test_semigroup_eq_rejects_zero_multiplier(files, capsys, lhs, col):
+    code, out, err = run(
+        capsys,
+        ["semigroup-eq", "--graph", files["left.graph"], "--lhs", lhs, "--rhs", "L(B,1)"],
+    )
+    assert code == 1
+    assert out == ""
+    assert f"1:{col}: multiplier must be a positive integer" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_semigroup_eq_cap_below_input_degree(files, capsys, cap):
     # a cap of 0 is a cap like any other, not "no oracle"

@@ -15,6 +15,7 @@ from strandshift.closed import (
     reduce_closed_step,
     replay,
     semi_reduce,
+    shift_directions,
     shift_expand,
     shift_reduce,
     type3_expand,
@@ -178,6 +179,14 @@ def test_shift_expand_rejects_bad_base_positions(fig1, sigma):
         for direction in ("down", None):
             with pytest.raises(PreconditionError, match=f"base position {index} out of range"):
                 shift_expand(c, index, direction)
+
+
+def test_shift_directions_rejects_bad_base_positions(fig1, sigma):
+    c = close(from_forest_pair(fig1, sigma))
+    assert shift_directions(c, len(c.base_line) - 1) == ["down", "up"]
+    for index in (-1, len(c.base_line)):
+        with pytest.raises(PreconditionError, match=f"base position {index} out of range"):
+            shift_directions(c, index)
 
 
 def test_permute_base(fig1):

@@ -1,16 +1,25 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strandshift.errors import LimitExceeded
 from strandshift.semigroup import (
+    _normal_form,
     bfs_equal,
     bfs_path,
+    completed_rules,
     decide_equal,
     dump_presentation,
     max_winding,
     presentation_from_graph,
 )
-from strandshift.testkit import enumerate_class
+from strandshift.testkit import GeneratorConfig, enumerate_class, random_graph
+from strandshift.textio import parse_graph
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def vec(p, **loops):
@@ -78,6 +87,14 @@ def test_decide_equal_rejects_zero_vector(fig1):
     p = presentation_from_graph(fig1, 1)
     with pytest.raises(ValueError):
         decide_equal(tuple([0] * 3), vec(p, B1=1), p)
+
+
+def test_decide_equal_rejects_negative_entries():
+    g, _ = parse_graph((FIXTURES / "two_vertex.graph").read_text())
+    p = presentation_from_graph(g, 1)
+    for a, b in (((-1, 2), (-1, 2)), ((1, 0), (2, -1))):
+        with pytest.raises(ValueError, match="negative loop count"):
+            decide_equal(a, b, p)
 
 
 def test_bfs_oracle_agrees(nonconfluent_left, nonconfluent_right, fig1):
@@ -231,3 +248,67 @@ def test_completed_rules_stay_in_congruence(nonconfluent_left, nonconfluent_righ
         for u, v in completed_rules(p):
             cap = max(sum(u), sum(v)) + 6
             assert bfs_equal(u, v, p, cap) == "equal"
+
+
+# ---------------------------------------------------------------------------
+# stage N is the direct sum of N copies of the winding-1 block
+
+BLOCK_GRAPHS = [random_graph(GeneratorConfig(seed=s, max_vertices=3))[0] for s in range(40)]
+
+
+def _lifted(rules, block, n):
+    """The N copies of winding-1 block rules, one per winding's coordinates."""
+    zero = (0,) * block
+    return [
+        (zero * w + u + zero * (n - 1 - w), zero * w + v + zero * (n - 1 - w))
+        for w in range(n)
+        for u, v in rules
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_completed_rules_are_lifted_winding_one_rules(n):
+    for g in BLOCK_GRAPHS:
+        block = completed_rules(presentation_from_graph(g, 1))
+        stage = completed_rules(presentation_from_graph(g, n))
+        assert len(stage) == n * len(block)
+        assert set(stage) == set(_lifted(block, len(g.vertices), n))
+
+
+@st.composite
+def _block_pairs(draw):
+    """Two nonzero stage vectors; each block of the second is zero, random or the first's."""
+    g = draw(st.sampled_from(BLOCK_GRAPHS))
+    n = draw(st.integers(1, 4))
+    k = len(g.vertices)
+    zero, random_block = st.just([0] * k), st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    a_blocks = [draw(zero | random_block) for _ in range(n)]
+    b_blocks = [draw(zero | random_block | st.just(blk)) for blk in a_blocks]
+    vecs = []
+    for blocks in (a_blocks, b_blocks):
+        vec = [x for blk in blocks for x in blk]
+        if not any(vec):
+            vec[draw(st.integers(0, len(vec) - 1))] = 1
+        vecs.append(tuple(vec))
+    return g, n, vecs[0], vecs[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_pairs())
+def test_block_decision_matches_full_vector_normal_forms(case):
+    g, n, a, b = case
+    p = presentation_from_graph(g, n)
+    rules = _lifted(completed_rules(presentation_from_graph(g, 1)), len(g.vertices), n)
+    assert decide_equal(a, b, p) == (_normal_form(a, rules) == _normal_form(b, rules))
+
+
+@pytest.mark.parametrize("seed", [26, 37])
+@pytest.mark.parametrize("n", [1, 3])
+def test_rule_limit_counts_stage_rules(seed, n):
+    g = BLOCK_GRAPHS[seed]
+    r = len(completed_rules(presentation_from_graph(g, 1)))
+    assert r > len(presentation_from_graph(g, 1).relations)  # completion adds rules
+    assert len(completed_rules(presentation_from_graph(g, n), max_rules=n * r)) == n * r
+    with pytest.raises(LimitExceeded) as exc:
+        completed_rules(presentation_from_graph(g, n), max_rules=n * r - 1)
+    assert exc.value.limit == "semigroup-completion"
