@@ -261,9 +261,14 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # built on the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except LimitExceeded as exc:

@@ -39,8 +39,8 @@ from .graphs import ShiftGraph
 
 
 class ClosedDiagram(_Tables):
-    """The six diagram tables plus the base line, an ordered tuple of base
-    point ids, each of in- and out-degree 1."""
+    """The six adopted diagram tables plus the base line, an ordered tuple of
+    base point ids, each of in- and out-degree 1.  Moves never edit them."""
 
     __slots__ = ("base_line", "base_set", "_ukey")
 
@@ -406,7 +406,7 @@ def shift_reduce(c: ClosedDiagram, positions, direction=None):
 
 
 def permute_base(c: ClosedDiagram, perm):
-    """Reorder the base line: new position j holds the old base point perm[j]."""
+    """Reorder the base line: new position j holds the old base point perm[j]; c's tables are shared."""
     perm = tuple(perm)
     if sorted(perm) != list(range(len(c.base_line))):
         raise PreconditionError("not a permutation of base positions")
@@ -427,7 +427,9 @@ def reduce_closed_step(c: ClosedDiagram, rng=None):
     if not redexes:
         return None
     chosen = _choose_redex(redexes, rng, lambda: _bidirectional_order(c, c.base_line))
-    new = ClosedDiagram(*apply_redex(c, chosen), c.base_line)
+    tabs = _copy_tables(c)
+    apply_redex(tabs, chosen)
+    new = ClosedDiagram(*tabs, c.base_line)
     move = Move("reduce", (chosen[0], chosen[2]), c.base_colors(), new.base_colors())
     return new, move
 
@@ -733,7 +735,9 @@ def replay(c: ClosedDiagram, moves, g: ShiftGraph = None):
             c, _ = permute_base(c, *mv.data)
         elif mv.kind == "reduce":
             rtype, payload = mv.data
-            c = ClosedDiagram(*apply_redex(c, (rtype, None, payload)), c.base_line)
+            tabs = _copy_tables(c)
+            apply_redex(tabs, (rtype, None, payload))
+            c = ClosedDiagram(*tabs, c.base_line)
         elif mv.kind == "type3":
             c, _ = type3_reduce(c, g, *mv.data)
         elif mv.kind == "type3-expand":

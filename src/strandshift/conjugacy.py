@@ -80,9 +80,8 @@ def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
             sk.cocycle[s] = len(passed)
             in_acc[q][part.in_slots[q].index(last)] = s
         sk.out_slots[p] = part.out_slots[p]
-    for p in pts:
-        assert all(s is not None for s in in_acc[p])
-        sk.in_slots[p] = tuple(in_acc[p])
+    assert all(s is not None for p in pts for s in in_acc[p])
+    sk.in_slots = in_acc
     return sk
 
 
@@ -264,9 +263,9 @@ class Analysis:
     loops: dict
 
 
-def analyze(f: StrandDiagram, budget: int = 2, rng=None, probe: bool = True) -> Analysis:
+def analyze(f: StrandDiagram, budget: int = 2, rng=None) -> Analysis:
     c = close(f)
-    semi, trace = semi_reduce(c, budget=budget, rng=rng, probe=probe)
+    semi, trace = semi_reduce(c, budget=budget, rng=rng)
     part, loops = decompose_parts(semi)
     return Analysis(c, semi, trace, part, loops)
 
@@ -304,7 +303,6 @@ def is_conjugate(
     graph: ShiftGraph,
     budget: int = 2,
     rng=None,
-    probe: bool = True,
 ) -> ConjugacyResult:
     """Decide conjugacy of two group elements over the same graph.
 
@@ -318,8 +316,8 @@ def is_conjugate(
         return ConjugacyResult(
             False, 0, "domain/range signatures differ; no conjugator can exist"
         )
-    a = analyze(f, budget=budget, rng=rng, probe=probe)
-    b = analyze(other, budget=budget, rng=rng, probe=probe)
+    a = analyze(f, budget=budget, rng=rng)
+    b = analyze(other, budget=budget, rng=rng)
     sizes = (
         (a.semi.splits_merges_degens(), len(a.semi.base_line)),
         (b.semi.splits_merges_degens(), len(b.semi.base_line)),

@@ -17,6 +17,13 @@ constructors never emit them.
 The six tables and the edits on them (copy, retarget, splice, drop) are the
 core that closed diagrams (closed.py) share; a closed diagram trades the
 source and sink orders for a base line.
+
+Constructors adopt, and every edit copies once: a diagram keeps the six dicts
+it is given and never changes them, so an inverse or a base permutation shares
+its input's tables, and an edit rewrites one :func:`_copy_tables` copy in
+place.  Copies and builders hold slot sequences as lists; a hand-built
+diagram may use tuples, but not both, since type 1 redexes compare whole
+slot sequences.
 """
 
 from __future__ import annotations
@@ -33,24 +40,25 @@ class _Tables:
     """The six tables of a diagram, shared by open and closed diagrams.
 
     point_color/strand_color: id -> vertex id; strand_from/strand_to:
-    strand id -> point id; in_slots/out_slots: point id -> tuple of strand
-    ids.  Points and strands share one id space.
+    strand id -> point id; in_slots/out_slots: point id -> sequence of
+    strand ids.  Points and strands share one id space.  The dicts are
+    adopted as given, not copied.
     """
 
     __slots__ = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
 
     def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots):
-        self.point_color = dict(point_color)
-        self.strand_color = dict(strand_color)
-        self.strand_from = dict(strand_from)
-        self.strand_to = dict(strand_to)
-        self.in_slots = {p: tuple(v) for p, v in in_slots.items()}
-        self.out_slots = {p: tuple(v) for p, v in out_slots.items()}
+        self.point_color = point_color
+        self.strand_color = strand_color
+        self.strand_from = strand_from
+        self.strand_to = strand_to
+        self.in_slots = in_slots
+        self.out_slots = out_slots
 
 
 class StrandDiagram(_Tables):
-    """Immutable-by-convention diagram value: the six tables plus ordered
-    sources/sinks point id tuples."""
+    """Diagram value: the six adopted tables, never edited after
+    construction, plus ordered sources/sinks point id tuples."""
 
     __slots__ = ("sources", "sinks", "_key")
 
@@ -94,7 +102,7 @@ def _check_structure(d) -> None:
 # table edits, shared by open and closed diagrams
 
 def _copy_tables(d):
-    """Mutable copies of d's six tables, slot tuples as lists."""
+    """Mutable copies of d's six tables, slot sequences as lists."""
     return (
         dict(d.point_color),
         dict(d.strand_color),
@@ -230,9 +238,13 @@ def validate_strand_diagram(d: StrandDiagram, g: ShiftGraph) -> list:
 
 def canonical_order(d: StrandDiagram) -> dict:
     """Point id -> canonical index, by BFS from sources in order, out-slots in order."""
+    return _forward_order(d, d.sources)
+
+
+def _forward_order(d, sources) -> dict:
     order = {}
     queue = deque()
-    for p in d.sources:
+    for p in sources:
         order[p] = len(order)
         queue.append(p)
     while queue:
@@ -554,10 +566,10 @@ def find_redexes(d, skip=frozenset()) -> list:
     return redexes
 
 
-def apply_redex(d, redex):
-    """Raw tables of d with one redex applied; shared by open and closed diagrams."""
+def apply_redex(tabs, redex):
+    """Apply one redex to mutable tables in place; shared by open and closed diagrams."""
     rtype, _, payload = redex
-    tabs = _, _, _, st, ins, outs = _copy_tables(d)
+    _, _, _, st, ins, outs = tabs
     if rtype == 0:
         _splice_out(tabs, payload)
     elif rtype == 1:
@@ -578,7 +590,6 @@ def apply_redex(d, redex):
         for s_j, t_j in pairs:
             _retarget(st, ins, s_j, t_j)
             _drop_strand(tabs, t_j)
-    return tabs
 
 
 def _choose_redex(redexes, rng, order_of):
@@ -595,16 +606,18 @@ def reduce_with_log(d: StrandDiagram, rng=None):
 
     Redexes are picked lowest-canonical-point first with type 0 before 1
     before 2; pass `rng` to randomize the choice instead (the result is the
-    same diagram either way, which the test suite checks).
+    same diagram either way, which the test suite checks).  All redexes are
+    applied to one copy of d's tables, and one diagram is built at the end;
+    an irreducible d is returned as it is.
     """
     log = []
-    while True:
-        redexes = find_redexes(d)
-        if not redexes:
-            return d, log
-        chosen = _choose_redex(redexes, rng, lambda: canonical_order(d))
+    tabs = _copy_tables(d)
+    work = _Tables(*tabs)
+    while redexes := find_redexes(work):
+        chosen = _choose_redex(redexes, rng, lambda: _forward_order(work, d.sources))
         log.append(chosen[0])
-        d = StrandDiagram(*apply_redex(d, chosen), d.sources, d.sinks)
+        apply_redex(tabs, chosen)
+    return (StrandDiagram(*tabs, d.sources, d.sinks) if log else d), log
 
 
 def reduce(d: StrandDiagram, rng=None) -> StrandDiagram:
@@ -643,32 +656,23 @@ def to_forest_pair(g: ShiftGraph, d: StrandDiagram) -> ForestPair:
         raise ValueError("diagram is not reduced; reduce() it first")
     base = d.domain()
 
-    glue_domain = {}
+    def glue_words(x):  # glue strand -> word, down the splits from x's sources
+        glue = {}
 
-    def down(strand, word):
-        q = d.strand_to[strand]
-        if len(d.out_slots[q]) >= 2 and len(d.in_slots[q]) == 1:
-            color = d.point_color[q]
-            for s, e in zip(d.out_slots[q], g.out_order[color]):
-                down(s, word.child(e))
-        else:
-            glue_domain[strand] = word
+        def down(strand, word):
+            q = x.strand_to[strand]
+            if len(x.out_slots[q]) >= 2 and len(x.in_slots[q]) == 1:
+                for s, e in zip(x.out_slots[q], g.out_order[x.point_color[q]]):
+                    down(s, word.child(e))
+            else:
+                glue[strand] = word
 
-    glue_range = {}
+        for i, src in enumerate(x.sources):
+            down(x.out_slots[src][0], PathWord(i))
+        return glue
 
-    def up(strand, word):
-        p = d.strand_from[strand]
-        if len(d.in_slots[p]) >= 2 and len(d.out_slots[p]) == 1:
-            color = d.point_color[p]
-            for s, e in zip(d.in_slots[p], g.out_order[color]):
-                up(s, word.child(e))
-        else:
-            glue_range[strand] = word
-
-    for i, src in enumerate(d.sources):
-        down(d.out_slots[src][0], PathWord(i))
-    for i, snk in enumerate(d.sinks):
-        up(d.in_slots[snk][0], PathWord(i))
+    # the range forest is the domain forest of the inverse
+    glue_domain, glue_range = glue_words(d), glue_words(invert(d))
     assert set(glue_domain) == set(glue_range), "cut layers disagree"
 
     def slot_key(w):
@@ -698,67 +702,32 @@ def decompose_generators(d: StrandDiagram) -> list:
     only layer.
     """
     r = reduce(d)
-    top = [d_out for p in r.sources for d_out in r.out_slots[p]]
 
-    def is_split(q):
-        return len(r.out_slots[q]) >= 2 and len(r.in_slots[q]) == 1
+    def layers_below(x):  # multi-split layers down from x's sources, and the strands below
+        layers = []
+        frontier = [s for p in x.sources for s in x.out_slots[p]]
+        while True:
+            splits = {}
+            for j, s in enumerate(frontier):
+                q = x.strand_to[s]
+                if len(x.out_slots[q]) >= 2 and len(x.in_slots[q]) == 1:
+                    splits[j] = q
+            if not splits:
+                return layers, frontier
+            kids = {j: tuple(x.strand_color[t] for t in x.out_slots[q]) for j, q in splits.items()}
+            layers.append(multi_split_diagram([x.strand_color[s] for s in frontier], kids))
+            nxt = []
+            for j, s in enumerate(frontier):
+                if j in splits:
+                    nxt.extend(x.out_slots[splits[j]])
+                else:
+                    nxt.append(s)
+            frontier = nxt
 
-    def is_merge(q):
-        return len(r.in_slots[q]) >= 2 and len(r.out_slots[q]) == 1
-
-    split_layers = []
-    frontier = list(top)
-    while True:
-        splits = {}
-        for j, s in enumerate(frontier):
-            q = r.strand_to[s]
-            if is_split(q):
-                splits[j] = q
-        if not splits:
-            break
-        colors = [r.strand_color[s] for s in frontier]
-        split_layers.append(
-            multi_split_diagram(
-                colors,
-                {j: tuple(r.strand_color[t] for t in r.out_slots[q]) for j, q in splits.items()},
-            )
-        )
-        nxt = []
-        for j, s in enumerate(frontier):
-            if j in splits:
-                nxt.extend(r.out_slots[splits[j]])
-            else:
-                nxt.append(s)
-        frontier = nxt
-
-    merge_layers = []
-    bottom = [r.in_slots[p][0] for p in r.sinks]
-    mfrontier = list(bottom)
-    while True:
-        merges = {}
-        for j, s in enumerate(mfrontier):
-            q = r.strand_from[s]
-            if is_merge(q):
-                merges[j] = q
-        if not merges:
-            break
-        colors = [r.strand_color[s] for s in mfrontier]
-        merge_layers.append(
-            invert(
-                multi_split_diagram(
-                    colors,
-                    {j: tuple(r.strand_color[t] for t in r.in_slots[q]) for j, q in merges.items()},
-                )
-            )
-        )
-        nxt = []
-        for j, s in enumerate(mfrontier):
-            if j in merges:
-                nxt.extend(r.in_slots[merges[j]])
-            else:
-                nxt.append(s)
-        mfrontier = nxt
-    merge_layers.reverse()
+    # the merge layers are the inverted split layers of the inverse, bottom up
+    split_layers, frontier = layers_below(r)
+    inverse_layers, mfrontier = layers_below(invert(r))
+    merge_layers = [invert(layer) for layer in reversed(inverse_layers)]
 
     # Both frontiers now hold exactly the glue strands; the middle layer
     # permutes the split frontier onto the merge frontier.

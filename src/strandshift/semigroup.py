@@ -130,36 +130,40 @@ def _block_rules(p: Presentation, max_rules: int) -> list:
     of two rules at the lcm of their leads reduces to two normal forms whose
     oriented difference, when nonzero, is a new rule.  Pairs with disjoint
     lead supports resolve automatically and are skipped.  The limit counts
-    stage rules, one copy of the block per winding.
+    stage rules, one copy of the block per winding; it is checked while the
+    block completes and again on every call, so a cached completion answers
+    each limit as a fresh one would.
     """
-    if p._rules is not None:
-        return p._rules
-    k = len(p.graph.vertices)
-    rules = []
-    for (a, b), (_, n) in zip(p.relations, p.relation_info):
-        if n == 1:
-            o = _orient(a[:k], b[:k])
-            if o:
-                rules.append(o)
-    pending = list(itertools.combinations(range(len(rules)), 2))
-    while pending:
-        i, j = pending.pop()
-        u1, v1 = rules[i]
-        u2, v2 = rules[j]
-        lcm = tuple(max(a, b) for a, b in zip(u1, u2))
-        if all(a + b == c for a, b, c in zip(u1, u2, lcm)):
-            continue  # disjoint leads resolve trivially
-        s1 = _normal_form(tuple(c - a + b for c, a, b in zip(lcm, u1, v1)), rules)
-        s2 = _normal_form(tuple(c - a + b for c, a, b in zip(lcm, u2, v2)), rules)
-        if s1 == s2:
-            continue
-        o = _orient(s1, s2)
-        assert o is not None
-        rules.append(o)
-        if len(rules) * p.max_winding > max_rules:
-            raise LimitExceeded("semigroup-completion", f"more than {max_rules} rules")
-        pending.extend((t, len(rules) - 1) for t in range(len(rules) - 1))
-    p._rules = rules
+    rules = p._rules
+    if rules is None:
+        k = len(p.graph.vertices)
+        rules = []
+        for (a, b), (_, n) in zip(p.relations, p.relation_info):
+            if n == 1:
+                o = _orient(a[:k], b[:k])
+                if o:
+                    rules.append(o)
+        pending = list(itertools.combinations(range(len(rules)), 2))
+        while pending:
+            i, j = pending.pop()
+            u1, v1 = rules[i]
+            u2, v2 = rules[j]
+            lcm = tuple(max(a, b) for a, b in zip(u1, u2))
+            if all(a + b == c for a, b, c in zip(u1, u2, lcm)):
+                continue  # disjoint leads resolve trivially
+            s1 = _normal_form(tuple(c - a + b for c, a, b in zip(lcm, u1, v1)), rules)
+            s2 = _normal_form(tuple(c - a + b for c, a, b in zip(lcm, u2, v2)), rules)
+            if s1 == s2:
+                continue
+            o = _orient(s1, s2)
+            assert o is not None
+            rules.append(o)
+            if len(rules) * p.max_winding > max_rules:
+                raise LimitExceeded("semigroup-completion", f"more than {max_rules} rules")
+            pending.extend((t, len(rules) - 1) for t in range(len(rules) - 1))
+        p._rules = rules
+    if len(rules) * p.max_winding > max_rules:
+        raise LimitExceeded("semigroup-completion", f"more than {max_rules} rules")
     return rules
 
 

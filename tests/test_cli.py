@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from strandshift.cli import main
+from strandshift import cli
+from strandshift.cli import build_parser, main
 from strandshift.graphs import PathWord
 from strandshift.textio import (
     format_element,
@@ -381,3 +382,28 @@ def test_power_negative_exponent(files, tmp_path, capsys):
         ["eq", "--graph", files["fig1.graph"], "--lhs", str(prod), "--rhs", files["identity.elem"]],
     )
     assert out.strip() == "equal"
+
+
+def test_main_reuses_one_parser_across_calls(files, capsys, monkeypatch):
+    fig1, sigma = files["fig1.graph"], files["sigma.elem"]
+    sequence = [
+        ["--json", "conj", "--graph", fig1, "--lhs", sigma, "--rhs", sigma, "--witness"],
+        ["conj", "--graph", fig1, "--lhs", files["identity.elem"], "--rhs", sigma],
+        ["semigroup-eq", "--graph", files["left.graph"], "--lhs", "L(R,1)", "--rhs", "L(B,1)", "--explain"],
+    ]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(capsys, argv))
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [run(capsys, argv) for argv in sequence + sequence[:1]]
+    assert reused == fresh + fresh[:1]
+    assert len(built) == 1
+    parser = built[0]
+    assert fresh[0][1].startswith("{") and '"witness"' in fresh[0][1]
+    assert fresh[1][1].startswith("verdict: not-conjugate")
+    assert "L(R,1)+L(B,1)=L(R,1)" in fresh[2][1]
+    for argv in sequence:  # no flag of an earlier call leaks into a later one
+        assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))

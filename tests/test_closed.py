@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 
@@ -496,3 +497,39 @@ def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_
     records.append(canonical_key(reduce(power)))
     assert sum(r[0] == "refused" for r in records[:-1]) == 2
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "7dc257c4babc4d1d"
+
+
+TABLES = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
+
+
+def snapshot(c):
+    return copy.deepcopy([getattr(c, t) for t in TABLES]), c.base_line
+
+
+def test_moves_leave_their_input_tables_unchanged(fig1, base_bg):
+    """Every move builds its result from one copy; the input's tables never change."""
+
+    def unchanged(move, c, *args):
+        before = snapshot(c)
+        result = move(c, *args)
+        assert snapshot(c) == before, move.__name__
+        return result
+
+    fp = random_element(fig1, base_bg, GeneratorConfig(seed=44, growth_steps=3))
+    c = close(from_forest_pair(fig1, fp))
+    semi, trace = unchanged(semi_reduce, c, 2)
+    assert {m.kind for m in trace} == {"shift-expand", "shift-reduce", "permute", "reduce"}
+    moves = {"shift-expand": shift_expand, "shift-reduce": shift_reduce, "permute": permute_base}
+    cur = c
+    for mv in trace:
+        if mv.kind == "reduce":
+            cur, again = unchanged(reduce_closed_step, cur)
+        else:
+            cur, again = unchanged(moves[mv.kind], cur, *mv.data)
+        assert again == mv
+    assert closed_key(cur) == closed_key(semi)
+
+    loops = loops_closed([("G", 2), ("R", 2)], order=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    merged, _ = unchanged(type3_reduce, loops, fig1, 0, 2, 2)
+    split, _ = unchanged(type3_expand, merged, fig1, 0, 2, "B")
+    assert unordered_key(split) == unordered_key(loops)

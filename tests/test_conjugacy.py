@@ -390,3 +390,40 @@ def test_pipeline_negatives_survive_exhaustive_search(fig1, base_bg):
             negatives += 1
             assert brute_conjugate(fig1, f, g2, size_bound=2) is None
     assert negatives >= 10
+
+
+# ROADMAP item 1: planted conjugates f, h^-1 f h that the default budget calls
+# "not conjugate" at step 2.  Conjugator seed e + 500, same growth as f.
+FALSE_NEGATIVES = [
+    pytest.param(dict(seed=3), 9, 2 + 9 % 5, id="graph3-e9"),
+    pytest.param(dict(seed=136, max_vertices=3), 5, 3 + 5 % 6, id="graph136-e5"),
+    pytest.param(dict(seed=150, max_vertices=3), 3, 3 + 3 % 6, id="graph150-e3"),
+    pytest.param(dict(seed=208, max_vertices=4), 1, 3 + 1 % 6, id="graph208-e1"),
+]
+
+
+def planted_conjugates(graph_cfg, e, growth):
+    g, base = random_graph(GeneratorConfig(**graph_cfg))
+    f = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e, growth_steps=growth)))
+    h = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e + 500, growth_steps=growth)))
+    return g, f, reduce(compose(compose(invert(h), f), h))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="budget 2 answers 'not conjugate' at step 2 (ROADMAP item 1)"
+)
+@pytest.mark.parametrize("graph_cfg, e, growth", FALSE_NEGATIVES)
+def test_planted_conjugates_are_conjugate_at_default_budget(graph_cfg, e, growth):
+    g, f, target = planted_conjugates(graph_cfg, e, growth)
+    assert is_conjugate(f, target, g).conjugate
+
+
+@pytest.mark.parametrize("graph_cfg, e, growth", FALSE_NEGATIVES)
+def test_planted_conjugates_are_never_denied_at_budget_3(graph_cfg, e, growth):
+    g, f, target = planted_conjugates(graph_cfg, e, growth)
+    try:
+        res = is_conjugate(f, target, g, budget=3)
+    except LimitExceeded as exc:
+        assert exc.limit == "similarity-budget"
+    else:
+        assert res.conjugate

@@ -1,9 +1,13 @@
+import copy
 import random
 
 import pytest
 
+from strandshift import diagrams
 from strandshift.diagrams import (
+    StrandDiagram,
     _Builder,
+    _copy_tables,
     canonical_key,
     compose,
     decompose_generators,
@@ -292,3 +296,66 @@ def test_is_group_element(fig1, base_bg, sigma):
     assert is_group_element(d, base_bg)
     assert not is_group_element(split_diagram(("B",), 0, ("G", "R")), ("B",))
     assert not is_group_element(permutation_diagram(("B", "G"), [1, 0]), ("B", "G"))
+
+
+TABLES = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
+
+
+def snapshot(d):
+    return copy.deepcopy([getattr(d, t) for t in TABLES])
+
+
+def unreduced(fig1, base_bg, sigma):
+    """Diagrams with type 0, 1 and 2 redexes."""
+    s = from_forest_pair(fig1, sigma)
+    out = [compose(s, invert(s)), compose(invert(s), s), compose(compose(s, s), invert(s))]
+    for seed in range(6):
+        fp = random_element(fig1, base_bg, GeneratorConfig(seed=seed, growth_steps=4))
+        f = from_forest_pair(fig1, fp)
+        out.append(compose(compose(f, s), invert(f)))
+    return out
+
+
+def test_constructors_adopt_their_tables(fig1, sigma):
+    d = from_forest_pair(fig1, sigma)
+    tabs = _copy_tables(d)
+    e = StrandDiagram(*tabs, d.sources, d.sinks)
+    assert all(getattr(e, t) is tab for t, tab in zip(TABLES, tabs))
+    inv = invert(e)
+    assert (inv.point_color, inv.strand_from, inv.in_slots) == (e.point_color, e.strand_to, e.out_slots)
+    assert inv.in_slots is e.out_slots and inv.strand_color is e.strand_color
+
+
+def test_reduce_leaves_its_input_unchanged(fig1, base_bg, sigma):
+    for d in unreduced(fig1, base_bg, sigma):
+        before = snapshot(d)
+        red, log = reduce_with_log(d)
+        assert log and snapshot(d) == before
+        reduce(d, rng=random.Random(len(log)))
+        assert snapshot(d) == before
+        assert reduce(red) is red  # an irreducible diagram comes back as it is
+
+
+def test_reduce_checks_structure_once(full_shift2, thompson_x0, monkeypatch):
+    x0 = from_forest_pair(full_shift2, thompson_x0)
+    power = x0
+    for _ in range(15):
+        power = compose(power, x0)
+    checked = []
+    real = diagrams._check_structure
+    monkeypatch.setattr(diagrams, "_check_structure", lambda d: checked.append(d) or real(d))
+    red, log = reduce_with_log(power)
+    assert len(log) > 1 and checked == [red]
+
+
+def test_tuple_and_list_slots_reduce_alike(fig1, base_bg, sigma):
+    for d in unreduced(fig1, base_bg, sigma):
+        pc, sc, sf, st, ins, outs = _copy_tables(d)
+        as_tuples = StrandDiagram(
+            pc, sc, sf, st, {p: tuple(v) for p, v in ins.items()}, {p: tuple(v) for p, v in outs.items()},
+            d.sources, d.sinks,
+        )
+        as_lists = StrandDiagram(*_copy_tables(d), d.sources, d.sinks)
+        (rt, log_t), (rl, log_l) = reduce_with_log(as_tuples), reduce_with_log(as_lists)
+        assert log_t == log_l and canonical_key(rt) == canonical_key(rl) == canonical_key(reduce(d))
+    assert 1 in reduce_with_log(unreduced(fig1, base_bg, sigma)[0])[1]  # type 1 compares whole slot sequences

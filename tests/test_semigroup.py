@@ -308,7 +308,22 @@ def test_rule_limit_counts_stage_rules(seed, n):
     g = BLOCK_GRAPHS[seed]
     r = len(completed_rules(presentation_from_graph(g, 1)))
     assert r > len(presentation_from_graph(g, 1).relations)  # completion adds rules
-    assert len(completed_rules(presentation_from_graph(g, n), max_rules=n * r)) == n * r
-    with pytest.raises(LimitExceeded) as exc:
-        completed_rules(presentation_from_graph(g, n), max_rules=n * r - 1)
-    assert exc.value.limit == "semigroup-completion"
+    p = presentation_from_graph(g, n)
+    assert len(completed_rules(p, max_rules=n * r)) == n * r
+    v = p.vector({(g.vertices[0], n): 1})
+    # a fresh presentation, then `p`, whose completion is cached by now
+    for q in (presentation_from_graph(g, n), p):
+        with pytest.raises(LimitExceeded) as exc:
+            completed_rules(q, max_rules=n * r - 1)
+        assert exc.value.limit == "semigroup-completion"
+        with pytest.raises(LimitExceeded) as exc:
+            decide_equal(v, v, q, max_rules=n * r - 1)
+        assert exc.value.limit == "semigroup-completion"
+
+
+def test_rule_limit_counts_rules_that_need_no_completion(full_shift2):
+    p = presentation_from_graph(full_shift2, 2)  # one rule per winding, already confluent
+    assert len(completed_rules(p, max_rules=2)) == 2
+    for q in (presentation_from_graph(full_shift2, 2), p):
+        with pytest.raises(LimitExceeded):
+            completed_rules(q, max_rules=1)
