@@ -268,7 +268,10 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
     except LimitExceeded as exc:

@@ -2,23 +2,28 @@
 
 Two group elements are conjugate iff their closed diagrams are equivalent.
 Step 1 semi-reduces both closed diagrams.  Step 2 compares split-merge parts
-up to similarity: base points are erased into per-strand counts (a cocycle on
-the skeleton) and two parts are similar iff some color- and slot-preserving
-skeleton isomorphism makes the cocycle difference an integer coboundary,
-since base line shifts change the cocycle by exactly +-(point coboundary) and
-permutations change nothing.  Step 3 compares loop parts in the loops
-semigroup.  Every move carries a conjugating diagram, so a positive verdict
-can be upgraded to an explicit conjugator by replaying the moves.
+up to similarity: base points are spliced out into per-strand counts (a
+cocycle on the skeleton) and two parts are similar iff some color- and
+slot-preserving skeleton isomorphism makes the cocycle difference an integer
+coboundary, since base line shifts change the cocycle by exactly +-(point
+coboundary) and permutations change nothing.  Similarity of components is an
+equivalence relation, so components are matched greedily, without
+backtracking.  Step 3 compares loop parts in the loops semigroup.  Every
+move carries a conjugating diagram, so a positive verdict can be upgraded to
+an explicit conjugator by replaying the moves.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .closed import (
     ClosedDiagram,
+    _bidirectional_order,
     _consolidate,
     _loop_points,
+    _serialize,
     close,
     components,
     conjugator_of,
@@ -30,7 +35,18 @@ from .closed import (
     type3_expand,
     type3_reduce,
 )
-from .diagrams import StrandDiagram, compose, equal, identity_diagram, invert, reduce
+from .diagrams import (
+    StrandDiagram,
+    _copy_tables,
+    _drop_point,
+    _drop_strand,
+    _splice_out,
+    compose,
+    equal,
+    identity_diagram,
+    invert,
+    reduce,
+)
 from .errors import SignatureMismatch
 from .graphs import ShiftGraph
 from .semigroup import bfs_path, decide_equal, max_winding, presentation_from_graph
@@ -39,50 +55,36 @@ from .semigroup import bfs_path, decide_equal, max_winding, presentation_from_gr
 # ---------------------------------------------------------------------------
 # skeletons
 
-@dataclass
-class SplitMergeSkeleton:
-    """Split-merge part with base points erased into per-strand counts.
+class SplitMergeSkeleton(ClosedDiagram):
+    """Split-merge part with its base points spliced out, on the table core.
 
-    Points and their slot lists come from the underlying closed diagram
-    unchanged; a skeleton strand is identified with the first strand of its
-    base-point chain, and `cocycle` counts the erased base points.
+    Splicing keeps the incoming strand's id, so a skeleton strand is the
+    first strand of its base-point chain, and `cocycle` maps it to the number
+    of base points spliced out of that chain.  The base line is empty.
     """
 
-    point_color: dict
-    in_slots: dict
-    out_slots: dict
-    strand_from: dict
-    strand_to: dict
-    strand_color: dict
-    cocycle: dict
+    __slots__ = ("cocycle",)
 
-
-def _chain(c: ClosedDiagram, s):
-    """Walk forward from strand s: (base points passed, strand entering the next non-base point)."""
-    passed = []
-    while c.strand_to[s] in c.base_set:
-        passed.append(c.strand_to[s])
-        s = c.out_slots[passed[-1]][0]
-    return passed, s
+    def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, cocycle):
+        ClosedDiagram.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, ())
+        self.cocycle = cocycle
 
 
 def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
-    pts = [p for p in part.point_color if p not in part.base_set]
-    sk = SplitMergeSkeleton({p: part.point_color[p] for p in pts}, {}, {}, {}, {}, {}, {})
-    in_acc = {p: [None] * len(part.in_slots[p]) for p in pts}
-    for p in pts:
-        for s in part.out_slots[p]:
-            passed, last = _chain(part, s)
-            q = part.strand_to[last]
-            sk.strand_from[s] = p
-            sk.strand_to[s] = q
-            sk.strand_color[s] = part.strand_color[s]
-            sk.cocycle[s] = len(passed)
-            in_acc[q][part.in_slots[q].index(last)] = s
-        sk.out_slots[p] = part.out_slots[p]
-    assert all(s is not None for p in pts for s in in_acc[p])
-    sk.in_slots = in_acc
-    return sk
+    """Splice out every base point of `part`; loop components vanish."""
+    tabs = _copy_tables(part)
+    ins, outs = tabs[4], tabs[5]
+    cocycle = dict.fromkeys(tabs[1], 0)
+    for b in part.base_line:
+        s_in, s_out = ins[b][0], outs[b][0]
+        if s_in == s_out:  # the last point of a loop component
+            _drop_point(tabs, b)
+            _drop_strand(tabs, s_in)
+            del cocycle[s_in]
+        else:
+            _splice_out(tabs, b)
+            cocycle[s_in] += 1 + cocycle.pop(s_out)
+    return SplitMergeSkeleton(*tabs, cocycle)
 
 
 def _point_sig(sk, p):
@@ -90,69 +92,22 @@ def _point_sig(sk, p):
 
 
 def _component_isos(a: SplitMergeSkeleton, comp_a, b: SplitMergeSkeleton, comp_b):
-    """Color-, kind- and slot-preserving isomorphisms comp_a -> comp_b.
+    """Color- and slot-preserving isomorphisms comp_a -> comp_b.
 
-    Fixing the image of one anchor point forces the rest along slots, so at
-    most |comp_b| candidates are tried, each verified in linear time.
+    An isomorphism is fixed by the image of one anchor point, and one with
+    anchor -> cand exists exactly when both components serialize alike from
+    there; it then pairs the points of equal breadth-first rank.  So at most
+    |comp_b| candidates are tried, each in linear time.
     """
-    if len(comp_a) != len(comp_b):
-        return
-    sigs_a = sorted(_point_sig(a, p) for p in comp_a)
-    sigs_b = sorted(_point_sig(b, p) for p in comp_b)
-    if sigs_a != sigs_b:
-        return
-    by_sig = {}
-    for p in comp_a:
-        by_sig.setdefault(_point_sig(a, p), []).append(p)
-    anchor = min(by_sig.values(), key=len)[0]
+    count = Counter(_point_sig(a, p) for p in comp_a)
+    anchor = min(comp_a, key=lambda p: count[_point_sig(a, p)])
+    order_a = _bidirectional_order(a, [anchor])
+    key_a = _serialize(a, order_a)
     for cand in comp_b:
-        if _point_sig(b, cand) != _point_sig(a, anchor):
-            continue
-        phi = {anchor: cand}
-        stack = [anchor]
-        ok = True
-        while stack and ok:
-            p = stack.pop()
-            for j, s in enumerate(a.out_slots[p]):
-                q = a.strand_to[s]
-                s2 = b.out_slots[phi[p]][j]
-                q2 = b.strand_to[s2]
-                if a.in_slots[q].index(s) != b.in_slots[q2].index(s2) or _point_sig(
-                    a, q
-                ) != _point_sig(b, q2):
-                    ok = False
-                    break
-                if q in phi:
-                    if phi[q] != q2:
-                        ok = False
-                        break
-                else:
-                    phi[q] = q2
-                    stack.append(q)
-            for j, s in enumerate(a.in_slots[p]):
-                q = a.strand_from[s]
-                s2 = b.in_slots[phi[p]][j]
-                q2 = b.strand_from[s2]
-                if a.out_slots[q].index(s) != b.out_slots[q2].index(s2) or _point_sig(
-                    a, q
-                ) != _point_sig(b, q2):
-                    ok = False
-                    break
-                if q in phi:
-                    if phi[q] != q2:
-                        ok = False
-                        break
-                else:
-                    phi[q] = q2
-                    stack.append(q)
-        if ok and len(phi) == len(comp_a):
-            yield phi
-
-
-def _strand_image(a, b, phi, s):
-    p = a.strand_from[s]
-    j = a.out_slots[p].index(s)
-    return b.out_slots[phi[p]][j]
+        if _point_sig(b, cand) == _point_sig(a, anchor):
+            order_b = _bidirectional_order(b, [cand])
+            if _serialize(b, order_b) == key_a:
+                yield dict(zip(order_a, order_b))
 
 
 def solve_integer(edges, d):
@@ -186,10 +141,10 @@ def solve_integer(edges, d):
 
 def _coboundary_solution(a, comp_a, b, phi):
     """Integer x over comp points with (coboundary of x) = cocycle_a - phi*cocycle_b."""
-    strands = [s for p in sorted(comp_a) for s in a.out_slots[p]]
+    images = [(s, b.out_slots[phi[p]][j]) for p in sorted(comp_a) for j, s in enumerate(a.out_slots[p])]
     return solve_integer(
-        [(a.strand_from[s], a.strand_to[s]) for s in strands],
-        [a.cocycle[s] - b.cocycle[_strand_image(a, b, phi, s)] for s in strands],
+        [(a.strand_from[s], a.strand_to[s]) for s, _ in images],
+        [a.cocycle[s] - b.cocycle[t] for s, t in images],
     )
 
 
@@ -200,55 +155,41 @@ class SkeletonMatch:
     pairs: list  # (comp_a, comp_b, phi, x)
 
 
+def _similarity(a, comp_a, b, comp_b):
+    """(phi, x) for the first isomorphism comp_a -> comp_b with a coboundary solution x, or None."""
+    for phi in _component_isos(a, comp_a, b, comp_b):
+        x = _coboundary_solution(a, comp_a, b, phi)
+        if x is not None:
+            return phi, x
+    return None
+
+
 def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
     """A similarity witness between two split-merge skeletons, or None.
 
-    Components are matched one to one; a pair is feasible when some
+    Components are matched one to one; a pair is similar when some
     slot-preserving isomorphism makes the cocycle difference solvable over
     the integers.  Shifts realize exactly these coboundaries and base
-    permutations are free, so feasibility of a perfect matching decides
-    step 2.
+    permutations are free, so a perfect matching of similar pairs decides
+    step 2.  Similarity is an equivalence relation (isomorphisms compose,
+    coboundaries add), so giving each component its first free similar
+    partner never blocks a perfect matching: greedy matching is exact.
     """
     comps_a = components(a)
-    comps_b = components(b)
-    if len(comps_a) != len(comps_b):
+    free = components(b)
+    if len(comps_a) != len(free):
         return None
-
-    feasible = {}
-
-    def pair_witness(i, j):
-        if (i, j) not in feasible:
-            found = None
-            for phi in _component_isos(a, comps_a[i], b, comps_b[j]):
-                x = _coboundary_solution(a, comps_a[i], b, phi)
-                if x is not None:
-                    found = (phi, x)
-                    break
-            feasible[(i, j)] = found
-        return feasible[(i, j)]
-
-    used = [False] * len(comps_b)
-    chosen = []
-
-    def assign(i):
-        if i == len(comps_a):
-            return True
-        for j in range(len(comps_b)):
-            if used[j]:
-                continue
-            w = pair_witness(i, j)
-            if w is not None:
-                used[j] = True
-                chosen.append((comps_a[i], comps_b[j], w[0], w[1]))
-                if assign(i + 1):
-                    return True
-                used[j] = False
-                chosen.pop()
-        return False
-
-    if not assign(0):
-        return None
-    return SkeletonMatch(list(chosen))
+    pairs = []
+    for comp_a in comps_a:
+        for j, comp_b in enumerate(free):
+            witness = _similarity(a, comp_a, b, comp_b)
+            if witness is not None:
+                pairs.append((comp_a, comp_b, *witness))
+                del free[j]
+                break
+        else:
+            return None
+    return SkeletonMatch(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +250,14 @@ def is_conjugate(
     Semi-reduce both closed diagrams, compare split-merge parts through the
     cocycle cohomology check, compare loop parts in the loops semigroup.
     """
-    other = g
-    if f.domain() != f.range() or other.domain() != other.range():
+    if f.domain() != f.range() or g.domain() != g.range():
         raise SignatureMismatch("both inputs must have equal domain and range")
-    if f.domain() != other.domain():
+    if f.domain() != g.domain():
         return ConjugacyResult(
             False, 0, "domain/range signatures differ; no conjugator can exist"
         )
     a = analyze(f, budget=budget, rng=rng)
-    b = analyze(other, budget=budget, rng=rng)
+    b = analyze(g, budget=budget, rng=rng)
     sizes = (
         (a.semi.splits_merges_degens(), len(a.semi.base_line)),
         (b.semi.splits_merges_degens(), len(b.semi.base_line)),
@@ -350,6 +290,15 @@ def _fold_conjugators(moves, base_colors) -> StrandDiagram:
     for mv in moves:
         h = reduce(compose(conjugator_of(mv), h))
     return h
+
+
+def _chain(c: ClosedDiagram, s):
+    """Walk forward from strand s: (base points passed, strand entering the next non-base point)."""
+    passed = []
+    while c.strand_to[s] in c.base_set:
+        passed.append(c.strand_to[s])
+        s = c.out_slots[passed[-1]][0]
+    return passed, s
 
 
 def _chain_counts(c: ClosedDiagram, pts) -> dict:
@@ -448,15 +397,9 @@ def _realize_semigroup_path(c: ClosedDiagram, graph: ShiftGraph, pres, path):
         d = len(kids)
         if sign > 0:
             chosen = []
-            taken = set()
             for color in kids:
-                pick = next(
-                    comp
-                    for comp in _loop_components(c)
-                    if comp[0] == color and comp[1] == k and id_key(comp) not in taken
-                )
-                taken.add(id_key(pick))
-                chosen.append(pick)
+                fits = (comp for comp in _loop_components(c) if comp[0] == color and comp[1] == k)
+                chosen.append(next(comp for comp in fits if comp not in chosen))
             block = []
             for t in range(k):
                 for comp in chosen:
@@ -474,10 +417,6 @@ def _realize_semigroup_path(c: ClosedDiagram, graph: ShiftGraph, pres, path):
             c, mv = type3_expand(c, graph, 0, k, vtx)
             moves.append(mv)
     return c, moves
-
-
-def id_key(comp):
-    return tuple(comp[2])
 
 
 def _alignment_permutation(c: ClosedDiagram, target: ClosedDiagram, match: SkeletonMatch):
@@ -501,9 +440,8 @@ def _alignment_permutation(c: ClosedDiagram, target: ClosedDiagram, match: Skele
     loops_b = sorted(_loop_components(target), key=lambda t: (t[0], t[1], min(t[2])))
     if [(t[0], t[1]) for t in loops_a] != [(t[0], t[1]) for t in loops_b]:
         return None
-    for (ca, ka, pa), (cb, kb, pb) in zip(loops_a, loops_b):
-        for x, y in zip(pa, pb):
-            psi[x] = y
+    for (_, _, pa), (_, _, pb) in zip(loops_a, loops_b):
+        psi.update(zip(pa, pb))
     inv = {v: k for k, v in psi.items()}
     new_line = [inv[bp] for bp in target.base_line]
     return tuple(c.base_line.index(p) for p in new_line)

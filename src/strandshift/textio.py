@@ -176,7 +176,11 @@ def _parse_word(ts: _Tokens, g: ShiftGraph, base) -> PathWord:
     occurrence = None
     if ts.peek() == "#":
         ts.next()
-        occurrence = int(_name(ts, "an occurrence number"))
+        line, col = ts.where()
+        k = _name(ts, "an occurrence number")
+        if not k.isdecimal():
+            raise ParseError("occurrence must be a positive integer", line, col)
+        occurrence = int(k)
     positions = [i for i, y in enumerate(base) if y == name]
     if not positions:
         ts.error(f"{name} is not an entry of the base {list(base)}")

@@ -110,6 +110,19 @@ def test_parse_errors_carry_position():
         )
 
 
+def test_non_numeric_occurrence_fails_at_its_token(files, tmp_path, capsys):
+    g, base = parse_graph(FIG1)
+    for text in ("element\n  domain [B#x, G]\n  range [B, G]", "element\n  domain [B#1x, G]\n  range [B, G]"):
+        with pytest.raises(ParseError, match="occurrence must be a positive integer") as exc:
+            parse_element(text, g, base)
+        assert (exc.value.line, exc.value.column) == (2, 13)
+    elem = tmp_path / "bad.elem"
+    elem.write_text("element domain [B#x, G] range [B, G]")
+    code, out, err = run(capsys, ["reduce", "--graph", files["fig1.graph"], "--elem", str(elem)])
+    assert (code, out) == (1, "")
+    assert err == "error: 1:19: occurrence must be a positive integer\n"
+
+
 def test_check_graph(files, capsys):
     code, out, _ = run(capsys, ["check-graph", "--graph", files["fig1.graph"]])
     assert code == 0 and out.strip() == "valid"
@@ -407,3 +420,28 @@ def test_main_reuses_one_parser_across_calls(files, capsys, monkeypatch):
     assert "L(R,1)+L(B,1)=L(R,1)" in fresh[2][1]
     for argv in sequence:  # no flag of an earlier call leaks into a later one
         assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conj", "--graph", "fixtures/three_color.graph"],
+        ["conj", "--graph", "fixtures/three_color.graph", "--lhs", "x.elem"],
+        ["frobnicate", "--graph", "fixtures/three_color.graph"],
+        [],
+        ["power", "--graph", "g", "--elem", "e", "-n", "two"],
+    ],
+    ids=["missing-lhs-rhs", "missing-rhs", "unknown-subcommand", "no-subcommand", "bad-int"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 means a named limit was hit; a usage error is invalid input
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: strandshift") and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["conj", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: strandshift")

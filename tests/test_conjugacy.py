@@ -1,13 +1,23 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from strandshift.closed import close, decompose_parts, semi_reduce, shift_directions, shift_expand
+from strandshift.closed import (
+    ClosedDiagram,
+    close,
+    components,
+    decompose_parts,
+    semi_reduce,
+    shift_directions,
+    shift_expand,
+)
 from strandshift.conjugacy import (
     _chain_counts,
     _execute_cocycle_plan,
     _plan_cocycle_moves,
+    _similarity,
     compare_split_merge,
     conjugator_witness,
     is_conjugate,
@@ -28,13 +38,26 @@ from strandshift.graphs import PathWord
 from strandshift.testkit import GeneratorConfig, random_element, random_graph, similar_by_search
 
 
-def caret_loop(fig1):
-    fp = ForestPair(
-        (PathWord(0, ("1",)), PathWord(0, ("2",))),
-        (PathWord(0, ("1",)), PathWord(0, ("2",))),
-        ("B",),
-    )
-    return close(from_forest_pair(fig1, fp))
+def caret_loop(fig1, color="B", edges=("1", "2")):
+    leaves = tuple(PathWord(0, (e,)) for e in edges)
+    return close(from_forest_pair(fig1, ForestPair(leaves, leaves, (color,))))
+
+
+def disjoint_union(*parts):
+    """One closed diagram holding relabeled copies of `parts`, the first part's ids least."""
+    pc, sc, sf, st, ins, outs = {}, {}, {}, {}, {}, {}
+    base = []
+    off = 0
+    for c in parts:
+        pc.update({p + off: color for p, color in c.point_color.items()})
+        sc.update({s + off: color for s, color in c.strand_color.items()})
+        sf.update({s + off: p + off for s, p in c.strand_from.items()})
+        st.update({s + off: p + off for s, p in c.strand_to.items()})
+        ins.update({p + off: [s + off for s in slots] for p, slots in c.in_slots.items()})
+        outs.update({p + off: [s + off for s in slots] for p, slots in c.out_slots.items()})
+        base += [b + off for b in c.base_line]
+        off += 1 + max([*c.point_color, *c.strand_color])
+    return ClosedDiagram(pc, sc, sf, st, ins, outs, base)
 
 
 def element(g, base, seed, steps=2):
@@ -160,14 +183,35 @@ def test_solve_integer_none_exactly_when_a_cycle_sum_is_nonzero():
 
 def test_compare_split_merge_distinguishes_colors(fig1):
     # same shape over different colors: B-caret loop vs G-caret loop
-    fp_g = ForestPair(
-        (PathWord(0, ("3",)), PathWord(0, ("4",))),
-        (PathWord(0, ("3",)), PathWord(0, ("4",))),
-        ("G",),
-    )
     a = skeleton(caret_loop(fig1))
-    b = skeleton(close(from_forest_pair(fig1, fp_g)))
+    b = skeleton(caret_loop(fig1, "G", ("3", "4")))
     assert compare_split_merge(a, b) is None
+
+
+def test_compare_split_merge_matches_crosswise(fig1):
+    # A + B against B' + A': A's first partner in id order is B', which is not
+    # similar to A, so A takes A' and B takes B'
+    a, b = caret_loop(fig1), caret_loop(fig1, "G", ("3", "4"))
+    a2, b2 = shift_expand(a, 0, "down")[0], shift_expand(b, 0, "down")[0]
+    assert compare_split_merge(skeleton(a), skeleton(b2)) is None
+    left, right = skeleton(disjoint_union(a, b)), skeleton(disjoint_union(b2, a2))
+    match = compare_split_merge(left, right)
+    assert match is not None
+    (comp_a, comp_b), (comp_b2, comp_a2) = components(left), components(right)
+    assert [pair[:2] for pair in match.pairs] == [(comp_a, comp_a2), (comp_b, comp_b2)]
+    for _, _, phi, x in match.pairs:
+        assert all(left.point_color[p] == right.point_color[q] for p, q in phi.items())
+        for p in phi:
+            for j, s in enumerate(left.out_slots[p]):
+                t = right.out_slots[phi[p]][j]
+                assert left.cocycle[s] - right.cocycle[t] == x[p] - x[left.strand_to[s]]
+
+
+def test_compare_split_merge_needs_a_partner_for_every_component(fig1):
+    # A + A against A + B, with B not similar to A
+    a, b = caret_loop(fig1), caret_loop(fig1, "G", ("3", "4"))
+    assert compare_split_merge(skeleton(disjoint_union(a, a)), skeleton(disjoint_union(a, b))) is None
+    assert compare_split_merge(skeleton(disjoint_union(a, b)), skeleton(disjoint_union(a, b))) is not None
 
 
 def test_is_conjugate_reflexive_and_negative(fig1, base_bg, sigma):
@@ -271,6 +315,91 @@ def shifted_parts(g, base, steps, seeds, rng):
                 break
             other, _ = shift_expand(other, *moves[rng.randrange(len(moves))])
         yield part, other
+
+
+def has_perfect_matching(a, b):
+    """Exhaustive step 2: some bijection of components pairs only similar components."""
+    comps_a, comps_b = components(a), components(b)
+    if len(comps_a) != len(comps_b):
+        return False
+    similar = [[_similarity(a, ca, b, cb) is not None for cb in comps_b] for ca in comps_a]
+    return any(
+        all(similar[i][j] for i, j in enumerate(perm)) for perm in itertools.permutations(range(len(comps_b)))
+    )
+
+
+def similarity_pool(fig1, base_bg):
+    """Skeletons of parts, each with two independently shifted copies, then
+    unions of two parts: A + B, B' + A'' (similar to it, matched crosswise)
+    and A' + A''.  Random parts are connected; only the unions are not."""
+    graphs = [(*random_graph(GeneratorConfig(seed=s)), 3) for s in (1, 3)] + [(fig1, base_bg, 4)]
+    triples = []
+    for g, base, steps in graphs:
+        copies = zip(
+            shifted_parts(g, base, steps, range(12), random.Random(23)),
+            shifted_parts(g, base, steps, range(12), random.Random(29)),
+        )
+        triples += [(part, first, second) for (part, first), (_, second) in copies]
+    unions = []
+    for (a, a1, a2), (b, b1, _) in zip(triples[:8], triples[1:9]):
+        unions += [disjoint_union(a, b), disjoint_union(b1, a2), disjoint_union(a1, a2)]
+    return [skeleton(c) for c in [*itertools.chain(*triples), *unions]]
+
+
+def test_greedy_matching_is_an_exact_equivalence(fig1, base_bg):
+    pool = similarity_pool(fig1, base_bg)
+    n = len(pool)
+    similar = {(i, j): compare_split_merge(pool[i], pool[j]) is not None for i in range(n) for j in range(n)}
+    for (i, j), sim in similar.items():
+        assert sim == similar[j, i]
+        assert sim == has_perfect_matching(pool[i], pool[j])
+    for i, j, k in itertools.product(range(n), repeat=3):
+        assert not (similar[i, j] and similar[j, k]) or similar[i, k]
+    assert n >= 60 and sum(len(components(sk)) > 1 for sk in pool) >= 20
+    assert 100 <= sum(similar.values()) - n < n * (n - 1) // 2
+
+
+def test_skeleton_drops_loop_components(fig1, base_bg):
+    tables = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots", "cocycle")
+    with_loops = 0
+    for seed in range(30):
+        c = close(element(fig1, base_bg, seed, steps=2 + seed % 3))
+        for d in (c, semi_reduce(c, budget=3)[0]):
+            part, loops = decompose_parts(d)
+            with_loops += bool(loops and part.point_color)
+            sk, expected = skeleton(d), skeleton(part)
+            assert [getattr(sk, t) for t in tables] == [getattr(expected, t) for t in tables]
+            assert sk.base_line == ()
+    assert with_loops >= 5
+
+
+def test_step2_pairs_match_recorded_digest(fig1, base_bg):
+    """Pins step 2's matched components, isomorphisms and coboundary solutions.
+
+    On random graphs 1-5, each element is paired with a planted conjugate,
+    itself and another element at the default budget; then every pair of
+    the multi-component skeletons of :func:`similarity_pool` is matched.
+    """
+
+    def pairs(match):
+        return match and [(ca, cb, sorted(phi.items()), sorted(x.items())) for ca, cb, phi, x in match.pairs]
+
+    records = []
+    for gseed in range(1, 6):
+        g, base = random_graph(GeneratorConfig(seed=gseed))
+        for e in range(6):
+            f, h, other = (element(g, base, s, steps=2 + e % 5) for s in (e, e + 500, e + 1000))
+            for rhs in (reduce(compose(compose(invert(h), f), h)), f, other):
+                try:
+                    res = is_conjugate(f, rhs, g)
+                except LimitExceeded as exc:
+                    records.append(("refused", exc.limit))
+                    continue
+                records.append((res.conjugate, res.step_failed, pairs(res.match)))
+    unions = [sk for sk in similarity_pool(fig1, base_bg) if len(components(sk)) > 1]
+    records += [pairs(compare_split_merge(a, b)) for a in unions for b in unions]
+    assert sum(r is not None for r in records[-len(unions) ** 2 :]) >= 40
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "db74e6851e732b24"
 
 
 def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
