@@ -77,12 +77,12 @@ def cmd_normalize(args):
 
 
 def _element_out(args, g, diagram, report):
-    fp = to_forest_pair(g, reduce(diagram))
-    text = format_element(fp)
+    reduced = reduce(diagram)
+    text = format_element(to_forest_pair(g, reduced))
     report["element"] = text
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(diagram_dot(reduce(diagram)))
+            fh.write(diagram_dot(reduced))
         report["dot"] = args.dot
     _emit(args, report, text)
     return 0

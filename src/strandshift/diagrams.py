@@ -28,6 +28,7 @@ slot sequences.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 
@@ -536,31 +537,38 @@ def find_redexes(d, skip=frozenset()) -> list:
                 in-strands of merge w, slot by slot,
       type 2 -- payload (v, w): merge v whose out-strand feeds split w.
     """
+    return _redexes_at(d, d.point_color, skip)
+
+
+def _redexes_at(d, points, skip=frozenset()) -> list:
+    """The redex predicate: the redexes whose primary point is in `points`,
+    in that order; a point is the primary of at most one redex."""
+    pc, st, ins, outs = d.point_color, d.strand_to, d.in_slots, d.out_slots
     redexes = []
-    for p in d.point_color:
+    for p in points:
         if p in skip:
             continue
-        ind = len(d.in_slots[p])
-        outd = len(d.out_slots[p])
+        ind = len(ins[p])
+        outd = len(outs[p])
         if ind == 1 and outd == 1:
             redexes.append((0, p, p))
         elif ind == 1 and outd >= 2:  # split: candidate type 1
-            w = d.strand_to[d.out_slots[p][0]]
+            w = st[outs[p][0]]
             if (
                 w not in skip
-                and len(d.in_slots[w]) == outd
-                and len(d.out_slots[w]) == 1
-                and d.point_color[w] == d.point_color[p]
-                and d.out_slots[p] == d.in_slots[w]
+                and len(ins[w]) == outd
+                and len(outs[w]) == 1
+                and pc[w] == pc[p]
+                and outs[p] == ins[w]
             ):
                 redexes.append((1, p, (p, w)))
         elif ind >= 2 and outd == 1:  # merge: candidate type 2
-            w = d.strand_to[d.out_slots[p][0]]
+            w = st[outs[p][0]]
             if (
                 w not in skip
-                and len(d.in_slots[w]) == 1
-                and len(d.out_slots[w]) >= 2
-                and d.point_color[w] == d.point_color[p]
+                and len(ins[w]) == 1
+                and len(outs[w]) >= 2
+                and pc[w] == pc[p]
             ):
                 redexes.append((2, p, (p, w)))
     return redexes
@@ -601,23 +609,133 @@ def _choose_redex(redexes, rng, order_of):
     return min(redexes, key=lambda r: (r[0], order[r[1]]))
 
 
+class _ResumableOrder:
+    """The forward BFS order of `_forward_order`, kept for tables under
+    rewriting: extended only until it reaches a live type 2 primary, and cut
+    back at every rewrite.
+
+    `seq` lists the points discovered so far, `index` inverts it, and
+    `found_by[i]` is the position whose processing discovered `seq[i]`;
+    positions below `head` have been processed.  `heap` holds (index, point)
+    for every discovered point that is a live type 2 primary, plus stale
+    entries that are skipped when they surface.
+    """
+
+    __slots__ = ("strand_to", "out_slots", "seq", "index", "found_by", "head", "heap")
+
+    def __init__(self, tabs, sources):
+        self.strand_to, self.out_slots = tabs[3], tabs[5]
+        self.seq = list(sources)
+        self.index = {p: i for i, p in enumerate(self.seq)}
+        self.found_by = [-1] * len(self.seq)
+        self.head = 0
+        self.heap = []
+
+    def least(self, primaries):
+        """The point of `primaries` (the live type 2 primaries) that comes first."""
+        seq, index, heap, found_by = self.seq, self.index, self.heap, self.found_by
+        st, outs = self.strand_to, self.out_slots
+        while True:
+            while heap:
+                i, p = heap[0]
+                if p in primaries and index.get(p) == i:
+                    return p
+                heapq.heappop(heap)
+            h = self.head
+            if h == len(seq):
+                raise ValueError("diagram has points unreachable from its sources")
+            self.head = h + 1
+            for s in outs[seq[h]]:
+                q = st[s]
+                if q not in index:
+                    index[q] = len(seq)
+                    if q in primaries:
+                        heapq.heappush(heap, (len(seq), q))
+                    seq.append(q)
+                    found_by.append(h)
+
+    def note(self, p):
+        """p has just become a live type 2 primary."""
+        i = self.index.get(p)
+        if i is not None:
+            heapq.heappush(self.heap, (i, p))
+
+    def cut(self, p):
+        """Forget the order from p's discovery on; p is the primary of a rewrite."""
+        i = self.index.get(p)
+        if i is None:
+            return
+        self.head = self.found_by[i]
+        for q in self.seq[i:]:
+            del self.index[q]
+        del self.seq[i:], self.found_by[i:]
+
+
 def reduce_with_log(d: StrandDiagram, rng=None):
     """Reduce to the unique irreducible form, logging each step's type.
 
-    Redexes are picked lowest-canonical-point first with type 0 before 1
-    before 2; pass `rng` to randomize the choice instead (the result is the
-    same diagram either way, which the test suite checks).  All redexes are
-    applied to one copy of d's tables, and one diagram is built at the end;
-    an irreducible d is returned as it is.
+    The default order applies the redex with the least (type, canonical
+    index of its primary point), the index taken in the current diagram;
+    pass `rng` to pick uniformly among the current redexes instead (the
+    result is the same diagram either way, which the test suite checks).
+    All redexes are applied to one copy of d's tables, and one diagram is
+    built at the end; an irreducible d is returned as it is.
+
+    The redexes are found once and then kept per type, keyed by primary
+    point.  A rewrite removes its payload points and moves the targets of
+    the in-strands of its primary and nothing else, so only the origins of
+    those strands are examined again.
+
+    Only type 2 needs the canonical order.  No rewrite changes the degrees
+    of a surviving point, so the type 0 redexes are the initial degenerate
+    points.  Two live redexes of type 0, or two of type 1, are disjoint;
+    each stays live after the other is applied, and the two give the same
+    tables, ids included, in either order.  So any live redex of the least
+    type present may go next when that type is 0 or 1.
+
+    The canonical order is the forward BFS of `_forward_order`, extended
+    only until it reaches a live type 2 primary.  A rewrite with primary p
+    moves strand targets only at the point that discovered p and at points
+    processed after it, and removes only p and points discovered from p.
+    The order up to p's discovery therefore stays valid: it is cut at p and
+    resumes with the point that discovered p.
     """
-    log = []
+    redexes = find_redexes(d)
+    if not redexes:
+        return d, []
     tabs = _copy_tables(d)
     work = _Tables(*tabs)
-    while redexes := find_redexes(work):
-        chosen = _choose_redex(redexes, rng, lambda: _forward_order(work, d.sources))
-        log.append(chosen[0])
+    strand_from, in_slots = tabs[2], tabs[4]
+    live = ({}, {}, {})
+    for r in redexes:
+        live[r[0]][r[1]] = r
+    order = _ResumableOrder(tabs, d.sources)
+    log = []
+    while True:
+        if rng is not None:
+            found = [t[p] for p in work.point_color for t in live if p in t]
+            if not found:
+                break
+            chosen = found[rng.randrange(len(found))]
+        elif live[0] or live[1]:
+            chosen = next(iter((live[0] or live[1]).values()))
+        elif live[2]:
+            chosen = live[2][order.least(live[2])]
+        else:
+            break
+        rtype, p, payload = chosen
+        origins = [strand_from[s] for s in in_slots[p]]
+        order.cut(p)
         apply_redex(tabs, chosen)
-    return (StrandDiagram(*tabs, d.sources, d.sinks) if log else d), log
+        log.append(rtype)
+        for x in itertools.chain((p,) if rtype == 0 else payload, origins):
+            for t in live:
+                t.pop(x, None)
+        for r in _redexes_at(work, origins):
+            live[r[0]][r[1]] = r
+            if r[0] == 2:
+                order.note(r[1])
+    return StrandDiagram(*tabs, d.sources, d.sinks), log
 
 
 def reduce(d: StrandDiagram, rng=None) -> StrandDiagram:

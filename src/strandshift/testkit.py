@@ -6,7 +6,9 @@ search enumerates candidate elements outright, and the generators build
 forest pairs directly.  The similarity search reuses the closed moves but
 not step 2's skeleton comparison, which is what it checks; the class
 enumeration applies the loop relations one at a time instead of the
-completed rewriting system.
+completed rewriting system.  The reference reducer reuses the redex scan and
+the rewrite, but rescans and reorders the whole diagram before every step
+instead of keeping a worklist.
 """
 
 from __future__ import annotations
@@ -16,7 +18,19 @@ import random
 from dataclasses import dataclass
 
 from .closed import ClosedDiagram, _consolidate, _consolidations, shift_directions, shift_expand, unordered_key
-from .diagrams import compose, equal, from_forest_pair, invert
+from .diagrams import (
+    StrandDiagram,
+    _choose_redex,
+    _copy_tables,
+    _forward_order,
+    _Tables,
+    apply_redex,
+    compose,
+    equal,
+    find_redexes,
+    from_forest_pair,
+    invert,
+)
 from .errors import LimitExceeded
 from .forest import ForestPair, apply_to_word
 from .graphs import PathWord, ShiftGraph, color_of_word, normalize_graph, validate_graph
@@ -80,6 +94,20 @@ def semantic_equal(g: ShiftGraph, f1: ForestPair, f2: ForestPair, depth: int) ->
         if u != v:
             return False
     return True
+
+
+def reference_reduce_with_log(d: StrandDiagram, rng=None):
+    """The full-scan reducer that `diagrams.reduce_with_log` must match id
+    for id: before every rewrite it scans the whole diagram for redexes and
+    recomputes the whole canonical order."""
+    log = []
+    tabs = _copy_tables(d)
+    work = _Tables(*tabs)
+    while redexes := find_redexes(work):
+        chosen = _choose_redex(redexes, rng, lambda: _forward_order(work, d.sources))
+        log.append(chosen[0])
+        apply_redex(tabs, chosen)
+    return (StrandDiagram(*tabs, d.sources, d.sinks) if log else d), log
 
 
 def enumerate_forests(g: ShiftGraph, base, max_expansions: int):

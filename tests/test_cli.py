@@ -1,9 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from strandshift import cli
 from strandshift.cli import build_parser, main
+from strandshift.diagrams import reduce
 from strandshift.graphs import PathWord
 from strandshift.textio import (
     format_element,
@@ -445,3 +448,46 @@ def test_help_exits_0(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert out.startswith("usage: strandshift")
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# stdout and the SHA-256 prefix of the DOT file on fixtures/three_color.graph,
+# recorded while `_element_out` still reduced a second time for the DOT file.
+ELEMENT_DOT_OUTPUT = [
+    pytest.param(
+        ["reduce", "--elem", "sigma.elem"], 1,
+        "element\n  domain [B.1, B.2, G.3, G.4]\n  range  [G.3, G.4.2, G.4.1, B]\n", "88f91349bde9c28d",
+        id="reduce-sigma",
+    ),
+    pytest.param(
+        ["reduce", "--elem", "identity.elem"], 1,
+        "element\n  domain [B, G]\n  range  [B, G]\n", "767d4351e39c8e12",
+        id="reduce-identity",
+    ),
+    pytest.param(
+        ["compose", "--lhs", "sigma.elem", "--rhs", "sigma.elem"], 1,
+        "element\n  domain [B.1, B.2, G.3, G.4.1, G.4.2]\n  range  [G.4.1, B.2, B.1, G.3, G.4.2]\n",
+        "8f67e2b55e66215c",
+        id="compose-sigma-sigma",
+    ),
+    pytest.param(
+        ["power", "--elem", "sigma.elem", "-n", "3"], 3 + 1,
+        "element\n  domain [B.1, B.2, G.3, G.4.1, G.4.2]\n  range  [B.1, G.4.2, G.3, G.4.1, B.2]\n",
+        "92d020af10fbbcbd",
+        id="power-sigma-3",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, reductions, stdout, dot_digest", ELEMENT_DOT_OUTPUT)
+def test_dot_output_reuses_the_reduction(args, reductions, stdout, dot_digest, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "reduce", lambda d: calls.append(d) or reduce(d))
+    dot = tmp_path / "out.dot"
+    argv = [args[0], "--graph", str(FIXTURES / "three_color.graph")]
+    argv += [str(FIXTURES / a) if a.endswith(".elem") else a for a in args[1:]]
+    code, out, _ = run(capsys, argv + ["--dot", str(dot)])
+    assert code == 0 and out == stdout
+    assert hashlib.sha256(dot.read_bytes()).hexdigest()[:16] == dot_digest
+    assert len(calls) == reductions

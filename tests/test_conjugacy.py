@@ -556,3 +556,22 @@ def test_planted_conjugates_are_never_denied_at_budget_3(graph_cfg, e, growth):
         assert exc.limit == "similarity-budget"
     else:
         assert res.conjugate
+
+
+def test_planted_conjugacy_fuzz_never_denies_at_budget_3():
+    """ROADMAP item 1's gate, the slice that fits tier-1: f against its
+    planted conjugate on random graphs 1-20, element seeds 0-5.  A refusal
+    must name the similarity budget; "not conjugate" is never allowed."""
+    denied, refused = [], 0
+    for seed in range(1, 21):
+        for e in range(6):
+            g, f, target = planted_conjugates(dict(seed=seed), e, 2 + e % 5)
+            try:
+                res = is_conjugate(f, target, g, budget=3)
+            except LimitExceeded as exc:
+                assert exc.limit == "similarity-budget", (seed, e, exc.limit)
+                refused += 1
+                continue
+            if not res.conjugate:
+                denied.append((seed, e, res.step_failed))
+    assert not denied, f"'not conjugate' on planted pairs {denied}; {refused} of 120 refused"

@@ -28,7 +28,7 @@ from strandshift.diagrams import (
 from strandshift.errors import SignatureMismatch
 from strandshift.forest import ForestPair, identity_pair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, random_element
+from strandshift.testkit import GeneratorConfig, random_element, random_graph, reference_reduce_with_log
 
 
 def build_sigma_expected():
@@ -359,3 +359,80 @@ def test_tuple_and_list_slots_reduce_alike(fig1, base_bg, sigma):
         (rt, log_t), (rl, log_l) = reduce_with_log(as_tuples), reduce_with_log(as_lists)
         assert log_t == log_l and canonical_key(rt) == canonical_key(rl) == canonical_key(reduce(d))
     assert 1 in reduce_with_log(unreduced(fig1, base_bg, sigma)[0])[1]  # type 1 compares whole slot sequences
+
+
+def x0_power(full_shift2, thompson_x0, n):
+    """The unreduced product of n copies of x0."""
+    x0 = from_forest_pair(full_shift2, thompson_x0)
+    power = x0
+    for _ in range(n - 1):
+        power = compose(power, x0)
+    return power
+
+
+def reduction_corpus(full_shift2, thompson_x0):
+    """Unreduced products on random graphs 1-8 (f h, h^-1 f h, f f^-1, a
+    ten-factor product and a chain of ten reduced powers) and x0^n."""
+    for gs in range(1, 9):
+        g, base = random_graph(GeneratorConfig(seed=gs))
+        for e in range(6):
+            growth = 2 + e % 5
+            f = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e, growth_steps=growth)))
+            h = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e + 500, growth_steps=growth)))
+            yield compose(f, h)
+            yield compose(compose(invert(h), f), h)
+            yield compose(f, invert(f))
+            product = f
+            for k in range(9):
+                product = compose(product, h if k % 2 else f)
+            yield product
+            power = f
+            for _ in range(10):
+                power = compose(power, f)
+                yield power
+                power = reduce(power)
+    for n in (2, 3, 5, 8, 16, 33):
+        yield x0_power(full_shift2, thompson_x0, n)
+
+
+def test_reduce_matches_the_full_scan_reference(full_shift2, thompson_x0):
+    def record(d, log):  # tables in insertion order, so ids and table order both count
+        return [list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks, log
+
+    for i, d in enumerate(reduction_corpus(full_shift2, thompson_x0)):
+        assert record(*reduce_with_log(d)) == record(*reference_reduce_with_log(d)), i
+        seeded = reduce_with_log(d, rng=random.Random(i)), reference_reduce_with_log(d, rng=random.Random(i))
+        assert record(*seeded[0]) == record(*seeded[1]), i
+
+
+class _CountingDict(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingDict.reads += 1
+        return dict.__getitem__(self, key)
+
+
+def test_reduce_does_linear_work_on_x0_powers(full_shift2, thompson_x0, monkeypatch):
+    """The work is counted as reads of the working copy's out-slot table: one
+    per point the resumable order processes, and a few per point the redex
+    predicate examines or a rewrite touches."""
+
+    def forbidden(*args):
+        raise AssertionError("the per-redex BFS ran")
+
+    def counting_copy(d):
+        tabs = real_copy(d)
+        return tabs[:5] + (_CountingDict(tabs[5]),)
+
+    powers = {n: x0_power(full_shift2, thompson_x0, n) for n in (64, 128)}
+    real_copy = diagrams._copy_tables
+    monkeypatch.setattr(diagrams, "_forward_order", forbidden)
+    monkeypatch.setattr(diagrams, "_copy_tables", counting_copy)
+    reads = {}
+    for n, power in powers.items():
+        _CountingDict.reads = 0
+        red, log = reduce_with_log(power)
+        reads[n] = _CountingDict.reads
+        assert 2 in log and len(red.point_color) < 4 * n
+    assert reads[128] <= 2.2 * reads[64], reads
