@@ -112,9 +112,18 @@ def cmd_power(args):
     d = from_forest_pair(g, _load_element(args.elem, g, base))
     n = args.n
     result = identity_diagram(d.domain())
-    step = d if n >= 0 else invert(d)
-    for _ in range(abs(n)):
-        result = reduce(compose(result, step))
+    square = d if n >= 0 else invert(d)
+    # Binary exponentiation: at most 2*floor(log2 |n|) + 1 products.  The
+    # product is associative and the reduced form is unique, so the printed
+    # element is the one the factor-at-a-time product gives; only point ids
+    # in the DOT drawing follow the order of the products.
+    k = abs(n)
+    while k:
+        if k & 1:
+            result = reduce(compose(result, square))
+        k >>= 1
+        if k:
+            square = reduce(compose(square, square))
     return _element_out(args, g, result, {"schema_version": 1, "command": "power", "n": n})
 
 

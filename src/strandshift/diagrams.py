@@ -766,7 +766,10 @@ def to_forest_pair(g: ShiftGraph, d: StrandDiagram) -> ForestPair:
     In a reduced diagram no strand runs from a merge to a split, so the
     splits form the domain forest, the merges form the range forest, and the
     strands between the two layers are the glued leaves.  Leaves are listed
-    in the planar (slot-lexicographic) order of the domain forest.
+    in the planar (slot-lexicographic) order of the domain forest: the walk
+    takes the sources in order and each split's out-slots in edge order, and
+    the leaves of a complete forest are prefix-free, so the order in which
+    the walk reaches them is already that order.
     """
     if d.domain() != d.range():
         raise SignatureMismatch("domain and range differ; not a group element")
@@ -793,15 +796,7 @@ def to_forest_pair(g: ShiftGraph, d: StrandDiagram) -> ForestPair:
     glue_domain, glue_range = glue_words(d), glue_words(invert(d))
     assert set(glue_domain) == set(glue_range), "cut layers disagree"
 
-    def slot_key(w):
-        eidx = []
-        at = base[w.root]
-        for e in w.edges:
-            eidx.append(g.out_order[at].index(e))
-            at = g.term(e)
-        return (w.root, tuple(eidx))
-
-    strands = sorted(glue_domain, key=lambda s: slot_key(glue_domain[s]))
+    strands = list(glue_domain)
     return ForestPair(
         tuple(glue_domain[s] for s in strands),
         tuple(glue_range[s] for s in strands),

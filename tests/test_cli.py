@@ -6,8 +6,19 @@ import pytest
 
 from strandshift import cli
 from strandshift.cli import build_parser, main
-from strandshift.diagrams import reduce
-from strandshift.graphs import PathWord
+from strandshift.diagrams import (
+    canonical_key,
+    compose,
+    from_forest_pair,
+    identity_diagram,
+    invert,
+    reduce,
+    to_forest_pair,
+)
+from strandshift.dot import diagram_dot
+from strandshift.forest import identity_pair
+from strandshift.graphs import PathWord, ShiftGraph
+from strandshift.testkit import GeneratorConfig, random_element, random_graph
 from strandshift.textio import (
     format_element,
     format_graph,
@@ -491,3 +502,63 @@ def test_dot_output_reuses_the_reduction(args, reductions, stdout, dot_digest, t
     assert code == 0 and out == stdout
     assert hashlib.sha256(dot.read_bytes()).hexdigest()[:16] == dot_digest
     assert len(calls) == reductions
+
+
+def _power_inputs(name, tmp_path):
+    """(graph file, element file) for sigma and for seeded small elements."""
+    if name == "sigma":
+        return FIXTURES / "three_color.graph", FIXTURES / "sigma.elem"
+    if name == "full-shift":
+        g, base = ShiftGraph(["v"], {"a": ("v", "v"), "b": ("v", "v")}, {"v": ("a", "b")}), ("v",)
+    else:
+        g, base = random_graph(GeneratorConfig(seed=int(name.split("-")[1])))
+    graph, elem = tmp_path / "g.graph", tmp_path / "f.elem"
+    graph.write_text(format_graph(g, base))
+    elem.write_text(format_element(random_element(g, base, GeneratorConfig(seed=7, growth_steps=3))))
+    return graph, elem
+
+
+POWER_EXPONENTS = list(range(-9, 18)) + [31, 32, 33, 64]
+
+
+@pytest.mark.parametrize("name", ["sigma", "full-shift", "random-1", "random-2", "random-3"])
+def test_power_equals_the_factor_at_a_time_product(name, tmp_path, capsys, monkeypatch):
+    graph, elem = _power_inputs(name, tmp_path)
+    g, base = parse_graph(graph.read_text())
+    d = from_forest_pair(g, parse_element(elem.read_text(), g, base))
+    expected = {}  # n -> (stdout, canonical key), one factor at a time
+    for step, sign in ((d, 1), (invert(d), -1)):
+        product = identity_diagram(d.domain())
+        for k in range(max(abs(n) for n in POWER_EXPONENTS) + 1):
+            expected[sign * k] = format_element(to_forest_pair(g, product)), canonical_key(product)
+            product = reduce(compose(product, step))
+    assert expected[0][0] == format_element(identity_pair(g, base))
+
+    drawn = []
+    monkeypatch.setattr(cli, "diagram_dot", lambda x: drawn.append(x) or diagram_dot(x))
+    dot = tmp_path / "out.dot"
+    for n in POWER_EXPONENTS:
+        code, out, _ = run(capsys, ["power", "--graph", str(graph), "--elem", str(elem), "-n", str(n), "--dot", str(dot)])
+        assert (code, out) == (0, expected[n][0]), n
+        assert canonical_key(drawn[-1]) == expected[n][1], n
+
+
+@pytest.mark.parametrize("n", [64, -100])
+def test_power_takes_logarithmically_many_products(n, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    argv = ["power", "--graph", str(FIXTURES / "three_color.graph"), "--elem", str(FIXTURES / "sigma.elem")]
+    code, _, _ = run(capsys, argv + ["-n", str(n)])
+    assert code == 0
+    assert len(calls) <= 2 * (abs(n).bit_length() - 1) + 1
+
+
+def test_power_of_a_huge_exponent(tmp_path, capsys):
+    # sigma has order 6 and 1000003 = 6 * 166667 + 1
+    graph, sigma = str(FIXTURES / "three_color.graph"), str(FIXTURES / "sigma.elem")
+    code, out, _ = run(capsys, ["power", "--graph", graph, "--elem", sigma, "-n", "1000003"])
+    assert code == 0
+    p = tmp_path / "p.elem"
+    p.write_text(out)
+    code, out, _ = run(capsys, ["eq", "--graph", graph, "--lhs", str(p), "--rhs", sigma])
+    assert (code, out) == (0, "equal\n")

@@ -154,6 +154,28 @@ def test_to_forest_pair_round_trips(fig1, base_bg, sigma):
         assert canonical_key(from_forest_pair(fig1, back)) == canonical_key(d)
 
 
+def _slot_key(g, base, w):  # (root, edge indices): the planar order of leaves
+    eidx, at = [], base[w.root]
+    for e in w.edges:
+        eidx.append(g.out_order[at].index(e))
+        at = g.term(e)
+    return (w.root, tuple(eidx))
+
+
+def test_to_forest_pair_lists_leaves_in_slot_order(fig1, base_bg, full_shift2):
+    graphs = [(fig1, base_bg), (full_shift2, ("v",))]
+    graphs += [random_graph(GeneratorConfig(seed=s)) for s in range(1, 11)]
+    for g, base in graphs:
+        for seed in range(6):
+            f = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=2 + seed % 4)))
+            h = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed + 100, growth_steps=3)))
+            for d in (reduce(f), reduce(compose(f, h)), reduce(compose(invert(h), f))):
+                fp = to_forest_pair(g, d)
+                pairs = list(zip(fp.domain_leaves, fp.range_leaves))
+                assert pairs == sorted(pairs, key=lambda p: _slot_key(g, base, p[0]))
+                assert equal(from_forest_pair(g, fp), d)
+
+
 def test_to_forest_pair_rejects_unreduced_and_mismatched(fig1, sigma):
     d = from_forest_pair(fig1, sigma)
     with pytest.raises(ValueError):
