@@ -17,7 +17,7 @@ from strandshift.diagrams import (
 )
 from strandshift.dot import diagram_dot
 from strandshift.forest import identity_pair
-from strandshift.graphs import PathWord, ShiftGraph
+from strandshift.graphs import PathWord
 from strandshift.testkit import GeneratorConfig, random_element, random_graph
 from strandshift.textio import (
     format_element,
@@ -504,12 +504,12 @@ def test_dot_output_reuses_the_reduction(args, reductions, stdout, dot_digest, t
     assert len(calls) == reductions
 
 
-def _power_inputs(name, tmp_path):
+def _power_inputs(name, tmp_path, full_shift2):
     """(graph file, element file) for sigma and for seeded small elements."""
     if name == "sigma":
         return FIXTURES / "three_color.graph", FIXTURES / "sigma.elem"
     if name == "full-shift":
-        g, base = ShiftGraph(["v"], {"a": ("v", "v"), "b": ("v", "v")}, {"v": ("a", "b")}), ("v",)
+        g, base = full_shift2, ("v",)
     else:
         g, base = random_graph(GeneratorConfig(seed=int(name.split("-")[1])))
     graph, elem = tmp_path / "g.graph", tmp_path / "f.elem"
@@ -522,8 +522,8 @@ POWER_EXPONENTS = list(range(-9, 18)) + [31, 32, 33, 64]
 
 
 @pytest.mark.parametrize("name", ["sigma", "full-shift", "random-1", "random-2", "random-3"])
-def test_power_equals_the_factor_at_a_time_product(name, tmp_path, capsys, monkeypatch):
-    graph, elem = _power_inputs(name, tmp_path)
+def test_power_equals_the_factor_at_a_time_product(name, full_shift2, tmp_path, capsys, monkeypatch):
+    graph, elem = _power_inputs(name, tmp_path, full_shift2)
     g, base = parse_graph(graph.read_text())
     d = from_forest_pair(g, parse_element(elem.read_text(), g, base))
     expected = {}  # n -> (stdout, canonical key), one factor at a time
