@@ -34,7 +34,7 @@ from collections import deque
 
 from .errors import SignatureMismatch
 from .forest import ForestPair, validate_forest_pair
-from .graphs import PathWord, ShiftGraph
+from .graphs import PathWord, ShiftGraph, color_of_word
 
 
 class _Tables:
@@ -409,77 +409,39 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     b = _Builder()
     base = fp.base
 
-    def forest_children(leaves):
-        nodes = {}
-        leafset = set(leaves)
-        for w in leaves:
-            for plen in range(len(w.edges)):
-                nodes.setdefault(PathWord(w.root, w.edges[:plen]), True)
-        internal = set(nodes)
+    def grow(leaves, into, out_of):
+        """One forest: each node's strand is joined by `into` to the node's
+        point (internal nodes only) and by `out_of` to its parent's point, or
+        a root's to a new end point.  Returns the end points and the leaves'
+        strands, both in order."""
+        internal = {PathWord(w.root, w.edges[:n]) for w in leaves for n in range(len(w.edges))}
+        strand_of = {}
 
-        def kids(w):
-            color = _word_color(g, base, w)
-            return [w.child(e) for e in g.out_order[color]]
+        def node(w):
+            color = color_of_word(g, base, w)
+            s = strand_of[w] = b.strand(color)
+            if w in internal:
+                p = b.point(color)
+                into(s, p)
+                for e in g.out_order[color]:
+                    out_of(node(w.child(e)), p)
+            return s
 
-        return internal, leafset, kids
+        ends = []
+        for i, color in enumerate(base):
+            ends.append(b.point(color))
+            out_of(node(PathWord(i)), ends[-1])
+        return ends, [strand_of[w] for w in leaves]
 
-    d_internal, d_leaves, d_kids = forest_children(fp.domain_leaves)
-    r_internal, r_leaves, r_kids = forest_children(fp.range_leaves)
-
-    d_strand = {}
-
-    def build_domain(w):
-        color = _word_color(g, base, w)
-        s = b.strand(color)
-        d_strand[w] = s
-        if w in d_internal:
-            p = b.point(color)
-            b.attach_target(s, p)
-            for c in d_kids(w):
-                cs = build_domain(c)
-                b.strand_from[cs] = p
-                b.out_slots[p].append(cs)
-        return s
-
-    r_strand = {}
-
-    def build_range(w):
-        color = _word_color(g, base, w)
-        s = b.strand(color)
-        r_strand[w] = s
-        if w in r_internal:
-            p = b.point(color)
-            b.attach_origin(s, p)
-            for c in r_kids(w):
-                cs = build_range(c)
-                b.strand_to[cs] = p
-                b.in_slots[p].append(cs)
-        return s
-
-    sources, sinks = [], []
-    for i, color in enumerate(base):
-        src = b.point(color)
-        sources.append(src)
-        s = build_domain(PathWord(i))
-        b.attach_origin(s, src)
-    for i, color in enumerate(base):
-        snk = b.point(color)
-        sinks.append(snk)
-        t = build_range(PathWord(i))
-        b.attach_target(t, snk)
-
+    sources, domain_leaves = grow(fp.domain_leaves, b.attach_target, b.attach_origin)
+    sinks, range_leaves = grow(fp.range_leaves, b.attach_origin, b.attach_target)
     # Glue leaf i of the domain forest to leaf i of the range forest: the two
     # dangling strands fuse, keeping the domain-side id.
-    for dw, rw in zip(fp.domain_leaves, fp.range_leaves):
-        t = r_strand[rw]
-        _retarget(b.strand_to, b.in_slots, d_strand[dw], t)
+    for s, t in zip(domain_leaves, range_leaves):
+        _retarget(b.strand_to, b.in_slots, s, t)
         del b.strand_to[t]
         del b.strand_color[t]
     return b.build(sources, sinks)
-
-
-def _word_color(g, base, w: PathWord):
-    return g.term(w.edges[-1]) if w.edges else base[w.root]
 
 
 # ---------------------------------------------------------------------------

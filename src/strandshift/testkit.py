@@ -41,7 +41,6 @@ from .semigroup import Presentation, _divides
 class GeneratorConfig:
     seed: int = 0
     growth_steps: int = 3
-    max_word_depth: int = 8
     max_vertices: int = 4
     max_out_degree: int = 3
 

@@ -22,48 +22,26 @@ Loop multisets for the semigroup commands are sums like `L(R,1)+2*L(B,2)`.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .forest import ForestPair, validate_forest_pair
 from .graphs import PathWord, ShiftGraph
 
-_PUNCT = (";", ":", ",", "[", "]", "(", ")", "+", "*", "#", ".", "->")
+_PUNCT = ("->", ";", ":", ",", "[", "]", "(", ")", "+", "*", "#", ".")
+# A token is a punctuation mark or a run of \w, which is str.isalnum() or "_".
+# finditer skips whitespace; group 1 catches any other character.
+_TOKEN = re.compile("|".join(map(re.escape, _PUNCT)) + r"|\w+|(\S)")
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.toks = []
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                col += 1
-                i += 1
-                continue
-            if text.startswith("->", i):
-                self.toks.append(("->", line, col))
-                i += 2
-                col += 2
-                continue
-            if ch in ";:,[]()+*#.":
-                self.toks.append((ch, line, col))
-                i += 1
-                col += 1
-                continue
-            if ch.isalnum() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append((text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+        for line, chars in enumerate(text.split("\n"), 1):
+            for m in _TOKEN.finditer(chars):
+                if m.lastindex:
+                    raise ParseError(f"unexpected character {m[1]!r}", line, m.start() + 1)
+                self.toks.append((m[0], line, m.start() + 1))
         self.pos = 0
 
     def peek(self):
@@ -104,6 +82,18 @@ def _name(ts: _Tokens, what: str) -> str:
     return ts.next()
 
 
+def _bracketed(ts: _Tokens, read) -> tuple:
+    """Read `[item, ...]`, commas optional, calling read() for each item."""
+    ts.next("[")
+    items = []
+    while ts.peek() != "]":
+        items.append(read())
+        if ts.peek() == ",":
+            ts.next()
+    ts.next("]")
+    return tuple(items)
+
+
 def parse_graph(text: str):
     """Parse a graph file into (ShiftGraph, base tuple)."""
     ts = _Tokens(text)
@@ -132,26 +122,13 @@ def parse_graph(text: str):
             ts.next()
             v = _name(ts, "a vertex name")
             ts.next(":")
-            ts.next("[")
-            ids = []
-            while ts.peek() != "]":
-                ids.append(_name(ts, "an edge id"))
-                if ts.peek() == ",":
-                    ts.next()
-            ts.next("]")
+            ids = _bracketed(ts, lambda: _name(ts, "an edge id"))
             if v in order:
                 ts.error(f"order for {v} given twice")
-            order[v] = tuple(ids)
+            order[v] = ids
         elif tok == "base":
             ts.next()
-            ts.next("[")
-            entries = []
-            while ts.peek() != "]":
-                entries.append(_name(ts, "a vertex name"))
-                if ts.peek() == ",":
-                    ts.next()
-            ts.next("]")
-            base = tuple(entries)
+            base = _bracketed(ts, lambda: _name(ts, "a vertex name"))
         else:
             ts.error(f"unknown statement {tok!r}")
         ts.skip_separators()
@@ -204,27 +181,16 @@ def _parse_word(ts: _Tokens, g: ShiftGraph, base) -> PathWord:
     return PathWord(root, tuple(edges))
 
 
-def _parse_word_list(ts: _Tokens, g, base):
-    ts.next("[")
-    words = []
-    while ts.peek() != "]":
-        words.append(_parse_word(ts, g, base))
-        if ts.peek() == ",":
-            ts.next()
-    ts.next("]")
-    return tuple(words)
-
-
 def parse_element(text: str, g: ShiftGraph, base) -> ForestPair:
     """Parse an element file against a graph and base; validates the pair."""
     ts = _Tokens(text)
     ts.next("element")
     ts.skip_separators()
     ts.next("domain")
-    domain = _parse_word_list(ts, g, base)
+    domain = _bracketed(ts, lambda: _parse_word(ts, g, base))
     ts.skip_separators()
     ts.next("range")
-    rng = _parse_word_list(ts, g, base)
+    rng = _bracketed(ts, lambda: _parse_word(ts, g, base))
     ts.skip_separators()
     if ts.peek() is not None:
         ts.error("trailing input after element")
@@ -244,7 +210,7 @@ def parse_loops(text: str, vertices) -> dict:
     while True:
         count = 1
         tok = _name(ts, "L or a multiplier")
-        if tok.isdigit():
+        if tok.isdecimal():
             count = int(tok)
             if count < 1:
                 _, line, col = ts.toks[ts.pos - 1]
@@ -259,7 +225,7 @@ def parse_loops(text: str, vertices) -> dict:
             ts.error(f"{color} is not a vertex")
         ts.next(",")
         winding = _name(ts, "a winding number")
-        if not winding.isdigit() or int(winding) < 1:
+        if not winding.isdecimal() or int(winding) < 1:
             ts.error("winding must be a positive integer")
         ts.next(")")
         key = (color, int(winding))

@@ -3,6 +3,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandshift import cli
 from strandshift.cli import build_parser, main
@@ -20,6 +22,8 @@ from strandshift.forest import identity_pair
 from strandshift.graphs import PathWord
 from strandshift.testkit import GeneratorConfig, random_element, random_graph
 from strandshift.textio import (
+    _PUNCT,
+    _Tokens,
     format_element,
     format_graph,
     format_loops,
@@ -122,6 +126,30 @@ def test_parse_errors_carry_position():
         parse_element(
             "element domain [B.1, B.2, G] range [B.2, B.1, G]", g, base
         )
+
+
+_SCANNER_PIECES = [*_PUNCT, "a", "Z", "7", "_", "\u00e9", " ", "\t", "\n", "\r", "$"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SCANNER_PIECES), max_size=40).map("".join))
+def test_scanner_positions(text):
+    """Tokens sit at their own line and column (lines end at "\n" only) and
+    cover every non-space character in order; a stray character fails at
+    its own position."""
+    if "$" in text:
+        i = text.index("$")
+        line = text.count("\n", 0, i) + 1
+        with pytest.raises(ParseError, match="unexpected character '\\$'") as exc:
+            _Tokens(text)
+        assert (exc.value.line, exc.value.column) == (line, i - text.rfind("\n", 0, i))
+        return
+    toks = _Tokens(text).toks
+    lines = text.split("\n")
+    for tok, line, col in toks:
+        assert lines[line - 1][col - 1 : col - 1 + len(tok)] == tok
+    assert [(line, col) for _, line, col in toks] == sorted((line, col) for _, line, col in toks)
+    assert "".join(tok for tok, _, _ in toks) == "".join(text.split())
 
 
 def test_non_numeric_occurrence_fails_at_its_token(files, tmp_path, capsys):
@@ -297,6 +325,22 @@ def test_semigroup_eq_rejects_zero_multiplier(files, capsys, lhs, col):
     assert code == 1
     assert out == ""
     assert f"1:{col}: multiplier must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "lhs, message",
+    [
+        ("L(R,\u00b2)", "1:6: winding must be a positive integer"),
+        ("L(R,1)+\u2460*L(B,1)", "1:9: expected L(color,winding), found '\u2460'"),
+    ],
+)
+def test_semigroup_eq_rejects_non_decimal_digits(files, capsys, lhs, message):
+    # superscript two and circled one are digits to str.isdigit(), not decimals
+    code, out, err = run(
+        capsys,
+        ["semigroup-eq", "--graph", files["left.graph"], "--lhs", lhs, "--rhs", "L(B,1)"],
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

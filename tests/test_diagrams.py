@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 
 import pytest
@@ -138,6 +139,19 @@ def test_from_forest_pair_identity_and_permutation(fig1, base_bg):
     assert canonical_key(from_forest_pair(fig1, swap)) == canonical_key(
         permutation_diagram(("G", "G"), [1, 0])
     )
+
+
+def test_from_forest_pair_ids_match_recorded_digest():
+    """Pins every point and strand id the builder allocates, and the order in
+    which it fills each table, on random graphs 1-10 (repeated base colors,
+    one-child nodes that become degenerate points) with four elements each."""
+    records = []
+    for gs in range(1, 11):
+        g, base = random_graph(GeneratorConfig(seed=gs))
+        for e in range(4):
+            d = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e, growth_steps=2 + e % 5)))
+            records.append(([list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks))
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "83df3d6350c89809"
 
 
 def test_to_forest_pair_round_trips(fig1, base_bg, sigma):
