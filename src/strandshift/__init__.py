@@ -13,6 +13,7 @@ from .closed import (
     semi_reduce,
     shift_expand,
     shift_reduce,
+    skeleton,
     type3_expand,
     type3_reduce,
 )
@@ -21,7 +22,6 @@ from .conjugacy import (
     compare_split_merge,
     conjugator_witness,
     is_conjugate,
-    skeleton,
 )
 from .diagrams import (
     StrandDiagram,

@@ -10,6 +10,12 @@ loops whose colors form the out-star of a common vertex.
 
 Every move returns the new diagram plus a :class:`Move` record that carries
 enough data to replay the move and to build the conjugating diagram.
+
+The skeleton of a split-merge part splices its base points out into a
+cocycle that counts the base points on each chain between split, merge and
+degenerate points.  A base line shift pushes that cocycle by a point
+coboundary and a permutation leaves it alone, so step 2 compares skeletons,
+and the push planner turns step 2's coboundary back into legal shifts.
 """
 
 from __future__ import annotations
@@ -434,19 +440,6 @@ def reduce_closed_step(c: ClosedDiagram, rng=None):
     return new, move
 
 
-def _loop_points(c: ClosedDiagram, start_point) -> list:
-    """Follow out-strands from a base point; the cycle visited, or None."""
-    cycle = [start_point]
-    p = start_point
-    while True:
-        p = c.strand_to[c.out_slots[p][0]]
-        if p == start_point:
-            return cycle
-        if p not in c.base_set:
-            return None
-        cycle.append(p)
-
-
 def _replace_loops(c: ClosedDiagram, start, block, colors, k) -> ClosedDiagram:
     """c with the loop points `block`, at base positions from `start` on,
     replaced by d = len(colors) interleaved loops of winding k.
@@ -578,18 +571,19 @@ def _consolidations(c: ClosedDiagram):
     return out
 
 
+def _reorder_base(c: ClosedDiagram, new_line):
+    """Permute the base line so it reads `new_line`: (diagram, moves), no move if it already does."""
+    if tuple(new_line) == c.base_line:
+        return c, []
+    c, mv = permute_base(c, tuple(c.base_line.index(p) for p in new_line))
+    return c, [mv]
+
+
 def _consolidate(c: ClosedDiagram, mode, slot_points):
     """Permute the given base points together (if needed), then shift-reduce them."""
-    moves = []
-    pos = [c.base_line.index(p) for p in slot_points]
-    first = min(pos)
-    want = list(range(first, first + len(pos)))
-    if pos != want:
-        rest = [p for p in c.base_line if p not in set(slot_points)]
-        new_line = rest[:first] + list(slot_points) + rest[first:]
-        perm = tuple(c.base_line.index(p) for p in new_line)
-        c, mv = permute_base(c, perm)
-        moves.append(mv)
+    first = min(c.base_line.index(p) for p in slot_points)
+    rest = [p for p in c.base_line if p not in set(slot_points)]
+    c, moves = _reorder_base(c, rest[:first] + list(slot_points) + rest[first:])
     c, mv = shift_reduce(c, range(first, first + len(slot_points)), mode)
     moves.append(mv)
     return c, moves
@@ -693,6 +687,19 @@ def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 
 # ---------------------------------------------------------------------------
 # parts
 
+def _loops(c: ClosedDiagram) -> list:
+    """Components made of base points only, by least point: (color, points in
+    cycle order from the least); the winding is the number of points."""
+    loops = []
+    for comp in components(c):
+        if all(p in c.base_set for p in comp):
+            cycle = [comp[0]]
+            while len(cycle) < len(comp):
+                cycle.append(c.strand_to[c.out_slots[cycle[-1]][0]])
+            loops.append((c.point_color[comp[0]], cycle))
+    return loops
+
+
 def decompose_parts(c: ClosedDiagram):
     """Split a semi-reduced diagram into its split-merge part and loop part.
 
@@ -701,24 +708,113 @@ def decompose_parts(c: ClosedDiagram):
     whose base line keeps the original order.
     """
     loops = {}
-    keep = set()
-    for comp in components(c):
-        if all(p in c.base_set for p in comp):
-            color = c.point_color[comp[0]]
-            key = (color, len(comp))
-            loops[key] = loops.get(key, 0) + 1
-        else:
-            keep.update(comp)
+    looped = set()
+    for color, points in _loops(c):
+        key = (color, len(points))
+        loops[key] = loops.get(key, 0) + 1
+        looped.update(points)
+    keep = [p for p in c.point_color if p not in looped]
     part = ClosedDiagram(
         {p: c.point_color[p] for p in keep},
-        {s: c.strand_color[s] for s in c.strand_color if c.strand_from[s] in keep},
-        {s: p for s, p in c.strand_from.items() if p in keep},
-        {s: p for s, p in c.strand_to.items() if p in keep},
+        {s: c.strand_color[s] for s in c.strand_color if c.strand_from[s] not in looped},
+        {s: p for s, p in c.strand_from.items() if p not in looped},
+        {s: p for s, p in c.strand_to.items() if p not in looped},
         {p: c.in_slots[p] for p in keep},
         {p: c.out_slots[p] for p in keep},
-        [b for b in c.base_line if b in keep],
+        [b for b in c.base_line if b not in looped],
     )
     return part, loops
+
+
+# ---------------------------------------------------------------------------
+# the skeleton and its pushes
+
+class SplitMergeSkeleton(ClosedDiagram):
+    """Split-merge part with its base points spliced out, on the table core.
+
+    Splicing keeps the incoming strand's id, so a skeleton strand is the
+    first strand of its base-point chain, the out-strand of a split, merge or
+    degenerate point, and `cocycle` maps it to the number of base points
+    spliced out of that chain.  The base line is empty.
+    """
+
+    __slots__ = ("cocycle",)
+
+    def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, cocycle):
+        ClosedDiagram.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, ())
+        self.cocycle = cocycle
+
+
+def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
+    """Splice out every base point of `part`; loop components vanish."""
+    tabs = _copy_tables(part)
+    ins, outs = tabs[4], tabs[5]
+    cocycle = dict.fromkeys(tabs[1], 0)
+    for b in part.base_line:
+        s_in, s_out = ins[b][0], outs[b][0]
+        if s_in == s_out:  # the last point of a loop component
+            _drop_point(tabs, b)
+            _drop_strand(tabs, s_in)
+            del cocycle[s_in]
+        else:
+            _splice_out(tabs, b)
+            cocycle[s_in] += 1 + cocycle.pop(s_out)
+    return SplitMergeSkeleton(*tabs, cocycle)
+
+
+def _plan_cocycle_moves(sk: SplitMergeSkeleton, comp, x: dict) -> list:
+    """Push plan carrying the cocycle of `sk` on component `comp` onto its match.
+
+    `x` is step 2's solution: x[from s] - x[to s] is how many more base
+    points skeleton strand s carries than its image.  A forward push through
+    p takes one base point off each strand into p and puts one on each strand
+    out of p (a backward push undoes it), so pushing every p net m - x[p]
+    times realizes the difference for any constant m; a median m gives the
+    fewest pushes.  A push is legal when its source strands all carry a base
+    point.  While pushes remain some push is legal, because every directed
+    cycle crosses the base line and pushes never change cycle sums.  Shifts
+    keep the ids of strands leaving non-base points and never touch another
+    component, so one skeleton serves the plans of all its components in turn.
+    """
+    counts = dict(sk.cocycle)
+    m = sorted(x[p] for p in comp)[len(comp) // 2]
+    left = {p: m - x[p] for p in sorted(comp) if x[p] != m}
+
+    def legal(p):
+        return all(counts[s] for s in (sk.in_slots[p] if left[p] > 0 else sk.out_slots[p]))
+
+    plan = []
+    while left:
+        p = next(filter(legal, left), None)
+        assert p is not None, "no legal push: a directed cycle misses the base line"
+        step = 1 if left[p] > 0 else -1
+        for s in sk.in_slots[p]:
+            counts[s] -= step
+        for s in sk.out_slots[p]:
+            counts[s] += step
+        plan.append((p, "expand" if (step > 0) == (len(sk.out_slots[p]) >= 2) else "reduce"))
+        left[p] -= step
+        if not left[p]:
+            del left[p]
+    return plan
+
+
+def _execute_cocycle_plan(c: ClosedDiagram, plan):
+    """Carry out a push plan on `c` by shifts: (diagram, moves)."""
+    moves = []
+    for p, action in plan:
+        is_split = len(c.out_slots[p]) >= 2
+        if action == "expand":
+            b = c.strand_from[c.in_slots[p][0]] if is_split else c.strand_to[c.out_slots[p][0]]
+            c, mv = shift_expand(c, c.base_line.index(b), "down" if is_split else "up")
+            moves.append(mv)
+        elif is_split:
+            c, mvs = _consolidate(c, "up", [c.strand_to[s] for s in c.out_slots[p]])
+            moves.extend(mvs)
+        else:
+            c, mvs = _consolidate(c, "down", [c.strand_from[s] for s in c.in_slots[p]])
+            moves.extend(mvs)
+    return c, moves
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 Two group elements are conjugate iff their closed diagrams are equivalent.
 Step 1 semi-reduces both closed diagrams.  Step 2 compares split-merge parts
-up to similarity: base points are spliced out into per-strand counts (a
-cocycle on the skeleton) and two parts are similar iff some color- and
+up to similarity on their skeletons (built in :mod:`closed`, base points
+spliced out into a cocycle): two parts are similar iff some color- and
 slot-preserving skeleton isomorphism makes the cocycle difference an integer
 coboundary, since base line shifts change the cocycle by exactly +-(point
 coboundary) and permutations change nothing.  Similarity of components is an
 equivalence relation, so components are matched greedily, without
 backtracking.  Step 3 compares loop parts in the loops semigroup.  Every
 move carries a conjugating diagram, so a positive verdict can be upgraded to
-an explicit conjugator by replaying the moves.
+an explicit conjugator: the witness hands step 2's coboundary to the push
+planner in :mod:`closed` on the matched skeleton, realizes the loop part by
+type 3 moves, aligns the base lines and folds the moves' conjugators.
 """
 
 from __future__ import annotations
@@ -20,72 +22,31 @@ from dataclasses import dataclass, field
 
 from .closed import (
     ClosedDiagram,
+    SplitMergeSkeleton,
     _bidirectional_order,
-    _consolidate,
-    _loop_points,
+    _execute_cocycle_plan,
+    _loops,
+    _plan_cocycle_moves,
+    _reorder_base,
     _serialize,
     close,
     components,
     conjugator_of,
     closed_key,
     decompose_parts,
-    permute_base,
     semi_reduce,
-    shift_expand,
+    skeleton,
     type3_expand,
     type3_reduce,
 )
-from .diagrams import (
-    StrandDiagram,
-    _copy_tables,
-    _drop_point,
-    _drop_strand,
-    _splice_out,
-    compose,
-    equal,
-    identity_diagram,
-    invert,
-    reduce,
-)
+from .diagrams import StrandDiagram, compose, equal, identity_diagram, invert, reduce
 from .errors import SignatureMismatch
 from .graphs import ShiftGraph
 from .semigroup import bfs_path, decide_equal, max_winding, presentation_from_graph
 
 
 # ---------------------------------------------------------------------------
-# skeletons
-
-class SplitMergeSkeleton(ClosedDiagram):
-    """Split-merge part with its base points spliced out, on the table core.
-
-    Splicing keeps the incoming strand's id, so a skeleton strand is the
-    first strand of its base-point chain, and `cocycle` maps it to the number
-    of base points spliced out of that chain.  The base line is empty.
-    """
-
-    __slots__ = ("cocycle",)
-
-    def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, cocycle):
-        ClosedDiagram.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, ())
-        self.cocycle = cocycle
-
-
-def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
-    """Splice out every base point of `part`; loop components vanish."""
-    tabs = _copy_tables(part)
-    ins, outs = tabs[4], tabs[5]
-    cocycle = dict.fromkeys(tabs[1], 0)
-    for b in part.base_line:
-        s_in, s_out = ins[b][0], outs[b][0]
-        if s_in == s_out:  # the last point of a loop component
-            _drop_point(tabs, b)
-            _drop_strand(tabs, s_in)
-            del cocycle[s_in]
-        else:
-            _splice_out(tabs, b)
-            cocycle[s_in] += 1 + cocycle.pop(s_out)
-    return SplitMergeSkeleton(*tabs, cocycle)
-
+# step 2
 
 def _point_sig(sk, p):
     return (sk.point_color[p], len(sk.in_slots[p]), len(sk.out_slots[p]))
@@ -150,9 +111,12 @@ def _coboundary_solution(a, comp_a, b, phi):
 
 @dataclass
 class SkeletonMatch:
-    """Witness for step 2: matched components with isomorphism and coboundary."""
+    """Witness for step 2: matched components with isomorphism and coboundary,
+    and the two skeletons they live on."""
 
     pairs: list  # (comp_a, comp_b, phi, x)
+    a: SplitMergeSkeleton
+    b: SplitMergeSkeleton
 
 
 def _similarity(a, comp_a, b, comp_b):
@@ -189,7 +153,7 @@ def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
                 break
         else:
             return None
-    return SkeletonMatch(pairs)
+    return SkeletonMatch(pairs, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -286,165 +250,57 @@ def is_conjugate(
 # witness assembly
 
 def _fold_conjugators(moves, base_colors) -> StrandDiagram:
+    """Product of the moves' conjugators; a type 0/1/2 reduction's is the identity."""
     h = identity_diagram(base_colors)
     for mv in moves:
-        h = reduce(compose(conjugator_of(mv), h))
+        if mv.kind != "reduce":
+            h = reduce(compose(conjugator_of(mv), h))
     return h
 
 
-def _chain(c: ClosedDiagram, s):
-    """Walk forward from strand s: (base points passed, strand entering the next non-base point)."""
-    passed = []
-    while c.strand_to[s] in c.base_set:
-        passed.append(c.strand_to[s])
-        s = c.out_slots[passed[-1]][0]
-    return passed, s
-
-
-def _chain_counts(c: ClosedDiagram, pts) -> dict:
-    """(point, out-slot) -> number of base points on that chain."""
-    return {(p, j): len(_chain(c, s)[0]) for p in pts for j, s in enumerate(c.out_slots[p])}
-
-
-def _plan_cocycle_moves(c: ClosedDiagram, pts, x: dict) -> list:
-    """Shift plan carrying the chain counts of `pts` onto the matched part.
-
-    `x` is step 2's solution: x[from s] - x[to s] is how many more base
-    points chain s holds than its image.  A forward push through p takes one
-    base point off each chain into p and puts one on each chain out of p (a
-    backward push undoes it), so pushing every p net m - x[p] times realizes
-    the difference for any constant m; a median m gives the fewest pushes.
-    A push is legal when its source chains all hold a base point.  While
-    pushes remain some push is legal, because every directed cycle crosses
-    the base line and pushes never change cycle sums.
-    """
-    counts = _chain_counts(c, pts)
-    outs = {p: [(p, j) for j in range(len(c.out_slots[p]))] for p in pts}
-    ins = {p: [] for p in pts}
-    for q in pts:
-        for j, s in enumerate(c.out_slots[q]):
-            ins[c.strand_to[_chain(c, s)[1]]].append((q, j))
-    m = sorted(x[p] for p in pts)[len(pts) // 2]
-    left = {p: m - x[p] for p in sorted(pts) if x[p] != m}
-
-    def legal(p):
-        return all(counts[ch] for ch in (ins[p] if left[p] > 0 else outs[p]))
-
-    plan = []
-    while left:
-        p = next(filter(legal, left), None)
-        assert p is not None, "no legal push: a directed cycle misses the base line"
-        step = 1 if left[p] > 0 else -1
-        for ch in ins[p]:
-            counts[ch] -= step
-        for ch in outs[p]:
-            counts[ch] += step
-        plan.append((p, "expand" if (step > 0) == (len(c.out_slots[p]) >= 2) else "reduce"))
-        left[p] -= step
-        if not left[p]:
-            del left[p]
-    return plan
-
-
-def _execute_cocycle_plan(c: ClosedDiagram, plan):
-    moves = []
-    for p, action in plan:
-        is_split = len(c.out_slots[p]) >= 2
-        if action == "expand":
-            if is_split:
-                b = c.strand_from[c.in_slots[p][0]]
-                c, mv = shift_expand(c, c.base_line.index(b), "down")
-            else:
-                b = c.strand_to[c.out_slots[p][0]]
-                c, mv = shift_expand(c, c.base_line.index(b), "up")
-            moves.append(mv)
-        else:
-            if is_split:
-                succs = [c.strand_to[s] for s in c.out_slots[p]]
-                c, mvs = _consolidate(c, "up", succs)
-            else:
-                preds = [c.strand_from[s] for s in c.in_slots[p]]
-                c, mvs = _consolidate(c, "down", preds)
-            moves.extend(mvs)
-    return c, moves
-
-
-def _loop_components(c: ClosedDiagram):
-    out = []
-    for comp in components(c):
-        if all(p in c.base_set for p in comp):
-            pts = _loop_points(c, comp[0])
-            out.append((c.point_color[comp[0]], len(comp), pts))
-    return out
-
-
-def _bring_to_front(c: ClosedDiagram, block):
-    """Permute the base line so `block` occupies the leading positions."""
-    rest = [p for p in c.base_line if p not in set(block)]
-    new_line = list(block) + rest
-    if list(c.base_line) == new_line:
-        return c, []
-    perm = tuple(c.base_line.index(p) for p in new_line)
-    c, mv = permute_base(c, perm)
-    return c, [mv]
-
-
 def _realize_semigroup_path(c: ClosedDiagram, graph: ShiftGraph, pres, path):
+    """Apply a loops-semigroup relation path by type 3 moves, each on a loop
+    block first brought to the front of the base line."""
     moves = []
     for ridx, sign in path:
         vtx, k = pres.relation_info[ridx]
         kids = graph.child_colors(vtx)
-        d = len(kids)
+        loops = [loop for loop in _loops(c) if len(loop[1]) == k]
         if sign > 0:
             chosen = []
             for color in kids:
-                fits = (comp for comp in _loop_components(c) if comp[0] == color and comp[1] == k)
-                chosen.append(next(comp for comp in fits if comp not in chosen))
-            block = []
-            for t in range(k):
-                for comp in chosen:
-                    block.append(comp[2][t])
-            c, mvs = _bring_to_front(c, block)
-            moves.extend(mvs)
-            c, mv = type3_reduce(c, graph, 0, d, k, vertex=vtx)
-            moves.append(mv)
+                chosen.append(next(loop for loop in loops if loop[0] == color and loop not in chosen))
+            block = [points[t] for t in range(k) for _, points in chosen]
         else:
-            comp = next(
-                comp for comp in _loop_components(c) if comp[0] == vtx and comp[1] == k
-            )
-            c, mvs = _bring_to_front(c, comp[2])
-            moves.extend(mvs)
+            block = next(points for color, points in loops if color == vtx)
+        front = set(block)
+        c, mvs = _reorder_base(c, block + [p for p in c.base_line if p not in front])
+        moves.extend(mvs)
+        if sign > 0:
+            c, mv = type3_reduce(c, graph, 0, len(kids), k, vertex=vtx)
+        else:
             c, mv = type3_expand(c, graph, 0, k, vtx)
-            moves.append(mv)
+        moves.append(mv)
     return c, moves
 
 
-def _alignment_permutation(c: ClosedDiagram, target: ClosedDiagram, match: SkeletonMatch):
-    """Point bijection c -> target extending the skeleton match, as a base permutation.
+def _aligned_base_line(c: ClosedDiagram, target: ClosedDiagram, match: SkeletonMatch):
+    """c's base line ordered as target's under the point bijection extending the match.
 
-    Chains carry equal base counts after realization, loops are matched by
-    (color, winding); returns the permutation making the base orders agree,
-    or None when the loop inventories cannot be aligned.
+    After realization each matched component of c, base points included, is
+    isomorphic to its partner, so breadth-first orders from an anchor and its
+    image pair the points; loops are paired in (color, winding) order.  None
+    when that leaves a base point unpaired.
     """
     psi = {}
-    for comp_a, comp_b, phi, _ in match.pairs:
-        for p in comp_a:
-            psi[p] = phi[p]
-            for j, s in enumerate(c.out_slots[p]):
-                chain_a = _chain(c, s)[0]
-                chain_b = _chain(target, target.out_slots[phi[p]][j])[0]
-                if len(chain_a) != len(chain_b):
-                    return None
-                psi.update(zip(chain_a, chain_b))
-    loops_a = sorted(_loop_components(c), key=lambda t: (t[0], t[1], min(t[2])))
-    loops_b = sorted(_loop_components(target), key=lambda t: (t[0], t[1], min(t[2])))
-    if [(t[0], t[1]) for t in loops_a] != [(t[0], t[1]) for t in loops_b]:
-        return None
-    for (_, _, pa), (_, _, pb) in zip(loops_a, loops_b):
+    for comp_a, _, phi, _ in match.pairs:
+        psi.update(zip(_bidirectional_order(c, comp_a[:1]), _bidirectional_order(target, [phi[comp_a[0]]])))
+    loops_a, loops_b = (sorted(_loops(d), key=lambda t: (t[0], len(t[1]))) for d in (c, target))
+    for (_, pa), (_, pb) in zip(loops_a, loops_b):
         psi.update(zip(pa, pb))
     inv = {v: k for k, v in psi.items()}
-    new_line = [inv[bp] for bp in target.base_line]
-    return tuple(c.base_line.index(p) for p in new_line)
+    line = [inv.get(bp) for bp in target.base_line]
+    return line if len(line) == len(c.base_line) and set(line) == c.base_set else None
 
 
 def conjugator_witness(
@@ -468,7 +324,7 @@ def conjugator_witness(
     cur = a.semi
 
     for comp_a, _, _, x in result.match.pairs:
-        cur, mvs = _execute_cocycle_plan(cur, _plan_cocycle_moves(cur, comp_a, x))
+        cur, mvs = _execute_cocycle_plan(cur, _plan_cocycle_moves(result.match.a, comp_a, x))
         moves_a.extend(mvs)
 
     if a.loops or b.loops:
@@ -483,12 +339,11 @@ def conjugator_witness(
         cur, mvs = _realize_semigroup_path(cur, graph, pres, path)
         moves_a.extend(mvs)
 
-    perm = _alignment_permutation(cur, b.semi, result.match)
-    if perm is None:
+    line = _aligned_base_line(cur, b.semi, result.match)
+    if line is None:
         return None
-    if list(perm) != list(range(len(perm))):
-        cur, mv = permute_base(cur, perm)
-        moves_a.append(mv)
+    cur, mvs = _reorder_base(cur, line)
+    moves_a.extend(mvs)
     if closed_key(cur) != closed_key(b.semi):
         return None
 

@@ -46,21 +46,10 @@ class ShiftGraph:
 
     def __init__(self, vertices: Iterable[str], edges: dict, out_order: dict):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
         self.edges = {e: (str(a), str(b)) for e, (a, b) in edges.items()}
-        vset = set(self.vertices)
-        for e, (a, b) in self.edges.items():
-            if a not in vset or b not in vset:
-                raise ValueError(f"edge {e}: endpoint not a vertex")
+        for _, message in _structure_faults(self.vertices, self.edges, out_order):
+            raise ValueError(message)
         self.out_order = {v: tuple(out_order.get(v, ())) for v in self.vertices}
-        if set(out_order) - vset:
-            raise ValueError("out_order mentions unknown vertices")
-        for v in self.vertices:
-            listed = self.out_order[v]
-            actual = {e for e, (a, _) in self.edges.items() if a == v}
-            if len(set(listed)) != len(listed) or set(listed) != actual:
-                raise ValueError(f"out_order[{v}] must list each outgoing edge exactly once")
 
     def init(self, edge) -> str:
         return self.edges[edge][0]
@@ -90,6 +79,27 @@ class ShiftGraph:
 
     def __repr__(self):
         return f"ShiftGraph(vertices={self.vertices!r}, edges={len(self.edges)})"
+
+
+def _structure_faults(vertices, edges: dict, out_order: dict):
+    """Structural faults in check order: (statement, message), the statement
+    being ("vertex", v), ("edge", e) or ("order", v)."""
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            yield ("vertex", v), "duplicate vertex ids"
+        seen.add(v)
+    for e, (a, b) in edges.items():
+        if a not in seen or b not in seen:
+            yield ("edge", e), f"edge {e}: endpoint not a vertex"
+    for v in out_order:
+        if v not in seen:
+            yield ("order", v), "out_order mentions unknown vertices"
+    for v in vertices:
+        listed = tuple(out_order.get(v, ()))
+        actual = {e for e, (a, _) in edges.items() if a == v}
+        if len(set(listed)) != len(listed) or set(listed) != actual:
+            yield ("order", v), f"out_order[{v}] must list each outgoing edge exactly once"
 
 
 @dataclass

@@ -264,6 +264,17 @@ def random_element(g: ShiftGraph, base, cfg: GeneratorConfig = None, rng=None) -
     return ForestPair(tuple(dom), tuple(paired), tuple(base))
 
 
+def juxtapose(*pairs: ForestPair) -> ForestPair:
+    """The direct sum f1 + f2 + ...: each pair, re-rooted, acts on its own
+    block of the concatenated base."""
+    dom, ran, base = [], [], ()
+    for fp in pairs:
+        dom += [PathWord(w.root + len(base), w.edges) for w in fp.domain_leaves]
+        ran += [PathWord(w.root + len(base), w.edges) for w in fp.range_leaves]
+        base += fp.base
+    return ForestPair(tuple(dom), tuple(ran), base)
+
+
 def random_graph(cfg: GeneratorConfig = None, rng=None):
     """Seeded random normalized graph plus a random nonempty base."""
     cfg = cfg or GeneratorConfig()

@@ -26,7 +26,7 @@ import re
 
 from .errors import ParseError
 from .forest import ForestPair, validate_forest_pair
-from .graphs import PathWord, ShiftGraph
+from .graphs import PathWord, ShiftGraph, _structure_faults
 
 _PUNCT = ("->", ";", ":", ",", "[", "]", "(", ")", "+", "*", "#", ".")
 # A token is a punctuation mark or a run of \w, which is str.isalnum() or "_".
@@ -95,19 +95,25 @@ def _bracketed(ts: _Tokens, read) -> tuple:
 
 
 def parse_graph(text: str):
-    """Parse a graph file into (ShiftGraph, base tuple)."""
+    """Parse a graph file into (ShiftGraph, base tuple).
+
+    A fault is reported at the statement it concerns, a base entry that is
+    not a vertex at that entry.
+    """
     ts = _Tokens(text)
     ts.next("graph")
     vertices = []
     edges = {}
     order = {}
     base = None
+    at = {}  # ("vertex" | "edge" | "order", name) -> position of its statement
     ts.skip_separators()
     while ts.peek() is not None:
-        tok = ts.peek()
+        tok, here = ts.peek(), ts.where()
         if tok == "vertex":
             ts.next()
             vertices.append(_name(ts, "a vertex name"))
+            at["vertex", vertices[-1]] = here
         elif tok == "edge":
             ts.next()
             eid = _name(ts, "an edge id")
@@ -116,36 +122,37 @@ def parse_graph(text: str):
             ts.next("->")
             b = _name(ts, "a vertex name")
             if eid in edges:
-                ts.error(f"edge {eid} defined twice")
+                raise ParseError(f"edge {eid} defined twice", *here)
             edges[eid] = (a, b)
+            at["edge", eid] = here
         elif tok == "order":
             ts.next()
             v = _name(ts, "a vertex name")
             ts.next(":")
             ids = _bracketed(ts, lambda: _name(ts, "an edge id"))
             if v in order:
-                ts.error(f"order for {v} given twice")
+                raise ParseError(f"order for {v} given twice", *here)
             order[v] = ids
+            at["order", v] = here
         elif tok == "base":
+            if base is not None:
+                raise ParseError("base given twice", *here)
             ts.next()
-            base = _bracketed(ts, lambda: _name(ts, "a vertex name"))
+            base = _bracketed(ts, lambda: (ts.where(), _name(ts, "a vertex name")))
         else:
             ts.error(f"unknown statement {tok!r}")
         ts.skip_separators()
-    line, col = ts.where()
     if base is None:
-        raise ParseError("missing base [...] statement", line, col)
+        ts.error("missing base [...] statement")
     for v in vertices:
         if v not in order:
-            raise ParseError(f"missing mandatory order line for vertex {v}", line, col)
-    for y in base:
+            raise ParseError(f"missing mandatory order line for vertex {v}", *at["vertex", v])
+    for here, y in base:
         if y not in vertices:
-            raise ParseError(f"base entry {y} is not a vertex", line, col)
-    try:
-        g = ShiftGraph(vertices, edges, order)
-    except ValueError as exc:
-        raise ParseError(str(exc), line, col) from exc
-    return g, base
+            raise ParseError(f"base entry {y} is not a vertex", *here)
+    for statement, message in _structure_faults(vertices, edges, order):
+        raise ParseError(message, *at[statement])
+    return ShiftGraph(vertices, edges, order), tuple(y for _, y in base)
 
 
 def _parse_word(ts: _Tokens, g: ShiftGraph, base) -> PathWord:

@@ -8,20 +8,17 @@ import random
 import time
 
 from strandshift.closed import (
+    _loops,
     close,
     decompose_parts,
     permute_base,
     semi_reduce,
     shift_directions,
     shift_expand,
+    skeleton,
     type3_reduce,
 )
-from strandshift.conjugacy import (
-    _loop_components,
-    compare_split_merge,
-    is_conjugate,
-    skeleton,
-)
+from strandshift.conjugacy import compare_split_merge, is_conjugate
 from strandshift.diagrams import (
     canonical_key,
     compose,
@@ -72,13 +69,13 @@ def reduce_loops_at(c, g, vertex):
     taken = set()
     for color in kids:
         pick = next(
-            comp
-            for comp in _loop_components(c)
-            if comp[0] == color and comp[1] == 1 and tuple(comp[2]) not in taken
+            points
+            for loop_color, points in _loops(c)
+            if loop_color == color and len(points) == 1 and points[0] not in taken
         )
-        taken.add(tuple(pick[2]))
+        taken.add(pick[0])
         chosen.append(pick)
-    block = [comp[2][0] for comp in chosen]
+    block = [points[0] for points in chosen]
     rest = [p for p in c.base_line if p not in set(block)]
     perm = tuple(c.base_line.index(p) for p in block + rest)
     c, _ = permute_base(c, perm)

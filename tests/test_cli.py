@@ -128,6 +128,30 @@ def test_parse_errors_carry_position():
         )
 
 
+_ONE_LOOP = "graph vertex R; edge 0: R -> R; order R: [0]; "
+
+
+@pytest.mark.parametrize(
+    "text, message, where",
+    [
+        # a repeated statement fails at its own keyword
+        (_ONE_LOOP + "base [R]; base [R, R]", "base given twice", (1, 57)),
+        (_ONE_LOOP + "\n  order R: [0]; base [R]", "order for R given twice", (2, 3)),
+        ("graph vertex R; edge 0: R -> R; edge 0: R -> R", "edge 0 defined twice", (1, 33)),
+        # faults found after the statement loop point at their statement
+        (_ONE_LOOP + "order Q: [0]; base [R]", "out_order mentions unknown vertices", (1, 47)),
+        ("graph vertex R; vertex R; edge 0: R -> R; order R: [0]; base [R]", "duplicate vertex ids", (1, 17)),
+        (_ONE_LOOP + "base [R, Q]", "base entry Q is not a vertex", (1, 56)),
+        ("graph vertex R\n vertex B; edge 0: R -> R; order R: [0]; base [R]", "order line for vertex B", (2, 2)),
+        (_ONE_LOOP + "\n  edge 1: R -> Q; base [R]", "edge 1: endpoint not a vertex", (2, 3)),
+    ],
+)
+def test_graph_faults_point_at_their_statement(text, message, where):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_graph(text)
+    assert (exc.value.line, exc.value.column) == where
+
+
 _SCANNER_PIECES = [*_PUNCT, "a", "Z", "7", "_", "\u00e9", " ", "\t", "\n", "\r", "$"]
 
 

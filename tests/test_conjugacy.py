@@ -6,22 +6,23 @@ import pytest
 
 from strandshift.closed import (
     ClosedDiagram,
+    _execute_cocycle_plan,
+    _plan_cocycle_moves,
     close,
     components,
+    conjugator_of,
     decompose_parts,
     semi_reduce,
     shift_directions,
     shift_expand,
+    skeleton,
 )
 from strandshift.conjugacy import (
-    _chain_counts,
-    _execute_cocycle_plan,
-    _plan_cocycle_moves,
     _similarity,
+    analyze,
     compare_split_merge,
     conjugator_witness,
     is_conjugate,
-    skeleton,
     solve_integer,
 )
 from strandshift.diagrams import (
@@ -35,7 +36,7 @@ from strandshift.diagrams import (
 from strandshift.errors import LimitExceeded, SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, random_element, random_graph, similar_by_search
+from strandshift.testkit import GeneratorConfig, juxtapose, random_element, random_graph, similar_by_search
 
 
 def caret_loop(fig1, color="B", edges=("1", "2")):
@@ -414,20 +415,65 @@ def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
                 assert match is not None
                 cur = a
                 for comp_a, _, phi, x in match.pairs:
-                    plan = _plan_cocycle_moves(cur, comp_a, x)
+                    plan = _plan_cocycle_moves(sk_a, comp_a, x)
                     assert len(plan) == min(sum(abs(m - x[p]) for p in comp_a) for m in x.values())
                     forward = {(action == "expand") == (len(cur.out_slots[p]) >= 2) for p, action in plan}
                     mixed += forward == {True, False}
                     cur, _ = _execute_cocycle_plan(cur, plan)
                     target = {
-                        (p, j): sk_b.cocycle[sk_b.out_slots[phi[p]][j]]
+                        s: sk_b.cocycle[sk_b.out_slots[phi[p]][j]]
                         for p in comp_a
-                        for j in range(len(cur.out_slots[p]))
+                        for j, s in enumerate(sk_a.out_slots[p])
                     }
-                    assert _chain_counts(cur, comp_a) == target
+                    counts = skeleton(cur).cocycle
+                    assert {s: counts[s] for s in target} == target
                     plans += bool(plan)
     assert plans >= 60
     assert mixed >= 1
+
+
+def test_direct_sums_match_two_components_with_verified_witnesses(fig1):
+    """Step 2's matching between components, and the witness over it.
+
+    On base [B, B], f1 + f2 is conjugate to f2 + f1 (by the block swap) and
+    to a planted conjugate.  The summands are fig1 elements on [B] whose own
+    semi-reduced split-merge part is not empty, so each sum's skeleton has
+    two components.
+    """
+    summands = []
+    for seed in range(40):
+        fp = random_element(fig1, ("B",), GeneratorConfig(seed=seed, growth_steps=7 + seed % 2))
+        if analyze(from_forest_pair(fig1, fp)).part.point_color:
+            summands.append(fp)
+    two = 0
+    for i, (f1, f2) in enumerate(zip(summands[::2], summands[1::2])):
+        f = from_forest_pair(fig1, juxtapose(f1, f2))
+        h = element(fig1, ("B", "B"), 500 + i)
+        for g in (from_forest_pair(fig1, juxtapose(f2, f1)), conjugate_by(invert(h), f)):
+            res = is_conjugate(f, g, fig1)
+            assert res.conjugate
+            two += len(components(res.match.a)) == 2
+            w = conjugator_witness(f, g, res, fig1)
+            assert w is not None and equal(compose(compose(w, g), invert(w)), f)
+    assert two >= 10
+
+
+def test_witness_skips_the_identity_conjugators_of_reductions(fig1, base_bg, monkeypatch):
+    kinds = []
+
+    def recording(mv):
+        kinds.append(mv.kind)
+        return conjugator_of(mv)
+
+    monkeypatch.setattr("strandshift.conjugacy.conjugator_of", recording)
+    reductions = 0
+    for seed in range(10):
+        f, h = element(fig1, base_bg, seed, steps=4), element(fig1, base_bg, seed + 500)
+        g = conjugate_by(invert(h), f)
+        res = is_conjugate(f, g, fig1)
+        assert conjugator_witness(f, g, res, fig1) is not None
+        reductions += sum(mv.kind == "reduce" for a in res.analyses for mv in a.trace)
+    assert reductions >= 10 and kinds and "reduce" not in kinds
 
 
 def test_witness_for_equal_elements_is_identity_class(fig1, base_bg, sigma):
