@@ -142,7 +142,7 @@ def cmd_conj(args):
     lhs = from_forest_pair(g, _load_element(args.lhs, g, base))
     rhs = from_forest_pair(g, _load_element(args.rhs, g, base))
     rng = random.Random(args.seed) if args.seed is not None else None
-    result = is_conjugate(lhs, rhs, g, budget=args.budget, rng=rng)
+    result = is_conjugate(lhs, rhs, g, rng=rng)
     witness_text = None
     if result.conjugate and args.witness:
         w = conjugator_witness(lhs, rhs, result, g, semigroup_cap=args.semigroup_cap)
@@ -243,7 +243,7 @@ def build_parser():
         **{
             "--lhs": dict(required=True),
             "--rhs": dict(required=True),
-            "--budget": dict(type=int, default=2, help="similarity search depth (expanding shifts per unlock)"),
+            "--budget": dict(type=int, default=2, help="ignored: semi-reduction is exact and needs no search depth"),
             "--witness": dict(action="store_true", help="attempt conjugator assembly"),
             "--semigroup-cap": dict(type=int, default=None, help="degree cap for the loop-part witness search"),
         },

@@ -16,6 +16,9 @@ cocycle that counts the base points on each chain between split, merge and
 degenerate points.  A base line shift pushes that cocycle by a point
 coboundary and a permutation leaves it alone, so step 2 compares skeletons,
 and the push planner turns step 2's coboundary back into legal shifts.
+Semi-reduction reads the same skeleton: a split-merge redex can be freed of
+base points by similarities exactly when its strands carry one count, and
+the push planner frees it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .diagrams import (
     permutation_diagram,
     split_diagram,
 )
-from .errors import LimitExceeded, PreconditionError, SignatureMismatch
+from .errors import PreconditionError, SignatureMismatch
 from .graphs import ShiftGraph
 
 
@@ -255,7 +258,8 @@ def unordered_key(c: ClosedDiagram) -> tuple:
 
     Each component is serialized from its best base-point seed, the one whose
     serialization is least; the diagram key is the sorted tuple of component
-    keys.  Used to dedupe similarity search states, where base order is free.
+    keys.  The similarity searches of :mod:`testkit` dedupe their states by
+    it, since base order is free.
     The least serialization is found by seed pruning
     (:func:`_least_serialization`), which gives the same key as serializing
     from every seed.
@@ -546,30 +550,7 @@ def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
 
 
 # ---------------------------------------------------------------------------
-# semi-reduction
-
-def _consolidations(c: ClosedDiagram):
-    """Consolidation opportunities: (mode, point, base points in slot order).
-
-    A merge all of whose immediate predecessors are base points (or a split
-    all of whose immediate successors are) can absorb them after a base
-    permutation brings the points together in slot order.
-    """
-    out = []
-    for p in sorted(c.point_color):
-        if p in c.base_set:
-            continue
-        ind, outd = len(c.in_slots[p]), len(c.out_slots[p])
-        if ind >= 2 and outd == 1:
-            preds = [c.strand_from[s] for s in c.in_slots[p]]
-            if all(q in c.base_set for q in preds):
-                out.append(("down", p, preds))
-        if outd >= 2 and ind == 1:
-            succs = [c.strand_to[s] for s in c.out_slots[p]]
-            if all(q in c.base_set for q in succs):
-                out.append(("up", p, succs))
-    return out
-
+# consolidation
 
 def _reorder_base(c: ClosedDiagram, new_line):
     """Permute the base line so it reads `new_line`: (diagram, moves), no move if it already does."""
@@ -587,101 +568,6 @@ def _consolidate(c: ClosedDiagram, mode, slot_points):
     c, mv = shift_reduce(c, range(first, first + len(slot_points)), mode)
     moves.append(mv)
     return c, moves
-
-
-def semi_reduce(c: ClosedDiagram, budget: int = 2, rng=None, probe: bool = True, max_states: int = 200000):
-    """Apply type 0/1/2 reductions, unlocking them by similarity search.
-
-    Between reductions, a 0/1-cost breadth-first search explores reducing
-    shifts (with their enabling permutations) freely and expanding shifts up
-    to `budget` per reduction attempt.  Each reduction strictly decreases the
-    number of non-base points, so this terminates.  With `probe`, the final
-    search, once it runs dry, is resumed one expanding shift deeper, and
-    LimitExceeded is raised if that finds a redex the configured budget
-    missed; this refuses exactly when a fresh search at budget+1 would, but
-    does not revisit the states the final search already ruled out.
-    `max_states` bounds each search's state set, the resumed part included;
-    exceeding it raises rather than churning.
-
-    Returns (semi-reduced diagram, trace of moves performed).
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    trace = []
-    while True:
-        search = _find_unlockable(c, budget, rng, max_states)
-        found = next(search)
-        if found is None:
-            break
-        c, moves = found
-        trace.extend(moves)
-    if probe and next(search) is not None:
-        raise LimitExceeded(
-            "similarity-budget",
-            f"a redex is reachable at depth {budget + 1} but not {budget}; raise --budget",
-        )
-    return c, trace
-
-
-def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 200000):
-    """0/1-cost BFS over similarity moves for a state admitting a reduction.
-
-    A generator.  It first yields (reduced diagram, moves) for the first
-    reducible state within `budget` expanding shifts, or None when there is
-    none.  Resumed after None, it takes one more expanding shift from each
-    state it popped at cost `budget`, closes the results under 0-cost moves
-    with the same `seen` map, and yields once more.  States pop in
-    nondecreasing cost and none of cost <= budget is reducible, so this
-    second answer is None exactly when a fresh search at budget+1 finds
-    nothing.
-    """
-    start_key = unordered_key(c)
-    queue = deque([(c, [], 0)])
-    seen = {start_key: 0}
-    frontier = []
-    for limit in (budget, budget + 1):
-        while queue:
-            state, path, cost = queue.popleft()
-            nbrs = []
-            if limit == budget or cost == limit:  # frontier states were checked before the resume
-                step = reduce_closed_step(state, rng)
-                if step is not None:
-                    new, mv = step
-                    yield new, path + [mv]
-                    return
-                for mode, _, slot_points in _consolidations(state):
-                    nbrs.append((0, ("cons", mode, slot_points)))
-            if cost < limit:
-                for i in range(len(state.base_line)):
-                    for direction in shift_directions(state, i):
-                        nbrs.append((1, ("exp", i, direction)))
-            elif limit == budget:
-                frontier.append((state, path, cost))
-            if rng is not None:
-                rng.shuffle(nbrs)
-                nbrs.sort(key=lambda t: t[0])
-            for extra, action in nbrs:
-                if action[0] == "cons":
-                    nstate, mvs = _consolidate(state, action[1], action[2])
-                else:
-                    nstate, mv = shift_expand(state, action[1], action[2])
-                    mvs = [mv]
-                ncost = cost + extra
-                key = unordered_key(nstate)
-                if key in seen and seen[key] <= ncost:
-                    continue
-                seen[key] = ncost
-                if len(seen) > max_states:
-                    raise LimitExceeded(
-                        "similarity-states", f"more than {max_states} similarity states explored"
-                    )
-                entry = (nstate, path + mvs, ncost)
-                if extra == 0:
-                    queue.appendleft(entry)
-                else:
-                    queue.append(entry)
-        yield None
-        queue.extend(frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +701,74 @@ def _execute_cocycle_plan(c: ClosedDiagram, plan):
             c, mvs = _consolidate(c, "down", [c.strand_from[s] for s in c.in_slots[p]])
             moves.extend(mvs)
     return c, moves
+
+
+# ---------------------------------------------------------------------------
+# semi-reduction
+
+def _freeable(sk: SplitMergeSkeleton) -> list:
+    """The type 1/2 redexes of a skeleton whose strands carry one count of base points."""
+    return [r for r in find_redexes(sk) if r[0] and len({sk.cocycle[s] for s in sk.out_slots[r[1]]}) == 1]
+
+
+def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
+    """Apply type 0/1/2 reductions until no similar diagram admits one.
+
+    Returns (semi-reduced diagram, trace of moves performed).  `budget` and
+    `probe` are ignored; they stay only until the benchmark's tracer stops
+    passing them.
+
+    Reductions that avoid the base line are taken as they come.  When none
+    is left, the test for one that similarities can reach runs on
+    :func:`skeleton`: similarities keep every split, merge and chain between
+    them, so a reduction of a similar diagram is a type 1/2 skeleton redex
+    (split or merge v, partner w) whose strands carry no base point there.
+
+    "=>": a shift through p adds the coboundary of p to the cocycle c (one
+    off each chain into p, one on each chain out of p, or the reverse) and a
+    permutation leaves it alone.  So a similar diagram has the cocycle
+    c[s] + y(from s) - y(to s) for an integer y, and its counts are
+    non-negative: y(to s) - y(from s) <= c[s] on every strand s.  If it
+    frees the redex, y(w) - y(v) = c[s] holds on the redex's strands.
+    These difference constraints are feasible exactly when the graph
+    weighted by c, plus each redex strand reversed with weight -c[s], has no
+    negative cycle (Cormen-Leiserson-Rivest-Stein, Introduction to
+    Algorithms, 24.4), that is when the cheapest path v ~> w weighs c[s]
+    for every redex strand s.  Every out-strand of v is a redex strand
+    ending at w, so every path out of v begins with one and the cheapest
+    path v ~> w is the lightest redex strand: the system is feasible exactly
+    when the redex strands carry one count t.  A type 2 redex has one strand
+    and always passes; a type 1 redex passes when its strands agree.
+
+    "<=": the shortest-path potentials from a virtual source are then
+    y = -t at v and 0 elsewhere, since every path from v to another point
+    passes w at cost t.  The target cocycle c[s] + y(from s) - y(to s) is
+    non-negative and zero on the redex strands, and
+    :func:`_plan_cocycle_moves` reaches every non-negative cocycle of the
+    class by legal shifts, because every directed cycle crosses the base
+    line and pushes never change cycle sums.  Carrying out its plan on
+    x = -y frees the redex, which the next round reduces.
+
+    Each reduction removes points, so this terminates, and a diagram it
+    returns is semi-reduced: a second call performs no move.
+    """
+    trace = []
+    while True:
+        step = reduce_closed_step(c, rng)
+        if step is not None:
+            c, mv = step
+            trace.append(mv)
+            continue
+        sk = skeleton(c)
+        freeable = _freeable(sk)
+        if not freeable:
+            return c, trace
+        _, v, _ = _choose_redex(freeable, rng, lambda: _bidirectional_order(c, c.base_line))
+        comp = _bidirectional_order(sk, [v])
+        x = dict.fromkeys(comp, 0)
+        x[v] = sk.cocycle[sk.out_slots[v][0]]
+        c, moves = _execute_cocycle_plan(c, _plan_cocycle_moves(sk, comp, x))
+        trace.extend(moves)
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,9 @@ class Analysis:
     loops: dict
 
 
-def analyze(f: StrandDiagram, budget: int = 2, rng=None) -> Analysis:
+def analyze(f: StrandDiagram, rng=None) -> Analysis:
     c = close(f)
-    semi, trace = semi_reduce(c, budget=budget, rng=rng)
+    semi, trace = semi_reduce(c, rng=rng)
     part, loops = decompose_parts(semi)
     return Analysis(c, semi, trace, part, loops)
 
@@ -206,7 +206,6 @@ def is_conjugate(
     f: StrandDiagram,
     g: StrandDiagram,
     graph: ShiftGraph,
-    budget: int = 2,
     rng=None,
 ) -> ConjugacyResult:
     """Decide conjugacy of two group elements over the same graph.
@@ -220,8 +219,8 @@ def is_conjugate(
         return ConjugacyResult(
             False, 0, "domain/range signatures differ; no conjugator can exist"
         )
-    a = analyze(f, budget=budget, rng=rng)
-    b = analyze(g, budget=budget, rng=rng)
+    a = analyze(f, rng=rng)
+    b = analyze(g, rng=rng)
     sizes = (
         (a.semi.splits_merges_degens(), len(a.semi.base_line)),
         (b.semi.splits_merges_degens(), len(b.semi.base_line)),

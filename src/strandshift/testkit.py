@@ -3,21 +3,30 @@
 Nothing here reuses the reduction or conjugacy machinery it is meant to
 check: semantic equality evaluates homeomorphisms word by word, conjugator
 search enumerates candidate elements outright, and the generators build
-forest pairs directly.  The similarity search reuses the closed moves but
-not step 2's skeleton comparison, which is what it checks; the class
-enumeration applies the loop relations one at a time instead of the
-completed rewriting system.  The reference reducer reuses the redex scan and
-the rewrite, but rescans and reorders the whole diagram before every step
-instead of keeping a worklist.
+forest pairs directly.  The similarity searches reuse the closed moves but
+neither step 2's skeleton comparison nor semi-reduction's skeleton
+criterion, which are what they check; the class enumeration applies the
+loop relations one at a time instead of the completed rewriting system.
+The reference reducer reuses the redex scan and the rewrite, but rescans
+and reorders the whole diagram before every step instead of keeping a
+worklist.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 
-from .closed import ClosedDiagram, _consolidate, _consolidations, shift_directions, shift_expand, unordered_key
+from .closed import (
+    ClosedDiagram,
+    _consolidate,
+    reduce_closed_step,
+    shift_directions,
+    shift_expand,
+    unordered_key,
+)
 from .diagrams import (
     StrandDiagram,
     _choose_redex,
@@ -170,6 +179,128 @@ def brute_conjugate(g: ShiftGraph, f, target, size_bound: int = 2):
                 if equal(compose(compose(h, target), invert(h)), f):
                     return h
     return None
+
+
+# ---------------------------------------------------------------------------
+# the budgeted similarity search
+
+def _consolidations(c: ClosedDiagram):
+    """Consolidation opportunities: (mode, point, base points in slot order).
+
+    A merge all of whose immediate predecessors are base points (or a split
+    all of whose immediate successors are) can absorb them after a base
+    permutation brings the points together in slot order.
+    """
+    out = []
+    for p in sorted(c.point_color):
+        if p in c.base_set:
+            continue
+        ind, outd = len(c.in_slots[p]), len(c.out_slots[p])
+        if ind >= 2 and outd == 1:
+            preds = [c.strand_from[s] for s in c.in_slots[p]]
+            if all(q in c.base_set for q in preds):
+                out.append(("down", p, preds))
+        if outd >= 2 and ind == 1:
+            succs = [c.strand_to[s] for s in c.out_slots[p]]
+            if all(q in c.base_set for q in succs):
+                out.append(("up", p, succs))
+    return out
+
+
+def search_semi_reduce(c: ClosedDiagram, budget: int = 2, rng=None, probe: bool = True, max_states: int = 200000):
+    """Semi-reduction by budgeted similarity search, the oracle for
+    :func:`strandshift.closed.semi_reduce`'s exact skeleton criterion.
+
+    Between reductions, a 0/1-cost breadth-first search explores reducing
+    shifts (with their enabling permutations) freely and expanding shifts up
+    to `budget` per reduction attempt.  Each reduction strictly decreases the
+    number of non-base points, so this terminates.  With `probe`, the final
+    search, once it runs dry, is resumed one expanding shift deeper, and
+    LimitExceeded is raised if that finds a redex the configured budget
+    missed; this refuses exactly when a fresh search at budget+1 would, but
+    does not revisit the states the final search already ruled out.
+    `max_states` bounds each search's state set, the resumed part included;
+    exceeding it raises rather than churning.
+
+    Returns (semi-reduced diagram, trace of moves performed).
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    trace = []
+    while True:
+        search = _find_unlockable(c, budget, rng, max_states)
+        found = next(search)
+        if found is None:
+            break
+        c, moves = found
+        trace.extend(moves)
+    if probe and next(search) is not None:
+        raise LimitExceeded(
+            "similarity-budget",
+            f"a redex is reachable at depth {budget + 1} but not {budget}; raise the budget",
+        )
+    return c, trace
+
+
+def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 200000):
+    """0/1-cost BFS over similarity moves for a state admitting a reduction.
+
+    A generator.  It first yields (reduced diagram, moves) for the first
+    reducible state within `budget` expanding shifts, or None when there is
+    none.  Resumed after None, it takes one more expanding shift from each
+    state it popped at cost `budget`, closes the results under 0-cost moves
+    with the same `seen` map, and yields once more.  States pop in
+    nondecreasing cost and none of cost <= budget is reducible, so this
+    second answer is None exactly when a fresh search at budget+1 finds
+    nothing.
+    """
+    start_key = unordered_key(c)
+    queue = deque([(c, [], 0)])
+    seen = {start_key: 0}
+    frontier = []
+    for limit in (budget, budget + 1):
+        while queue:
+            state, path, cost = queue.popleft()
+            nbrs = []
+            if limit == budget or cost == limit:  # frontier states were checked before the resume
+                step = reduce_closed_step(state, rng)
+                if step is not None:
+                    new, mv = step
+                    yield new, path + [mv]
+                    return
+                for mode, _, slot_points in _consolidations(state):
+                    nbrs.append((0, ("cons", mode, slot_points)))
+            if cost < limit:
+                for i in range(len(state.base_line)):
+                    for direction in shift_directions(state, i):
+                        nbrs.append((1, ("exp", i, direction)))
+            elif limit == budget:
+                frontier.append((state, path, cost))
+            if rng is not None:
+                rng.shuffle(nbrs)
+                nbrs.sort(key=lambda t: t[0])
+            for extra, action in nbrs:
+                if action[0] == "cons":
+                    nstate, mvs = _consolidate(state, action[1], action[2])
+                else:
+                    nstate, mv = shift_expand(state, action[1], action[2])
+                    mvs = [mv]
+                ncost = cost + extra
+                key = unordered_key(nstate)
+                if key in seen and seen[key] <= ncost:
+                    continue
+                seen[key] = ncost
+                if len(seen) > max_states:
+                    raise LimitExceeded(
+                        "similarity-states", f"more than {max_states} similarity states explored"
+                    )
+                entry = (nstate, path + mvs, ncost)
+                if extra == 0:
+                    queue.appendleft(entry)
+                else:
+                    queue.append(entry)
+        yield None
+        queue.extend(frontier)
 
 
 def _similarity_neighbors(c: ClosedDiagram):

@@ -294,23 +294,12 @@ def test_conj_command(files, tmp_path, capsys):
     assert code == 0 and "not-conjugate" in out
 
 
-def test_conj_budget_limit_exit_code(files, capsys):
-    code, _, err = run(
-        capsys,
-        [
-            "conj",
-            "--graph",
-            files["fig1.graph"],
-            "--lhs",
-            files["sigma.elem"],
-            "--rhs",
-            files["sigma.elem"],
-            "--budget",
-            "1",
-        ],
-    )
-    assert code == 2
-    assert "similarity-budget" in err
+def test_conj_budget_is_accepted_and_ignored(files, capsys):
+    argv = ["--json", "conj", "--graph", files["fig1.graph"], "--lhs", files["sigma.elem"]]
+    argv += ["--rhs", files["sigma.elem"], "--witness"]
+    plain = run(capsys, argv)
+    assert plain[0] == 0 and json.loads(plain[1])["verdict"] == "conjugate"
+    assert run(capsys, argv + ["--budget", "1"]) == plain
 
 
 def test_semigroup_eq_command(files, capsys):
@@ -570,6 +559,22 @@ def test_dot_output_reuses_the_reduction(args, reductions, stdout, dot_digest, t
     assert code == 0 and out == stdout
     assert hashlib.sha256(dot.read_bytes()).hexdigest()[:16] == dot_digest
     assert len(calls) == reductions
+
+
+def test_conj_former_false_negative_is_conjugate(capsys):
+    """graph3-e9: random graph 3, element seed 9 and its conjugate by element
+    seed 509, which the budget-2 similarity search called "not conjugate".
+    The CI workflow runs the same command."""
+    argv = ["conj", "--graph", str(FIXTURES / "graph3.graph"), "--lhs", str(FIXTURES / "graph3_e9.elem")]
+    argv += ["--rhs", str(FIXTURES / "graph3_e9_conj509.elem"), "--witness"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.startswith("verdict: conjugate\n")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "3898f88e3b6be075"
+    g, base = parse_graph((FIXTURES / "graph3.graph").read_text())
+    texts = [(FIXTURES / name).read_text() for name in ("graph3_e9.elem", "graph3_e9_conj509.elem")]
+    f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])
+    assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
 
 
 def _power_inputs(name, tmp_path, full_shift2):

@@ -26,6 +26,7 @@ from strandshift.conjugacy import (
     solve_integer,
 )
 from strandshift.diagrams import (
+    canonical_key,
     compose,
     equal,
     from_forest_pair,
@@ -33,10 +34,19 @@ from strandshift.diagrams import (
     invert,
     reduce,
 )
-from strandshift.errors import LimitExceeded, SignatureMismatch
+from strandshift.errors import SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, juxtapose, random_element, random_graph, similar_by_search
+from strandshift.testkit import (
+    GeneratorConfig,
+    _color_bijections,
+    brute_conjugate,
+    enumerate_forests,
+    juxtapose,
+    random_element,
+    random_graph,
+    similar_by_search,
+)
 
 
 def caret_loop(fig1, color="B", edges=("1", "2")):
@@ -302,10 +312,7 @@ def test_step2_matches_bruteforce_on_shifted_parts(fig1, base_bg):
 def shifted_parts(g, base, steps, seeds, rng):
     """Semi-reduced split-merge parts and copies moved by 1-3 random expanding shifts."""
     for seed in seeds:
-        try:
-            semi, _ = semi_reduce(close(element(g, base, seed, steps)), budget=4)
-        except LimitExceeded:
-            continue
+        semi, _ = semi_reduce(close(element(g, base, seed, steps)))
         part, _ = decompose_parts(semi)
         if not part.point_color or len(part.base_line) > 6:
             continue
@@ -365,7 +372,7 @@ def test_skeleton_drops_loop_components(fig1, base_bg):
     with_loops = 0
     for seed in range(30):
         c = close(element(fig1, base_bg, seed, steps=2 + seed % 3))
-        for d in (c, semi_reduce(c, budget=3)[0]):
+        for d in (c, semi_reduce(c)[0]):
             part, loops = decompose_parts(d)
             with_loops += bool(loops and part.point_color)
             sk, expected = skeleton(d), skeleton(part)
@@ -378,8 +385,8 @@ def test_step2_pairs_match_recorded_digest(fig1, base_bg):
     """Pins step 2's matched components, isomorphisms and coboundary solutions.
 
     On random graphs 1-5, each element is paired with a planted conjugate,
-    itself and another element at the default budget; then every pair of
-    the multi-component skeletons of :func:`similarity_pool` is matched.
+    itself and another element; then every pair of the multi-component
+    skeletons of :func:`similarity_pool` is matched.
     """
 
     def pairs(match):
@@ -391,16 +398,12 @@ def test_step2_pairs_match_recorded_digest(fig1, base_bg):
         for e in range(6):
             f, h, other = (element(g, base, s, steps=2 + e % 5) for s in (e, e + 500, e + 1000))
             for rhs in (reduce(compose(compose(invert(h), f), h)), f, other):
-                try:
-                    res = is_conjugate(f, rhs, g)
-                except LimitExceeded as exc:
-                    records.append(("refused", exc.limit))
-                    continue
+                res = is_conjugate(f, rhs, g)
                 records.append((res.conjugate, res.step_failed, pairs(res.match)))
     unions = [sk for sk in similarity_pool(fig1, base_bg) if len(components(sk)) > 1]
     records += [pairs(compare_split_merge(a, b)) for a in unions for b in unions]
     assert sum(r is not None for r in records[-len(unions) ** 2 :]) >= 40
-    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "db74e6851e732b24"
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "2aea0995fd48cb2e"
 
 
 def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
@@ -432,6 +435,16 @@ def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
     assert mixed >= 1
 
 
+def direct_summands(fig1):
+    """fig1 elements on [B], growth 7-8, whose semi-reduced split-merge part is not empty."""
+    summands = []
+    for seed in range(40):
+        fp = random_element(fig1, ("B",), GeneratorConfig(seed=seed, growth_steps=7 + seed % 2))
+        if analyze(from_forest_pair(fig1, fp)).part.point_color:
+            summands.append(fp)
+    return summands
+
+
 def test_direct_sums_match_two_components_with_verified_witnesses(fig1):
     """Step 2's matching between components, and the witness over it.
 
@@ -440,11 +453,7 @@ def test_direct_sums_match_two_components_with_verified_witnesses(fig1):
     semi-reduced split-merge part is not empty, so each sum's skeleton has
     two components.
     """
-    summands = []
-    for seed in range(40):
-        fp = random_element(fig1, ("B",), GeneratorConfig(seed=seed, growth_steps=7 + seed % 2))
-        if analyze(from_forest_pair(fig1, fp)).part.point_color:
-            summands.append(fp)
+    summands = direct_summands(fig1)
     two = 0
     for i, (f1, f2) in enumerate(zip(summands[::2], summands[1::2])):
         f = from_forest_pair(fig1, juxtapose(f1, f2))
@@ -456,6 +465,26 @@ def test_direct_sums_match_two_components_with_verified_witnesses(fig1):
             w = conjugator_witness(f, g, res, fig1)
             assert w is not None and equal(compose(compose(w, g), invert(w)), f)
     assert two >= 10
+
+
+def test_direct_sums_with_dissimilar_summands_fail_at_step_2(fig1):
+    """f1 + f2 against f1 + f3 and f3 + f1, where f2 and f3 alone fail at step 2.
+
+    A sum's split-merge part is the disjoint union of its summands' parts,
+    and a multiset of similarity classes cancels, so the sums must fail at
+    step 2 as well: the matching may not pair a component of f1 with f3's.
+    """
+    summands = direct_summands(fig1)
+    checked = 0
+    for f1, f2, f3 in zip(summands, summands[1:], summands[2:]):
+        if is_conjugate(from_forest_pair(fig1, f2), from_forest_pair(fig1, f3), fig1).step_failed != 2:
+            continue
+        lhs = from_forest_pair(fig1, juxtapose(f1, f2))
+        for rhs in (juxtapose(f1, f3), juxtapose(f3, f1)):
+            res = is_conjugate(lhs, from_forest_pair(fig1, rhs), fig1)
+            assert not res.conjugate and res.step_failed == 2
+            checked += 1
+    assert checked >= 10
 
 
 def test_witness_skips_the_identity_conjugators_of_reductions(fig1, base_bg, monkeypatch):
@@ -540,10 +569,7 @@ def test_witness_fuzz_over_random_graphs():
             f = element(g, base, seed)
             h = element(g, base, seed + 31000)
             target = conjugate_by(h, f)
-            try:
-                res = is_conjugate(f, target, g)
-            except LimitExceeded:
-                res = is_conjugate(f, target, g, budget=4)
+            res = is_conjugate(f, target, g)
             assert res.conjugate
             w = conjugator_witness(f, target, res, g)
             assert w is not None
@@ -554,8 +580,6 @@ def test_witness_fuzz_over_random_graphs():
 
 def test_pipeline_negatives_survive_exhaustive_search(fig1, base_bg):
     # a "not conjugate" verdict is falsified if any bounded conjugator works
-    from strandshift.testkit import brute_conjugate
-
     negatives = 0
     for seed in range(25):
         f = element(fig1, base_bg, seed, steps=1)
@@ -567,7 +591,50 @@ def test_pipeline_negatives_survive_exhaustive_search(fig1, base_bg):
     assert negatives >= 10
 
 
-# ROADMAP item 1: planted conjugates f, h^-1 f h that the default budget calls
+def small_elements(g, base, expansions):
+    """Every element whose two forests take at most `expansions` expansions each, reduced, without repeats."""
+    forests = enumerate_forests(g, base, expansions)
+    found = {}
+    for fd, fr in itertools.product(forests, repeat=2):
+        for paired in _color_bijections(g, base, fd, fr):
+            d = reduce(from_forest_pair(g, ForestPair(fd, paired, base)))
+            found.setdefault(canonical_key(d), d)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("graph, base", [("fig1", ("B", "G")), ("full_shift2", ("v",))], ids=["fig1", "full-shift"])
+def test_small_negatives_have_no_brute_force_conjugator(graph, base, request):
+    """Every pair of enumerated small elements: a "not conjugate" must survive
+    the exhaustive conjugator search, and a "conjugate" must come with a
+    verified witness."""
+    g = request.getfixturevalue(graph)
+    negatives = 0
+    for f, target in itertools.combinations(small_elements(g, base, 2), 2):
+        res = is_conjugate(f, target, g)
+        if res.conjugate:
+            w = conjugator_witness(f, target, res, g)
+            assert w is not None and equal(compose(compose(w, target), invert(w)), f)
+        else:
+            negatives += 1
+            assert brute_conjugate(g, f, target, size_bound=2) is None
+    assert negatives >= 100
+
+
+def test_planted_conjugates_at_growth_40_have_verified_witnesses(fig1, base_bg):
+    """Large elements: f and its conjugate by h, both of growth 40, on fig1
+    and random graphs 1-4."""
+    cases = [(fig1, base_bg, e) for e in range(6)]
+    cases += [(*random_graph(GeneratorConfig(seed=gs)), 0) for gs in range(1, 5)]
+    for g, base, e in cases:
+        f, h = element(g, base, e, steps=40), element(g, base, e + 500, steps=40)
+        target = conjugate_by(invert(h), f)
+        res = is_conjugate(f, target, g)
+        assert res.conjugate
+        w = conjugator_witness(f, target, res, g)
+        assert w is not None and equal(compose(compose(w, target), invert(w)), f)
+
+
+# Planted conjugates f, h^-1 f h that the budget-2 similarity search called
 # "not conjugate" at step 2.  Conjugator seed e + 500, same growth as f.
 FALSE_NEGATIVES = [
     pytest.param(dict(seed=3), 9, 2 + 9 % 5, id="graph3-e9"),
@@ -584,9 +651,6 @@ def planted_conjugates(graph_cfg, e, growth):
     return g, f, reduce(compose(compose(invert(h), f), h))
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="budget 2 answers 'not conjugate' at step 2 (ROADMAP item 1)"
-)
 @pytest.mark.parametrize("graph_cfg, e, growth", FALSE_NEGATIVES)
 def test_planted_conjugates_are_conjugate_at_default_budget(graph_cfg, e, growth):
     g, f, target = planted_conjugates(graph_cfg, e, growth)
@@ -595,29 +659,25 @@ def test_planted_conjugates_are_conjugate_at_default_budget(graph_cfg, e, growth
 
 @pytest.mark.parametrize("graph_cfg, e, growth", FALSE_NEGATIVES)
 def test_planted_conjugates_are_never_denied_at_budget_3(graph_cfg, e, growth):
+    """Named for the search budget that refused or denied these pairs; it now
+    runs at default settings, allows no refusal and verifies the witness."""
     g, f, target = planted_conjugates(graph_cfg, e, growth)
-    try:
-        res = is_conjugate(f, target, g, budget=3)
-    except LimitExceeded as exc:
-        assert exc.limit == "similarity-budget"
-    else:
-        assert res.conjugate
+    res = is_conjugate(f, target, g)
+    assert res.conjugate
+    w = conjugator_witness(f, target, res, g)
+    assert w is not None and equal(compose(compose(w, target), invert(w)), f)
 
 
 def test_planted_conjugacy_fuzz_never_denies_at_budget_3():
     """ROADMAP item 1's gate, the slice that fits tier-1: f against its
-    planted conjugate on random graphs 1-20, element seeds 0-5.  A refusal
-    must name the similarity budget; "not conjugate" is never allowed."""
-    denied, refused = [], 0
+    planted conjugate on random graphs 1-20, element seeds 0-5, at default
+    settings.  Neither a refusal nor "not conjugate" is allowed; the name
+    keeps the search budget the gate was first written for."""
+    denied = []
     for seed in range(1, 21):
         for e in range(6):
             g, f, target = planted_conjugates(dict(seed=seed), e, 2 + e % 5)
-            try:
-                res = is_conjugate(f, target, g, budget=3)
-            except LimitExceeded as exc:
-                assert exc.limit == "similarity-budget", (seed, e, exc.limit)
-                refused += 1
-                continue
+            res = is_conjugate(f, target, g)
             if not res.conjugate:
                 denied.append((seed, e, res.step_failed))
-    assert not denied, f"'not conjugate' on planted pairs {denied}; {refused} of 120 refused"
+    assert not denied, f"'not conjugate' on planted pairs {denied}"
