@@ -34,7 +34,7 @@ from collections import deque
 
 from .errors import SignatureMismatch
 from .forest import ForestPair, validate_forest_pair
-from .graphs import PathWord, ShiftGraph, color_of_word
+from .graphs import PathWord, ShiftGraph
 
 
 class _Tables:
@@ -405,36 +405,34 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     range side); nodes with a single child become degenerate points; leaf i
     of the domain forest is glued to leaf i of the range forest.
     """
-    validate_forest_pair(g, fp)
+    domain_internal, range_internal = validate_forest_pair(g, fp)
     b = _Builder()
-    base = fp.base
 
-    def grow(leaves, into, out_of):
+    def grow(leaves, internal, into, out_of):
         """One forest: each node's strand is joined by `into` to the node's
         point (internal nodes only) and by `out_of` to its parent's point, or
         a root's to a new end point.  Returns the end points and the leaves'
         strands, both in order."""
-        internal = {PathWord(w.root, w.edges[:n]) for w in leaves for n in range(len(w.edges))}
         strand_of = {}
 
-        def node(w):
-            color = color_of_word(g, base, w)
+        def node(w, color):
             s = strand_of[w] = b.strand(color)
             if w in internal:
                 p = b.point(color)
                 into(s, p)
+                root, edges = w
                 for e in g.out_order[color]:
-                    out_of(node(w.child(e)), p)
+                    out_of(node((root, edges + (e,)), g.edges[e][1]), p)
             return s
 
         ends = []
-        for i, color in enumerate(base):
+        for i, color in enumerate(fp.base):
             ends.append(b.point(color))
-            out_of(node(PathWord(i)), ends[-1])
+            out_of(node((i, ()), color), ends[-1])
         return ends, [strand_of[w] for w in leaves]
 
-    sources, domain_leaves = grow(fp.domain_leaves, b.attach_target, b.attach_origin)
-    sinks, range_leaves = grow(fp.range_leaves, b.attach_origin, b.attach_target)
+    sources, domain_leaves = grow(fp.domain_leaves, domain_internal, b.attach_target, b.attach_origin)
+    sinks, range_leaves = grow(fp.range_leaves, range_internal, b.attach_origin, b.attach_target)
     # Glue leaf i of the domain forest to leaf i of the range forest: the two
     # dangling strands fuse, keeping the domain-side id.
     for s, t in zip(domain_leaves, range_leaves):

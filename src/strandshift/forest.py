@@ -18,7 +18,6 @@ from .graphs import (
     children,
     color_of_word,
     is_isolated_cylinder,
-    is_valid_word,
 )
 
 
@@ -33,47 +32,82 @@ class ForestPair:
 
 
 def _check_leaf_forest(g: ShiftGraph, base: BaseTuple, leaves, side: str):
-    """Leaves must be valid words forming the leaf set of a complete rooted subforest."""
+    """Check that `leaves` is the leaf set of a complete rooted subforest.
+
+    One pass over the leaves checks each edge against the edge table, rejects
+    a repeated leaf and adds the leaf's proper prefixes to the internal-node
+    dict, longest first, stopping at the first one already there: its own
+    prefixes came with it, so each internal node is built once.  The
+    antichain, completeness and root checks then run against that dict.
+
+    Completeness is a count.  Once the leaves are distinct paths and none is
+    internal, every node but a root fills one child slot of its parent, an
+    internal node, so the forest is complete exactly when the nodes that are
+    not roots number as many as the internal nodes' children.  Only a failed
+    count looks for the missing child, scanning the internal nodes in
+    insertion order, so the fault it names is the first in leaf order
+    whatever the hash seed.
+
+    Returns (internal, colors): `internal` maps each internal node, as a
+    plain (root, edges) tuple, which equals and hashes like its PathWord, to
+    its color; `colors` lists the leaf colors in leaf order.
+    """
+    table = g.edges
     seen = set()
+    internal = {}
+    colors = []
     for w in leaves:
-        if not is_valid_word(g, base, w):
+        root, edges = w
+        if not 0 <= root < len(base):
             raise ValueError(f"{side} leaf {w} is not a path of the graph")
+        at = base[root]
+        for e in edges:
+            ends = table.get(e)
+            if ends is None or ends[0] != at:
+                raise ValueError(f"{side} leaf {w} is not a path of the graph")
+            at = ends[1]
         if w in seen:
             raise ValueError(f"{side} leaf {w} repeated")
         seen.add(w)
-    # Prefix-antichain: no leaf is a prefix of another.
-    for w in leaves:
-        for p_len in range(len(w.edges)):
-            if PathWord(w.root, w.edges[:p_len]) in seen:
+        colors.append(at)
+        for n in range(len(edges) - 1, -1, -1):
+            p = (root, edges[:n])
+            if p in internal:
+                break
+            internal[p] = table[edges[n - 1]][1] if n else base[root]
+    if not seen.isdisjoint(internal):
+        for w in leaves:
+            if any((w.root, w.edges[:n]) in seen for n in range(len(w.edges))):
                 raise ValueError(f"{side} leaves are not an antichain at {w}")
-    # Completeness: every proper prefix of a leaf has all its children present,
-    # each either a leaf or a prefix of one.
-    prefixes = set()
-    for w in leaves:
-        for p_len in range(len(w.edges)):
-            prefixes.add(PathWord(w.root, w.edges[:p_len]))
-    covered = set(prefixes) | seen
-    for p in prefixes:
-        for c in children(g, base, p):
-            if c not in covered:
-                raise ValueError(f"{side} forest incomplete below {p}: missing child {c}")
-    # Rooted: every base position carries at least one leaf.
     roots = {w.root for w in leaves}
-    if roots != set(range(len(base))):
+    if len(seen) + len(internal) - len(roots) != sum(len(g.out_order[c]) for c in internal.values()):
+        for (root, edges), color in internal.items():
+            for e in g.out_order[color]:
+                c = (root, edges + (e,))
+                if c not in internal and c not in seen:
+                    raise ValueError(
+                        f"{side} forest incomplete below {PathWord(root, edges)}: missing child {PathWord(*c)}"
+                    )
+    if len(roots) != len(base):
         raise ValueError(f"{side} forest does not cover every root")
+    return internal, colors
 
 
-def validate_forest_pair(g: ShiftGraph, fp: ForestPair) -> None:
-    """Raise ValueError unless fp is a well-formed color-preserving pair."""
+def validate_forest_pair(g: ShiftGraph, fp: ForestPair):
+    """Raise ValueError unless fp is a well-formed color-preserving pair.
+
+    Returns the internal nodes of the domain and the range forest, as
+    :func:`_check_leaf_forest` gives them.
+    """
     if len(fp.domain_leaves) != len(fp.range_leaves):
         raise ValueError("leaf sequences differ in length")
-    _check_leaf_forest(g, fp.base, fp.domain_leaves, "domain")
-    _check_leaf_forest(g, fp.base, fp.range_leaves, "range")
-    for i, (d, r) in enumerate(zip(fp.domain_leaves, fp.range_leaves)):
-        cd = color_of_word(g, fp.base, d)
-        cr = color_of_word(g, fp.base, r)
-        if cd != cr:
-            raise ValueError(f"pairing not color-preserving at leaf {i}: {cd} vs {cr}")
+    domain, domain_colors = _check_leaf_forest(g, fp.base, fp.domain_leaves, "domain")
+    rng, range_colors = _check_leaf_forest(g, fp.base, fp.range_leaves, "range")
+    if domain_colors != range_colors:
+        for i, (cd, cr) in enumerate(zip(domain_colors, range_colors)):
+            if cd != cr:
+                raise ValueError(f"pairing not color-preserving at leaf {i}: {cd} vs {cr}")
+    return domain, rng
 
 
 def identity_pair(g: ShiftGraph, base: BaseTuple) -> ForestPair:

@@ -9,7 +9,8 @@ criterion, which are what they check; the class enumeration applies the
 loop relations one at a time instead of the completed rewriting system.
 The reference reducer reuses the redex scan and the rewrite, but rescans
 and reorders the whole diagram before every step instead of keeping a
-worklist.
+worklist.  The reference forest check rebuilds every prefix of every leaf
+and tests each internal node's children one by one.
 """
 
 from __future__ import annotations
@@ -42,7 +43,15 @@ from .diagrams import (
 )
 from .errors import LimitExceeded
 from .forest import ForestPair, apply_to_word
-from .graphs import PathWord, ShiftGraph, color_of_word, normalize_graph, validate_graph
+from .graphs import (
+    PathWord,
+    ShiftGraph,
+    children,
+    color_of_word,
+    is_valid_word,
+    normalize_graph,
+    validate_graph,
+)
 from .semigroup import Presentation, _divides
 
 
@@ -116,6 +125,34 @@ def reference_reduce_with_log(d: StrandDiagram, rng=None):
         log.append(chosen[0])
         apply_redex(tabs, chosen)
     return (StrandDiagram(*tabs, d.sources, d.sinks) if log else d), log
+
+
+def reference_check_leaf_forest(g: ShiftGraph, base, leaves, side: str) -> None:
+    """The prefix-by-prefix leaf check that `forest._check_leaf_forest` must
+    match message for message, except which missing child an incomplete
+    forest names: this one takes the first its set of prefixes yields."""
+    seen = set()
+    for w in leaves:
+        if not is_valid_word(g, base, w):
+            raise ValueError(f"{side} leaf {w} is not a path of the graph")
+        if w in seen:
+            raise ValueError(f"{side} leaf {w} repeated")
+        seen.add(w)
+    for w in leaves:
+        for p_len in range(len(w.edges)):
+            if PathWord(w.root, w.edges[:p_len]) in seen:
+                raise ValueError(f"{side} leaves are not an antichain at {w}")
+    prefixes = set()
+    for w in leaves:
+        for p_len in range(len(w.edges)):
+            prefixes.add(PathWord(w.root, w.edges[:p_len]))
+    covered = prefixes | seen
+    for p in prefixes:
+        for c in children(g, base, p):
+            if c not in covered:
+                raise ValueError(f"{side} forest incomplete below {p}: missing child {c}")
+    if {w.root for w in leaves} != set(range(len(base))):
+        raise ValueError(f"{side} forest does not cover every root")
 
 
 def enumerate_forests(g: ShiftGraph, base, max_expansions: int):

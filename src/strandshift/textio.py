@@ -66,8 +66,12 @@ class _Tokens:
         self.pos += 1
         return tok
 
-    def error(self, message):
-        line, col = self.where()
+    def error(self, message, at=None):
+        """Raise at token index `at`, by default at the current token."""
+        if at is None:
+            line, col = self.where()
+        else:
+            _, line, col = self.toks[at]
         raise ParseError(message, line, col)
 
     def skip_separators(self):
@@ -155,49 +159,58 @@ def parse_graph(text: str):
     return ShiftGraph(vertices, edges, order), tuple(y for _, y in base)
 
 
-def _parse_word(ts: _Tokens, g: ShiftGraph, base) -> PathWord:
+def _parse_word(ts: _Tokens, g: ShiftGraph, base, roots: dict) -> PathWord:
+    """Read one path word; `roots` maps each base name to its positions.
+
+    A fault is reported at the root name, occurrence or edge it concerns.
+    """
+    at_name = ts.pos
     name = _name(ts, "a root vertex name")
     occurrence = None
     if ts.peek() == "#":
         ts.next()
-        line, col = ts.where()
+        at_k = ts.pos
         k = _name(ts, "an occurrence number")
         if not k.isdecimal():
-            raise ParseError("occurrence must be a positive integer", line, col)
+            ts.error("occurrence must be a positive integer", at_k)
         occurrence = int(k)
-    positions = [i for i, y in enumerate(base) if y == name]
-    if not positions:
-        ts.error(f"{name} is not an entry of the base {list(base)}")
+    positions = roots.get(name)
+    if positions is None:
+        ts.error(f"{name} is not an entry of the base {list(base)}", at_name)
     if occurrence is None:
         if len(positions) > 1:
-            ts.error(f"base repeats {name}; disambiguate with {name}#k")
+            ts.error(f"base repeats {name}; disambiguate with {name}#k", at_name)
         root = positions[0]
     else:
         if not (1 <= occurrence <= len(positions)):
-            ts.error(f"{name}#{occurrence}: only {len(positions)} occurrence(s)")
+            ts.error(f"{name}#{occurrence}: only {len(positions)} occurrence(s)", at_k)
         root = positions[occurrence - 1]
     edges = []
     at = name
     while ts.peek() == ".":
         ts.next()
         e = _name(ts, "an edge id")
-        if e not in g.edges or g.init(e) != at:
-            ts.error(f"edge {e} does not continue a path at {at}")
+        ends = g.edges.get(e)
+        if ends is None or ends[0] != at:
+            ts.error(f"edge {e} does not continue a path at {at}", ts.pos - 1)
         edges.append(e)
-        at = g.term(e)
+        at = ends[1]
     return PathWord(root, tuple(edges))
 
 
 def parse_element(text: str, g: ShiftGraph, base) -> ForestPair:
     """Parse an element file against a graph and base; validates the pair."""
     ts = _Tokens(text)
+    roots = {}
+    for i, y in enumerate(base):
+        roots.setdefault(y, []).append(i)
     ts.next("element")
     ts.skip_separators()
     ts.next("domain")
-    domain = _bracketed(ts, lambda: _parse_word(ts, g, base))
+    domain = _bracketed(ts, lambda: _parse_word(ts, g, base, roots))
     ts.skip_separators()
     ts.next("range")
-    rng = _bracketed(ts, lambda: _parse_word(ts, g, base))
+    rng = _bracketed(ts, lambda: _parse_word(ts, g, base, roots))
     ts.skip_separators()
     if ts.peek() is not None:
         ts.error("trailing input after element")
@@ -220,8 +233,7 @@ def parse_loops(text: str, vertices) -> dict:
         if tok.isdecimal():
             count = int(tok)
             if count < 1:
-                _, line, col = ts.toks[ts.pos - 1]
-                raise ParseError("multiplier must be a positive integer", line, col)
+                ts.error("multiplier must be a positive integer", ts.pos - 1)
             ts.next("*")
             tok = ts.next("L")
         if tok != "L":

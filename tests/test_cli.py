@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,43 @@ def test_non_numeric_occurrence_fails_at_its_token(files, tmp_path, capsys):
     code, out, err = run(capsys, ["reduce", "--graph", files["fig1.graph"], "--elem", str(elem)])
     assert (code, out) == (1, "")
     assert err == "error: 1:19: occurrence must be a positive integer\n"
+
+
+@pytest.mark.parametrize(
+    "base, text, message, where",
+    [
+        (("B", "G"), "element\n  domain [B.1, R]\n  range [B.1, B.2]", "R is not an entry of the base", (2, 16)),
+        (("B", "B"), "element domain [B#1, B] range [B#2, B#1]", "base repeats B; disambiguate", (1, 22)),
+        (("B", "B"), "element domain [B#1, B#3] range [B#2, B#1]", "B#3: only 2 occurrence", (1, 24)),
+        (("B", "G"), "element domain [B.1, B.9] range [B.1, B.2]", "edge 9 does not continue a path at B", (1, 24)),
+        (("B", "G"), "element domain [B.1, B.2.0, G]\n range [B.1, B.2.0.3, G]", "edge 3 does not continue a path at R", (2, 20)),
+    ],
+    ids=["root", "repeated-base", "occurrence", "edge", "edge-on-line-2"],
+)
+def test_word_faults_point_at_their_token(base, text, message, where):
+    g, _ = parse_graph(FIG1)
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_element(text, g, base)
+    assert (exc.value.line, exc.value.column) == where
+
+
+def test_incomplete_forest_fault_is_the_same_under_every_hash_seed(tmp_path):
+    """The missing child named is the first in leaf order, not the first a
+    set of words happens to yield under the interpreter's hash seed."""
+    root = Path(__file__).resolve().parents[1]
+    elem = tmp_path / "incomplete.elem"
+    elem.write_text("element domain [B.1.3, G.3, G.4] range [B.1.3, G.3, G.4]\n")
+    graph = root / "fixtures" / "three_color.graph"
+    argv = [sys.executable, "-m", "strandshift.cli", "reduce", "--graph", str(graph), "--elem", str(elem)]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    errs = []
+    for seed in ("1", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert "incomplete below PathWord(root=0, edges=('1',)): missing child PathWord(root=0, edges=('1', '4'))" in errs[0]
 
 
 def test_check_graph(files, capsys):

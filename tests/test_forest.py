@@ -4,6 +4,7 @@ import pytest
 
 from strandshift.forest import (
     ForestPair,
+    _check_leaf_forest,
     apply_to_word,
     compose_pairs,
     expand_degenerate,
@@ -12,8 +13,13 @@ from strandshift.forest import (
     invert_pair,
     validate_forest_pair,
 )
-from strandshift.graphs import PathWord, enumerate_words
-from strandshift.testkit import GeneratorConfig, random_element
+from strandshift.graphs import PathWord, children, color_of_word, enumerate_words
+from strandshift.testkit import (
+    GeneratorConfig,
+    random_element,
+    random_graph,
+    reference_check_leaf_forest,
+)
 
 
 def test_sigma_validates(fig1, sigma):
@@ -38,6 +44,74 @@ def test_incomplete_forest_rejected(fig1, base_bg):
     )
     with pytest.raises(ValueError, match="incomplete"):
         validate_forest_pair(fig1, bad)
+
+
+def _single_mutations(g, base, leaves):
+    """Drop, duplicate, extend (in place or beside itself, by any edge of the
+    graph) or re-root one leaf, or swap two."""
+    for i, w in enumerate(leaves):
+        before, after = leaves[:i], leaves[i + 1 :]
+        yield before + after
+        yield before + (w, w) + after
+        for e in g.edges:
+            yield before + (w.child(e),) + after
+            yield before + (w, w.child(e)) + after
+        for r in range(-1, len(base) + 1):
+            if r != w.root:
+                yield before + (PathWord(r, w.edges),) + after
+        for j in range(i + 1, len(leaves)):
+            swapped = list(leaves)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield tuple(swapped)
+
+
+def _fault(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _missing_children(g, base, leaves):
+    """Every (internal node, missing child) pair of a leaf tuple."""
+    prefixes = {PathWord(w.root, w.edges[:n]) for w in leaves for n in range(len(w.edges))}
+    covered = prefixes | set(leaves)
+    return {(p, c) for p in prefixes for c in children(g, base, p) if c not in covered}
+
+
+def test_forest_check_matches_the_reference():
+    """The one-pass check accepts and rejects what the prefix-by-prefix
+    reference does, with the same message, on random elements and on every
+    single mutation of them.  For an incomplete forest the reference names
+    whichever missing child its set yields first, so there the node and
+    child named need only be missing."""
+    checked = incomplete = 0
+    for graph_seed in range(1, 21):
+        g, base = random_graph(GeneratorConfig(seed=graph_seed))
+        for e in range(3):
+            fp = random_element(g, base, GeneratorConfig(seed=e, growth_steps=e + 1))
+            for side, leaves in (("domain", fp.domain_leaves), ("range", fp.range_leaves)):
+                for mutant in (leaves, *_single_mutations(g, base, leaves)):
+                    want = _fault(reference_check_leaf_forest, g, base, mutant, side)
+                    got = _fault(_check_leaf_forest, g, base, mutant, side)
+                    checked += 1
+                    if want is None:
+                        assert not isinstance(got, str), got
+                        internal, colors = got
+                        prefixes = {(w.root, w.edges[:n]) for w in mutant for n in range(len(w.edges))}
+                        assert set(internal) == prefixes
+                        assert all(color_of_word(g, base, PathWord(*p)) == c for p, c in internal.items())
+                        assert colors == [color_of_word(g, base, w) for w in mutant]
+                    elif "incomplete" in want:
+                        incomplete += 1
+                        named = {
+                            f"{side} forest incomplete below {p}: missing child {c}"
+                            for p, c in _missing_children(g, base, mutant)
+                        }
+                        assert got in named, (graph_seed, e, mutant)
+                    else:
+                        assert got == want, (graph_seed, e, mutant)
+    assert checked > 5000 and incomplete > 500
 
 
 def test_apply_to_word_examples(fig1, sigma, base_bg):
