@@ -23,15 +23,16 @@ the push planner frees it.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 from .diagrams import (
     StrandDiagram,
-    _choose_redex,
     _copy_tables,
     _drop_point,
     _drop_strand,
+    _redexes_at,
     _retarget,
     _splice_out,
     _Tables,
@@ -49,7 +50,8 @@ from .graphs import ShiftGraph
 
 class ClosedDiagram(_Tables):
     """The six adopted diagram tables plus the base line, an ordered tuple of
-    base point ids, each of in- and out-degree 1.  Moves never edit them."""
+    base point ids, each of in- and out-degree 1.  Moves never edit them:
+    each edits a :class:`_ClosedTables` copy and builds a new diagram from it."""
 
     __slots__ = ("base_line", "base_set", "_ukey")
 
@@ -69,6 +71,38 @@ class ClosedDiagram(_Tables):
 
     def __repr__(self):
         return f"ClosedDiagram({len(self.point_color)} points, base {self.base_colors()})"
+
+
+class _ClosedTables(_Tables):
+    """Six adopted tables and a base line that the in-place moves edit.
+
+    `base_line` is a list and `base_set` its set.  Each move appends to
+    `moved` the origin of every strand whose target it changes, at the time
+    of the change: those are the only points whose redex predicate it can
+    change (see :func:`semi_reduce`).
+    """
+
+    __slots__ = ("base_line", "base_set", "moved")
+
+    def __init__(self, tabs, base_line):
+        _Tables.__init__(self, *tabs)
+        self.base_line = list(base_line)
+        self.base_set = set(base_line)
+        self.moved = []
+
+    def base_colors(self) -> tuple:
+        return tuple(self.point_color[b] for b in self.base_line)
+
+    def freeze(self) -> ClosedDiagram:
+        """The diagram of the tables and base line; edit them no further."""
+        return ClosedDiagram(*self.tables(), self.base_line)
+
+
+def _edited(c: ClosedDiagram, edit, *args):
+    """Run the in-place move `edit` on a copy of c: (new diagram, what the edit returns)."""
+    w = _ClosedTables(_copy_tables(c), c.base_line)
+    out = edit(w, *args)
+    return w.freeze(), out
 
 
 @dataclass(frozen=True)
@@ -329,8 +363,13 @@ def shift_expand(c: ClosedDiagram, index: int, direction=None):
     """Move the split below (or merge above) base point `index` through the line.
 
     The base point is replaced by one base point per child strand, inserted
-    contiguously at its position in edge order.
+    contiguously at its position in edge order.  Returns (new diagram, move).
     """
+    return _edited(c, _shift_expand, index, direction)
+
+
+def _shift_expand(c: _ClosedTables, index: int, direction):
+    """:func:`shift_expand` in place: the move."""
     avail = shift_directions(c, index)
     if direction is None:
         if len(avail) != 1:
@@ -341,26 +380,29 @@ def shift_expand(c: ClosedDiagram, index: int, direction=None):
     if direction not in avail:
         raise PreconditionError(f"base point {index}: no movable point {direction}")
     b = c.base_line[index]
-    tabs = _copy_tables(c)
+    old = c.base_colors()
+    tabs = c.tables()
     nxt = [_fresh_id(c)]
+    u = c.strand_from[c.in_slots[b][0]]
     if direction == "down":
         v = c.strand_to[c.out_slots[b][0]]
-        new_points = [_subdivide(tabs, nxt, s) for s in c.out_slots[v]]
+        c.moved.append(v)
+        new_points = [_subdivide(tabs, nxt, s) for s in list(c.out_slots[v])]
     else:
-        u = c.strand_from[c.in_slots[b][0]]
-        new_points = [_subdivide(tabs, nxt, s) for s in c.in_slots[u]]
+        c.moved.extend(c.strand_from[s] for s in c.in_slots[u])
+        new_points = [_subdivide(tabs, nxt, s) for s in list(c.in_slots[u])]
+    c.moved.append(u)
     _splice_out(tabs, b)
-    base = list(c.base_line)
-    base[index : index + 1] = new_points
-    new = ClosedDiagram(*tabs, base)
-    move = Move(
+    c.base_line[index : index + 1] = new_points
+    c.base_set.remove(b)
+    c.base_set.update(new_points)
+    return Move(
         "shift-expand",
         (index, direction),
+        old,
         c.base_colors(),
-        new.base_colors(),
-        conj=(index, tuple(new.point_color[p] for p in new_points)),
+        conj=(index, tuple(c.point_color[p] for p in new_points)),
     )
-    return new, move
 
 
 def shift_reduce(c: ClosedDiagram, positions, direction=None):
@@ -369,7 +411,13 @@ def shift_reduce(c: ClosedDiagram, positions, direction=None):
     `positions` must be consecutive ascending base-line indices whose points
     are, in this order, exactly the slot-order predecessors of one merge
     (direction "down") or successors of one split (direction "up").
+    Returns (new diagram, move).
     """
+    return _edited(c, _shift_reduce, positions, direction)
+
+
+def _shift_reduce(c: _ClosedTables, positions, direction):
+    """:func:`shift_reduce` in place: the move."""
     positions = tuple(positions)
     if not positions or positions != tuple(range(positions[0], positions[0] + len(positions))):
         raise PreconditionError("positions must be nonempty, consecutive and ascending")
@@ -392,56 +440,63 @@ def shift_reduce(c: ClosedDiagram, positions, direction=None):
     if not (down_ok if direction == "down" else up_ok):
         raise PreconditionError("points are not the full ordered boundary of one split/merge")
 
-    tabs = _copy_tables(c)
+    old = c.base_colors()
+    tabs = c.tables()
     nxt = [_fresh_id(c)]
     kids = tuple(c.point_color[p] for p in points)
     for p in points:
+        c.moved.append(c.strand_from[c.in_slots[p][0]])
         _splice_out(tabs, p)
-    pc, sc, sf, st, ins, outs = tabs
-    if direction == "down":
-        nb = _subdivide(tabs, nxt, outs[w][0])
-    else:
-        nb = _subdivide(tabs, nxt, ins[v][0])
-    base = [p for p in c.base_line if p not in set(points)]
-    base.insert(positions[0], nb)
-    new = ClosedDiagram(*tabs, base)
-    move = Move(
+    s = c.out_slots[w][0] if direction == "down" else c.in_slots[v][0]
+    c.moved.append(c.strand_from[s])
+    nb = _subdivide(tabs, nxt, s)
+    gone = set(points)
+    c.base_line[:] = [p for p in c.base_line if p not in gone]
+    c.base_line.insert(positions[0], nb)
+    c.base_set -= gone
+    c.base_set.add(nb)
+    return Move(
         "shift-reduce",
         (positions, direction),
+        old,
         c.base_colors(),
-        new.base_colors(),
         conj=(positions[0], kids),
     )
-    return new, move
 
 
 def permute_base(c: ClosedDiagram, perm):
-    """Reorder the base line: new position j holds the old base point perm[j]; c's tables are shared."""
+    """Reorder the base line: new position j holds the old base point perm[j];
+    c's tables are shared, since a permutation edits none.  Returns (new
+    diagram, move)."""
+    w = _ClosedTables(c.tables(), c.base_line)
+    move = _permute_base(w, perm)
+    return w.freeze(), move
+
+
+def _permute_base(c: _ClosedTables, perm):
+    """:func:`permute_base` in place: the move."""
     perm = tuple(perm)
     if sorted(perm) != list(range(len(c.base_line))):
         raise PreconditionError("not a permutation of base positions")
-    base = [c.base_line[j] for j in perm]
-    new = ClosedDiagram(
-        c.point_color, c.strand_color, c.strand_from, c.strand_to, c.in_slots, c.out_slots, base
-    )
-    move = Move("permute", (perm,), c.base_colors(), new.base_colors(), conj=(perm,))
-    return new, move
+    old = c.base_colors()
+    c.base_line[:] = [c.base_line[j] for j in perm]
+    return Move("permute", (perm,), old, c.base_colors(), conj=(perm,))
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
-def reduce_closed_step(c: ClosedDiagram, rng=None):
-    """Perform one type 0/1/2 reduction if any redex avoids the base line."""
-    redexes = find_redexes(c, skip=c.base_set)
-    if not redexes:
-        return None
-    chosen = _choose_redex(redexes, rng, lambda: _bidirectional_order(c, c.base_line))
-    tabs = _copy_tables(c)
-    apply_redex(tabs, chosen)
-    new = ClosedDiagram(*tabs, c.base_line)
-    move = Move("reduce", (chosen[0], chosen[2]), c.base_colors(), new.base_colors())
-    return new, move
+def _reduce(c: _ClosedTables, rtype, payload):
+    """Apply the type 0/1/2 redex with this payload to c in place: the move.
+
+    The payload is that of :func:`strandshift.diagrams.find_redexes`; the
+    in-strands of its primary point change target.
+    """
+    p = payload if rtype == 0 else payload[0]
+    c.moved.extend(c.strand_from[s] for s in c.in_slots[p])
+    apply_redex(c.tables(), (rtype, p, payload))
+    colors = c.base_colors()
+    return Move("reduce", (rtype, payload), colors, colors)
 
 
 def _replace_loops(c: ClosedDiagram, start, block, colors, k) -> ClosedDiagram:
@@ -553,21 +608,29 @@ def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
 # consolidation
 
 def _reorder_base(c: ClosedDiagram, new_line):
-    """Permute the base line so it reads `new_line`: (diagram, moves), no move if it already does."""
-    if tuple(new_line) == c.base_line:
-        return c, []
-    c, mv = permute_base(c, tuple(c.base_line.index(p) for p in new_line))
-    return c, [mv]
+    """Permute the base line so it reads `new_line`: (diagram, moves), no move
+    if it already does; c's tables are shared."""
+    w = _ClosedTables(c.tables(), c.base_line)
+    moves = _reorder(w, new_line)
+    return (w.freeze() if moves else c), moves
 
 
-def _consolidate(c: ClosedDiagram, mode, slot_points):
-    """Permute the given base points together (if needed), then shift-reduce them."""
+def _reorder(c: _ClosedTables, new_line) -> list:
+    """:func:`_reorder_base` in place: the moves."""
+    if list(new_line) == c.base_line:
+        return []
+    at = {p: i for i, p in enumerate(c.base_line)}
+    return [_permute_base(c, tuple(at[p] for p in new_line))]
+
+
+def _consolidate(c: _ClosedTables, mode, slot_points) -> list:
+    """Permute the given base points together (if needed), then shift-reduce
+    them, in place: the moves."""
     first = min(c.base_line.index(p) for p in slot_points)
     rest = [p for p in c.base_line if p not in set(slot_points)]
-    c, moves = _reorder_base(c, rest[:first] + list(slot_points) + rest[first:])
-    c, mv = shift_reduce(c, range(first, first + len(slot_points)), mode)
-    moves.append(mv)
-    return c, moves
+    moves = _reorder(c, rest[:first] + list(slot_points) + rest[first:])
+    moves.append(_shift_reduce(c, range(first, first + len(slot_points)), mode))
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -687,20 +750,22 @@ def _plan_cocycle_moves(sk: SplitMergeSkeleton, comp, x: dict) -> list:
 
 def _execute_cocycle_plan(c: ClosedDiagram, plan):
     """Carry out a push plan on `c` by shifts: (diagram, moves)."""
+    return _edited(c, _push, plan)
+
+
+def _push(c: _ClosedTables, plan) -> list:
+    """:func:`_execute_cocycle_plan` in place: the moves."""
     moves = []
     for p, action in plan:
         is_split = len(c.out_slots[p]) >= 2
         if action == "expand":
             b = c.strand_from[c.in_slots[p][0]] if is_split else c.strand_to[c.out_slots[p][0]]
-            c, mv = shift_expand(c, c.base_line.index(b), "down" if is_split else "up")
-            moves.append(mv)
+            moves.append(_shift_expand(c, c.base_line.index(b), "down" if is_split else "up"))
         elif is_split:
-            c, mvs = _consolidate(c, "up", [c.strand_to[s] for s in c.out_slots[p]])
-            moves.extend(mvs)
+            moves.extend(_consolidate(c, "up", [c.strand_to[s] for s in c.out_slots[p]]))
         else:
-            c, mvs = _consolidate(c, "down", [c.strand_from[s] for s in c.in_slots[p]])
-            moves.extend(mvs)
-    return c, moves
+            moves.extend(_consolidate(c, "down", [c.strand_from[s] for s in c.in_slots[p]]))
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +774,63 @@ def _execute_cocycle_plan(c: ClosedDiagram, plan):
 def _freeable(sk: SplitMergeSkeleton) -> list:
     """The type 1/2 redexes of a skeleton whose strands carry one count of base points."""
     return [r for r in find_redexes(sk) if r[0] and len({sk.cocycle[s] for s in sk.out_slots[r[1]]}) == 1]
+
+
+class _ResumableBaseOrder:
+    """`_bidirectional_order(c, c.base_line)` for tables under reductions:
+    extended only until it meets a point a query asks for, and cut back
+    before every rewrite.
+
+    `seq` lists the points discovered so far and `index` inverts it;
+    positions below `head` have been processed, and processing position h
+    began when `seq` held `mark[h]` points.  The base line seeds the whole
+    order, so a move that changes it needs a new one.
+    """
+
+    __slots__ = ("c", "seq", "index", "mark", "head")
+
+    def __init__(self, c):
+        self.c = c
+        self.seq = list(dict.fromkeys(c.base_line))
+        self.index = {p: i for i, p in enumerate(self.seq)}
+        self.mark = []
+        self.head = 0
+
+    def first(self, points):
+        """The point of `points`, a nonempty set or dict, that comes first."""
+        if len(points) == 1:
+            return next(iter(points))
+        c, seq, index = self.c, self.seq, self.index
+        found = [index[p] for p in points if p in index]
+        while not found:
+            h = self.head
+            if h == len(seq):
+                raise ValueError("component without a base point")
+            self.head = h + 1
+            self.mark.append(len(seq))
+            p = seq[h]
+            for q in itertools.chain(
+                [c.strand_to[s] for s in c.out_slots[p]], [c.strand_from[s] for s in c.in_slots[p]]
+            ):
+                if q not in index:
+                    if q in points:
+                        found.append(len(seq))
+                    index[q] = len(seq)
+                    seq.append(q)
+        return seq[min(found)]
+
+    def cut(self, points):
+        """Forget what processing any of `points` discovered, and everything
+        after it; `points` are those a rewrite removes or re-links."""
+        head, index = self.head, self.index
+        done = [index[p] for p in points if index.get(p, head) < head]
+        if done:
+            h = min(done)
+            i = self.mark[h]
+            for q in self.seq[i:]:
+                del index[q]
+            del self.seq[i:], self.mark[h:]
+            self.head = h
 
 
 def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
@@ -751,24 +873,82 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
 
     Each reduction removes points, so this terminates, and a diagram it
     returns is semi-reduced: a second call performs no move.
+
+    Every move edits one copy of c's tables and base line in place, and one
+    diagram is built at the end; when no move applies, c itself is
+    returned.  The off-base redexes are found once and kept per type, keyed
+    by primary point, as in :func:`strandshift.diagrams.reduce_with_log`
+    with the base points skipped.  The redex test at q reads the degrees of
+    q and of the target w of its out-strands, w's color, in-slots and base
+    membership.  No move changes the degrees of a point it keeps, so a move
+    changes the test only at the origins of the strands whose target it
+    changes (a point that fed w by another strand before and after fails
+    the type 1 test both times), and only those are tested again: for a
+    reduction, the origins of its primary's in-strands; for a shift, of the
+    strands into the base points it removes and of those its new base
+    points cut.
+
+    The moves and ids are those of a full rescan before every step
+    (:func:`strandshift.testkit.reference_semi_reduce`).  Both take the
+    least (type, rank) redex, or freeable redex, the rank taken in the
+    current `_bidirectional_order(c, c.base_line)`.  `_ResumableBaseOrder`
+    builds that order only as far as the first candidate, and not at all
+    for a single one.  Before a reduction it forgets what processing a
+    point the rewrite removes or re-links discovered, and all after it, so
+    what it keeps read no changed slot; a shift changes the base line,
+    which seeds the order, so it starts over.  With `rng`, both pick
+    uniformly in `point_color` order, which in-place edits keep as copies
+    did.  Fresh ids are :func:`_fresh_id` of the live tables.
     """
+    live = ({}, {}, {})
+    for r in find_redexes(c, skip=c.base_set):
+        live[r[0]][r[1]] = r
+    if not any(live) and not _freeable(skeleton(c)):
+        return c, []
+    w = _ClosedTables(_copy_tables(c), c.base_line)
+    order = _ResumableBaseOrder(w)
     trace = []
     while True:
-        step = reduce_closed_step(c, rng)
-        if step is not None:
-            c, mv = step
-            trace.append(mv)
-            continue
-        sk = skeleton(c)
-        freeable = _freeable(sk)
-        if not freeable:
-            return c, trace
-        _, v, _ = _choose_redex(freeable, rng, lambda: _bidirectional_order(c, c.base_line))
-        comp = _bidirectional_order(sk, [v])
-        x = dict.fromkeys(comp, 0)
-        x[v] = sk.cocycle[sk.out_slots[v][0]]
-        c, moves = _execute_cocycle_plan(c, _plan_cocycle_moves(sk, comp, x))
-        trace.extend(moves)
+        if any(live):
+            if rng is not None:
+                found = [t[p] for p in w.point_color for t in live if p in t]
+                rtype, p, payload = found[rng.randrange(len(found))]
+            else:
+                t = live[0] or live[1] or live[2]
+                rtype, p, payload = t[order.first(t)]
+            gone = (p,) if rtype == 0 else payload
+            order.cut(
+                [w.strand_from[s] for s in w.in_slots[p]]
+                + [w.strand_to[s] for s in w.out_slots[gone[-1]]]
+                + list(gone)
+            )
+            trace.append(_reduce(w, rtype, payload))
+        else:
+            sk = skeleton(w)
+            freeable = _freeable(sk)
+            if not freeable:
+                break
+            if rng is not None:
+                v = freeable[rng.randrange(len(freeable))][1]
+            else:
+                least = min(r[0] for r in freeable)
+                v = order.first({r[1] for r in freeable if r[0] == least})
+            comp = _bidirectional_order(sk, [v])
+            x = dict.fromkeys(comp, 0)
+            x[v] = sk.cocycle[sk.out_slots[v][0]]
+            plan = _plan_cocycle_moves(sk, comp, x)
+            assert plan, "a free redex is missing from the worklist"
+            trace.extend(_push(w, plan))
+            order = _ResumableBaseOrder(w)
+            gone = ()
+        moved = [q for q in w.moved if q in w.point_color]
+        w.moved.clear()
+        for q in itertools.chain(gone, moved):
+            for t in live:
+                t.pop(q, None)
+        for r in _redexes_at(w, moved, w.base_set):
+            live[r[0]][r[1]] = r
+    return w.freeze(), trace
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +964,7 @@ def replay(c: ClosedDiagram, moves, g: ShiftGraph = None):
         elif mv.kind == "permute":
             c, _ = permute_base(c, *mv.data)
         elif mv.kind == "reduce":
-            rtype, payload = mv.data
-            tabs = _copy_tables(c)
-            apply_redex(tabs, (rtype, None, payload))
-            c = ClosedDiagram(*tabs, c.base_line)
+            c, _ = _edited(c, _reduce, *mv.data)
         elif mv.kind == "type3":
             c, _ = type3_reduce(c, g, *mv.data)
         elif mv.kind == "type3-expand":

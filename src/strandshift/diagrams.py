@@ -56,6 +56,10 @@ class _Tables:
         self.in_slots = in_slots
         self.out_slots = out_slots
 
+    def tables(self) -> tuple:
+        """The six dicts themselves, in constructor order."""
+        return (self.point_color, self.strand_color, self.strand_from, self.strand_to, self.in_slots, self.out_slots)
+
 
 class StrandDiagram(_Tables):
     """Diagram value: the six adopted tables, never edited after
@@ -558,15 +562,6 @@ def apply_redex(tabs, redex):
         for s_j, t_j in pairs:
             _retarget(st, ins, s_j, t_j)
             _drop_strand(tabs, t_j)
-
-
-def _choose_redex(redexes, rng, order_of):
-    """The default redex order: least (type, order[primary point]) with
-    order = order_of(), or a uniform pick when `rng` is given."""
-    if rng is not None:
-        return redexes[rng.randrange(len(redexes))]
-    order = order_of()
-    return min(redexes, key=lambda r: (r[0], order[r[1]]))
 
 
 class _ResumableOrder:

@@ -17,6 +17,7 @@ from .graphs import (
     ShiftGraph,
     children,
     color_of_word,
+    format_word,
     is_isolated_cylinder,
 )
 
@@ -29,6 +30,15 @@ class ForestPair:
 
     def __len__(self):
         return len(self.domain_leaves)
+
+
+class LeafFault(ValueError):
+    """A forest pair fault at one leaf: leaf `index` of the `side` sequence."""
+
+    def __init__(self, message: str, side: str, index: int):
+        super().__init__(message)
+        self.side = side
+        self.index = index
 
 
 def _check_leaf_forest(g: ShiftGraph, base: BaseTuple, leaves, side: str):
@@ -51,23 +61,28 @@ def _check_leaf_forest(g: ShiftGraph, base: BaseTuple, leaves, side: str):
     Returns (internal, colors): `internal` maps each internal node, as a
     plain (root, edges) tuple, which equals and hashes like its PathWord, to
     its color; `colors` lists the leaf colors in leaf order.
+
+    A fault is a :class:`LeafFault` at the leaf it names, or for an
+    incomplete forest at the first leaf below the node missing a child.
+    Words are named as the element format writes them, except a leaf that
+    is not a path of the graph, which may have no written form.
     """
     table = g.edges
     seen = set()
     internal = {}
     colors = []
-    for w in leaves:
+    for i, w in enumerate(leaves):
         root, edges = w
         if not 0 <= root < len(base):
-            raise ValueError(f"{side} leaf {w} is not a path of the graph")
+            raise LeafFault(f"{side} leaf {w} is not a path of the graph", side, i)
         at = base[root]
         for e in edges:
             ends = table.get(e)
             if ends is None or ends[0] != at:
-                raise ValueError(f"{side} leaf {w} is not a path of the graph")
+                raise LeafFault(f"{side} leaf {w} is not a path of the graph", side, i)
             at = ends[1]
         if w in seen:
-            raise ValueError(f"{side} leaf {w} repeated")
+            raise LeafFault(f"{side} leaf {format_word(w, base)} repeated", side, i)
         seen.add(w)
         colors.append(at)
         for n in range(len(edges) - 1, -1, -1):
@@ -76,17 +91,22 @@ def _check_leaf_forest(g: ShiftGraph, base: BaseTuple, leaves, side: str):
                 break
             internal[p] = table[edges[n - 1]][1] if n else base[root]
     if not seen.isdisjoint(internal):
-        for w in leaves:
+        for i, w in enumerate(leaves):
             if any((w.root, w.edges[:n]) in seen for n in range(len(w.edges))):
-                raise ValueError(f"{side} leaves are not an antichain at {w}")
+                raise LeafFault(f"{side} leaves are not an antichain at {format_word(w, base)}", side, i)
     roots = {w.root for w in leaves}
     if len(seen) + len(internal) - len(roots) != sum(len(g.out_order[c]) for c in internal.values()):
         for (root, edges), color in internal.items():
             for e in g.out_order[color]:
-                c = (root, edges + (e,))
+                c = PathWord(root, edges + (e,))
                 if c not in internal and c not in seen:
-                    raise ValueError(
-                        f"{side} forest incomplete below {PathWord(root, edges)}: missing child {PathWord(*c)}"
+                    p = PathWord(root, edges)
+                    below = next(i for i, w in enumerate(leaves) if p.is_prefix_of(w))
+                    raise LeafFault(
+                        f"{side} forest incomplete below {format_word(p, base)}: "
+                        f"missing child {format_word(c, base)}",
+                        side,
+                        below,
                     )
     if len(roots) != len(base):
         raise ValueError(f"{side} forest does not cover every root")
@@ -94,7 +114,8 @@ def _check_leaf_forest(g: ShiftGraph, base: BaseTuple, leaves, side: str):
 
 
 def validate_forest_pair(g: ShiftGraph, fp: ForestPair):
-    """Raise ValueError unless fp is a well-formed color-preserving pair.
+    """Raise ValueError unless fp is a well-formed color-preserving pair; a
+    :class:`LeafFault` names the leaf at fault, a colour fault the range leaf.
 
     Returns the internal nodes of the domain and the range forest, as
     :func:`_check_leaf_forest` gives them.
@@ -106,7 +127,7 @@ def validate_forest_pair(g: ShiftGraph, fp: ForestPair):
     if domain_colors != range_colors:
         for i, (cd, cr) in enumerate(zip(domain_colors, range_colors)):
             if cd != cr:
-                raise ValueError(f"pairing not color-preserving at leaf {i}: {cd} vs {cr}")
+                raise LeafFault(f"pairing not color-preserving at leaf {i}: {cd} vs {cr}", "range", i)
     return domain, rng
 
 

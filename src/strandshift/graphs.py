@@ -139,6 +139,15 @@ def color_of_word(g: ShiftGraph, base: BaseTuple, w: PathWord) -> str:
     return base[w.root]
 
 
+def format_word(w: PathWord, base: BaseTuple) -> str:
+    """The word as the element format writes it: `B.1.4`, or `B#2.1` when
+    the base repeats B."""
+    name = base[w.root]
+    positions = [i for i, y in enumerate(base) if y == name]
+    root = name if len(positions) == 1 else f"{name}#{positions.index(w.root) + 1}"
+    return ".".join([root, *w.edges])
+
+
 def is_valid_word(g: ShiftGraph, base: BaseTuple, w: PathWord) -> bool:
     if not (0 <= w.root < len(base)):
         return False

@@ -7,10 +7,11 @@ forest pairs directly.  The similarity searches reuse the closed moves but
 neither step 2's skeleton comparison nor semi-reduction's skeleton
 criterion, which are what they check; the class enumeration applies the
 loop relations one at a time instead of the completed rewriting system.
-The reference reducer reuses the redex scan and the rewrite, but rescans
-and reorders the whole diagram before every step instead of keeping a
-worklist.  The reference forest check rebuilds every prefix of every leaf
-and tests each internal node's children one by one.
+The reference reducer and the reference semi-reduction reuse the redex
+scan and the moves, but rescan and reorder the whole diagram before every
+step instead of keeping a worklist, and the semi-reduction builds a new
+diagram at every move.  The reference forest check rebuilds every prefix
+of every leaf and tests each internal node's children one by one.
 """
 
 from __future__ import annotations
@@ -22,15 +23,20 @@ from dataclasses import dataclass
 
 from .closed import (
     ClosedDiagram,
+    _bidirectional_order,
     _consolidate,
-    reduce_closed_step,
+    _edited,
+    _execute_cocycle_plan,
+    _freeable,
+    _plan_cocycle_moves,
+    _reduce,
     shift_directions,
     shift_expand,
+    skeleton,
     unordered_key,
 )
 from .diagrams import (
     StrandDiagram,
-    _choose_redex,
     _copy_tables,
     _forward_order,
     _Tables,
@@ -48,6 +54,7 @@ from .graphs import (
     ShiftGraph,
     children,
     color_of_word,
+    format_word,
     is_valid_word,
     normalize_graph,
     validate_graph,
@@ -113,6 +120,15 @@ def semantic_equal(g: ShiftGraph, f1: ForestPair, f2: ForestPair, depth: int) ->
     return True
 
 
+def _choose_redex(redexes, rng, order_of):
+    """The default redex order: least (type, order[primary point]) with
+    order = order_of(), or a uniform pick when `rng` is given."""
+    if rng is not None:
+        return redexes[rng.randrange(len(redexes))]
+    order = order_of()
+    return min(redexes, key=lambda r: (r[0], order[r[1]]))
+
+
 def reference_reduce_with_log(d: StrandDiagram, rng=None):
     """The full-scan reducer that `diagrams.reduce_with_log` must match id
     for id: before every rewrite it scans the whole diagram for redexes and
@@ -127,6 +143,40 @@ def reference_reduce_with_log(d: StrandDiagram, rng=None):
     return (StrandDiagram(*tabs, d.sources, d.sinks) if log else d), log
 
 
+def reduce_closed_step(c: ClosedDiagram, rng=None):
+    """One type 0/1/2 reduction away from the base line, chosen after a full
+    scan and a full order: (new diagram, move), or None when there is none."""
+    redexes = find_redexes(c, skip=c.base_set)
+    if not redexes:
+        return None
+    chosen = _choose_redex(redexes, rng, lambda: _bidirectional_order(c, c.base_line))
+    return _edited(c, _reduce, chosen[0], chosen[2])
+
+
+def reference_semi_reduce(c: ClosedDiagram, rng=None):
+    """The from-scratch loop that `closed.semi_reduce` must match move for
+    move and id for id: before every step it scans the whole diagram for
+    redexes and recomputes the whole order, and every move builds a new
+    diagram."""
+    trace = []
+    while True:
+        step = reduce_closed_step(c, rng)
+        if step is not None:
+            c, mv = step
+            trace.append(mv)
+            continue
+        sk = skeleton(c)
+        freeable = _freeable(sk)
+        if not freeable:
+            return c, trace
+        _, v, _ = _choose_redex(freeable, rng, lambda: _bidirectional_order(c, c.base_line))
+        comp = _bidirectional_order(sk, [v])
+        x = dict.fromkeys(comp, 0)
+        x[v] = sk.cocycle[sk.out_slots[v][0]]
+        c, moves = _execute_cocycle_plan(c, _plan_cocycle_moves(sk, comp, x))
+        trace.extend(moves)
+
+
 def reference_check_leaf_forest(g: ShiftGraph, base, leaves, side: str) -> None:
     """The prefix-by-prefix leaf check that `forest._check_leaf_forest` must
     match message for message, except which missing child an incomplete
@@ -136,12 +186,12 @@ def reference_check_leaf_forest(g: ShiftGraph, base, leaves, side: str) -> None:
         if not is_valid_word(g, base, w):
             raise ValueError(f"{side} leaf {w} is not a path of the graph")
         if w in seen:
-            raise ValueError(f"{side} leaf {w} repeated")
+            raise ValueError(f"{side} leaf {format_word(w, base)} repeated")
         seen.add(w)
     for w in leaves:
         for p_len in range(len(w.edges)):
             if PathWord(w.root, w.edges[:p_len]) in seen:
-                raise ValueError(f"{side} leaves are not an antichain at {w}")
+                raise ValueError(f"{side} leaves are not an antichain at {format_word(w, base)}")
     prefixes = set()
     for w in leaves:
         for p_len in range(len(w.edges)):
@@ -150,7 +200,9 @@ def reference_check_leaf_forest(g: ShiftGraph, base, leaves, side: str) -> None:
     for p in prefixes:
         for c in children(g, base, p):
             if c not in covered:
-                raise ValueError(f"{side} forest incomplete below {p}: missing child {c}")
+                raise ValueError(
+                    f"{side} forest incomplete below {format_word(p, base)}: missing child {format_word(c, base)}"
+                )
     if {w.root for w in leaves} != set(range(len(base))):
         raise ValueError(f"{side} forest does not cover every root")
 
@@ -318,7 +370,7 @@ def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 
                 nbrs.sort(key=lambda t: t[0])
             for extra, action in nbrs:
                 if action[0] == "cons":
-                    nstate, mvs = _consolidate(state, action[1], action[2])
+                    nstate, mvs = _edited(state, _consolidate, action[1], action[2])
                 else:
                     nstate, mv = shift_expand(state, action[1], action[2])
                     mvs = [mv]
@@ -342,7 +394,7 @@ def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 
 
 def _similarity_neighbors(c: ClosedDiagram):
     for mode, _, slot_points in _consolidations(c):
-        yield _consolidate(c, mode, slot_points)[0]
+        yield _edited(c, _consolidate, mode, slot_points)[0]
     for i in range(len(c.base_line)):
         for direction in shift_directions(c, i):
             yield shift_expand(c, i, direction)[0]

@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .forest import ForestPair, validate_forest_pair
-from .graphs import PathWord, ShiftGraph, _structure_faults
+from .forest import ForestPair, LeafFault, validate_forest_pair
+from .graphs import PathWord, ShiftGraph, _structure_faults, format_word
 
 _PUNCT = ("->", ";", ":", ",", "[", "]", "(", ")", "+", "*", "#", ".")
 # A token is a punctuation mark or a run of \w, which is str.isalnum() or "_".
@@ -199,26 +199,34 @@ def _parse_word(ts: _Tokens, g: ShiftGraph, base, roots: dict) -> PathWord:
 
 
 def parse_element(text: str, g: ShiftGraph, base) -> ForestPair:
-    """Parse an element file against a graph and base; validates the pair."""
+    """Parse an element file against a graph and base; validates the pair.
+
+    A fault of the pair at one leaf is reported at that leaf's first token;
+    one that concerns no single leaf, at the end of the element.
+    """
     ts = _Tokens(text)
     roots = {}
     for i, y in enumerate(base):
         roots.setdefault(y, []).append(i)
     ts.next("element")
     ts.skip_separators()
-    ts.next("domain")
-    domain = _bracketed(ts, lambda: _parse_word(ts, g, base, roots))
-    ts.skip_separators()
-    ts.next("range")
-    rng = _bracketed(ts, lambda: _parse_word(ts, g, base, roots))
-    ts.skip_separators()
+    starts = {}  # side -> token index of each leaf's first token
+    leaves = {}
+    for side in ("domain", "range"):
+        ts.next(side)
+        read = _bracketed(ts, lambda: (ts.pos, _parse_word(ts, g, base, roots)))
+        starts[side] = [at for at, _ in read]
+        leaves[side] = tuple(w for _, w in read)
+        ts.skip_separators()
     if ts.peek() is not None:
         ts.error("trailing input after element")
-    fp = ForestPair(domain, rng, tuple(base))
+    fp = ForestPair(leaves["domain"], leaves["range"], tuple(base))
     line, col = ts.where()
     try:
         validate_forest_pair(g, fp)
     except ValueError as exc:
+        if isinstance(exc, LeafFault):
+            _, line, col = ts.toks[starts[exc.side][exc.index]]
         raise ParseError(str(exc), line, col) from exc
     return fp
 
@@ -269,13 +277,6 @@ def format_graph(g: ShiftGraph, base) -> str:
     )
     lines.append(f"base [{', '.join(base)}]")
     return "\n".join(lines) + "\n"
-
-
-def format_word(w: PathWord, base) -> str:
-    name = base[w.root]
-    positions = [i for i, y in enumerate(base) if y == name]
-    root = name if len(positions) == 1 else f"{name}#{positions.index(w.root) + 1}"
-    return ".".join([root, *w.edges])
 
 
 def format_element(fp: ForestPair) -> str:

@@ -226,7 +226,27 @@ def test_incomplete_forest_fault_is_the_same_under_every_hash_seed(tmp_path):
         assert (proc.returncode, proc.stdout) == (1, "")
         errs.append(proc.stderr)
     assert errs[0] == errs[1]
-    assert "incomplete below PathWord(root=0, edges=('1',)): missing child PathWord(root=0, edges=('1', '4'))" in errs[0]
+    assert errs[0] == "error: 1:17: domain forest incomplete below B.1: missing child B.1.4\n"
+
+
+@pytest.mark.parametrize(
+    "base, text, message, where",
+    [
+        (("B", "G"), "element\n  domain [B.1, B.1, B.2, G]\n  range [B.1, B.2, G.3, G.4]", "domain leaf B.1 repeated", (2, 16)),
+        (("B", "G"), "element domain [B.1, B.2, G.3, G.4]\n  range [B.1.3, B.1, B.2, G]", "range leaves are not an antichain at B.1.3", (2, 10)),
+        (("B", "G"), "element domain [B.1, B.2, G.3, G.4]\n  range [B.1, B.2.0, G.3.3, G.3.4]", "range forest incomplete below G: missing child G.4", (2, 22)),
+        (("B", "B"), "element domain [B#1.1, B#1.2, B#2] range [B#1, B#2.1.3, B#2.2]", "range forest incomplete below B#2.1: missing child B#2.1.4", (1, 48)),
+        (("B", "G"), "element domain [B.1, B.2, G]\n  range [B.2, B.1, G]", "not color-preserving at leaf 0: G vs R", (2, 10)),
+    ],
+    ids=["repeated", "antichain", "incomplete", "incomplete-repeated-base", "colour"],
+)
+def test_forest_faults_point_at_their_leaf(base, text, message, where):
+    """A fault of the forest check is reported at the first token of the leaf
+    it concerns, with words named as written."""
+    g, _ = parse_graph(FIG1)
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_element(text, g, base)
+    assert (exc.value.line, exc.value.column) == where
 
 
 def test_check_graph(files, capsys):

@@ -13,7 +13,6 @@ from strandshift.closed import (
     cut,
     decompose_parts,
     permute_base,
-    reduce_closed_step,
     replay,
     semi_reduce,
     shift_directions,
@@ -36,7 +35,14 @@ from strandshift.diagrams import (
 from strandshift.errors import LimitExceeded, PreconditionError, SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, random_element, random_graph, search_semi_reduce
+from strandshift.testkit import (
+    GeneratorConfig,
+    random_element,
+    random_graph,
+    reduce_closed_step,
+    reference_semi_reduce,
+    search_semi_reduce,
+)
 
 from conftest import loops_closed
 
@@ -533,6 +539,41 @@ def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_
 
 
 TABLES = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
+
+
+def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg):
+    """The worklist semi-reduction against the loop that rescans, reorders
+    and rebuilds the diagram before every step: the same Move records, the
+    same tables in the same insertion order (slot lists included) and the
+    same base line, by default and with a seeded uniform pick.  The forms
+    are fig1 elements at growth 8-10, random graphs 1-25 at element seeds
+    0-11, and planted conjugates at growth 40 (f and h f h^-1, on fig1 and
+    random graphs 1-4)."""
+
+    def element(g, base, seed, steps):
+        return from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=steps)))
+
+    forms = [fig1_element(fig1, base_bg, seed) for seed in range(60)]
+    for gs in range(1, 26):
+        g, base = random_graph(GeneratorConfig(seed=gs))
+        forms += [close(element(g, base, e, 2 + e % 5)) for e in range(12)]
+    cases = [(fig1, base_bg, e) for e in range(6)] + [(*random_graph(GeneratorConfig(seed=gs)), 0) for gs in range(1, 5)]
+    for g, base, e in cases:
+        f, h = element(g, base, e, 40), element(g, base, e + 500, 40)
+        forms += [close(f), close(reduce(compose(compose(h, f), invert(h))))]
+    moved = 0
+    for k, c in enumerate(forms):
+        for rng in (None, k):
+            got, want = (
+                run(c, rng=None if rng is None else random.Random(rng)) for run in (semi_reduce, reference_semi_reduce)
+            )
+            assert got[1] == want[1], (k, rng)
+            assert [list(getattr(got[0], t).items()) for t in TABLES] == [
+                list(getattr(want[0], t).items()) for t in TABLES
+            ], (k, rng)
+            assert got[0].base_line == want[0].base_line, (k, rng)
+            moved += bool(want[1])
+    assert len(forms) == 380 and moved > 500
 
 
 def snapshot(c):

@@ -13,7 +13,7 @@ from strandshift.forest import (
     invert_pair,
     validate_forest_pair,
 )
-from strandshift.graphs import PathWord, children, color_of_word, enumerate_words
+from strandshift.graphs import PathWord, children, color_of_word, enumerate_words, format_word
 from strandshift.testkit import (
     GeneratorConfig,
     random_element,
@@ -105,7 +105,7 @@ def test_forest_check_matches_the_reference():
                     elif "incomplete" in want:
                         incomplete += 1
                         named = {
-                            f"{side} forest incomplete below {p}: missing child {c}"
+                            f"{side} forest incomplete below {format_word(p, base)}: missing child {format_word(c, base)}"
                             for p, c in _missing_children(g, base, mutant)
                         }
                         assert got in named, (graph_seed, e, mutant)
