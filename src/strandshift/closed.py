@@ -8,8 +8,10 @@ reorder it; both are similarities and conjugate the cut element.  Type 0/1/2
 reductions act away from the base line; type 3 reductions collapse interleaved
 loops whose colors form the out-star of a common vertex.
 
-Every move returns the new diagram plus a :class:`Move` record that carries
-enough data to replay the move and to build the conjugating diagram.
+Each move kind is one in-place edit of a :class:`_ClosedTables` copy that
+returns a :class:`Move` record, with enough data to replay the move and to
+build the conjugating diagram.  Its public name runs the edit on a fresh
+copy and returns (new diagram, move).
 
 The skeleton of a split-merge part splices its base points out into a
 cocycle that counts the base points on each chain between split, merge and
@@ -51,7 +53,8 @@ from .graphs import ShiftGraph
 class ClosedDiagram(_Tables):
     """The six adopted diagram tables plus the base line, an ordered tuple of
     base point ids, each of in- and out-degree 1.  Moves never edit them:
-    each edits a :class:`_ClosedTables` copy and builds a new diagram from it."""
+    a move's public name runs its in-place edit on a :class:`_ClosedTables`
+    copy and builds a new diagram from it."""
 
     __slots__ = ("base_line", "base_set", "_ukey")
 
@@ -74,20 +77,21 @@ class ClosedDiagram(_Tables):
 
 
 class _ClosedTables(_Tables):
-    """Six adopted tables and a base line that the in-place moves edit.
+    """A copy of a closed diagram's tables and base line that the in-place
+    moves edit.
 
-    `base_line` is a list and `base_set` its set.  Each move appends to
-    `moved` the origin of every strand whose target it changes, at the time
-    of the change: those are the only points whose redex predicate it can
-    change (see :func:`semi_reduce`).
+    `base_line` is a list and `base_set` its set.  Each shift and reduction
+    appends to `moved` the origin of every strand whose target it changes,
+    at the time of the change: those are the only points whose redex
+    predicate it can change (see :func:`semi_reduce`).
     """
 
     __slots__ = ("base_line", "base_set", "moved")
 
-    def __init__(self, tabs, base_line):
-        _Tables.__init__(self, *tabs)
-        self.base_line = list(base_line)
-        self.base_set = set(base_line)
+    def __init__(self, c: ClosedDiagram):
+        _Tables.__init__(self, *_copy_tables(c))
+        self.base_line = list(c.base_line)
+        self.base_set = set(c.base_line)
         self.moved = []
 
     def base_colors(self) -> tuple:
@@ -100,7 +104,7 @@ class _ClosedTables(_Tables):
 
 def _edited(c: ClosedDiagram, edit, *args):
     """Run the in-place move `edit` on a copy of c: (new diagram, what the edit returns)."""
-    w = _ClosedTables(_copy_tables(c), c.base_line)
+    w = _ClosedTables(c)
     out = edit(w, *args)
     return w.freeze(), out
 
@@ -465,12 +469,9 @@ def _shift_reduce(c: _ClosedTables, positions, direction):
 
 
 def permute_base(c: ClosedDiagram, perm):
-    """Reorder the base line: new position j holds the old base point perm[j];
-    c's tables are shared, since a permutation edits none.  Returns (new
-    diagram, move)."""
-    w = _ClosedTables(c.tables(), c.base_line)
-    move = _permute_base(w, perm)
-    return w.freeze(), move
+    """Reorder the base line: new position j holds the old base point perm[j].
+    Like every move, it edits a copy of c.  Returns (new diagram, move)."""
+    return _edited(c, _permute_base, perm)
 
 
 def _permute_base(c: _ClosedTables, perm):
@@ -499,20 +500,20 @@ def _reduce(c: _ClosedTables, rtype, payload):
     return Move("reduce", (rtype, payload), colors, colors)
 
 
-def _replace_loops(c: ClosedDiagram, start, block, colors, k) -> ClosedDiagram:
-    """c with the loop points `block`, at base positions from `start` on,
-    replaced by d = len(colors) interleaved loops of winding k.
+def _replace_loops(c: _ClosedTables, start, block, colors, k):
+    """Replace the loop points `block`, at base positions from `start` on,
+    by d = len(colors) interleaved loops of winding k, in place.
 
     Loop j has color colors[j] and visits the new base positions start+j,
-    start+j+d, ...  New ids run on from c's largest: the points in base
-    order, then the strands loop by loop.
+    start+j+d, ...  New ids run on from the largest before the drops: the
+    points in base order, then the strands loop by loop.
     """
-    tabs = pc, sc, sf, st, ins, outs = _copy_tables(c)
+    tabs = pc, sc, sf, st, ins, outs = c.tables()
+    first = _fresh_id(c)
     for b in block:
         _drop_strand(tabs, outs[b][0])
         _drop_point(tabs, b)
     d = len(colors)
-    first = _fresh_id(c)
     new_points = list(range(first, first + k * d))
     for p in new_points:
         ins[p] = []
@@ -531,9 +532,9 @@ def _replace_loops(c: ClosedDiagram, start, block, colors, k) -> ClosedDiagram:
             outs[a].append(s)
             ins[b].append(s)
             s += 1
-    base = list(c.base_line)
-    base[start : start + len(block)] = new_points
-    return ClosedDiagram(*tabs, base)
+    c.base_line[start : start + len(block)] = new_points
+    c.base_set.difference_update(block)
+    c.base_set.update(new_points)
 
 
 def type3_reduce(c: ClosedDiagram, g: ShiftGraph, start: int, d: int, k: int, vertex=None):
@@ -543,7 +544,13 @@ def type3_reduce(c: ClosedDiagram, g: ShiftGraph, start: int, d: int, k: int, ve
     d loops: loop j visits positions start+j, start+j+d, ... and the loop
     colors v_1..v_d must be the ordered child colors of a common vertex.  The
     replacement is a single loop of that vertex's color with k base points.
+    Returns (new diagram, move).
     """
+    return _edited(c, _type3_reduce, g, start, d, k, vertex)
+
+
+def _type3_reduce(c: _ClosedTables, g: ShiftGraph, start: int, d: int, k: int, vertex):
+    """:func:`type3_reduce` in place: the move."""
     if k < 1 or d < 1:
         raise PreconditionError(f"winding k={k} and loop count d={d} must be positive")
     n = k * d
@@ -565,15 +572,9 @@ def type3_reduce(c: ClosedDiagram, g: ShiftGraph, start: int, d: int, k: int, ve
     elif vertex not in candidates:
         raise PreconditionError(f"vertex {vertex} does not have ordered children {kids}")
 
-    new = _replace_loops(c, start, block, (vertex,), k)
-    move = Move(
-        "type3",
-        (start, d, k, vertex),
-        c.base_colors(),
-        new.base_colors(),
-        conj=(start, kids, k),
-    )
-    return new, move
+    old = c.base_colors()
+    _replace_loops(c, start, block, (vertex,), k)
+    return Move("type3", (start, d, k, vertex), old, c.base_colors(), conj=(start, kids, k))
 
 
 def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
@@ -581,7 +582,13 @@ def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
 
     Base positions start..start+k-1 must hold one `vertex`-colored loop of
     winding k, visited in this order; it becomes d interleaved child loops.
+    Returns (new diagram, move).
     """
+    return _edited(c, _type3_expand, g, start, k, vertex)
+
+
+def _type3_expand(c: _ClosedTables, g: ShiftGraph, start: int, k: int, vertex):
+    """:func:`type3_expand` in place: the move."""
     if k < 1:
         raise PreconditionError(f"winding k={k} must be positive")
     if not (0 <= start and start + k <= len(c.base_line)):
@@ -593,30 +600,17 @@ def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
     if c.point_color[block[0]] != vertex:
         raise PreconditionError("loop color differs from vertex")
     kids = g.child_colors(vertex)
-    new = _replace_loops(c, start, block, kids, k)
-    move = Move(
-        "type3-expand",
-        (start, k, vertex),
-        c.base_colors(),
-        new.base_colors(),
-        conj=(start, kids, k),
-    )
-    return new, move
+    old = c.base_colors()
+    _replace_loops(c, start, block, kids, k)
+    return Move("type3-expand", (start, k, vertex), old, c.base_colors(), conj=(start, kids, k))
 
 
 # ---------------------------------------------------------------------------
 # consolidation
 
-def _reorder_base(c: ClosedDiagram, new_line):
-    """Permute the base line so it reads `new_line`: (diagram, moves), no move
-    if it already does; c's tables are shared."""
-    w = _ClosedTables(c.tables(), c.base_line)
-    moves = _reorder(w, new_line)
-    return (w.freeze() if moves else c), moves
-
-
 def _reorder(c: _ClosedTables, new_line) -> list:
-    """:func:`_reorder_base` in place: the moves."""
+    """Permute the base line in place so it reads `new_line`: the moves, none
+    if it already does."""
     if list(new_line) == c.base_line:
         return []
     at = {p: i for i, p in enumerate(c.base_line)}
@@ -748,13 +742,9 @@ def _plan_cocycle_moves(sk: SplitMergeSkeleton, comp, x: dict) -> list:
     return plan
 
 
-def _execute_cocycle_plan(c: ClosedDiagram, plan):
-    """Carry out a push plan on `c` by shifts: (diagram, moves)."""
-    return _edited(c, _push, plan)
-
-
 def _push(c: _ClosedTables, plan) -> list:
-    """:func:`_execute_cocycle_plan` in place: the moves."""
+    """Carry out a push plan of :func:`_plan_cocycle_moves` by shifts, in
+    place: the moves."""
     moves = []
     for p, action in plan:
         is_split = len(c.out_slots[p]) >= 2
@@ -905,7 +895,7 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
         live[r[0]][r[1]] = r
     if not any(live) and not _freeable(skeleton(c)):
         return c, []
-    w = _ClosedTables(_copy_tables(c), c.base_line)
+    w = _ClosedTables(c)
     order = _ResumableBaseOrder(w)
     trace = []
     while True:
@@ -954,21 +944,19 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
 # ---------------------------------------------------------------------------
 # replay
 
-def replay(c: ClosedDiagram, moves, g: ShiftGraph = None):
-    """Re-apply a recorded move sequence; returns the final diagram."""
+def replay(c: ClosedDiagram, moves, g: ShiftGraph = None) -> ClosedDiagram:
+    """Re-apply a recorded move sequence to one copy of c; returns the final diagram."""
+    edits = {
+        "shift-expand": _shift_expand,
+        "shift-reduce": _shift_reduce,
+        "permute": _permute_base,
+        "reduce": _reduce,
+        "type3": lambda w, *data: _type3_reduce(w, g, *data),
+        "type3-expand": lambda w, *data: _type3_expand(w, g, *data),
+    }
+    w = _ClosedTables(c)
     for mv in moves:
-        if mv.kind == "shift-expand":
-            c, _ = shift_expand(c, *mv.data)
-        elif mv.kind == "shift-reduce":
-            c, _ = shift_reduce(c, *mv.data)
-        elif mv.kind == "permute":
-            c, _ = permute_base(c, *mv.data)
-        elif mv.kind == "reduce":
-            c, _ = _edited(c, _reduce, *mv.data)
-        elif mv.kind == "type3":
-            c, _ = type3_reduce(c, g, *mv.data)
-        elif mv.kind == "type3-expand":
-            c, _ = type3_expand(c, g, *mv.data)
-        else:
+        if mv.kind not in edits:
             raise ValueError(f"unknown move {mv.kind}")
-    return c
+        edits[mv.kind](w, *mv.data)
+    return w.freeze()

@@ -24,11 +24,14 @@ from .closed import (
     ClosedDiagram,
     SplitMergeSkeleton,
     _bidirectional_order,
-    _execute_cocycle_plan,
+    _ClosedTables,
     _loops,
     _plan_cocycle_moves,
-    _reorder_base,
+    _push,
+    _reorder,
     _serialize,
+    _type3_expand,
+    _type3_reduce,
     close,
     components,
     conjugator_of,
@@ -36,8 +39,6 @@ from .closed import (
     decompose_parts,
     semi_reduce,
     skeleton,
-    type3_expand,
-    type3_reduce,
 )
 from .diagrams import StrandDiagram, compose, equal, identity_diagram, invert, reduce
 from .errors import SignatureMismatch
@@ -257,9 +258,10 @@ def _fold_conjugators(moves, base_colors) -> StrandDiagram:
     return h
 
 
-def _realize_semigroup_path(c: ClosedDiagram, graph: ShiftGraph, pres, path):
-    """Apply a loops-semigroup relation path by type 3 moves, each on a loop
-    block first brought to the front of the base line."""
+def _realize_semigroup_path(c: _ClosedTables, graph: ShiftGraph, pres, path) -> list:
+    """Apply a loops-semigroup relation path to c in place by type 3 moves,
+    each on a loop block first brought to the front of the base line: the
+    moves."""
     moves = []
     for ridx, sign in path:
         vtx, k = pres.relation_info[ridx]
@@ -273,17 +275,15 @@ def _realize_semigroup_path(c: ClosedDiagram, graph: ShiftGraph, pres, path):
         else:
             block = next(points for color, points in loops if color == vtx)
         front = set(block)
-        c, mvs = _reorder_base(c, block + [p for p in c.base_line if p not in front])
-        moves.extend(mvs)
+        moves.extend(_reorder(c, block + [p for p in c.base_line if p not in front]))
         if sign > 0:
-            c, mv = type3_reduce(c, graph, 0, len(kids), k, vertex=vtx)
+            moves.append(_type3_reduce(c, graph, 0, len(kids), k, vertex=vtx))
         else:
-            c, mv = type3_expand(c, graph, 0, k, vtx)
-        moves.append(mv)
-    return c, moves
+            moves.append(_type3_expand(c, graph, 0, k, vtx))
+    return moves
 
 
-def _aligned_base_line(c: ClosedDiagram, target: ClosedDiagram, match: SkeletonMatch):
+def _aligned_base_line(c: _ClosedTables, target: ClosedDiagram, match: SkeletonMatch):
     """c's base line ordered as target's under the point bijection extending the match.
 
     After realization each matched component of c, base points included, is
@@ -314,17 +314,17 @@ def conjugator_witness(
     The step 2 coboundary is always realized by legal shifts.  The witness is
     best-effort only through step 3: the loop-part equality must be
     witnessed by a bounded relation path.  The returned diagram is verified
-    by diagram algebra before returning.
+    by diagram algebra before returning.  Every move edits one copy of
+    a's semi-reduced diagram in place.
     """
     if not (result.conjugate and result.analyses):
         return None
     a, b = result.analyses
     moves_a = list(a.trace)
-    cur = a.semi
+    cur = _ClosedTables(a.semi)
 
     for comp_a, _, _, x in result.match.pairs:
-        cur, mvs = _execute_cocycle_plan(cur, _plan_cocycle_moves(result.match.a, comp_a, x))
-        moves_a.extend(mvs)
+        moves_a.extend(_push(cur, _plan_cocycle_moves(result.match.a, comp_a, x)))
 
     if a.loops or b.loops:
         n = max(max_winding(a.loops), max_winding(b.loops))
@@ -335,15 +335,13 @@ def conjugator_witness(
         path = bfs_path(va, vb, pres, cap)
         if path is None:
             return None
-        cur, mvs = _realize_semigroup_path(cur, graph, pres, path)
-        moves_a.extend(mvs)
+        moves_a.extend(_realize_semigroup_path(cur, graph, pres, path))
 
     line = _aligned_base_line(cur, b.semi, result.match)
     if line is None:
         return None
-    cur, mvs = _reorder_base(cur, line)
-    moves_a.extend(mvs)
-    if closed_key(cur) != closed_key(b.semi):
+    moves_a.extend(_reorder(cur, line))
+    if closed_key(cur.freeze()) != closed_key(b.semi):
         return None
 
     h_a = _fold_conjugators(moves_a, f.domain())

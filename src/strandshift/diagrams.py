@@ -19,9 +19,8 @@ core that closed diagrams (closed.py) share; a closed diagram trades the
 source and sink orders for a base line.
 
 Constructors adopt, and every edit copies once: a diagram keeps the six dicts
-it is given and never changes them, so an inverse or a base permutation shares
-its input's tables, and an edit rewrites one :func:`_copy_tables` copy in
-place.  Copies and builders hold slot sequences as lists; a hand-built
+it is given and never changes them, so an inverse shares its input's
+tables, and an edit rewrites one :func:`_copy_tables` copy in place.  Copies and builders hold slot sequences as lists; a hand-built
 diagram may use tuples, but not both, since type 1 redexes compare whole
 slot sequences.
 """

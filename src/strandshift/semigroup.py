@@ -11,7 +11,8 @@ of every relation are nonzero, so the monoid congruence restricted to nonzero
 vectors is the semigroup congruence.  Congruence equality is decided by
 completing the pure-difference binomial rewriting system (Buchberger on
 binomials under a graded lexicographic order) and comparing normal forms; an
-independent bidirectional search over relation applications cross-checks it.
+independent bidirectional search over relation applications cross-checks it
+and gives the relation paths that witnesses realize.
 
 Because no relation mixes windings, stage N is the direct sum of N copies of
 the winding-1 presentation.  Generators are ordered winding-major, so winding
@@ -210,77 +211,54 @@ def decide_equal(a: tuple, b: tuple, p: Presentation, max_rules: int = DEFAULT_M
 # independent oracle
 
 def bfs_equal(a: tuple, b: tuple, p: Presentation, cap: int) -> str:
-    """Bidirectional search applying relations both ways, degree-capped.
-
-    Returns "equal" (always sound) or "not-equal-within-cap" (sound only as a
-    statement about derivations whose intermediate degrees stay <= cap).
-    """
-    if cap < max(sum(a), sum(b)):
-        raise ValueError("cap below the degree of an input")
-    if a == b:
-        return "equal"
-    steps = []
-    for u, v in p.relations:
-        steps.append((u, v))
-        steps.append((v, u))
-
-    def neighbors(m):
-        for u, v in steps:
-            if _divides(u, m):
-                n = tuple(x - c + d for x, c, d in zip(m, u, v))
-                if sum(n) <= cap:
-                    yield n
-
-    front_a, front_b = {a}, {b}
-    seen_a, seen_b = {a}, {b}
-    while front_a and front_b:
-        if len(front_a) > len(front_b):
-            front_a, front_b = front_b, front_a
-            seen_a, seen_b = seen_b, seen_a
-        nxt = set()
-        for m in front_a:
-            for n in neighbors(m):
-                if n in seen_b:
-                    return "equal"
-                if n not in seen_a:
-                    seen_a.add(n)
-                    nxt.add(n)
-        front_a = nxt
-    return "not-equal-within-cap"
+    """:func:`bfs_path`'s verdict: "equal" (always sound) or
+    "not-equal-within-cap" (sound only as a statement about derivations
+    whose intermediate degrees stay <= cap)."""
+    return "equal" if bfs_path(a, b, p, cap) is not None else "not-equal-within-cap"
 
 
 def bfs_path(a: tuple, b: tuple, p: Presentation, cap: int):
     """A relation-application path from a to b within the degree cap, or None.
 
     Each step is (relation index, +1 | -1): +1 rewrites children-sum to parent
-    (a type 3 reduction on the diagram side), -1 the inverse expansion.
+    (a type 3 reduction on the diagram side), -1 the inverse expansion.  The
+    search is bidirectional: it grows the smaller frontier by one level and
+    keeps a parent map per side.  Relations apply both ways, so the half of
+    the path found from b's side is read backwards with its signs flipped.
     """
     if cap < max(sum(a), sum(b)):
         raise ValueError("cap below the degree of an input")
     if a == b:
         return []
-    parents = {a: None}
-    frontier = [a]
-    while frontier:
+    steps = []
+    for ridx, (u, v) in enumerate(p.relations):
+        steps.append((ridx, u, v, +1))
+        steps.append((ridx, v, u, -1))
+
+    def walk(parents, m):
+        """The steps that led to m, last first."""
+        out = []
+        while parents[m] is not None:
+            m, ridx, sign = parents[m]
+            out.append((ridx, sign))
+        return out
+
+    parents = ({a: None}, {b: None})
+    fronts = [[a], [b]]
+    while fronts[0] and fronts[1]:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        mine, other = parents[side], parents[1 - side]
         nxt = []
-        for m in frontier:
-            for ridx, (u, v) in enumerate(p.relations):
-                for lhs, rhs, sign in ((u, v, +1), (v, u, -1)):
-                    if _divides(lhs, m):
-                        n = tuple(x - c + d for x, c, d in zip(m, lhs, rhs))
-                        if sum(n) <= cap and n not in parents:
-                            parents[n] = (m, ridx, sign)
-                            if n == b:
-                                path = []
-                                cur = n
-                                while parents[cur] is not None:
-                                    prev, r, s = parents[cur]
-                                    path.append((r, s))
-                                    cur = prev
-                                path.reverse()
-                                return path
-                            nxt.append(n)
-        frontier = nxt
+        for m in fronts[side]:
+            for ridx, lhs, rhs, sign in steps:
+                if _divides(lhs, m):
+                    n = tuple(x - c + d for x, c, d in zip(m, lhs, rhs))
+                    if sum(n) <= cap and n not in mine:
+                        mine[n] = (m, ridx, sign)
+                        if n in other:
+                            return walk(parents[0], n)[::-1] + [(r, -s) for r, s in walk(parents[1], n)]
+                        nxt.append(n)
+        fronts[side] = nxt
     return None
 
 

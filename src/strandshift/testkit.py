@@ -26,9 +26,9 @@ from .closed import (
     _bidirectional_order,
     _consolidate,
     _edited,
-    _execute_cocycle_plan,
     _freeable,
     _plan_cocycle_moves,
+    _push,
     _reduce,
     shift_directions,
     shift_expand,
@@ -173,7 +173,7 @@ def reference_semi_reduce(c: ClosedDiagram, rng=None):
         comp = _bidirectional_order(sk, [v])
         x = dict.fromkeys(comp, 0)
         x[v] = sk.cocycle[sk.out_slots[v][0]]
-        c, moves = _execute_cocycle_plan(c, _plan_cocycle_moves(sk, comp, x))
+        c, moves = _edited(c, _push, _plan_cocycle_moves(sk, comp, x))
         trace.extend(moves)
 
 

@@ -7,6 +7,7 @@ import pytest
 from strandshift import closed, testkit
 from strandshift.closed import (
     ClosedDiagram,
+    _loops,
     close,
     closed_key,
     conjugator_of,
@@ -22,6 +23,7 @@ from strandshift.closed import (
     type3_reduce,
     unordered_key,
 )
+from strandshift.conjugacy import conjugator_witness, is_conjugate
 from strandshift.diagrams import (
     canonical_key,
     compose,
@@ -581,7 +583,9 @@ def snapshot(c):
 
 
 def test_moves_leave_their_input_tables_unchanged(fig1, base_bg):
-    """Every move builds its result from one copy; the input's tables never change."""
+    """Every move builds its result from one copy, and so does a replay; the
+    input's tables never change.  The witness edits one copy of the first
+    semi-reduced diagram in place, and the analyses keep theirs."""
 
     def unchanged(move, c, *args):
         before = snapshot(c)
@@ -607,3 +611,25 @@ def test_moves_leave_their_input_tables_unchanged(fig1, base_bg):
     merged, _ = unchanged(type3_reduce, loops, fig1, 0, 2, 2)
     split, _ = unchanged(type3_expand, merged, fig1, 0, 2, "B")
     assert unordered_key(split) == unordered_key(loops)
+
+    # one replay through all six kinds: the trace, then semi's G loop brought
+    # to the front, split into interleaved (G, B) loops and merged back
+    points = next(pts for color, pts in _loops(semi) if color == "G")
+    front = [semi.base_line.index(p) for p in points]
+    to_front = unchanged(permute_base, semi, front + [i for i in range(len(semi.base_line)) if i not in front])
+    expand = unchanged(type3_expand, to_front[0], fig1, 0, len(points), "G")
+    contract = unchanged(type3_reduce, expand[0], fig1, 0, 2, len(points))
+    moves = trace + [to_front[1], expand[1], contract[1]]
+    assert {m.kind for m in moves} == {"shift-expand", "shift-reduce", "permute", "reduce", "type3", "type3-expand"}
+    assert snapshot(unchanged(replay, c, moves, fig1)) == snapshot(contract[0])
+
+    def element(seed):
+        return from_forest_pair(fig1, random_element(fig1, base_bg, GeneratorConfig(seed=seed, growth_steps=3)))
+
+    f, h = element(8), element(1008)
+    g = reduce(compose(compose(h, f), invert(h)))
+    result = is_conjugate(f, g, fig1)
+    assert result.conjugate and all(a.loops for a in result.analyses)
+    before = [snapshot(a.semi) for a in result.analyses]
+    assert conjugator_witness(f, g, result, fig1) is not None
+    assert [snapshot(a.semi) for a in result.analyses] == before

@@ -6,8 +6,9 @@ import pytest
 
 from strandshift.closed import (
     ClosedDiagram,
-    _execute_cocycle_plan,
+    _edited,
     _plan_cocycle_moves,
+    _push,
     close,
     components,
     conjugator_of,
@@ -422,7 +423,7 @@ def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
                     assert len(plan) == min(sum(abs(m - x[p]) for p in comp_a) for m in x.values())
                     forward = {(action == "expand") == (len(cur.out_slots[p]) >= 2) for p, action in plan}
                     mixed += forward == {True, False}
-                    cur, _ = _execute_cocycle_plan(cur, plan)
+                    cur, _ = _edited(cur, _push, plan)
                     target = {
                         s: sk_b.cocycle[sk_b.out_slots[phi[p]][j]]
                         for p in comp_a

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from strandshift.errors import LimitExceeded
 from strandshift.semigroup import (
+    _divides,
     _normal_form,
     bfs_equal,
     bfs_path,
@@ -116,19 +117,36 @@ def test_bfs_equal_cap_and_reflexivity(fig1):
         bfs_equal(a, vec(p, B1=1), p, 1)
 
 
-def test_bfs_path_roundtrip(nonconfluent_right):
-    p = presentation_from_graph(nonconfluent_right, 1)
-    a, b = vec(p, R1=5, B1=5), vec(p, R1=1)
-    path = bfs_path(a, b, p, 12)
-    assert path is not None
-    state = a
+def _walk(path, a, p, cap):
+    """The end of a relation path from a; every step must apply within the cap."""
     for ridx, sign in path:
         u, v = p.relations[ridx]
         lhs, rhs = (u, v) if sign > 0 else (v, u)
-        state = tuple(x - c + d for x, c, d in zip(state, lhs, rhs))
-    assert state == b
+        assert _divides(lhs, a)
+        a = tuple(x - c + d for x, c, d in zip(a, lhs, rhs))
+        assert sum(a) <= cap
+    return a
+
+
+def test_bfs_path_roundtrip(nonconfluent_left, nonconfluent_right):
+    p = presentation_from_graph(nonconfluent_right, 1)
+    a, b = vec(p, R1=5, B1=5), vec(p, R1=1)
+    assert _walk(bfs_path(a, b, p, 12), a, p, 12) == b
     # no moves fit under a cap equal to the input degree, so no path is found
     assert bfs_path(vec(p, R1=1), vec(p, B1=1), p, 1) is None
+    # both directions of the fuzz pairs, so paths end in a half met from the
+    # target's side, read backwards with flipped signs
+    q = presentation_from_graph(nonconfluent_left, 2)
+    found = 0
+    for a, b in _fuzz_pairs(q):
+        cap = max(sum(a), sum(b)) + 4
+        for x, y in ((a, b), (b, a)):
+            path = bfs_path(x, y, q, cap)
+            assert (path is not None) == (bfs_equal(x, y, q, cap) == "equal")
+            if path is not None:
+                assert _walk(path, x, q, cap) == y
+                found += 1
+    assert found == 30
 
 
 def _random_vector(p, rng, max_count=3):
@@ -192,12 +210,15 @@ def test_congruence_laws(nonconfluent_right):
             assert decide_equal(s1, s2, p)
 
 
-def test_oracle_vs_decide_on_fuzz(nonconfluent_left):
+def _fuzz_pairs(p):
+    """Forty seeded pairs of random vectors of p, entries at most 2."""
     rng = random.Random(6)
+    return [(_random_vector(p, rng, max_count=2), _random_vector(p, rng, max_count=2)) for _ in range(40)]
+
+
+def test_oracle_vs_decide_on_fuzz(nonconfluent_left):
     p = presentation_from_graph(nonconfluent_left, 2)
-    for _ in range(40):
-        a = _random_vector(p, rng, max_count=2)
-        b = _random_vector(p, rng, max_count=2)
+    for a, b in _fuzz_pairs(p):
         verdict = bfs_equal(a, b, p, cap=max(sum(a), sum(b)) + 4)
         if verdict == "equal":
             assert decide_equal(a, b, p)
