@@ -148,7 +148,7 @@ def cmd_conj(args):
         w = conjugator_witness(lhs, rhs, result, g, semigroup_cap=args.semigroup_cap)
         if w is not None:
             result.witness_available = True
-            witness_text = format_element(to_forest_pair(g, reduce(w)))
+            witness_text = format_element(to_forest_pair(g, w))
     report = result.record()
     report["command"] = "conj"
     if witness_text:

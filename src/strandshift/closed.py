@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .diagrams import (
     StrandDiagram,
+    _Builder,
     _copy_tables,
     _drop_point,
     _drop_strand,
@@ -114,7 +115,7 @@ class Move:
     """One similarity or reduction step.
 
     `data` replays the move; `old_base`/`new_base` are color tuples;
-    `conj` holds what :func:`conjugator_of` needs.
+    `conj` holds what :func:`conjugator_of` and :meth:`_Stack.glue` need.
     """
 
     kind: str  # shift-expand | shift-reduce | permute | reduce | type3 | type3-expand
@@ -125,7 +126,8 @@ class Move:
 
 
 def conjugator_of(move: Move) -> StrandDiagram:
-    """The diagram G with cut(after) = G . cut(before) . G^-1.
+    """The diagram G with cut(after) = G . cut(before) . G^-1: the reference
+    meaning of a move, which :class:`_Stack` glues on as one in-place layer.
 
     G runs from the new base to the old base; expanding shifts yield merge
     diagrams, reducing shifts split diagrams, permutations permutation
@@ -150,6 +152,69 @@ def conjugator_of(move: Move) -> StrandDiagram:
         start, kids, k = move.conj
         return invert(multi_split_diagram(move.old_base, {start + j: kids for j in range(k)}))
     raise ValueError(f"unknown move kind {move.kind}")
+
+
+class _Stack(_Builder):
+    """An open diagram built from the bottom up: the identity on `colors`,
+    then conjugator layers glued on top, onto its sources, in place.
+
+    `glue(move)` stacks :func:`conjugator_of` (move), and `glue(move,
+    inverse=True)` its inverse, so the stack reads G_n ... G_1 . identity.
+    A layer is a split or a merge at one position per unit of winding, or a
+    reordering of the sources; a type 0/1/2 reduction adds nothing.
+    """
+
+    def __init__(self, colors):
+        super().__init__()
+        self.sinks = [self.point(c) for c in colors]
+        self.sources = [self.point(c) for c in colors]
+        for c, src, snk in zip(colors, self.sources, self.sinks):
+            self.strand(c, src, snk)
+
+    def _split(self, pos, color, d):
+        """Sources pos..pos+d-1 become the children of a new split of `color`
+        under one new source."""
+        v = self.point(color)
+        for p in self.sources[pos : pos + d]:
+            self.attach_origin(self.out_slots[p][0], v)
+            del self.point_color[p], self.in_slots[p], self.out_slots[p]
+        self.sources[pos : pos + d] = [self.point(color)]
+        self.strand(color, self.sources[pos], v)
+
+    def _merge(self, pos, kids):
+        """Source pos becomes a merge of one new source per color in `kids`."""
+        m = self.sources[pos]
+        new = [self.point(c) for c in kids]
+        for c, q in zip(kids, new):
+            self.strand(c, q, m)
+        self.sources[pos : pos + 1] = new
+
+    def glue(self, move: Move, inverse: bool = False) -> None:
+        if move.kind == "reduce":
+            return
+        if move.kind == "permute":
+            (perm,) = move.conj
+            old = list(self.sources)
+            if inverse:
+                for j, i in enumerate(perm):
+                    self.sources[i] = old[j]
+            else:
+                self.sources[:] = [old[i] for i in perm]
+            return
+        start, kids = move.conj[:2]
+        k = move.conj[2] if move.kind.startswith("type3") else 1
+        # the base with one parent per block: after a reduction, before an expansion
+        reduced = move.new_base if move.kind in ("shift-reduce", "type3") else move.old_base
+        splits = (move.kind in ("shift-reduce", "type3")) != inverse
+        d = len(kids)
+        for j in reversed(range(k)):
+            if splits:
+                self._split(start + j * d, reduced[start + j], d)
+            else:
+                self._merge(start + j, kids)
+
+    def diagram(self) -> StrandDiagram:
+        return self.build(self.sources, self.sinks)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ backtracking.  Step 3 compares loop parts in the loops semigroup.  Every
 move carries a conjugating diagram, so a positive verdict can be upgraded to
 an explicit conjugator: the witness hands step 2's coboundary to the push
 planner in :mod:`closed` on the matched skeleton, realizes the loop part by
-type 3 moves, aligns the base lines and folds the moves' conjugators.
+type 3 moves and aligns the base lines, then stacks the moves' conjugators
+as one diagram, layer by layer, and reduces it once.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ from .closed import (
     _push,
     _reorder,
     _serialize,
+    _Stack,
     _type3_expand,
     _type3_reduce,
     close,
     components,
-    conjugator_of,
     closed_key,
     decompose_parts,
     semi_reduce,
     skeleton,
 )
-from .diagrams import StrandDiagram, compose, equal, identity_diagram, invert, reduce
+from .diagrams import StrandDiagram, compose, equal, invert, reduce
 from .errors import SignatureMismatch
 from .graphs import ShiftGraph
 from .semigroup import bfs_path, decide_equal, max_winding, presentation_from_graph
@@ -249,15 +250,6 @@ def is_conjugate(
 # ---------------------------------------------------------------------------
 # witness assembly
 
-def _fold_conjugators(moves, base_colors) -> StrandDiagram:
-    """Product of the moves' conjugators; a type 0/1/2 reduction's is the identity."""
-    h = identity_diagram(base_colors)
-    for mv in moves:
-        if mv.kind != "reduce":
-            h = reduce(compose(conjugator_of(mv), h))
-    return h
-
-
 def _realize_semigroup_path(c: _ClosedTables, graph: ShiftGraph, pres, path) -> list:
     """Apply a loops-semigroup relation path to c in place by type 3 moves,
     each on a loop block first brought to the front of the base line: the
@@ -302,23 +294,11 @@ def _aligned_base_line(c: _ClosedTables, target: ClosedDiagram, match: SkeletonM
     return line if len(line) == len(c.base_line) and set(line) == c.base_set else None
 
 
-def conjugator_witness(
-    f: StrandDiagram,
-    g: StrandDiagram,
-    result: ConjugacyResult,
-    graph: ShiftGraph,
-    semigroup_cap: int = None,
-) -> StrandDiagram | None:
-    """An explicit h with h g h^-1 = f, or None when realization fails.
-
-    The step 2 coboundary is always realized by legal shifts.  The witness is
-    best-effort only through step 3: the loop-part equality must be
-    witnessed by a bounded relation path.  The returned diagram is verified
-    by diagram algebra before returning.  Every move edits one copy of
-    a's semi-reduced diagram in place.
-    """
-    if not (result.conjugate and result.analyses):
-        return None
+def _moves_onto(result: ConjugacyResult, graph: ShiftGraph, semigroup_cap) -> list | None:
+    """Moves from f's closed diagram to b's semi-reduced one, or None when
+    realization fails: a's trace, then the moves that realize the match and
+    the loop-part equality and align the base lines, which edit one copy of
+    a's semi-reduced diagram in place."""
     a, b = result.analyses
     moves_a = list(a.trace)
     cur = _ClosedTables(a.semi)
@@ -343,10 +323,37 @@ def conjugator_witness(
     moves_a.extend(_reorder(cur, line))
     if closed_key(cur.freeze()) != closed_key(b.semi):
         return None
+    return moves_a
 
-    h_a = _fold_conjugators(moves_a, f.domain())
-    h_b = _fold_conjugators(b.trace, g.domain())
-    h = reduce(compose(invert(h_a), h_b))
+
+def conjugator_witness(
+    f: StrandDiagram,
+    g: StrandDiagram,
+    result: ConjugacyResult,
+    graph: ShiftGraph,
+    semigroup_cap: int = None,
+) -> StrandDiagram | None:
+    """An explicit reduced h with h g h^-1 = f, or None when realization fails.
+
+    The step 2 coboundary is always realized by legal shifts.  The witness is
+    best-effort only through step 3: the loop-part equality must be
+    witnessed by a bounded relation path.  With h_a the product of the
+    conjugators of the moves from f's closed diagram to b's semi-reduced one
+    and h_b that of b's trace, h = h_a^-1 . h_b: one stack of layers, b's
+    trace in order on the identity and then a's moves inverted in reverse,
+    reduced once.  It is verified by diagram algebra before returning.
+    """
+    if not (result.conjugate and result.analyses):
+        return None
+    moves_a = _moves_onto(result, graph, semigroup_cap)
+    if moves_a is None:
+        return None
+    stack = _Stack(g.domain())
+    for mv in result.analyses[1].trace:
+        stack.glue(mv)
+    for mv in reversed(moves_a):
+        stack.glue(mv, inverse=True)
+    h = reduce(stack.diagram())
     if not equal(compose(compose(h, g), invert(h)), f):
         return None
     return h

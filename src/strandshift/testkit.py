@@ -10,8 +10,10 @@ loop relations one at a time instead of the completed rewriting system.
 The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
-diagram at every move.  The reference forest check rebuilds every prefix
-of every leaf and tests each internal node's children one by one.
+diagram at every move.  The reference conjugator fold builds each move's
+conjugator as a diagram and composes and reduces after every move.  The
+reference forest check rebuilds every prefix of every leaf and tests each
+internal node's children one by one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .closed import (
     _plan_cocycle_moves,
     _push,
     _reduce,
+    conjugator_of,
     shift_directions,
     shift_expand,
     skeleton,
@@ -45,7 +48,9 @@ from .diagrams import (
     equal,
     find_redexes,
     from_forest_pair,
+    identity_diagram,
     invert,
+    reduce,
 )
 from .errors import LimitExceeded
 from .forest import ForestPair, apply_to_word
@@ -175,6 +180,15 @@ def reference_semi_reduce(c: ClosedDiagram, rng=None):
         x[v] = sk.cocycle[sk.out_slots[v][0]]
         c, moves = _edited(c, _push, _plan_cocycle_moves(sk, comp, x))
         trace.extend(moves)
+
+
+def reference_fold_conjugators(moves, base_colors) -> StrandDiagram:
+    """Product of the moves' conjugators; a type 0/1/2 reduction's is the identity."""
+    h = identity_diagram(base_colors)
+    for mv in moves:
+        if mv.kind != "reduce":
+            h = reduce(compose(conjugator_of(mv), h))
+    return h
 
 
 def reference_check_leaf_forest(g: ShiftGraph, base, leaves, side: str) -> None:

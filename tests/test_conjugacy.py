@@ -7,18 +7,24 @@ import pytest
 from strandshift.closed import (
     ClosedDiagram,
     _edited,
+    _loops,
     _plan_cocycle_moves,
     _push,
+    _Stack,
     close,
     components,
     conjugator_of,
     decompose_parts,
+    permute_base,
     semi_reduce,
     shift_directions,
     shift_expand,
     skeleton,
+    type3_expand,
+    type3_reduce,
 )
 from strandshift.conjugacy import (
+    _moves_onto,
     _similarity,
     analyze,
     compare_split_merge,
@@ -46,6 +52,7 @@ from strandshift.testkit import (
     juxtapose,
     random_element,
     random_graph,
+    reference_fold_conjugators,
     similar_by_search,
 )
 
@@ -488,22 +495,89 @@ def test_direct_sums_with_dissimilar_summands_fail_at_step_2(fig1):
     assert checked >= 10
 
 
-def test_witness_skips_the_identity_conjugators_of_reductions(fig1, base_bg, monkeypatch):
-    kinds = []
+def test_witness_builds_no_conjugator_diagram_and_reduces_once(fig1, base_bg, monkeypatch):
+    """The witness stacks every move's layer in place, a reduction's adds
+    nothing, and the stack is reduced once."""
+    built, reduced = [], []
 
-    def recording(mv):
-        kinds.append(mv.kind)
+    def recording_conjugator(mv):
+        built.append(mv.kind)
         return conjugator_of(mv)
 
-    monkeypatch.setattr("strandshift.conjugacy.conjugator_of", recording)
+    def recording_reduce(d, rng=None):
+        reduced.append(d)
+        return reduce(d, rng)
+
+    monkeypatch.setattr("strandshift.closed.conjugator_of", recording_conjugator)
+    monkeypatch.setattr("strandshift.conjugacy.reduce", recording_reduce)
     reductions = 0
     for seed in range(10):
         f, h = element(fig1, base_bg, seed, steps=4), element(fig1, base_bg, seed + 500)
         g = conjugate_by(invert(h), f)
         res = is_conjugate(f, g, fig1)
+        reduced.clear()
         assert conjugator_witness(f, g, res, fig1) is not None
+        assert len(reduced) == 1
         reductions += sum(mv.kind == "reduce" for a in res.analyses for mv in a.trace)
-    assert reductions >= 10 and kinds and "reduce" not in kinds
+    assert reductions >= 10 and built == []
+
+
+def planted_pairs(fig1, base_bg):
+    """(graph, f, g, result) for planted conjugates: fig1 at growth 4, the
+    seed 8/1008 fig1 pair whose loop parts differ, and random graphs 0-2."""
+    pairs = []
+    for seed in range(10):
+        f, h = element(fig1, base_bg, seed, steps=4), element(fig1, base_bg, seed + 500)
+        pairs.append((fig1, f, conjugate_by(invert(h), f)))
+    f, h = element(fig1, base_bg, 8, steps=3), element(fig1, base_bg, 1008, steps=3)
+    pairs.append((fig1, f, conjugate_by(h, f)))
+    for gseed in range(3):
+        g, base = random_graph(GeneratorConfig(seed=gseed, max_vertices=4))
+        for seed in range(5):
+            f = element(g, base, seed)
+            pairs.append((g, f, conjugate_by(element(g, base, seed + 31000), f)))
+    return [(g, f, target, is_conjugate(f, target, g)) for g, f, target in pairs]
+
+
+def test_stack_layer_is_the_conjugator_of_its_move(fig1, base_bg):
+    """One glued layer equals conjugator_of(move), and its inverse layer the
+    inverse diagram, for real moves of all six kinds: the traces and the
+    moves onto b of planted pairs, and the seed 8/1008 pair's G loop of
+    winding 2 split into two blocks by type3-expand and merged back."""
+    pairs = planted_pairs(fig1, base_bg)
+    moves = []
+    for g, _, _, res in pairs:
+        moves += _moves_onto(res, g, None) + res.analyses[1].trace
+    semi = pairs[10][3].analyses[0].semi
+    points = next(pts for color, pts in _loops(semi) if color == "G" and len(pts) == 2)
+    front = [semi.base_line.index(p) for p in points]
+    c, to_front = permute_base(semi, front + [i for i in range(len(semi.base_line)) if i not in front])
+    c, expand = type3_expand(c, fig1, 0, 2, "G")
+    _, merge = type3_reduce(c, fig1, 0, 2, 2)
+    moves += [to_front, expand, merge]
+
+    assert {mv.kind for mv in moves} == {"shift-expand", "shift-reduce", "permute", "reduce", "type3", "type3-expand"}
+    # a permutation that is not its own inverse tells the two directions apart
+    assert any(mv.kind == "permute" and any(mv.conj[0][j] != i for i, j in enumerate(mv.conj[0])) for mv in moves)
+    for mv in moves:
+        up = _Stack(mv.old_base)
+        up.glue(mv)
+        assert equal(up.diagram(), conjugator_of(mv)), mv
+        down = _Stack(mv.new_base)
+        down.glue(mv, inverse=True)
+        assert equal(down.diagram(), invert(conjugator_of(mv))), mv
+
+
+def test_witness_stack_matches_the_reference_fold(fig1, base_bg):
+    """The witness is h_a^-1 . h_b for the folded conjugators of a's moves
+    onto b and of b's trace."""
+    for g, f, target, res in planted_pairs(fig1, base_bg):
+        moves_a = _moves_onto(res, g, None)
+        ref_a = reference_fold_conjugators(moves_a, f.domain())
+        ref_b = reference_fold_conjugators(res.analyses[1].trace, target.domain())
+        h = conjugator_witness(f, target, res, g)
+        assert h is not None
+        assert canonical_key(h) == canonical_key(reduce(compose(invert(ref_a), ref_b)))
 
 
 def test_witness_for_equal_elements_is_identity_class(fig1, base_bg, sigma):
