@@ -317,13 +317,16 @@ def components(c) -> list:
 
 
 def _least_serialization(c: ClosedDiagram, seeds) -> tuple:
-    """min(_serialize(c, _bidirectional_order(c, [s])) for s in seeds), seeds of one component.
+    """(records, orders): records = min(_serialize(c, _bidirectional_order(c,
+    [s])) for s in seeds), seeds of one component, and orders the
+    breadth-first orders of the seeds that attain it, in seed order.
 
     Record r of a seed's serialization is fixed once the r-th point leaves
     its breadth-first queue, so the seeds run in lockstep, one record per
     round, and a seed whose record exceeds the round's least one is dropped:
     its serialization can no longer be the minimum.  Seeds that tie to the
-    end serialize identically.
+    end serialize identically, so pairing the points of equal rank in two
+    of their orders is an automorphism of the component.
     """
     point_color, strand_color, base_set = c.point_color, c.strand_color, c.base_set
     strand_from, strand_to, in_slots, out_slots = c.strand_from, c.strand_to, c.in_slots, c.out_slots
@@ -353,7 +356,7 @@ def _least_serialization(c: ClosedDiagram, seeds) -> tuple:
                 kept.append(run)
         records.append(best)
         runs = kept
-    return tuple(records)
+    return tuple(records), [order for order, _ in runs]
 
 
 def unordered_key(c: ClosedDiagram) -> tuple:
@@ -376,7 +379,7 @@ def unordered_key(c: ClosedDiagram) -> tuple:
             continue
         comp = _bidirectional_order(c, [b])
         covered.update(comp)
-        comp_keys.append(_least_serialization(c, [p for p in comp if p in c.base_set]))
+        comp_keys.append(_least_serialization(c, [p for p in comp if p in c.base_set])[0])
     assert len(covered) == len(c.point_color), "component without a base point"
     key = tuple(sorted(comp_keys))
     c._ukey = key

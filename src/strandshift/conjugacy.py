@@ -6,19 +6,20 @@ up to similarity on their skeletons (built in :mod:`closed`, base points
 spliced out into a cocycle): two parts are similar iff some color- and
 slot-preserving skeleton isomorphism makes the cocycle difference an integer
 coboundary, since base line shifts change the cocycle by exactly +-(point
-coboundary) and permutations change nothing.  Similarity of components is an
-equivalence relation, so components are matched greedily, without
-backtracking.  Step 3 compares loop parts in the loops semigroup.  Every
-move carries a conjugating diagram, so a positive verdict can be upgraded to
-an explicit conjugator: the witness hands step 2's coboundary to the push
-planner in :mod:`closed` on the matched skeleton, realizes the loop part by
-type 3 moves and aligns the base lines, then stacks the moves' conjugators
-as one diagram, layer by layer, and reduces it once.
+coboundary) and permutations change nothing.  Each component gets a class
+key, its least breadth-first serialization and then its least cocycle
+reduced to 0 on the breadth-first tree, so components are similar exactly
+when their keys are equal and step 2 pairs them by key, without a search.
+Step 3 compares loop parts in the loops semigroup.  Every move carries a
+conjugating diagram, so a positive verdict can be upgraded to an explicit
+conjugator: the witness hands step 2's coboundary to the push planner in
+:mod:`closed` on the matched skeleton, realizes the loop part by type 3
+moves and aligns the base lines, then stacks the moves' conjugators as one
+diagram, layer by layer, and reduces it once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .closed import (
@@ -26,11 +27,11 @@ from .closed import (
     SplitMergeSkeleton,
     _bidirectional_order,
     _ClosedTables,
+    _least_serialization,
     _loops,
     _plan_cocycle_moves,
     _push,
     _reorder,
-    _serialize,
     _Stack,
     _type3_expand,
     _type3_reduce,
@@ -49,29 +50,6 @@ from .semigroup import bfs_path, decide_equal, max_winding, presentation_from_gr
 
 # ---------------------------------------------------------------------------
 # step 2
-
-def _point_sig(sk, p):
-    return (sk.point_color[p], len(sk.in_slots[p]), len(sk.out_slots[p]))
-
-
-def _component_isos(a: SplitMergeSkeleton, comp_a, b: SplitMergeSkeleton, comp_b):
-    """Color- and slot-preserving isomorphisms comp_a -> comp_b.
-
-    An isomorphism is fixed by the image of one anchor point, and one with
-    anchor -> cand exists exactly when both components serialize alike from
-    there; it then pairs the points of equal breadth-first rank.  So at most
-    |comp_b| candidates are tried, each in linear time.
-    """
-    count = Counter(_point_sig(a, p) for p in comp_a)
-    anchor = min(comp_a, key=lambda p: count[_point_sig(a, p)])
-    order_a = _bidirectional_order(a, [anchor])
-    key_a = _serialize(a, order_a)
-    for cand in comp_b:
-        if _point_sig(b, cand) == _point_sig(a, anchor):
-            order_b = _bidirectional_order(b, [cand])
-            if _serialize(b, order_b) == key_a:
-                yield dict(zip(order_a, order_b))
-
 
 def solve_integer(edges, d):
     """Integer x with x[u] - x[v] = d[i] for every edges[i] = (u, v), or None.
@@ -111,6 +89,39 @@ def _coboundary_solution(a, comp_a, b, phi):
     )
 
 
+def _reduced_cocycle(sk: SplitMergeSkeleton, order: dict) -> tuple:
+    """The cocycle of sk on the component that `order` ranks, shifted by the
+    coboundary that makes it vanish on the breadth-first tree of `order`:
+    one value per strand, points by rank and strands by out-slot, as
+    :func:`closed._serialize` reads them.
+
+    The tree is the one the breadth-first search grows: replaying the search
+    in rank order, each point's potential is set over the strand that first
+    reaches it, with the anchor at 0.
+    """
+    y = {}
+    for p in order:
+        y.setdefault(p, 0)
+        for s in sk.out_slots[p]:
+            y.setdefault(sk.strand_to[s], y[p] - sk.cocycle[s])
+        for s in sk.in_slots[p]:
+            y.setdefault(sk.strand_from[s], y[p] + sk.cocycle[s])
+    return tuple(sk.cocycle[s] - y[p] + y[sk.strand_to[s]] for p in order for s in sk.out_slots[p])
+
+
+def _class_key(sk: SplitMergeSkeleton, comp) -> tuple:
+    """(key, order): the similarity class key of a skeleton component and
+    the breadth-first order of an anchor that attains it.
+
+    The key is the least serialization over all anchors in `comp`, then the
+    least reduced cocycle over the anchors that tie on it.
+    """
+    records, orders = _least_serialization(sk, comp)
+    cocycles = [_reduced_cocycle(sk, order) for order in orders]
+    least = min(cocycles)
+    return (records, least), orders[cocycles.index(least)]
+
+
 @dataclass
 class SkeletonMatch:
     """Witness for step 2: matched components with isomorphism and coboundary,
@@ -121,40 +132,47 @@ class SkeletonMatch:
     b: SplitMergeSkeleton
 
 
-def _similarity(a, comp_a, b, comp_b):
-    """(phi, x) for the first isomorphism comp_a -> comp_b with a coboundary solution x, or None."""
-    for phi in _component_isos(a, comp_a, b, comp_b):
-        x = _coboundary_solution(a, comp_a, b, phi)
-        if x is not None:
-            return phi, x
-    return None
-
-
 def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
     """A similarity witness between two split-merge skeletons, or None.
 
-    Components are matched one to one; a pair is similar when some
-    slot-preserving isomorphism makes the cocycle difference solvable over
-    the integers.  Shifts realize exactly these coboundaries and base
-    permutations are free, so a perfect matching of similar pairs decides
-    step 2.  Similarity is an equivalence relation (isomorphisms compose,
-    coboundaries add), so giving each component its first free similar
-    partner never blocks a perfect matching: greedy matching is exact.
+    Two parts are similar exactly when their components can be paired one
+    to one so that in each pair some color- and slot-preserving isomorphism
+    phi makes cocycle_a - phi*cocycle_b an integer coboundary: shifts
+    realize exactly these coboundaries and base permutations are free.
+
+    That is a question about canonical forms.  An isomorphism phi maps the
+    breadth-first order from an anchor p onto the one from phi(p), so the
+    two serialize alike, and it maps the breadth-first tree from p onto the
+    tree from phi(p).  Each cohomology class on a connected graph has
+    exactly one representative that vanishes on a given spanning tree, so
+    cocycle_a differs from phi*cocycle_b by a coboundary exactly when their
+    representatives reduced on those two trees agree strand for strand.
+    Hence the pairs (serialization, reduced cocycle) over the anchors of a
+    similar component are the same as over its partner's, and so is their
+    least one, the component's class key (:func:`_class_key`).  Conversely,
+    equal keys pair the points of equal rank in the two attaining orders
+    into an isomorphism phi under which the reduced cocycles agree, so the
+    difference is a coboundary.  Components are therefore similar exactly
+    when their keys are equal, and each component of a takes the first free
+    component of b with its key.  Solving the coboundary for that phi
+    cannot fail.
     """
-    comps_a = components(a)
-    free = components(b)
-    if len(comps_a) != len(free):
+    comps_a, comps_b = components(a), components(b)
+    if len(comps_a) != len(comps_b):
         return None
+    free = [(comp, *_class_key(b, comp)) for comp in comps_b]
     pairs = []
     for comp_a in comps_a:
-        for j, comp_b in enumerate(free):
-            witness = _similarity(a, comp_a, b, comp_b)
-            if witness is not None:
-                pairs.append((comp_a, comp_b, *witness))
-                del free[j]
-                break
-        else:
+        key, order_a = _class_key(a, comp_a)
+        j = next((j for j, (_, key_b, _) in enumerate(free) if key_b == key), None)
+        if j is None:
             return None
+        comp_b, _, order_b = free.pop(j)
+        phi = dict(zip(order_a, order_b))
+        x = _coboundary_solution(a, comp_a, b, phi)
+        if x is None:
+            raise AssertionError("equal class keys without a coboundary")
+        pairs.append((comp_a, comp_b, phi, x))
     return SkeletonMatch(pairs, a, b)
 
 

@@ -5,8 +5,11 @@ check: semantic equality evaluates homeomorphisms word by word, conjugator
 search enumerates candidate elements outright, and the generators build
 forest pairs directly.  The similarity searches reuse the closed moves but
 neither step 2's skeleton comparison nor semi-reduction's skeleton
-criterion, which are what they check; the class enumeration applies the
-loop relations one at a time instead of the completed rewriting system.
+criterion, which are what they check.  The reference step 2 searches
+component isomorphisms anchor by anchor instead of comparing class keys,
+and shares only the coboundary solver with it.  The class enumeration
+applies the loop relations one at a time instead of the completed
+rewriting system.
 The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .closed import (
     ClosedDiagram,
+    SplitMergeSkeleton,
     _bidirectional_order,
     _consolidate,
     _edited,
@@ -32,12 +36,15 @@ from .closed import (
     _plan_cocycle_moves,
     _push,
     _reduce,
+    _serialize,
+    components,
     conjugator_of,
     shift_directions,
     shift_expand,
     skeleton,
     unordered_key,
 )
+from .conjugacy import SkeletonMatch, _coboundary_solution
 from .diagrams import (
     StrandDiagram,
     _copy_tables,
@@ -180,6 +187,63 @@ def reference_semi_reduce(c: ClosedDiagram, rng=None):
         x[v] = sk.cocycle[sk.out_slots[v][0]]
         c, moves = _edited(c, _push, _plan_cocycle_moves(sk, comp, x))
         trace.extend(moves)
+
+
+def _point_sig(sk, p):
+    return (sk.point_color[p], len(sk.in_slots[p]), len(sk.out_slots[p]))
+
+
+def _component_isos(a: SplitMergeSkeleton, comp_a, b: SplitMergeSkeleton, comp_b):
+    """Color- and slot-preserving isomorphisms comp_a -> comp_b.
+
+    An isomorphism is fixed by the image of one anchor point, and one with
+    anchor -> cand exists exactly when both components serialize alike from
+    there; it then pairs the points of equal breadth-first rank.  So at most
+    |comp_b| candidates are tried, each in linear time.
+    """
+    count = Counter(_point_sig(a, p) for p in comp_a)
+    anchor = min(comp_a, key=lambda p: count[_point_sig(a, p)])
+    order_a = _bidirectional_order(a, [anchor])
+    key_a = _serialize(a, order_a)
+    for cand in comp_b:
+        if _point_sig(b, cand) == _point_sig(a, anchor):
+            order_b = _bidirectional_order(b, [cand])
+            if _serialize(b, order_b) == key_a:
+                yield dict(zip(order_a, order_b))
+
+
+def reference_similarity(a: SplitMergeSkeleton, comp_a, b: SplitMergeSkeleton, comp_b):
+    """(phi, x) for the first isomorphism comp_a -> comp_b with a coboundary
+    solution x, or None: the search over isomorphisms that step 2's class
+    keys replace."""
+    for phi in _component_isos(a, comp_a, b, comp_b):
+        x = _coboundary_solution(a, comp_a, b, phi)
+        if x is not None:
+            return phi, x
+    return None
+
+
+def reference_compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
+    """The isomorphism search that `conjugacy.compare_split_merge` must agree
+    with: each component of a takes the first free component of b that
+    :func:`reference_similarity` finds similar.  Similarity is an equivalence
+    relation (isomorphisms compose, coboundaries add), so this greedy choice
+    never blocks a perfect matching."""
+    comps_a = components(a)
+    free = components(b)
+    if len(comps_a) != len(free):
+        return None
+    pairs = []
+    for comp_a in comps_a:
+        for j, comp_b in enumerate(free):
+            witness = reference_similarity(a, comp_a, b, comp_b)
+            if witness is not None:
+                pairs.append((comp_a, comp_b, *witness))
+                del free[j]
+                break
+        else:
+            return None
+    return SkeletonMatch(pairs, a, b)
 
 
 def reference_fold_conjugators(moves, base_colors) -> StrandDiagram:

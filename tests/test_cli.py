@@ -637,6 +637,17 @@ def test_conj_former_false_negative_is_conjugate(capsys):
     assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
 
 
+def test_conj_step2_negative(capsys):
+    """Random graph 3, element seeds 2 and 9 at growth 3: the skeletons of
+    their split-merge parts have the same shape, but the cocycles lie in
+    different classes, so step 2 fails on the reduced cocycles of the class
+    keys.  The CI workflow runs the same command."""
+    argv = ["conj", "--graph", str(FIXTURES / "graph3.graph"), "--lhs", str(FIXTURES / "graph3_step2_lhs.elem")]
+    code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / "graph3_step2_rhs.elem")])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["verdict: not-conjugate", "step failed: 2 (split-merge parts are not similar)"]
+
+
 def _power_inputs(name, tmp_path, full_shift2):
     """(graph file, element file) for sigma and for seeded small elements."""
     if name == "sigma":

@@ -7,6 +7,7 @@ import pytest
 from strandshift.closed import (
     ClosedDiagram,
     _edited,
+    _least_serialization,
     _loops,
     _plan_cocycle_moves,
     _push,
@@ -24,8 +25,10 @@ from strandshift.closed import (
     type3_reduce,
 )
 from strandshift.conjugacy import (
+    _class_key,
+    _coboundary_solution,
     _moves_onto,
-    _similarity,
+    _reduced_cocycle,
     analyze,
     compare_split_merge,
     conjugator_witness,
@@ -52,9 +55,13 @@ from strandshift.testkit import (
     juxtapose,
     random_element,
     random_graph,
+    reference_compare_split_merge,
     reference_fold_conjugators,
+    reference_similarity,
     similar_by_search,
 )
+
+from test_closed import renumbered
 
 
 def caret_loop(fig1, color="B", edges=("1", "2")):
@@ -207,6 +214,25 @@ def test_compare_split_merge_distinguishes_colors(fig1):
     assert compare_split_merge(a, b) is None
 
 
+def assert_similarity_witness(match):
+    """Each matched phi is a color- and slot-preserving isomorphism of its
+    components, and each x solves its coboundary rows."""
+    a, b = match.a, match.b
+    assert sorted(ca for ca, _, _, _ in match.pairs) == components(a)
+    assert sorted(cb for _, cb, _, _ in match.pairs) == components(b)
+    for comp_a, comp_b, phi, x in match.pairs:
+        assert sorted(phi) == list(comp_a) and sorted(phi.values()) == list(comp_b)
+        for p in comp_a:
+            q = phi[p]
+            assert a.point_color[p] == b.point_color[q]
+            assert (len(a.in_slots[p]), len(a.out_slots[p])) == (len(b.in_slots[q]), len(b.out_slots[q]))
+            for s, t in zip(a.out_slots[p], b.out_slots[q]):
+                assert a.strand_color[s] == b.strand_color[t]
+                assert phi[a.strand_to[s]] == b.strand_to[t]
+                assert a.in_slots[a.strand_to[s]].index(s) == b.in_slots[b.strand_to[t]].index(t)
+                assert a.cocycle[s] - b.cocycle[t] == x[p] - x[a.strand_to[s]]
+
+
 def test_compare_split_merge_matches_crosswise(fig1):
     # A + B against B' + A': A's first partner in id order is B', which is not
     # similar to A, so A takes A' and B takes B'
@@ -218,12 +244,7 @@ def test_compare_split_merge_matches_crosswise(fig1):
     assert match is not None
     (comp_a, comp_b), (comp_b2, comp_a2) = components(left), components(right)
     assert [pair[:2] for pair in match.pairs] == [(comp_a, comp_a2), (comp_b, comp_b2)]
-    for _, _, phi, x in match.pairs:
-        assert all(left.point_color[p] == right.point_color[q] for p, q in phi.items())
-        for p in phi:
-            for j, s in enumerate(left.out_slots[p]):
-                t = right.out_slots[phi[p]][j]
-                assert left.cocycle[s] - right.cocycle[t] == x[p] - x[left.strand_to[s]]
+    assert_similarity_witness(match)
 
 
 def test_compare_split_merge_needs_a_partner_for_every_component(fig1):
@@ -334,11 +355,12 @@ def shifted_parts(g, base, steps, seeds, rng):
 
 
 def has_perfect_matching(a, b):
-    """Exhaustive step 2: some bijection of components pairs only similar components."""
+    """Exhaustive step 2: some bijection of components pairs only components
+    the reference isomorphism search finds similar."""
     comps_a, comps_b = components(a), components(b)
     if len(comps_a) != len(comps_b):
         return False
-    similar = [[_similarity(a, ca, b, cb) is not None for cb in comps_b] for ca in comps_a]
+    similar = [[reference_similarity(a, ca, b, cb) is not None for cb in comps_b] for ca in comps_a]
     return any(
         all(similar[i][j] for i, j in enumerate(perm)) for perm in itertools.permutations(range(len(comps_b)))
     )
@@ -362,7 +384,10 @@ def similarity_pool(fig1, base_bg):
     return [skeleton(c) for c in [*itertools.chain(*triples), *unions]]
 
 
-def test_greedy_matching_is_an_exact_equivalence(fig1, base_bg):
+def test_key_matching_is_an_exact_equivalence(fig1, base_bg):
+    """Matching components by class key finds a perfect matching of
+    similar components exactly when one exists, similarity taken from the
+    reference isomorphism search."""
     pool = similarity_pool(fig1, base_bg)
     n = len(pool)
     similar = {(i, j): compare_split_merge(pool[i], pool[j]) is not None for i in range(n) for j in range(n)}
@@ -373,6 +398,99 @@ def test_greedy_matching_is_an_exact_equivalence(fig1, base_bg):
         assert not (similar[i, j] and similar[j, k]) or similar[i, k]
     assert n >= 60 and sum(len(components(sk)) > 1 for sk in pool) >= 20
     assert 100 <= sum(similar.values()) - n < n * (n - 1) // 2
+
+
+def test_compare_split_merge_agrees_with_the_reference_search(fig1, base_bg):
+    """Class keys against the isomorphism search on every pair of
+    :func:`similarity_pool` and on the pairs behind the step-2 digest."""
+    pool = similarity_pool(fig1, base_bg)
+    cases = list(itertools.product(pool, repeat=2))
+    for _, f, rhs in digest_pairs():
+        cases.append((skeleton(analyze(f).part), skeleton(analyze(rhs).part)))
+    similar = 0
+    for a, b in cases:
+        match = compare_split_merge(a, b)
+        assert (match is None) == (reference_compare_split_merge(a, b) is None)
+        if match is not None:
+            assert_similarity_witness(match)
+            similar += 1
+    assert similar >= 150 and len(cases) - similar >= 1000
+
+
+def keys(part):
+    """The sorted class keys of the components of a part's skeleton."""
+    sk = skeleton(part)
+    return sorted(_class_key(sk, comp)[0] for comp in components(sk))
+
+
+def test_class_keys_ignore_ids_shifts_and_base_order(fig1, base_bg):
+    rng = random.Random(41)
+    graphs = [(*random_graph(GeneratorConfig(seed=s)), 3) for s in (1, 2, 3)] + [(fig1, base_bg, 4)]
+    checked = 0
+    for g, base, steps in graphs:
+        for part, shifted in shifted_parts(g, base, steps, range(20), rng):
+            key = keys(part)
+            perm = list(range(len(part.base_line)))
+            rng.shuffle(perm)
+            assert keys(renumbered(part, rng)) == key
+            assert keys(shifted) == key
+            assert keys(permute_base(part, perm)[0]) == key
+            checked += 1
+    assert checked >= 20
+
+
+def caret_cycle(marked):
+    """Two carets of the full shift in a directed cycle, split -> merge ->
+    split -> merge, with one base point on the chain back to the first split
+    and one on caret strand `marked` (0 and 1 the first caret's, 2 and 3 the
+    second's).  Swapping the carets is an automorphism of the skeleton, so
+    the two merges tie on serialization; the base point on one caret tells
+    their reduced cocycles apart."""
+    pc = dict.fromkeys(range(6), "v")
+    sc, sf, st = {}, {}, {}
+    ins, outs = {p: [] for p in pc}, {p: [] for p in pc}
+
+    def strand(u, v):
+        s = 10 + len(sc)
+        sc[s], sf[s], st[s] = "v", u, v
+        outs[u].append(s)
+        ins[v].append(s)
+
+    for k, (split, merge) in enumerate(((0, 1), (2, 3))):
+        for j in range(2):
+            if 2 * k + j == marked:
+                strand(split, 5)
+                strand(5, merge)
+            else:
+                strand(split, merge)
+    strand(1, 2)
+    strand(3, 4)
+    strand(4, 0)
+    return ClosedDiagram(pc, sc, sf, st, ins, outs, [4, 5])
+
+
+def test_reduced_cocycle_breaks_ties_between_automorphic_anchors():
+    parts = [caret_cycle(marked) for marked in range(4)]
+    for part in parts:
+        sk = skeleton(part)
+        ((comp,),) = [components(sk)]
+        _, orders = _least_serialization(sk, comp)
+        assert len({_reduced_cocycle(sk, order) for order in orders}) == 2
+    # the first tied anchors of parts 0 and 2 pair the marked caret with the unmarked one
+    a, b = skeleton(parts[0]), skeleton(parts[2])
+    first = [_least_serialization(sk, components(sk)[0])[1][0] for sk in (a, b)]
+    assert _coboundary_solution(a, components(a)[0], b, dict(zip(*first))) is None
+    shifted = [shift_expand(part, 0, "down")[0] for part in parts]
+    # the carets' cycle sums: base points on strand 0 or 2 against 1 or 3
+    expected = {(i, j): i % 2 == j % 2 for i in range(4) for j in range(4)}
+    for (i, j), similar in expected.items():
+        for a, b in ((parts[i], parts[j]), (parts[i], shifted[j])):
+            match = compare_split_merge(skeleton(a), skeleton(b))
+            assert (match is not None) == similar
+            assert (reference_compare_split_merge(skeleton(a), skeleton(b)) is not None) == similar
+            if similar:
+                assert_similarity_witness(match)
+                assert similar_by_search(a, b)
 
 
 def test_skeleton_drops_loop_components(fig1, base_bg):
@@ -389,6 +507,18 @@ def test_skeleton_drops_loop_components(fig1, base_bg):
     assert with_loops >= 5
 
 
+def digest_pairs():
+    """(graph, f, rhs) on random graphs 1-5: each element with a planted
+    conjugate, itself and another element."""
+    out = []
+    for gseed in range(1, 6):
+        g, base = random_graph(GeneratorConfig(seed=gseed))
+        for e in range(6):
+            f, h, other = (element(g, base, s, steps=2 + e % 5) for s in (e, e + 500, e + 1000))
+            out += [(g, f, rhs) for rhs in (reduce(compose(compose(invert(h), f), h)), f, other)]
+    return out
+
+
 def test_step2_pairs_match_recorded_digest(fig1, base_bg):
     """Pins step 2's matched components, isomorphisms and coboundary solutions.
 
@@ -401,13 +531,9 @@ def test_step2_pairs_match_recorded_digest(fig1, base_bg):
         return match and [(ca, cb, sorted(phi.items()), sorted(x.items())) for ca, cb, phi, x in match.pairs]
 
     records = []
-    for gseed in range(1, 6):
-        g, base = random_graph(GeneratorConfig(seed=gseed))
-        for e in range(6):
-            f, h, other = (element(g, base, s, steps=2 + e % 5) for s in (e, e + 500, e + 1000))
-            for rhs in (reduce(compose(compose(invert(h), f), h)), f, other):
-                res = is_conjugate(f, rhs, g)
-                records.append((res.conjugate, res.step_failed, pairs(res.match)))
+    for g, f, rhs in digest_pairs():
+        res = is_conjugate(f, rhs, g)
+        records.append((res.conjugate, res.step_failed, pairs(res.match)))
     unions = [sk for sk in similarity_pool(fig1, base_bg) if len(components(sk)) > 1]
     records += [pairs(compare_split_merge(a, b)) for a in unions for b in unions]
     assert sum(r is not None for r in records[-len(unions) ** 2 :]) >= 40
