@@ -407,42 +407,68 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     Internal forest nodes with k >= 2 children become splits (merges on the
     range side); nodes with a single child become degenerate points; leaf i
     of the domain forest is glued to leaf i of the range forest.
+
+    The pair is checked against `g` unless `fp.checked` holds that check's
+    internal nodes for `g` itself.  Ids are handed out depth first, domain
+    forest first: per root its end point, then per node its strand and, for
+    an internal node, its point.
     """
-    domain_internal, range_internal = validate_forest_pair(g, fp)
-    b = _Builder()
+    if fp.checked is None or fp.checked[0] is not g:
+        validate_forest_pair(g, fp)
+    _, domain_internal, range_internal = fp.checked
+    point_color, strand_color, strand_from, strand_to, in_slots, out_slots = {}, {}, {}, {}, {}, {}
+    kids = {v: [(e, g.edges[e][1]) for e in es] for v, es in g.out_order.items()}
+    fresh = 0
 
-    def grow(leaves, internal, into, out_of):
-        """One forest: each node's strand is joined by `into` to the node's
-        point (internal nodes only) and by `out_of` to its parent's point, or
-        a root's to a new end point.  Returns the end points and the leaves'
-        strands, both in order."""
-        strand_of = {}
+    def grow(leaves, internal, head, heads, tail, tails):
+        """One forest.  A node's strand meets the node's own point, for an
+        internal node, through `head`/`heads` and its parent's point, or a
+        root's new end point, through `tail`/`tails`.  Returns the end points
+        and the leaves' strands, both in order."""
+        nonlocal fresh
+        leaf_strand = {}
 
-        def node(w, color):
-            s = strand_of[w] = b.strand(color)
-            if w in internal:
-                p = b.point(color)
-                into(s, p)
-                root, edges = w
-                for e in g.out_order[color]:
-                    out_of(node((root, edges + (e,)), g.edges[e][1]), p)
-            return s
+        def node(root, edges, color, parent):
+            nonlocal fresh
+            s = fresh
+            strand_color[s] = color
+            if (root, edges) in internal:
+                p = s + 1
+                fresh = s + 2
+                point_color[p] = color
+                head[s] = p
+                heads[p] = [s]
+                tails[p] = []
+                for e, c in kids[color]:
+                    node(root, edges + (e,), c, p)
+            else:
+                fresh = s + 1
+                leaf_strand[root, edges] = s
+            tail[s] = parent
+            tails[parent].append(s)
 
         ends = []
-        for i, color in enumerate(fp.base):
-            ends.append(b.point(color))
-            out_of(node((i, ()), color), ends[-1])
-        return ends, [strand_of[w] for w in leaves]
+        for root, color in enumerate(fp.base):
+            p = fresh
+            fresh += 1
+            point_color[p] = color
+            heads[p] = []
+            tails[p] = []
+            ends.append(p)
+            node(root, (), color, p)
+        return ends, [leaf_strand[w] for w in leaves]
 
-    sources, domain_leaves = grow(fp.domain_leaves, domain_internal, b.attach_target, b.attach_origin)
-    sinks, range_leaves = grow(fp.range_leaves, range_internal, b.attach_origin, b.attach_target)
+    sources, domain_leaves = grow(fp.domain_leaves, domain_internal, strand_to, in_slots, strand_from, out_slots)
+    sinks, range_leaves = grow(fp.range_leaves, range_internal, strand_from, out_slots, strand_to, in_slots)
     # Glue leaf i of the domain forest to leaf i of the range forest: the two
     # dangling strands fuse, keeping the domain-side id.
     for s, t in zip(domain_leaves, range_leaves):
-        _retarget(b.strand_to, b.in_slots, s, t)
-        del b.strand_to[t]
-        del b.strand_color[t]
-    return b.build(sources, sinks)
+        target = strand_to.pop(t)
+        strand_to[s] = target
+        slots = in_slots[target]
+        slots[slots.index(t)] = s
+        del strand_color[t]
+    return StrandDiagram(point_color, strand_color, strand_from, strand_to, in_slots, out_slots, sources, sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -731,23 +757,28 @@ def to_forest_pair(g: ShiftGraph, d: StrandDiagram) -> ForestPair:
         raise ValueError("diagram is not reduced; reduce() it first")
     base = d.domain()
 
-    def glue_words(x):  # glue strand -> word, down the splits from x's sources
+    def glue_words(ends, head, ahead, behind):
+        """Glue strand -> word, walking one forest away from its end points:
+        `head` maps a strand to the point it leads to, `ahead` and `behind`
+        a point to its strands away from and towards the end points."""
         glue = {}
 
-        def down(strand, word):
-            q = x.strand_to[strand]
-            if len(x.out_slots[q]) >= 2 and len(x.in_slots[q]) == 1:
-                for s, e in zip(x.out_slots[q], g.out_order[x.point_color[q]]):
-                    down(s, word.child(e))
+        def walk(strand, word):
+            q = head[strand]
+            if len(ahead[q]) >= 2 and len(behind[q]) == 1:
+                for s, e in zip(ahead[q], g.out_order[d.point_color[q]]):
+                    walk(s, word.child(e))
             else:
                 glue[strand] = word
 
-        for i, src in enumerate(x.sources):
-            down(x.out_slots[src][0], PathWord(i))
+        for i, end in enumerate(ends):
+            walk(ahead[end][0], PathWord(i))
         return glue
 
-    # the range forest is the domain forest of the inverse
-    glue_domain, glue_range = glue_words(d), glue_words(invert(d))
+    # the splits below the sources form the domain forest, the merges above
+    # the sinks the range forest
+    glue_domain = glue_words(d.sources, d.strand_to, d.out_slots, d.in_slots)
+    glue_range = glue_words(d.sinks, d.strand_from, d.in_slots, d.out_slots)
     assert set(glue_domain) == set(glue_range), "cut layers disagree"
 
     strands = list(glue_domain)

@@ -9,7 +9,7 @@ and each sequence determines its forest (the prefix closure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import (
     BaseTuple,
@@ -24,9 +24,17 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class ForestPair:
+    """The two leaf sequences over a base.
+
+    `checked` is set by :func:`validate_forest_pair` once the pair passes:
+    (graph, domain internal nodes, range internal nodes), so that a builder
+    given the same graph need not check the pair again.
+    """
+
     domain_leaves: tuple  # tuple[PathWord, ...]
     range_leaves: tuple
     base: BaseTuple
+    checked: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.domain_leaves)
@@ -118,7 +126,8 @@ def validate_forest_pair(g: ShiftGraph, fp: ForestPair):
     :class:`LeafFault` names the leaf at fault, a colour fault the range leaf.
 
     Returns the internal nodes of the domain and the range forest, as
-    :func:`_check_leaf_forest` gives them.
+    :func:`_check_leaf_forest` gives them, and records them with `g` in
+    `fp.checked`.
     """
     if len(fp.domain_leaves) != len(fp.range_leaves):
         raise ValueError("leaf sequences differ in length")
@@ -128,6 +137,7 @@ def validate_forest_pair(g: ShiftGraph, fp: ForestPair):
         for i, (cd, cr) in enumerate(zip(domain_colors, range_colors)):
             if cd != cr:
                 raise LeafFault(f"pairing not color-preserving at leaf {i}: {cd} vs {cr}", "range", i)
+    object.__setattr__(fp, "checked", (g, domain, rng))
     return domain, rng
 
 

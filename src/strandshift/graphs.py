@@ -10,6 +10,7 @@ are :class:`PathWord` values (root position plus edge-id sequence).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -139,13 +140,22 @@ def color_of_word(g: ShiftGraph, base: BaseTuple, w: PathWord) -> str:
     return base[w.root]
 
 
+def written_roots(base: BaseTuple) -> list:
+    """Each base entry as the element format writes a root: `B`, or `B#k`
+    for the k-th occurrence of a B that the base repeats."""
+    counts = Counter(base)
+    seen = Counter()
+    names = []
+    for y in base:
+        seen[y] += 1
+        names.append(y if counts[y] == 1 else f"{y}#{seen[y]}")
+    return names
+
+
 def format_word(w: PathWord, base: BaseTuple) -> str:
     """The word as the element format writes it: `B.1.4`, or `B#2.1` when
     the base repeats B."""
-    name = base[w.root]
-    positions = [i for i, y in enumerate(base) if y == name]
-    root = name if len(positions) == 1 else f"{name}#{positions.index(w.root) + 1}"
-    return ".".join([root, *w.edges])
+    return ".".join([written_roots(base)[w.root], *w.edges])
 
 
 def is_valid_word(g: ShiftGraph, base: BaseTuple, w: PathWord) -> bool:

@@ -18,84 +18,91 @@ Whitespace (including newlines) is insignificant and semicolons are optional
 statement separators.  A path word is `root` or `root.e1.e2...`; when the
 base repeats a vertex, its k-th occurrence is addressed as `Name#k`.
 Loop multisets for the semigroup commands are sums like `L(R,1)+2*L(B,2)`.
+
+A text is read as a list of token strings, and the readers address tokens
+by their index in it.  A token's line and column are worked out from the
+text only when a :class:`ParseError` is raised at it.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import ParseError
 from .forest import ForestPair, LeafFault, validate_forest_pair
-from .graphs import PathWord, ShiftGraph, _structure_faults, format_word
+from .graphs import PathWord, ShiftGraph, _structure_faults, written_roots
 
 _PUNCT = ("->", ";", ":", ",", "[", "]", "(", ")", "+", "*", "#", ".")
 # A token is a punctuation mark or a run of \w, which is str.isalnum() or "_".
-# finditer skips whitespace; group 1 catches any other character.
-_TOKEN = re.compile("|".join(map(re.escape, _PUNCT)) + r"|\w+|(\S)")
+_TOKEN = re.compile("|".join(map(re.escape, _PUNCT)) + r"|\w+")
+# A character no token takes: not \w, whitespace or punctuation, or a "-"
+# that does not start "->", or a ">" that does not end it.
+_STRAY = re.compile(r"[^\w\s;:,\[\]()+*#.>-]|-(?!>)|(?<!-)>")
+# What a name cannot be: a punctuation mark, or the end of the tokens.
+_NOT_NAME = frozenset(_PUNCT) | {None}
+
+
+def _line_col(text: str, offset: int):
+    """1-based line and column of `offset`; lines end at "\n" only."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Tokens:
+    """The tokens of a text: `toks` lists them as strings and ends with None."""
+
     def __init__(self, text: str):
-        self.toks = []
-        for line, chars in enumerate(text.split("\n"), 1):
-            for m in _TOKEN.finditer(chars):
-                if m.lastindex:
-                    raise ParseError(f"unexpected character {m[1]!r}", line, m.start() + 1)
-                self.toks.append((m[0], line, m.start() + 1))
-        self.pos = 0
+        stray = _STRAY.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray[0]!r}", *_line_col(text, stray.start()))
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.toks.append(None)
 
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+    def where(self, i):
+        """Line and column of token i, or of the last token when i is the end."""
+        last = len(self.toks) - 2
+        if last < 0:
+            return 1, 1
+        m = next(itertools.islice(_TOKEN.finditer(self.text), min(i, last), None))
+        return _line_col(self.text, m.start())
 
-    def where(self):
-        if self.pos < len(self.toks):
-            _, line, col = self.toks[self.pos]
-            return line, col
-        if self.toks:
-            _, line, col = self.toks[-1]
-            return line, col
-        return 1, 1
+    def fail(self, message, i):
+        raise ParseError(message, *self.where(i))
 
-    def next(self, expect=None):
-        if self.pos >= len(self.toks):
-            line, col = self.where()
-            raise ParseError(f"unexpected end of input (expected {expect or 'a token'})", line, col)
-        tok, line, col = self.toks[self.pos]
-        if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, found {tok!r}", line, col)
-        self.pos += 1
+    def expect(self, i, tok):
+        """The index after token i, which must be `tok`."""
+        found = self.toks[i]
+        if found != tok:
+            if found is None:
+                self.fail(f"unexpected end of input (expected {tok})", i)
+            self.fail(f"expected {tok!r}, found {found!r}", i)
+        return i + 1
+
+    def name(self, i, what):
+        tok = self.toks[i]
+        if tok in _NOT_NAME:
+            self.fail(f"expected {what}", i)
         return tok
 
-    def error(self, message, at=None):
-        """Raise at token index `at`, by default at the current token."""
-        if at is None:
-            line, col = self.where()
-        else:
-            _, line, col = self.toks[at]
-        raise ParseError(message, line, col)
+    def skip_separators(self, i):
+        while self.toks[i] == ";":
+            i += 1
+        return i
 
-    def skip_separators(self):
-        while self.peek() == ";":
-            self.next()
-
-
-def _name(ts: _Tokens, what: str) -> str:
-    tok = ts.peek()
-    if tok is None or tok in _PUNCT:
-        ts.error(f"expected {what}")
-    return ts.next()
-
-
-def _bracketed(ts: _Tokens, read) -> tuple:
-    """Read `[item, ...]`, commas optional, calling read() for each item."""
-    ts.next("[")
-    items = []
-    while ts.peek() != "]":
-        items.append(read())
-        if ts.peek() == ",":
-            ts.next()
-    ts.next("]")
-    return tuple(items)
+    def names(self, i, what):
+        """Read `[name, ...]` from token i, commas optional: the names' token
+        indices and the index after the closing bracket."""
+        toks = self.toks
+        i = self.expect(i, "[")
+        at = []
+        while toks[i] != "]":
+            self.name(i, what)
+            at.append(i)
+            i += 1
+            if toks[i] == ",":
+                i += 1
+        return at, i + 1
 
 
 def parse_graph(text: str):
@@ -105,161 +112,165 @@ def parse_graph(text: str):
     not a vertex at that entry.
     """
     ts = _Tokens(text)
-    ts.next("graph")
+    toks = ts.toks
     vertices = []
     edges = {}
     order = {}
     base = None
-    at = {}  # ("vertex" | "edge" | "order", name) -> position of its statement
-    ts.skip_separators()
-    while ts.peek() is not None:
-        tok, here = ts.peek(), ts.where()
+    at = {}  # ("vertex" | "edge" | "order", name) -> token index of its statement
+    i = ts.skip_separators(ts.expect(0, "graph"))
+    while toks[i] is not None:
+        tok, here = toks[i], i
         if tok == "vertex":
-            ts.next()
-            vertices.append(_name(ts, "a vertex name"))
+            vertices.append(ts.name(i + 1, "a vertex name"))
             at["vertex", vertices[-1]] = here
+            i += 2
         elif tok == "edge":
-            ts.next()
-            eid = _name(ts, "an edge id")
-            ts.next(":")
-            a = _name(ts, "a vertex name")
-            ts.next("->")
-            b = _name(ts, "a vertex name")
+            eid = ts.name(i + 1, "an edge id")
+            i = ts.expect(i + 2, ":")
+            a = ts.name(i, "a vertex name")
+            i = ts.expect(i + 1, "->")
+            b = ts.name(i, "a vertex name")
+            i += 1
             if eid in edges:
-                raise ParseError(f"edge {eid} defined twice", *here)
+                ts.fail(f"edge {eid} defined twice", here)
             edges[eid] = (a, b)
             at["edge", eid] = here
         elif tok == "order":
-            ts.next()
-            v = _name(ts, "a vertex name")
-            ts.next(":")
-            ids = _bracketed(ts, lambda: _name(ts, "an edge id"))
+            v = ts.name(i + 1, "a vertex name")
+            ids, i = ts.names(ts.expect(i + 2, ":"), "an edge id")
             if v in order:
-                raise ParseError(f"order for {v} given twice", *here)
-            order[v] = ids
+                ts.fail(f"order for {v} given twice", here)
+            order[v] = tuple(toks[j] for j in ids)
             at["order", v] = here
         elif tok == "base":
             if base is not None:
-                raise ParseError("base given twice", *here)
-            ts.next()
-            base = _bracketed(ts, lambda: (ts.where(), _name(ts, "a vertex name")))
+                ts.fail("base given twice", here)
+            base, i = ts.names(i + 1, "a vertex name")
         else:
-            ts.error(f"unknown statement {tok!r}")
-        ts.skip_separators()
+            ts.fail(f"unknown statement {tok!r}", i)
+        i = ts.skip_separators(i)
     if base is None:
-        ts.error("missing base [...] statement")
+        ts.fail("missing base [...] statement", i)
     for v in vertices:
         if v not in order:
-            raise ParseError(f"missing mandatory order line for vertex {v}", *at["vertex", v])
-    for here, y in base:
-        if y not in vertices:
-            raise ParseError(f"base entry {y} is not a vertex", *here)
+            ts.fail(f"missing mandatory order line for vertex {v}", at["vertex", v])
+    for j in base:
+        if toks[j] not in vertices:
+            ts.fail(f"base entry {toks[j]} is not a vertex", j)
     for statement, message in _structure_faults(vertices, edges, order):
-        raise ParseError(message, *at[statement])
-    return ShiftGraph(vertices, edges, order), tuple(y for _, y in base)
-
-
-def _parse_word(ts: _Tokens, g: ShiftGraph, base, roots: dict) -> PathWord:
-    """Read one path word; `roots` maps each base name to its positions.
-
-    A fault is reported at the root name, occurrence or edge it concerns.
-    """
-    at_name = ts.pos
-    name = _name(ts, "a root vertex name")
-    occurrence = None
-    if ts.peek() == "#":
-        ts.next()
-        at_k = ts.pos
-        k = _name(ts, "an occurrence number")
-        if not k.isdecimal():
-            ts.error("occurrence must be a positive integer", at_k)
-        occurrence = int(k)
-    positions = roots.get(name)
-    if positions is None:
-        ts.error(f"{name} is not an entry of the base {list(base)}", at_name)
-    if occurrence is None:
-        if len(positions) > 1:
-            ts.error(f"base repeats {name}; disambiguate with {name}#k", at_name)
-        root = positions[0]
-    else:
-        if not (1 <= occurrence <= len(positions)):
-            ts.error(f"{name}#{occurrence}: only {len(positions)} occurrence(s)", at_k)
-        root = positions[occurrence - 1]
-    edges = []
-    at = name
-    while ts.peek() == ".":
-        ts.next()
-        e = _name(ts, "an edge id")
-        ends = g.edges.get(e)
-        if ends is None or ends[0] != at:
-            ts.error(f"edge {e} does not continue a path at {at}", ts.pos - 1)
-        edges.append(e)
-        at = ends[1]
-    return PathWord(root, tuple(edges))
+        ts.fail(message, at[statement])
+    return ShiftGraph(vertices, edges, order), tuple(toks[j] for j in base)
 
 
 def parse_element(text: str, g: ShiftGraph, base) -> ForestPair:
     """Parse an element file against a graph and base; validates the pair.
 
-    A fault of the pair at one leaf is reported at that leaf's first token;
-    one that concerns no single leaf, at the end of the element.
+    A word fault is reported at the root name, occurrence or edge it
+    concerns.  A fault of the pair at one leaf is reported at that leaf's
+    first token; one that concerns no single leaf, at the end of the element.
     """
     ts = _Tokens(text)
-    roots = {}
-    for i, y in enumerate(base):
-        roots.setdefault(y, []).append(i)
-    ts.next("element")
-    ts.skip_separators()
+    toks = ts.toks
+    table = g.edges
+    roots = {}  # base name -> its positions
+    for r, y in enumerate(base):
+        roots.setdefault(y, []).append(r)
+    i = ts.skip_separators(ts.expect(0, "element"))
     starts = {}  # side -> token index of each leaf's first token
     leaves = {}
     for side in ("domain", "range"):
-        ts.next(side)
-        read = _bracketed(ts, lambda: (ts.pos, _parse_word(ts, g, base, roots)))
-        starts[side] = [at for at, _ in read]
-        leaves[side] = tuple(w for _, w in read)
-        ts.skip_separators()
-    if ts.peek() is not None:
-        ts.error("trailing input after element")
-    fp = ForestPair(leaves["domain"], leaves["range"], tuple(base))
-    line, col = ts.where()
+        i = ts.expect(ts.expect(i, side), "[")
+        starts[side] = first = []
+        leaves[side] = words = []
+        tok = toks[i]
+        while tok != "]":
+            if tok in _NOT_NAME:
+                ts.fail("expected a root vertex name", i)
+            name = tok
+            first.append(i)
+            i += 1
+            if toks[i] == "#":
+                k = ts.name(i + 1, "an occurrence number")
+                if not k.isdecimal():
+                    ts.fail("occurrence must be a positive integer", i + 1)
+                i += 2
+            else:
+                k = None
+            positions = roots.get(name)
+            if positions is None:
+                ts.fail(f"{name} is not an entry of the base {list(base)}", first[-1])
+            if k is None:
+                if len(positions) > 1:
+                    ts.fail(f"base repeats {name}; disambiguate with {name}#k", first[-1])
+                root = positions[0]
+            else:
+                occurrence = int(k)
+                if not 1 <= occurrence <= len(positions):
+                    ts.fail(f"{name}#{occurrence}: only {len(positions)} occurrence(s)", i - 1)
+                root = positions[occurrence - 1]
+            edges = []
+            at = name
+            tok = toks[i]
+            while tok == ".":
+                e = toks[i + 1]
+                if e in _NOT_NAME:
+                    ts.fail("expected an edge id", i + 1)
+                ends = table.get(e)
+                if ends is None or ends[0] != at:
+                    ts.fail(f"edge {e} does not continue a path at {at}", i + 1)
+                edges.append(e)
+                at = ends[1]
+                i += 2
+                tok = toks[i]
+            words.append(PathWord(root, tuple(edges)))
+            if tok == ",":
+                i += 1
+                tok = toks[i]
+        i = ts.skip_separators(i + 1)
+    if toks[i] is not None:
+        ts.fail("trailing input after element", i)
+    fp = ForestPair(tuple(leaves["domain"]), tuple(leaves["range"]), tuple(base))
     try:
         validate_forest_pair(g, fp)
     except ValueError as exc:
-        if isinstance(exc, LeafFault):
-            _, line, col = ts.toks[starts[exc.side][exc.index]]
-        raise ParseError(str(exc), line, col) from exc
+        at = starts[exc.side][exc.index] if isinstance(exc, LeafFault) else i
+        raise ParseError(str(exc), *ts.where(at)) from exc
     return fp
 
 
 def parse_loops(text: str, vertices) -> dict:
     """Parse a loop multiset `L(c,n)` sum into {(color, winding): count}."""
     ts = _Tokens(text)
+    toks = ts.toks
     loops = {}
+    i = 0
     while True:
         count = 1
-        tok = _name(ts, "L or a multiplier")
+        tok = ts.name(i, "L or a multiplier")
+        i += 1
         if tok.isdecimal():
             count = int(tok)
             if count < 1:
-                ts.error("multiplier must be a positive integer", ts.pos - 1)
-            ts.next("*")
-            tok = ts.next("L")
+                ts.fail("multiplier must be a positive integer", i - 1)
+            i = ts.expect(ts.expect(i, "*"), "L")
+            tok = "L"
         if tok != "L":
-            ts.error(f"expected L(color,winding), found {tok!r}")
-        ts.next("(")
-        color = _name(ts, "a color")
+            ts.fail(f"expected L(color,winding), found {tok!r}", i)
+        color = ts.name(ts.expect(i, "("), "a color")
+        i += 2
         if color not in vertices:
-            ts.error(f"{color} is not a vertex")
-        ts.next(",")
-        winding = _name(ts, "a winding number")
+            ts.fail(f"{color} is not a vertex", i)
+        winding = ts.name(ts.expect(i, ","), "a winding number")
+        i += 2
         if not winding.isdecimal() or int(winding) < 1:
-            ts.error("winding must be a positive integer")
-        ts.next(")")
+            ts.fail("winding must be a positive integer", i)
+        i = ts.expect(i, ")")
         key = (color, int(winding))
         loops[key] = loops.get(key, 0) + count
-        if ts.peek() is None:
+        if toks[i] is None:
             return loops
-        ts.next("+")
+        i = ts.expect(i, "+")
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +291,9 @@ def format_graph(g: ShiftGraph, base) -> str:
 
 
 def format_element(fp: ForestPair) -> str:
-    dom = ", ".join(format_word(w, fp.base) for w in fp.domain_leaves)
-    rng = ", ".join(format_word(w, fp.base) for w in fp.range_leaves)
+    roots = written_roots(fp.base)
+    dom = ", ".join(".".join([roots[w.root], *w.edges]) for w in fp.domain_leaves)
+    rng = ", ".join(".".join([roots[w.root], *w.edges]) for w in fp.range_leaves)
     return f"element\n  domain [{dom}]\n  range  [{rng}]\n"
 
 

@@ -161,9 +161,9 @@ _SCANNER_PIECES = [*_PUNCT, "a", "Z", "7", "_", "\u00e9", " ", "\t", "\n", "\r",
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_SCANNER_PIECES), max_size=40).map("".join))
 def test_scanner_positions(text):
-    """Tokens sit at their own line and column (lines end at "\n" only) and
-    cover every non-space character in order; a stray character fails at
-    its own position."""
+    """Tokens sit at the line and column the scanner gives them (lines end
+    at "\n" only) and cover every non-space character in order; a stray
+    character fails at its own position."""
     if "$" in text:
         i = text.index("$")
         line = text.count("\n", 0, i) + 1
@@ -171,7 +171,9 @@ def test_scanner_positions(text):
             _Tokens(text)
         assert (exc.value.line, exc.value.column) == (line, i - text.rfind("\n", 0, i))
         return
-    toks = _Tokens(text).toks
+    ts = _Tokens(text)
+    assert ts.toks[-1] is None
+    toks = [(tok, *ts.where(i)) for i, tok in enumerate(ts.toks[:-1])]
     lines = text.split("\n")
     for tok, line, col in toks:
         assert lines[line - 1][col - 1 : col - 1 + len(tok)] == tok

@@ -13,13 +13,15 @@ from strandshift.forest import (
     invert_pair,
     validate_forest_pair,
 )
-from strandshift.graphs import PathWord, children, color_of_word, enumerate_words, format_word
+from strandshift.diagrams import canonical_key, from_forest_pair
+from strandshift.graphs import PathWord, ShiftGraph, children, color_of_word, enumerate_words, format_word
 from strandshift.testkit import (
     GeneratorConfig,
     random_element,
     random_graph,
     reference_check_leaf_forest,
 )
+from strandshift.textio import format_element, parse_element
 
 
 def test_sigma_validates(fig1, sigma):
@@ -44,6 +46,24 @@ def test_incomplete_forest_rejected(fig1, base_bg):
     )
     with pytest.raises(ValueError, match="incomplete"):
         validate_forest_pair(fig1, bad)
+
+
+def test_builder_checks_a_pair_that_was_never_checked(fig1, base_bg):
+    bad = ForestPair((PathWord(0, ("1",)), PathWord(1)), (PathWord(0, ("1",)), PathWord(1)), base_bg)
+    assert bad.checked is None
+    with pytest.raises(ValueError, match="incomplete"):
+        from_forest_pair(fig1, bad)
+
+
+def test_builder_checks_again_against_another_graph(fig1, base_bg, sigma):
+    """A pair checked against one graph is checked again when built against
+    another, here one where G's edge 4 leads to R, so that G.4.2 is no path."""
+    fp = parse_element(format_element(sigma), fig1, base_bg)
+    assert fp.checked[0] is fig1 and fp == sigma
+    other = ShiftGraph(fig1.vertices, {**fig1.edges, "4": ("G", "R")}, fig1.out_order)
+    with pytest.raises(ValueError, match="range leaf .* is not a path of the graph"):
+        from_forest_pair(other, fp)
+    assert canonical_key(from_forest_pair(fig1, fp)) == canonical_key(from_forest_pair(fig1, sigma))
 
 
 def _single_mutations(g, base, leaves):
