@@ -18,9 +18,11 @@ cocycle that counts the base points on each chain between split, merge and
 degenerate points.  A base line shift pushes that cocycle by a point
 coboundary and a permutation leaves it alone, so step 2 compares skeletons,
 and the push planner turns step 2's coboundary back into legal shifts.
-Semi-reduction reads the same skeleton: a split-merge redex can be freed of
-base points by similarities exactly when its strands carry one count, and
-the push planner frees it.
+Semi-reduction tests the same chains without building a skeleton: it follows
+them through the base points of its working tables.  A split-merge redex can
+be freed of base points by similarities exactly when its strands carry one
+count t, and then the push planner's plan is t pushes at one point of the
+redex, which semi-reduction writes down directly.
 """
 
 from __future__ import annotations
@@ -829,9 +831,56 @@ def _push(c: _ClosedTables, plan) -> list:
 # ---------------------------------------------------------------------------
 # semi-reduction
 
-def _freeable(sk: SplitMergeSkeleton) -> list:
-    """The type 1/2 redexes of a skeleton whose strands carry one count of base points."""
-    return [r for r in find_redexes(sk) if r[0] and len({sk.cocycle[s] for s in sk.out_slots[r[1]]}) == 1]
+def _chain(c, s) -> tuple:
+    """Follow strand s through base points: (the point off the base line it
+    reaches, the last strand, the number of base points passed)."""
+    st, outs, base = c.strand_to, c.out_slots, c.base_set
+    t = 0
+    q = st[s]
+    while q in base:
+        t += 1
+        s = outs[q][0]
+        q = st[s]
+    return q, s, t
+
+
+def _freeable(c) -> list:
+    """The type 1/2 redexes of c's skeleton whose strands carry one count of
+    base points, read on c itself: (type, point, partner, count) in
+    `point_color` order.  The tests are those of the skeleton's redex
+    predicate on the chains, a chain's last strand standing for the
+    skeleton strand in its in-slot."""
+    pc, ins, outs, base = c.point_color, c.in_slots, c.out_slots, c.base_set
+    found = []
+    for v in pc:
+        if v in base:
+            continue
+        o = outs[v]
+        split = len(o) >= 2
+        if split != (len(ins[v]) == 1):
+            continue  # neither a split nor a merge
+        w, s, t = _chain(c, o[0])
+        if pc[w] != pc[v]:
+            continue
+        if not split:
+            if len(ins[w]) == 1 and len(outs[w]) >= 2:
+                found.append((2, v, w, t))
+        elif len(outs[w]) == 1 and len(ins[w]) == len(o) and ins[w][0] == s:
+            if all(_chain(c, s_out)[1:] == (s_in, t) for s_out, s_in in zip(o[1:], ins[w][1:])):
+                found.append((1, v, w, t))
+    return found
+
+
+def _freeing_plan(c, v, w, t) -> list:
+    """The push plan of :func:`_plan_cocycle_moves` on x = t at v, 0
+    elsewhere in v's skeleton component (see :func:`semi_reduce`): t forward
+    pushes at w when the component is {v, w}, else t backward pushes at v."""
+    ins, outs = c.in_slots, c.out_slots
+    pair = len(ins[v]) + len(ins[w]) == len(outs[v]) + len(outs[w]) and all(
+        _chain(c, s)[0] in (v, w) for s in outs[w]
+    )
+    p, forward = (w, True) if pair else (v, False)
+    return [(p, "expand" if forward == (len(outs[p]) >= 2) else "reduce")] * t
 
 
 class _ResumableBaseOrder:
@@ -899,10 +948,14 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     passing them.
 
     Reductions that avoid the base line are taken as they come.  When none
-    is left, the test for one that similarities can reach runs on
-    :func:`skeleton`: similarities keep every split, merge and chain between
-    them, so a reduction of a similar diagram is a type 1/2 skeleton redex
-    (split or merge v, partner w) whose strands carry no base point there.
+    is left, the test for one that similarities can reach reads the
+    :func:`skeleton` of the working tables without building it:
+    similarities keep every split, merge and chain between them, so a
+    reduction of a similar diagram is a type 1/2 skeleton redex (split or
+    merge v, partner w) whose strands carry no base point there.
+    :func:`_freeable` follows each strand out of a split or merge through
+    the base points to the next point off the base line, which gives the
+    skeleton strand and its count, and tests the chains.
 
     "=>": a shift through p adds the coboundary of p to the cocycle c (one
     off each chain into p, one on each chain out of p, or the reverse) and a
@@ -926,8 +979,22 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     non-negative and zero on the redex strands, and
     :func:`_plan_cocycle_moves` reaches every non-negative cocycle of the
     class by legal shifts, because every directed cycle crosses the base
-    line and pushes never change cycle sums.  Carrying out its plan on
-    x = -y frees the redex, which the next round reduces.
+    line and pushes never change cycle sums.  So its plan on x = -y, which
+    is t at v and 0 elsewhere on v's skeleton component, frees the redex,
+    and the next round reduces it.
+
+    That plan has a closed form.  It pushes each point p of the component
+    net m - x[p] times, where m is entry len // 2 of the sorted values of x.
+    A component of n >= 3 points sorts to n - 1 zeros and then t, and
+    n // 2 <= n - 2, so m = 0: the plan is t backward pushes at v.  The
+    component {v, w} sorts to [0, t], so m = t: the plan is t forward
+    pushes at w.  (Pushing every point of a component once changes no
+    count, so both give the same cocycle.)  A forward push through a split
+    and a backward push through a merge are expanding shifts, the other two
+    reducing shifts.  :func:`_freeing_plan` writes the plan down; the
+    component is {v, w} exactly when every chain out of v or w ends at v or
+    w and the two have as many in-slots as out-slots, so that no chain
+    joins them to another point.
 
     Each reduction removes points, so this terminates, and a diagram it
     returns is semi-reduced: a second call performs no move.
@@ -944,7 +1011,8 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     the type 1 test both times), and only those are tested again: for a
     reduction, the origins of its primary's in-strands; for a shift, of the
     strands into the base points it removes and of those its new base
-    points cut.
+    points cut.  A round that frees a redex costs one read of the working
+    tables, linear in their size, and copies nothing.
 
     The moves and ids are those of a full rescan before every step
     (:func:`strandshift.testkit.reference_semi_reduce`).  Both take the
@@ -961,7 +1029,7 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     live = ({}, {}, {})
     for r in find_redexes(c, skip=c.base_set):
         live[r[0]][r[1]] = r
-    if not any(live) and not _freeable(skeleton(c)):
+    if not any(live) and not _freeable(c):
         return c, []
     w = _ClosedTables(c)
     order = _ResumableBaseOrder(w)
@@ -982,21 +1050,17 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
             )
             trace.append(_reduce(w, rtype, payload))
         else:
-            sk = skeleton(w)
-            freeable = _freeable(sk)
+            freeable = _freeable(w)
             if not freeable:
                 break
             if rng is not None:
-                v = freeable[rng.randrange(len(freeable))][1]
+                _, v, partner, t = freeable[rng.randrange(len(freeable))]
             else:
                 least = min(r[0] for r in freeable)
-                v = order.first({r[1] for r in freeable if r[0] == least})
-            comp = _bidirectional_order(sk, [v])
-            x = dict.fromkeys(comp, 0)
-            x[v] = sk.cocycle[sk.out_slots[v][0]]
-            plan = _plan_cocycle_moves(sk, comp, x)
-            assert plan, "a free redex is missing from the worklist"
-            trace.extend(_push(w, plan))
+                tied = {r[1]: r for r in freeable if r[0] == least}
+                _, v, partner, t = tied[order.first(tied)]
+            assert t > 0, "a free redex is missing from the worklist"
+            trace.extend(_push(w, _freeing_plan(w, v, partner, t)))
             order = _ResumableBaseOrder(w)
             gone = ()
         moved = [q for q in w.moved if q in w.point_color]

@@ -13,9 +13,10 @@ rewriting system.
 The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
-diagram at every move.  The reference conjugator fold builds each move's
-conjugator as a diagram and composes and reduces after every move.  The
-reference forest check rebuilds every prefix of every leaf and tests each
+diagram at every move and a skeleton and a push plan in every freeing
+round.  The reference conjugator fold builds each move's conjugator as a
+diagram and composes and reduces after every move.  The reference forest
+check rebuilds every prefix of every leaf and tests each
 internal node's children one by one.  The reference reader keeps each
 token's line and column from the start and reads the tokens through one
 method call each.
@@ -35,7 +36,6 @@ from .closed import (
     _bidirectional_order,
     _consolidate,
     _edited,
-    _freeable,
     _plan_cocycle_moves,
     _push,
     _reduce,
@@ -169,11 +169,17 @@ def reduce_closed_step(c: ClosedDiagram, rng=None):
     return _edited(c, _reduce, chosen[0], chosen[2])
 
 
+def _freeable(sk: SplitMergeSkeleton) -> list:
+    """The type 1/2 redexes of a skeleton whose strands carry one count of base points."""
+    return [r for r in find_redexes(sk) if r[0] and len({sk.cocycle[s] for s in sk.out_slots[r[1]]}) == 1]
+
+
 def reference_semi_reduce(c: ClosedDiagram, rng=None):
     """The from-scratch loop that `closed.semi_reduce` must match move for
     move and id for id: before every step it scans the whole diagram for
-    redexes and recomputes the whole order, and every move builds a new
-    diagram."""
+    redexes and recomputes the whole order, every move builds a new
+    diagram, and every freeing round builds the skeleton, tests it with
+    :func:`_freeable` and runs the push planner on the redex's component."""
     trace = []
     while True:
         step = reduce_closed_step(c, rng)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandshift import cli
+from strandshift import cli, closed
 from strandshift.cli import build_parser, main
 from strandshift.diagrams import (
     canonical_key,
@@ -635,6 +635,28 @@ def test_conj_former_false_negative_is_conjugate(capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "3898f88e3b6be075"
     g, base = parse_graph((FIXTURES / "graph3.graph").read_text())
     texts = [(FIXTURES / name).read_text() for name in ("graph3_e9.elem", "graph3_e9_conj509.elem")]
+    f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])
+    assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
+
+
+def test_conj_fig1_pair_that_frees_a_split(capsys, monkeypatch):
+    """fig1-conj suite element 168 (growth 8) as two forest pairs; the fig1
+    graph is fixtures/three_color.graph.  Step 1 frees a split-merge (type
+    1) redex on both sides, which no other fixture does.  The CI workflow
+    runs the same command."""
+    freed = []
+    plan = closed._freeing_plan
+    monkeypatch.setattr(
+        closed, "_freeing_plan", lambda c, v, w, t: freed.append(len(c.out_slots[v])) or plan(c, v, w, t)
+    )
+    names = ("fig1_e168.elem", "fig1_e168_expanded.elem")
+    argv = ["conj", "--graph", str(FIXTURES / "three_color.graph"), "--lhs", str(FIXTURES / names[0])]
+    code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / names[1]), "--witness"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: conjugate\n")
+    assert max(freed) >= 2
+    g, base = parse_graph((FIXTURES / "three_color.graph").read_text())
+    texts = [(FIXTURES / name).read_text() for name in names]
     f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])
     assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
 

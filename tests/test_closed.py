@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -543,14 +544,28 @@ def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_
 TABLES = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
 
 
-def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg):
+def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg, monkeypatch):
     """The worklist semi-reduction against the loop that rescans, reorders
     and rebuilds the diagram before every step: the same Move records, the
     same tables in the same insertion order (slot lists included) and the
     same base line, by default and with a seeded uniform pick.  The forms
     are fig1 elements at growth 8-10, random graphs 1-25 at element seeds
     0-11, and planted conjugates at growth 40 (f and h f h^-1, on fig1 and
-    random graphs 1-4)."""
+    random graphs 1-4).
+
+    The freeing cases are counted on the reference loop's skeleton: a split
+    or a merge primary, alone with its partner in its skeleton component or
+    in a wider one.  `semi_reduce` plans each case in closed form, so the
+    forms must reach all four."""
+    freed = Counter()
+    plan = testkit._plan_cocycle_moves
+
+    def counting_plan(sk, comp, x):
+        (v,) = [p for p in comp if x[p]]
+        freed["split" if len(sk.out_slots[v]) >= 2 else "merge", "pair" if len(comp) == 2 else "wide"] += 1
+        return plan(sk, comp, x)
+
+    monkeypatch.setattr(testkit, "_plan_cocycle_moves", counting_plan)
 
     def element(g, base, seed, steps):
         return from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=steps)))
@@ -576,6 +591,7 @@ def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg):
             assert got[0].base_line == want[0].base_line, (k, rng)
             moved += bool(want[1])
     assert len(forms) == 380 and moved > 500
+    assert {(kind, width) for kind in ("split", "merge") for width in ("pair", "wide")} <= set(freed), freed
 
 
 def snapshot(c):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandshift.errors import ParseError
+from strandshift.graphs import written_roots
 from strandshift.testkit import (
     GeneratorConfig,
     random_element,
@@ -52,15 +53,47 @@ ELEMENTS = _element_cases()
 _STRAYS = ["$", "-", ">", "-->", " - ", "- >"]
 
 
-def _mutate(data, text):
+def _leaf_edit(data, text, g, base):
+    """Re-root a leaf, extend it by one edge that continues it in g (any
+    edge if it is no path), truncate it, or swap it with another leaf: a
+    range leaf, or one of its own side, which re-pairs the two."""
+    spans = [m.span() for m in _WORD.finditer(text) if m.group() not in ("element", "domain", "range")]
+    if not spans:
+        return text
+    a, b = data.draw(st.sampled_from(spans))
+    root, *edges = text[a:b].split(".")
+    edit = data.draw(st.sampled_from(["reroot", "extend", "truncate", "swap"]))
+    if edit == "reroot":
+        root = data.draw(st.sampled_from(written_roots(base)))
+    elif edit == "extend":
+        color = root.partition("#")[0]
+        for e in edges:
+            color = g.edges[e][1] if e in g.edges and g.edges[e][0] == color else None
+        edges.append(data.draw(st.sampled_from(g.out_order.get(color) or sorted(g.edges))))
+    elif edit == "truncate":
+        edges = edges[:-1]
+    else:
+        (a, b), (c, d) = sorted([(a, b), data.draw(st.sampled_from(spans))])
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:] if b <= c else text
+    return text[:a] + ".".join([root, *edges]) + text[b:]
+
+
+def _mutate(data, text, g=None, base=None):
     """Apply one to three mutations: drop, duplicate or swap tokens or whole
     words, insert a stray character, space out the `.` and `#` of words,
-    drop commas, or end lines with \\r\\n."""
+    drop commas, or end lines with \\r\\n.  With the graph g and its base,
+    half the texts get only leaf edits (:func:`_leaf_edit`), which reach the
+    forest checks, and the rest may get them among the others."""
     pieces = _PIECE.findall(text)
+    kinds = ["drop", "duplicate", "swap", "word", "stray", "spaced", "commas", "crlf"]
+    if g is not None:
+        kinds = data.draw(st.sampled_from([["leaf"], kinds + ["leaf"]]))
     for _ in range(data.draw(st.integers(1, 3))):
         toks = [i for i, p in enumerate(pieces) if not p.isspace()]
-        kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "word", "stray", "spaced", "commas", "crlf"]))
-        if kind == "word":
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "leaf":
+            pieces = _PIECE.findall(_leaf_edit(data, "".join(pieces), g, base))
+        elif kind == "word":
             text = "".join(pieces)
             words = [m.span() for m in _WORD.finditer(text)]
             (a, b), (c, d) = sorted([data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))])
@@ -112,7 +145,7 @@ def test_graph_reader_matches_the_reference(data):
 def test_element_reader_matches_the_reference(data):
     graph_text, element_text = data.draw(st.sampled_from(ELEMENTS))
     g, base = parse_graph(graph_text)
-    text = _mutate(data, element_text)
+    text = _mutate(data, element_text, g, base)
     assert _outcome(parse_element, text, g, base) == _outcome(reference_parse_element, text, g, base)
 
 
