@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .closed import close
@@ -28,7 +27,13 @@ def _read(path):
 
 
 def _load_graph(args):
-    return parse_graph(_read(args.graph))
+    """The graph and base of `--graph`, refused at its first violation of
+    the shift assumptions (see `check-graph`)."""
+    g, base = parse_graph(_read(args.graph))
+    violations = validate_graph(g)
+    if violations:
+        raise ValueError(str(violations[0]))
+    return g, base
 
 
 def _load_element(path, g, base):
@@ -43,7 +48,7 @@ def _emit(args, report: dict, human: str):
 
 
 def cmd_check_graph(args):
-    g, base = _load_graph(args)
+    g, base = parse_graph(_read(args.graph))
     violations = validate_graph(g)
     report = {
         "schema_version": 1,
@@ -63,7 +68,7 @@ def cmd_check_graph(args):
 
 
 def cmd_normalize(args):
-    g, base = _load_graph(args)
+    g, base = parse_graph(_read(args.graph))
     g2, base2, rename = normalize_graph(g, base)
     text = format_graph(g2, base2)
     report = {
@@ -141,8 +146,7 @@ def cmd_conj(args):
     g, base = _load_graph(args)
     lhs = from_forest_pair(g, _load_element(args.lhs, g, base))
     rhs = from_forest_pair(g, _load_element(args.rhs, g, base))
-    rng = random.Random(args.seed) if args.seed is not None else None
-    result = is_conjugate(lhs, rhs, g, rng=rng)
+    result = is_conjugate(lhs, rhs, g)
     witness_text = None
     if result.conjugate and args.witness:
         w = conjugator_witness(lhs, rhs, result, g, semigroup_cap=args.semigroup_cap)
@@ -211,7 +215,6 @@ def build_parser():
         description="Strand diagram calculus and conjugacy for piecewise-canonical homeomorphism groups of edge shifts",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized internals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **arguments):

@@ -943,9 +943,10 @@ class _ResumableBaseOrder:
 def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     """Apply type 0/1/2 reductions until no similar diagram admits one.
 
-    Returns (semi-reduced diagram, trace of moves performed).  `budget` and
-    `probe` are ignored; they stay only until the benchmark's tracer stops
-    passing them.
+    Returns (semi-reduced diagram, trace of moves performed).  `budget`,
+    `rng` and `probe` are ignored; they stay only until the benchmark's
+    tracer stops passing them.  There is one reduction order; the random
+    orders live on :func:`strandshift.testkit.reference_semi_reduce`.
 
     Reductions that avoid the base line are taken as they come.  When none
     is left, the test for one that similarities can reach reads the
@@ -1022,9 +1023,8 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     for a single one.  Before a reduction it forgets what processing a
     point the rewrite removes or re-links discovered, and all after it, so
     what it keeps read no changed slot; a shift changes the base line,
-    which seeds the order, so it starts over.  With `rng`, both pick
-    uniformly in `point_color` order, which in-place edits keep as copies
-    did.  Fresh ids are :func:`_fresh_id` of the live tables.
+    which seeds the order, so it starts over.  Fresh ids are
+    :func:`_fresh_id` of the live tables.
     """
     live = ({}, {}, {})
     for r in find_redexes(c, skip=c.base_set):
@@ -1036,12 +1036,8 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     trace = []
     while True:
         if any(live):
-            if rng is not None:
-                found = [t[p] for p in w.point_color for t in live if p in t]
-                rtype, p, payload = found[rng.randrange(len(found))]
-            else:
-                t = live[0] or live[1] or live[2]
-                rtype, p, payload = t[order.first(t)]
+            t = live[0] or live[1] or live[2]
+            rtype, p, payload = t[order.first(t)]
             gone = (p,) if rtype == 0 else payload
             order.cut(
                 [w.strand_from[s] for s in w.in_slots[p]]
@@ -1053,12 +1049,9 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
             freeable = _freeable(w)
             if not freeable:
                 break
-            if rng is not None:
-                _, v, partner, t = freeable[rng.randrange(len(freeable))]
-            else:
-                least = min(r[0] for r in freeable)
-                tied = {r[1]: r for r in freeable if r[0] == least}
-                _, v, partner, t = tied[order.first(tied)]
+            least = min(r[0] for r in freeable)
+            tied = {r[1]: r for r in freeable if r[0] == least}
+            _, v, partner, t = tied[order.first(tied)]
             assert t > 0, "a free redex is missing from the worklist"
             trace.extend(_push(w, _freeing_plan(w, v, partner, t)))
             order = _ResumableBaseOrder(w)

@@ -188,9 +188,9 @@ class Analysis:
     loops: dict
 
 
-def analyze(f: StrandDiagram, rng=None) -> Analysis:
+def analyze(f: StrandDiagram) -> Analysis:
     c = close(f)
-    semi, trace = semi_reduce(c, rng=rng)
+    semi, trace = semi_reduce(c)
     part, loops = decompose_parts(semi)
     return Analysis(c, semi, trace, part, loops)
 
@@ -222,12 +222,7 @@ class ConjugacyResult:
         }
 
 
-def is_conjugate(
-    f: StrandDiagram,
-    g: StrandDiagram,
-    graph: ShiftGraph,
-    rng=None,
-) -> ConjugacyResult:
+def is_conjugate(f: StrandDiagram, g: StrandDiagram, graph: ShiftGraph) -> ConjugacyResult:
     """Decide conjugacy of two group elements over the same graph.
 
     Semi-reduce both closed diagrams, compare split-merge parts through the
@@ -239,8 +234,8 @@ def is_conjugate(
         return ConjugacyResult(
             False, 0, "domain/range signatures differ; no conjugator can exist"
         )
-    a = analyze(f, rng=rng)
-    b = analyze(g, rng=rng)
+    a = analyze(f)
+    b = analyze(g)
     sizes = (
         (a.semi.splits_merges_degens(), len(a.semi.base_line)),
         (b.semi.splits_merges_degens(), len(b.semi.base_line)),

@@ -651,15 +651,16 @@ class _ResumableOrder:
         del self.seq[i:], self.found_by[i:]
 
 
-def reduce_with_log(d: StrandDiagram, rng=None):
+def reduce_with_log(d: StrandDiagram):
     """Reduce to the unique irreducible form, logging each step's type.
 
-    The default order applies the redex with the least (type, canonical
-    index of its primary point), the index taken in the current diagram;
-    pass `rng` to pick uniformly among the current redexes instead (the
-    result is the same diagram either way, which the test suite checks).
-    All redexes are applied to one copy of d's tables, and one diagram is
-    built at the end; an irreducible d is returned as it is.
+    The redex applied next is the one with the least (type, canonical index
+    of its primary point), the index taken in the current diagram.  This is
+    the only order; the random orders that check that the irreducible form
+    does not depend on it live on
+    :func:`strandshift.testkit.reference_reduce_with_log`.  All redexes are
+    applied to one copy of d's tables, and one diagram is built at the end;
+    an irreducible d is returned as it is.
 
     The redexes are found once and then kept per type, keyed by primary
     point.  A rewrite removes its payload points and moves the targets of
@@ -692,12 +693,7 @@ def reduce_with_log(d: StrandDiagram, rng=None):
     order = _ResumableOrder(tabs, d.sources)
     log = []
     while True:
-        if rng is not None:
-            found = [t[p] for p in work.point_color for t in live if p in t]
-            if not found:
-                break
-            chosen = found[rng.randrange(len(found))]
-        elif live[0] or live[1]:
+        if live[0] or live[1]:
             chosen = next(iter((live[0] or live[1]).values()))
         elif live[2]:
             chosen = live[2][order.least(live[2])]
@@ -718,8 +714,8 @@ def reduce_with_log(d: StrandDiagram, rng=None):
     return StrandDiagram(*tabs, d.sources, d.sinks), log
 
 
-def reduce(d: StrandDiagram, rng=None) -> StrandDiagram:
-    return reduce_with_log(d, rng)[0]
+def reduce(d: StrandDiagram) -> StrandDiagram:
+    return reduce_with_log(d)[0]
 
 
 def is_reduced(d: StrandDiagram) -> bool:

@@ -14,10 +14,13 @@ The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
 diagram at every move and a skeleton and a push plan in every freeing
-round.  The reference conjugator fold builds each move's conjugator as a
-diagram and composes and reduces after every move.  The reference forest
-check rebuilds every prefix of every leaf and tests each
-internal node's children one by one.  The reference reader keeps each
+round.  They also hold the only random reduction orders: given `rng`, each
+picks uniformly among the current redexes, so the tests can check that
+neither the normal form nor the conjugacy verdict depends on the order.
+The pipeline has one order.  The reference conjugator fold builds each
+move's conjugator as a diagram and composes and reduces after every move.
+The reference forest check rebuilds every prefix of every leaf and tests
+each internal node's children one by one.  The reference reader keeps each
 token's line and column from the start and reads the tokens through one
 method call each.
 """

@@ -64,6 +64,14 @@ graph
 base [ok, u]
 """
 
+REDUNDANT_EDGE = """
+graph
+  vertex R; vertex B
+  edge rr: R -> R; edge rb: R -> B; edge br: B -> R
+  order R: [rr, rb]; order B: [br]
+base [R]
+"""
+
 NONCONFLUENT_LEFT = """
 graph
   vertex R; vertex B
@@ -81,6 +89,7 @@ def files(tmp_path):
         ("sigma.elem", SIGMA),
         ("identity.elem", IDENTITY),
         ("dead_end.graph", DEAD_END),
+        ("redundant.graph", REDUNDANT_EDGE),
         ("left.graph", NONCONFLUENT_LEFT),
     ]:
         p = tmp_path / name
@@ -484,29 +493,47 @@ def test_invalid_input_exit_code(files, tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
-def test_conj_json_schema_stable_across_seeds(files, capsys):
-    outs = []
-    for seed in ("1", "2"):
-        code, out, _ = run(
-            capsys,
-            [
-                "--json",
-                "--seed",
-                seed,
-                "conj",
-                "--graph",
-                files["fig1.graph"],
-                "--lhs",
-                files["sigma.elem"],
-                "--rhs",
-                files["identity.elem"],
-            ],
-        )
-        assert code == 0
-        outs.append(json.loads(out))
-    assert sorted(outs[0]) == sorted(outs[1])
-    assert outs[0]["verdict"] == outs[1]["verdict"] == "not-conjugate"
-    assert outs[0]["schema_version"] == 1
+def test_conj_json_schema(files, capsys):
+    argv = ["--json", "conj", "--graph", files["fig1.graph"], "--lhs", files["sigma.elem"]]
+    code, out, _ = run(capsys, argv + ["--rhs", files["identity.elem"]])
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report) == [
+        "command",
+        "loop_multisets",
+        "reason",
+        "schema_version",
+        "semi_reduced_sizes",
+        "step_failed",
+        "steps",
+        "verdict",
+        "witness_available",
+    ]
+    assert report["schema_version"] == 1 and report["verdict"] == "not-conjugate"
+
+
+@pytest.mark.parametrize(
+    "graph, leaves, loop, violation",
+    [
+        ("dead_end.graph", "ok, u", "L(ok,1)", "dead-end at vertex s: out-degree 0"),
+        ("redundant.graph", "R", "L(R,1)", "redundant-edge at vertex B: single outgoing edge br is not a self-loop"),
+    ],
+    ids=["dead-end", "redundant-edge"],
+)
+@pytest.mark.parametrize("command", ["eq", "conj", "semigroup-eq", "reduce"])
+def test_commands_refuse_a_graph_that_breaks_the_shift_assumptions(
+    files, tmp_path, capsys, graph, leaves, loop, violation, command
+):
+    """Only check-graph and normalize take such a graph; every other command
+    exits 1 with its first violation, where it would otherwise answer."""
+    elem = tmp_path / "identity.elem"
+    elem.write_text(f"element domain [{leaves}] range [{leaves}]\n")
+    args = {
+        "reduce": ["--elem", str(elem)],
+        "semigroup-eq": ["--lhs", loop, "--rhs", loop],
+    }.get(command, ["--lhs", str(elem), "--rhs", str(elem)])
+    code, out, err = run(capsys, [command, "--graph", files[graph], *args])
+    assert (code, out, err) == (1, "", f"error: {violation}\n")
 
 
 def test_power_negative_exponent(files, tmp_path, capsys):
@@ -563,8 +590,9 @@ def test_main_reuses_one_parser_across_calls(files, capsys, monkeypatch):
         ["frobnicate", "--graph", "fixtures/three_color.graph"],
         [],
         ["power", "--graph", "g", "--elem", "e", "-n", "two"],
+        ["--seed", "1", "conj", "--graph", "fixtures/three_color.graph", "--lhs", "x.elem", "--rhs", "x.elem"],
     ],
-    ids=["missing-lhs-rhs", "missing-rhs", "unknown-subcommand", "no-subcommand", "bad-int"],
+    ids=["missing-lhs-rhs", "missing-rhs", "unknown-subcommand", "no-subcommand", "bad-int", "seed-flag"],
 )
 def test_usage_errors_exit_1(capsys, argv):
     # exit 2 means a named limit was hit; a usage error is invalid input

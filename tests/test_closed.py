@@ -367,11 +367,9 @@ def test_semi_reduce_reduction_count_invariant(fig1, base_bg):
             fig1, random_element(fig1, base_bg, GeneratorConfig(seed=seed + 50, growth_steps=2))
         )
         d = compose(compose(h, f), invert(h))
-        counts = set()
-        for rseed in range(4):
-            _, trace = semi_reduce(close(d), rng=random.Random(rseed))
-            counts.add(sum(1 for m in trace if m.kind == "reduce"))
-        assert len(counts) == 1
+        traces = [semi_reduce(close(d))[1]]
+        traces += [reference_semi_reduce(close(d), random.Random(rseed))[1] for rseed in range(4)]
+        assert len({sum(1 for m in trace if m.kind == "reduce") for trace in traces}) == 1
 
 
 def test_semi_reduce_state_cap_surfaces(fig1, sigma):
@@ -548,24 +546,38 @@ def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg, monkeyp
     """The worklist semi-reduction against the loop that rescans, reorders
     and rebuilds the diagram before every step: the same Move records, the
     same tables in the same insertion order (slot lists included) and the
-    same base line, by default and with a seeded uniform pick.  The forms
-    are fig1 elements at growth 8-10, random graphs 1-25 at element seeds
-    0-11, and planted conjugates at growth 40 (f and h f h^-1, on fig1 and
-    random graphs 1-4).
+    same base line.  The forms are fig1 elements at growth 8-10, random
+    graphs 1-25 at element seeds 0-11, and planted conjugates at growth 40
+    (f and h f h^-1, on fig1 and random graphs 1-4).
 
     The freeing cases are counted on the reference loop's skeleton: a split
     or a merge primary, alone with its partner in its skeleton component or
     in a wider one.  `semi_reduce` plans each case in closed form, so the
-    forms must reach all four."""
+    forms must reach all four.  Every freeing round of the reference loop
+    also checks the closed-form plan against the push planner on every
+    freeable redex, not only on the one it frees."""
     freed = Counter()
-    plan = testkit._plan_cocycle_moves
+    plan, build_skeleton = testkit._plan_cocycle_moves, testkit.skeleton
+    checked = 0
 
     def counting_plan(sk, comp, x):
         (v,) = [p for p in comp if x[p]]
         freed["split" if len(sk.out_slots[v]) >= 2 else "merge", "pair" if len(comp) == 2 else "wide"] += 1
         return plan(sk, comp, x)
 
+    def checking_skeleton(c):
+        nonlocal checked
+        sk = build_skeleton(c)
+        for _, v, (_, w) in testkit._freeable(sk):
+            comp = closed._bidirectional_order(sk, [v])
+            x = dict.fromkeys(comp, 0)
+            x[v] = sk.cocycle[sk.out_slots[v][0]]
+            assert closed._freeing_plan(c, v, w, x[v]) == plan(sk, comp, x), v
+            checked += 1
+        return sk
+
     monkeypatch.setattr(testkit, "_plan_cocycle_moves", counting_plan)
+    monkeypatch.setattr(testkit, "skeleton", checking_skeleton)
 
     def element(g, base, seed, steps):
         return from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=steps)))
@@ -580,17 +592,15 @@ def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg, monkeyp
         forms += [close(f), close(reduce(compose(compose(h, f), invert(h))))]
     moved = 0
     for k, c in enumerate(forms):
-        for rng in (None, k):
-            got, want = (
-                run(c, rng=None if rng is None else random.Random(rng)) for run in (semi_reduce, reference_semi_reduce)
-            )
-            assert got[1] == want[1], (k, rng)
-            assert [list(getattr(got[0], t).items()) for t in TABLES] == [
-                list(getattr(want[0], t).items()) for t in TABLES
-            ], (k, rng)
-            assert got[0].base_line == want[0].base_line, (k, rng)
-            moved += bool(want[1])
-    assert len(forms) == 380 and moved > 500
+        got, want = semi_reduce(c), reference_semi_reduce(c)
+        assert got[1] == want[1], k
+        assert [list(getattr(got[0], t).items()) for t in TABLES] == [
+            list(getattr(want[0], t).items()) for t in TABLES
+        ], k
+        assert got[0].base_line == want[0].base_line, k
+        moved += bool(want[1])
+    assert len(forms) == 380 and moved > 250
+    assert checked > sum(freed.values())  # redexes the default order does not pick
     assert {(kind, width) for kind in ("split", "merge") for width in ("pair", "wide")} <= set(freed), freed
 
 

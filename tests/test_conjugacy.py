@@ -630,9 +630,9 @@ def test_witness_builds_no_conjugator_diagram_and_reduces_once(fig1, base_bg, mo
         built.append(mv.kind)
         return conjugator_of(mv)
 
-    def recording_reduce(d, rng=None):
+    def recording_reduce(d):
         reduced.append(d)
-        return reduce(d, rng)
+        return reduce(d)
 
     monkeypatch.setattr("strandshift.closed.conjugator_of", recording_conjugator)
     monkeypatch.setattr("strandshift.conjugacy.reduce", recording_reduce)
