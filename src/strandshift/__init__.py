@@ -32,6 +32,7 @@ from .diagrams import (
     identity_diagram,
     invert,
     is_group_element,
+    product,
     reduce,
     to_forest_pair,
     validate_strand_diagram,

@@ -8,12 +8,13 @@ Exit codes: 0 a verdict was computed (the verdict itself, including
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from .closed import close
 from .conjugacy import conjugator_witness, is_conjugate
-from .diagrams import compose, equal, from_forest_pair, identity_diagram, invert, reduce, to_forest_pair
+from .diagrams import compose, equal, from_forest_pair, identity_diagram, invert, product, reduce, to_forest_pair
 from .dot import closed_dot, diagram_dot
 from .errors import LimitExceeded, ParseError, SignatureMismatch
 from .graphs import normalize_graph, validate_graph
@@ -114,21 +115,22 @@ def cmd_invert(args):
 
 def cmd_power(args):
     g, base = _load_graph(args)
-    d = from_forest_pair(g, _load_element(args.elem, g, base))
+    d = reduce(from_forest_pair(g, _load_element(args.elem, g, base)))
     n = args.n
     result = identity_diagram(d.domain())
     square = d if n >= 0 else invert(d)
-    # Binary exponentiation: at most 2*floor(log2 |n|) + 1 products.  The
-    # product is associative and the reduced form is unique, so the printed
-    # element is the one the factor-at-a-time product gives; only point ids
-    # in the DOT drawing follow the order of the products.
+    # Binary exponentiation: at most 2*floor(log2 |n|) + 1 products, each of
+    # reduced factors, so each is reduced at its seam only.  The product is
+    # associative and the reduced form is unique, so the printed element is
+    # the one the factor-at-a-time product gives; only point ids in the DOT
+    # drawing follow the order of the products.
     k = abs(n)
     while k:
         if k & 1:
-            result = reduce(compose(result, square))
+            result = product(result, square)
         k >>= 1
         if k:
-            square = reduce(compose(square, square))
+            square = product(square, square)
     return _element_out(args, g, result, {"schema_version": 1, "command": "power", "n": n})
 
 
@@ -280,7 +282,13 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # argparse would read the value of an unknown flag before the
+        # subcommand as the subcommand, and name that value instead
+        for token in itertools.takewhile(lambda t: t.startswith("-"), argv):
+            if not any(flag.startswith(token.split("=", 1)[0]) for flag in _PARSER._option_string_actions):
+                _PARSER.error(f"unrecognized arguments: {token}")
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 1

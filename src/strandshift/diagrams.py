@@ -20,9 +20,12 @@ source and sink orders for a base line.
 
 Constructors adopt, and every edit copies once: a diagram keeps the six dicts
 it is given and never changes them, so an inverse shares its input's
-tables, and an edit rewrites one :func:`_copy_tables` copy in place.  Copies and builders hold slot sequences as lists; a hand-built
-diagram may use tuples, but not both, since type 1 redexes compare whole
-slot sequences.
+tables, and an edit rewrites one :func:`_copy_tables` copy in place.  A
+product of reduced diagrams (:func:`product`) is one such edit: the factors
+are glued on one copy, only the seam where they meet is reduced, and one
+diagram is built.  Copies and builders hold slot sequences as lists; a
+hand-built diagram may use tuples, but not both, since type 1 redexes
+compare whole slot sequences.
 """
 
 from __future__ import annotations
@@ -78,9 +81,6 @@ class StrandDiagram(_Tables):
 
     def range(self) -> tuple:
         return tuple(self.point_color[p] for p in self.sinks)
-
-    def n_points(self) -> int:
-        return len(self.point_color)
 
     def __repr__(self):
         return (
@@ -474,8 +474,13 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
 # ---------------------------------------------------------------------------
 # groupoid operations
 
-def compose(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
-    """Concatenate: a's i-th sink is spliced onto b's i-th source. Not reduced."""
+def _glue(a: StrandDiagram, b: StrandDiagram):
+    """Concatenate onto one copy of the tables: a's i-th sink is spliced onto
+    b's i-th source, and the glued strand keeps the id of a's strand.
+
+    Returns the tables, the new sinks (b's, moved past a's ids) and the
+    seam, the origins of the glued strands in sink order.
+    """
     if a.range() != b.domain():
         raise SignatureMismatch(f"range {a.range()} != domain {b.domain()}")
     offset = 1 + max(
@@ -491,13 +496,42 @@ def compose(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
         sf[s + offset] = b.strand_from[s] + offset
         st[s + offset] = b.strand_to[s] + offset
 
+    seam = []
     for snk, src in zip(a.sinks, (p + offset for p in b.sources)):
-        s_b = outs[src][0]
-        _retarget(st, ins, ins[snk][0], s_b)
+        s_a, s_b = ins[snk][0], outs[src][0]
+        seam.append(sf[s_a])
+        _retarget(st, ins, s_a, s_b)
         _drop_point(tabs, snk)
         _drop_point(tabs, src)
         _drop_strand(tabs, s_b)
-    return StrandDiagram(*tabs, a.sources, tuple(p + offset for p in b.sinks))
+    return tabs, tuple(p + offset for p in b.sinks), seam
+
+
+def compose(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
+    """Concatenate: a's i-th sink is spliced onto b's i-th source. Not reduced."""
+    tabs, sinks, _ = _glue(a, b)
+    return StrandDiagram(*tabs, a.sources, sinks)
+
+
+def product(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
+    """The reduced product of reduced a and b: ``reduce(compose(a, b))``,
+    tables and ids included, with one copy and one built diagram.
+
+    a and b must be reduced; this is not checked, and on an unreduced factor
+    the result may keep that factor's redexes.  Gluing keeps the degrees and
+    colours of every surviving point, so it creates no degenerate point, and
+    it moves only the targets of the glued strands.  A redex test reads its
+    primary point's out-strands, their targets and those targets' slots.  A
+    glued strand takes the in-slot of b's source strand, and neither is an
+    out-strand of a point off the seam, so off the seam every test comes out
+    as it did in a or b, where it found no redex.  So the redexes at the
+    seam are all the composite's, and from them the reduction runs as in
+    :func:`reduce_with_log`; the order in which they are found does not
+    change the tables (see there).
+    """
+    tabs, sinks, seam = _glue(a, b)
+    _reduce_in_place(tabs, a.sources, _redexes_at(_Tables(*tabs), dict.fromkeys(seam)))
+    return StrandDiagram(*tabs, a.sources, sinks)
 
 
 def invert(d: StrandDiagram) -> StrandDiagram:
@@ -685,12 +719,20 @@ def reduce_with_log(d: StrandDiagram):
     if not redexes:
         return d, []
     tabs = _copy_tables(d)
+    log = _reduce_in_place(tabs, d.sources, redexes)
+    return StrandDiagram(*tabs, d.sources, d.sinks), log
+
+
+def _reduce_in_place(tabs, sources, redexes) -> list:
+    """Apply redexes to the mutable `tabs` until none is left, starting from
+    `redexes`, which must hold every redex of the tables; returns the log of
+    redex types.  The order is the one :func:`reduce_with_log` describes."""
     work = _Tables(*tabs)
     strand_from, in_slots = tabs[2], tabs[4]
     live = ({}, {}, {})
     for r in redexes:
         live[r[0]][r[1]] = r
-    order = _ResumableOrder(tabs, d.sources)
+    order = _ResumableOrder(tabs, sources)
     log = []
     while True:
         if live[0] or live[1]:
@@ -711,7 +753,7 @@ def reduce_with_log(d: StrandDiagram):
             live[r[0]][r[1]] = r
             if r[0] == 2:
                 order.note(r[1])
-    return StrandDiagram(*tabs, d.sources, d.sinks), log
+    return log
 
 
 def reduce(d: StrandDiagram) -> StrandDiagram:

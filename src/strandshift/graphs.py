@@ -58,9 +58,6 @@ class ShiftGraph:
     def term(self, edge) -> str:
         return self.edges[edge][1]
 
-    def out_degree(self, v: str) -> int:
-        return len(self.out_order[v])
-
     def child_colors(self, v: str) -> tuple:
         """Colors of the out-star targets, in the fixed edge order."""
         return tuple(self.term(e) for e in self.out_order[v])

@@ -17,6 +17,7 @@ from strandshift.diagrams import (
     from_forest_pair,
     identity_diagram,
     invert,
+    product,
     reduce,
     to_forest_pair,
 )
@@ -583,22 +584,26 @@ def test_main_reuses_one_parser_across_calls(files, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["conj", "--graph", "fixtures/three_color.graph"],
-        ["conj", "--graph", "fixtures/three_color.graph", "--lhs", "x.elem"],
-        ["frobnicate", "--graph", "fixtures/three_color.graph"],
-        [],
-        ["power", "--graph", "g", "--elem", "e", "-n", "two"],
-        ["--seed", "1", "conj", "--graph", "fixtures/three_color.graph", "--lhs", "x.elem", "--rhs", "x.elem"],
+        (["conj", "--graph", "fixtures/three_color.graph"], "conj: error: the following arguments are required: --lhs, --rhs"),
+        (["conj", "--graph", "fixtures/three_color.graph", "--lhs", "x.elem"], "conj: error: the following arguments are required: --rhs"),
+        (["frobnicate", "--graph", "fixtures/three_color.graph"], "error: argument command: invalid choice: 'frobnicate'"),
+        ([], "error: the following arguments are required: command"),
+        (["power", "--graph", "g", "--elem", "e", "-n", "two"], "power: error: argument -n: invalid int value: 'two'"),
+        (
+            ["--seed", "1", "conj", "--graph", "fixtures/three_color.graph", "--lhs", "x.elem", "--rhs", "x.elem"],
+            "strandshift: error: unrecognized arguments: --seed",
+        ),
+        (["--bogus", "conj", "--graph", "fixtures/three_color.graph"], "strandshift: error: unrecognized arguments: --bogus"),
     ],
-    ids=["missing-lhs-rhs", "missing-rhs", "unknown-subcommand", "no-subcommand", "bad-int", "seed-flag"],
+    ids=["missing-lhs-rhs", "missing-rhs", "unknown-subcommand", "no-subcommand", "bad-int", "seed-flag", "unknown-flag"],
 )
-def test_usage_errors_exit_1(capsys, argv):
+def test_usage_errors_exit_1(capsys, argv, message):
     # exit 2 means a named limit was hit; a usage error is invalid input
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
-    assert err.startswith("usage: strandshift") and "error:" in err
+    assert err.startswith("usage: strandshift") and message in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["conj", "--help"]])
@@ -611,7 +616,9 @@ def test_help_exits_0(capsys, argv):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # stdout and the SHA-256 prefix of the DOT file on fixtures/three_color.graph,
-# recorded while `_element_out` still reduced a second time for the DOT file.
+# recorded while `_element_out` still reduced a second time for the DOT file,
+# and the reductions, each `reduce` or reduced `product` one: `power -n 3`
+# reduces its input, takes three products and reduces the result for output.
 ELEMENT_DOT_OUTPUT = [
     pytest.param(
         ["reduce", "--elem", "sigma.elem"], 1,
@@ -630,7 +637,7 @@ ELEMENT_DOT_OUTPUT = [
         id="compose-sigma-sigma",
     ),
     pytest.param(
-        ["power", "--elem", "sigma.elem", "-n", "3"], 3 + 1,
+        ["power", "--elem", "sigma.elem", "-n", "3"], 1 + 3 + 1,
         "element\n  domain [B.1, B.2, G.3, G.4.1, G.4.2]\n  range  [B.1, G.4.2, G.3, G.4.1, B.2]\n",
         "92d020af10fbbcbd",
         id="power-sigma-3",
@@ -642,6 +649,7 @@ ELEMENT_DOT_OUTPUT = [
 def test_dot_output_reuses_the_reduction(args, reductions, stdout, dot_digest, tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "reduce", lambda d: calls.append(d) or reduce(d))
+    monkeypatch.setattr(cli, "product", lambda a, b: calls.append((a, b)) or product(a, b))
     dot = tmp_path / "out.dot"
     argv = [args[0], "--graph", str(FIXTURES / "three_color.graph")]
     argv += [str(FIXTURES / a) if a.endswith(".elem") else a for a in args[1:]]
@@ -724,10 +732,10 @@ def test_power_equals_the_factor_at_a_time_product(name, full_shift2, tmp_path, 
     d = from_forest_pair(g, parse_element(elem.read_text(), g, base))
     expected = {}  # n -> (stdout, canonical key), one factor at a time
     for step, sign in ((d, 1), (invert(d), -1)):
-        product = identity_diagram(d.domain())
+        power = identity_diagram(d.domain())
         for k in range(max(abs(n) for n in POWER_EXPONENTS) + 1):
-            expected[sign * k] = format_element(to_forest_pair(g, product)), canonical_key(product)
-            product = reduce(compose(product, step))
+            expected[sign * k] = format_element(to_forest_pair(g, power)), canonical_key(power)
+            power = reduce(compose(power, step))
     assert expected[0][0] == format_element(identity_pair(g, base))
 
     drawn = []
@@ -742,7 +750,7 @@ def test_power_equals_the_factor_at_a_time_product(name, full_shift2, tmp_path, 
 @pytest.mark.parametrize("n", [64, -100])
 def test_power_takes_logarithmically_many_products(n, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    monkeypatch.setattr(cli, "product", lambda a, b: calls.append(1) or product(a, b))
     argv = ["power", "--graph", str(FIXTURES / "three_color.graph"), "--elem", str(FIXTURES / "sigma.elem")]
     code, _, _ = run(capsys, argv + ["-n", str(n)])
     assert code == 0

@@ -20,6 +20,7 @@ from strandshift.diagrams import (
     is_reduced,
     merge_diagram,
     permutation_diagram,
+    product,
     reduce,
     reduce_with_log,
     split_diagram,
@@ -470,3 +471,45 @@ def test_reduce_does_linear_work_on_x0_powers(full_shift2, thompson_x0, monkeypa
         reads[n] = _CountingDict.reads
         assert 2 in log and len(red.point_color) < 4 * n
     assert reads[128] <= 2.2 * reads[64], reads
+
+
+def test_product_is_the_reduced_composite(full_shift2, thompson_x0):
+    """On reduced factors (random elements, their inverses, f f^-1, reduced
+    products and the identity), product(a, b) has the tables of
+    reduce(compose(a, b)), ids and table order included.  The composite is
+    built as a StrandDiagram, so its structure is checked too."""
+
+    def record(d):
+        return [list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks
+
+    pairs = 0
+    for gs in range(1, 21):
+        g, base = random_graph(GeneratorConfig(seed=gs))
+        elements = [
+            reduce(from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e, growth_steps=2 + e % 4))))
+            for e in range(4)
+        ]
+        factors = [identity_diagram(base)] + elements + [invert(f) for f in elements]
+        factors += [reduce(compose(elements[0], invert(elements[0]))), reduce(compose(elements[1], elements[2]))]
+        for a in factors:
+            for b in factors:
+                assert record(product(a, b)) == record(reduce(compose(a, b))), (gs, pairs)
+                pairs += 1
+    x0 = reduce(from_forest_pair(full_shift2, thompson_x0))
+    for a, b in ((x0, x0), (x0, invert(x0)), (invert(x0), x0)):
+        assert record(product(a, b)) == record(reduce(compose(a, b)))
+    assert pairs == 20 * 11 * 11
+
+
+def test_product_scans_the_seam_and_builds_one_diagram(full_shift2, thompson_x0, monkeypatch):
+    x0 = reduce(from_forest_pair(full_shift2, thompson_x0))
+    square = x0
+    for _ in range(5):
+        square = product(square, square)
+    expected = canonical_key(reduce(x0_power(full_shift2, thompson_x0, 33)))
+    checked = []
+    real = diagrams._check_structure
+    monkeypatch.setattr(diagrams, "find_redexes", lambda *args: pytest.fail("the full redex scan ran"))
+    monkeypatch.setattr(diagrams, "_check_structure", lambda d: checked.append(d) or real(d))
+    result = product(square, x0)
+    assert checked == [result] and canonical_key(result) == expected
