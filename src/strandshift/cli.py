@@ -82,8 +82,8 @@ def cmd_normalize(args):
     return 0
 
 
-def _element_out(args, g, diagram, report):
-    reduced = reduce(diagram)
+def _element_out(args, g, reduced, report):
+    """Print a reduced diagram as an element, and draw it when asked."""
     text = format_element(to_forest_pair(g, reduced))
     report["element"] = text
     if args.dot:
@@ -97,20 +97,20 @@ def _element_out(args, g, diagram, report):
 def cmd_reduce(args):
     g, base = _load_graph(args)
     d = from_forest_pair(g, _load_element(args.elem, g, base))
-    return _element_out(args, g, d, {"schema_version": 1, "command": "reduce"})
+    return _element_out(args, g, reduce(d), {"schema_version": 1, "command": "reduce"})
 
 
 def cmd_compose(args):
     g, base = _load_graph(args)
     lhs = from_forest_pair(g, _load_element(args.lhs, g, base))
     rhs = from_forest_pair(g, _load_element(args.rhs, g, base))
-    return _element_out(args, g, compose(lhs, rhs), {"schema_version": 1, "command": "compose"})
+    return _element_out(args, g, reduce(compose(lhs, rhs)), {"schema_version": 1, "command": "compose"})
 
 
 def cmd_invert(args):
     g, base = _load_graph(args)
     d = from_forest_pair(g, _load_element(args.elem, g, base))
-    return _element_out(args, g, invert(d), {"schema_version": 1, "command": "invert"})
+    return _element_out(args, g, reduce(invert(d)), {"schema_version": 1, "command": "invert"})
 
 
 def cmd_power(args):

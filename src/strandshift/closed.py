@@ -844,14 +844,13 @@ def _chain(c, s) -> tuple:
     return q, s, t
 
 
-def _freeable(c) -> list:
-    """The type 1/2 redexes of c's skeleton whose strands carry one count of
-    base points, read on c itself: (type, point, partner, count) in
-    `point_color` order.  The tests are those of the skeleton's redex
-    predicate on the chains, a chain's last strand standing for the
-    skeleton strand in its in-slot."""
+def _freeable(c) -> tuple | None:
+    """The first type 1/2 redex of c's skeleton, in `point_color` order,
+    whose strands carry one count of base points, read on c itself:
+    (type, point, partner, count), or None.  The tests are those of the
+    skeleton's redex predicate on the chains, a chain's last strand
+    standing for the skeleton strand in its in-slot."""
     pc, ins, outs, base = c.point_color, c.in_slots, c.out_slots, c.base_set
-    found = []
     for v in pc:
         if v in base:
             continue
@@ -864,11 +863,11 @@ def _freeable(c) -> list:
             continue
         if not split:
             if len(ins[w]) == 1 and len(outs[w]) >= 2:
-                found.append((2, v, w, t))
+                return 2, v, w, t
         elif len(outs[w]) == 1 and len(ins[w]) == len(o) and ins[w][0] == s:
             if all(_chain(c, s_out)[1:] == (s_in, t) for s_out, s_in in zip(o[1:], ins[w][1:])):
-                found.append((1, v, w, t))
-    return found
+                return 1, v, w, t
+    return None
 
 
 def _freeing_plan(c, v, w, t) -> list:
@@ -883,74 +882,17 @@ def _freeing_plan(c, v, w, t) -> list:
     return [(p, "expand" if forward == (len(outs[p]) >= 2) else "reduce")] * t
 
 
-class _ResumableBaseOrder:
-    """`_bidirectional_order(c, c.base_line)` for tables under reductions:
-    extended only until it meets a point a query asks for, and cut back
-    before every rewrite.
-
-    `seq` lists the points discovered so far and `index` inverts it;
-    positions below `head` have been processed, and processing position h
-    began when `seq` held `mark[h]` points.  The base line seeds the whole
-    order, so a move that changes it needs a new one.
-    """
-
-    __slots__ = ("c", "seq", "index", "mark", "head")
-
-    def __init__(self, c):
-        self.c = c
-        self.seq = list(dict.fromkeys(c.base_line))
-        self.index = {p: i for i, p in enumerate(self.seq)}
-        self.mark = []
-        self.head = 0
-
-    def first(self, points):
-        """The point of `points`, a nonempty set or dict, that comes first."""
-        if len(points) == 1:
-            return next(iter(points))
-        c, seq, index = self.c, self.seq, self.index
-        found = [index[p] for p in points if p in index]
-        while not found:
-            h = self.head
-            if h == len(seq):
-                raise ValueError("component without a base point")
-            self.head = h + 1
-            self.mark.append(len(seq))
-            p = seq[h]
-            for q in itertools.chain(
-                [c.strand_to[s] for s in c.out_slots[p]], [c.strand_from[s] for s in c.in_slots[p]]
-            ):
-                if q not in index:
-                    if q in points:
-                        found.append(len(seq))
-                    index[q] = len(seq)
-                    seq.append(q)
-        return seq[min(found)]
-
-    def cut(self, points):
-        """Forget what processing any of `points` discovered, and everything
-        after it; `points` are those a rewrite removes or re-links."""
-        head, index = self.head, self.index
-        done = [index[p] for p in points if index.get(p, head) < head]
-        if done:
-            h = min(done)
-            i = self.mark[h]
-            for q in self.seq[i:]:
-                del index[q]
-            del self.seq[i:], self.mark[h:]
-            self.head = h
-
-
 def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     """Apply type 0/1/2 reductions until no similar diagram admits one.
 
     Returns (semi-reduced diagram, trace of moves performed).  `budget`,
     `rng` and `probe` are ignored; they stay only until the benchmark's
-    tracer stops passing them.  There is one reduction order; the random
-    orders live on :func:`strandshift.testkit.reference_semi_reduce`.
+    tracer stops passing them.
 
-    Reductions that avoid the base line are taken as they come.  When none
-    is left, the test for one that similarities can reach reads the
-    :func:`skeleton` of the working tables without building it:
+    Reductions that avoid the base line are taken as they come: the first
+    live redex of the least type present, in the order the worklist holds
+    them.  When none is left, the test for one that similarities can reach
+    reads the :func:`skeleton` of the working tables without building it:
     similarities keep every split, merge and chain between them, so a
     reduction of a similar diagram is a type 1/2 skeleton redex (split or
     merge v, partner w) whose strands carry no base point there.
@@ -1012,49 +954,39 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     the type 1 test both times), and only those are tested again: for a
     reduction, the origins of its primary's in-strands; for a shift, of the
     strands into the base points it removes and of those its new base
-    points cut.  A round that frees a redex costs one read of the working
-    tables, linear in their size, and copies nothing.
+    points cut.
 
-    The moves and ids are those of a full rescan before every step
-    (:func:`strandshift.testkit.reference_semi_reduce`).  Both take the
-    least (type, rank) redex, or freeable redex, the rank taken in the
-    current `_bidirectional_order(c, c.base_line)`.  `_ResumableBaseOrder`
-    builds that order only as far as the first candidate, and not at all
-    for a single one.  Before a reduction it forgets what processing a
-    point the rewrite removes or re-links discovered, and all after it, so
-    what it keeps read no changed slot; a shift changes the base line,
-    which seeds the order, so it starts over.  Fresh ids are
-    :func:`_fresh_id` of the live tables.
+    A freeing round frees the first freeable redex in table order, so it
+    reads the working tables at most once, copies nothing, and stops early
+    when it finds one.  Fresh ids are :func:`_fresh_id` of the live tables.
+
+    Another order of moves can stop at another form: its split-merge part
+    is similar to this one's, and its loops are equal in the loops
+    semigroup, though they may pass more or fewer base points.  That is all
+    the conjugacy test compares, so no verdict depends on the order.  The
+    order is fixed by the tables and their insertion order, and by nothing
+    else.  The canonical and random orders live on
+    :func:`strandshift.testkit.reference_semi_reduce`.
     """
     live = ({}, {}, {})
     for r in find_redexes(c, skip=c.base_set):
         live[r[0]][r[1]] = r
-    if not any(live) and not _freeable(c):
+    if not any(live) and _freeable(c) is None:
         return c, []
     w = _ClosedTables(c)
-    order = _ResumableBaseOrder(w)
     trace = []
     while True:
         if any(live):
-            t = live[0] or live[1] or live[2]
-            rtype, p, payload = t[order.first(t)]
+            rtype, p, payload = next(iter((live[0] or live[1] or live[2]).values()))
             gone = (p,) if rtype == 0 else payload
-            order.cut(
-                [w.strand_from[s] for s in w.in_slots[p]]
-                + [w.strand_to[s] for s in w.out_slots[gone[-1]]]
-                + list(gone)
-            )
             trace.append(_reduce(w, rtype, payload))
         else:
             freeable = _freeable(w)
-            if not freeable:
+            if freeable is None:
                 break
-            least = min(r[0] for r in freeable)
-            tied = {r[1]: r for r in freeable if r[0] == least}
-            _, v, partner, t = tied[order.first(tied)]
+            _, v, partner, t = freeable
             assert t > 0, "a free redex is missing from the worklist"
             trace.extend(_push(w, _freeing_plan(w, v, partner, t)))
-            order = _ResumableBaseOrder(w)
             gone = ()
         moved = [q for q in w.moved if q in w.point_color]
         w.moved.clear()

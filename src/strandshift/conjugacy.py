@@ -207,7 +207,13 @@ class ConjugacyResult:
     match: object = field(default=None, repr=False)
 
     def record(self) -> dict:
-        """Machine-readable verdict, schema version 1."""
+        """Machine-readable verdict, schema version 1.
+
+        The semi-reduced sizes and loop multisets describe the forms this
+        run's Step 1 found, not invariants of the conjugacy classes: another
+        reduction order can stop at a similar form whose loops pass more or
+        fewer base points.  So do the Step 1 moves that `conj` reports as
+        `steps`.  The verdict does not depend on any of them."""
         return {
             "schema_version": 1,
             "verdict": "conjugate" if self.conjugate else "not-conjugate",

@@ -30,7 +30,6 @@ compare whole slot sequences.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 
@@ -479,7 +478,7 @@ def _glue(a: StrandDiagram, b: StrandDiagram):
     b's i-th source, and the glued strand keeps the id of a's strand.
 
     Returns the tables, the new sinks (b's, moved past a's ids) and the
-    seam, the origins of the glued strands in sink order.
+    seam, the set of the origins of the glued strands.
     """
     if a.range() != b.domain():
         raise SignatureMismatch(f"range {a.range()} != domain {b.domain()}")
@@ -496,10 +495,10 @@ def _glue(a: StrandDiagram, b: StrandDiagram):
         sf[s + offset] = b.strand_from[s] + offset
         st[s + offset] = b.strand_to[s] + offset
 
-    seam = []
+    seam = set()
     for snk, src in zip(a.sinks, (p + offset for p in b.sources)):
         s_a, s_b = ins[snk][0], outs[src][0]
-        seam.append(sf[s_a])
+        seam.add(sf[s_a])
         _retarget(st, ins, s_a, s_b)
         _drop_point(tabs, snk)
         _drop_point(tabs, src)
@@ -525,12 +524,12 @@ def product(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     glued strand takes the in-slot of b's source strand, and neither is an
     out-strand of a point off the seam, so off the seam every test comes out
     as it did in a or b, where it found no redex.  So the redexes at the
-    seam are all the composite's, and from them the reduction runs as in
-    :func:`reduce_with_log`; the order in which they are found does not
-    change the tables (see there).
+    seam are all the composite's.  Taken in table order, they are the list
+    :func:`find_redexes` gives on the composite, so from there the reduction
+    runs step for step as :func:`reduce_with_log` runs on the same tables.
     """
     tabs, sinks, seam = _glue(a, b)
-    _reduce_in_place(tabs, a.sources, _redexes_at(_Tables(*tabs), dict.fromkeys(seam)))
+    _reduce_in_place(tabs, _redexes_at(_Tables(*tabs), [p for p in a.point_color if p in seam]))
     return StrandDiagram(*tabs, a.sources, sinks)
 
 
@@ -623,75 +622,14 @@ def apply_redex(tabs, redex):
             _drop_strand(tabs, t_j)
 
 
-class _ResumableOrder:
-    """The forward BFS order of `_forward_order`, kept for tables under
-    rewriting: extended only until it reaches a live type 2 primary, and cut
-    back at every rewrite.
-
-    `seq` lists the points discovered so far, `index` inverts it, and
-    `found_by[i]` is the position whose processing discovered `seq[i]`;
-    positions below `head` have been processed.  `heap` holds (index, point)
-    for every discovered point that is a live type 2 primary, plus stale
-    entries that are skipped when they surface.
-    """
-
-    __slots__ = ("strand_to", "out_slots", "seq", "index", "found_by", "head", "heap")
-
-    def __init__(self, tabs, sources):
-        self.strand_to, self.out_slots = tabs[3], tabs[5]
-        self.seq = list(sources)
-        self.index = {p: i for i, p in enumerate(self.seq)}
-        self.found_by = [-1] * len(self.seq)
-        self.head = 0
-        self.heap = []
-
-    def least(self, primaries):
-        """The point of `primaries` (the live type 2 primaries) that comes first."""
-        seq, index, heap, found_by = self.seq, self.index, self.heap, self.found_by
-        st, outs = self.strand_to, self.out_slots
-        while True:
-            while heap:
-                i, p = heap[0]
-                if p in primaries and index.get(p) == i:
-                    return p
-                heapq.heappop(heap)
-            h = self.head
-            if h == len(seq):
-                raise ValueError("diagram has points unreachable from its sources")
-            self.head = h + 1
-            for s in outs[seq[h]]:
-                q = st[s]
-                if q not in index:
-                    index[q] = len(seq)
-                    if q in primaries:
-                        heapq.heappush(heap, (len(seq), q))
-                    seq.append(q)
-                    found_by.append(h)
-
-    def note(self, p):
-        """p has just become a live type 2 primary."""
-        i = self.index.get(p)
-        if i is not None:
-            heapq.heappush(self.heap, (i, p))
-
-    def cut(self, p):
-        """Forget the order from p's discovery on; p is the primary of a rewrite."""
-        i = self.index.get(p)
-        if i is None:
-            return
-        self.head = self.found_by[i]
-        for q in self.seq[i:]:
-            del self.index[q]
-        del self.seq[i:], self.found_by[i:]
-
-
 def reduce_with_log(d: StrandDiagram):
     """Reduce to the unique irreducible form, logging each step's type.
 
-    The redex applied next is the one with the least (type, canonical index
-    of its primary point), the index taken in the current diagram.  This is
-    the only order; the random orders that check that the irreducible form
-    does not depend on it live on
+    Each step applies the first live redex of the least type present, in
+    the order the worklist holds them.  Reduction terminates, since every
+    rewrite removes points, and it is locally confluent, so every order
+    reaches the same irreducible form up to ids (BM14; Newman's lemma).
+    The canonical and random orders that check this live on
     :func:`strandshift.testkit.reference_reduce_with_log`.  All redexes are
     applied to one copy of d's tables, and one diagram is built at the end;
     an irreducible d is returned as it is.
@@ -701,29 +639,21 @@ def reduce_with_log(d: StrandDiagram):
     the in-strands of its primary and nothing else, so only the origins of
     those strands are examined again.
 
-    Only type 2 needs the canonical order.  No rewrite changes the degrees
-    of a surviving point, so the type 0 redexes are the initial degenerate
-    points.  Two live redexes of type 0, or two of type 1, are disjoint;
-    each stays live after the other is applied, and the two give the same
-    tables, ids included, in either order.  So any live redex of the least
-    type present may go next when that type is 0 or 1.
-
-    The canonical order is the forward BFS of `_forward_order`, extended
-    only until it reaches a live type 2 primary.  A rewrite with primary p
-    moves strand targets only at the point that discovered p and at points
-    processed after it, and removes only p and points discovered from p.
-    The order up to p's discovery therefore stays valid: it is cut at p and
-    resumes with the point that discovered p.
+    Which ids survive can depend on the order of the type 2 rewrites, so
+    the run is fixed by the tables and the order of the initial redexes,
+    and by nothing else: no step iterates a set.  Every edit deletes
+    entries or overwrites existing ones, so the tables keep their
+    insertion order.
     """
     redexes = find_redexes(d)
     if not redexes:
         return d, []
     tabs = _copy_tables(d)
-    log = _reduce_in_place(tabs, d.sources, redexes)
+    log = _reduce_in_place(tabs, redexes)
     return StrandDiagram(*tabs, d.sources, d.sinks), log
 
 
-def _reduce_in_place(tabs, sources, redexes) -> list:
+def _reduce_in_place(tabs, redexes) -> list:
     """Apply redexes to the mutable `tabs` until none is left, starting from
     `redexes`, which must hold every redex of the tables; returns the log of
     redex types.  The order is the one :func:`reduce_with_log` describes."""
@@ -732,18 +662,11 @@ def _reduce_in_place(tabs, sources, redexes) -> list:
     live = ({}, {}, {})
     for r in redexes:
         live[r[0]][r[1]] = r
-    order = _ResumableOrder(tabs, sources)
     log = []
-    while True:
-        if live[0] or live[1]:
-            chosen = next(iter((live[0] or live[1]).values()))
-        elif live[2]:
-            chosen = live[2][order.least(live[2])]
-        else:
-            break
+    while any(live):
+        chosen = next(iter((live[0] or live[1] or live[2]).values()))
         rtype, p, payload = chosen
         origins = [strand_from[s] for s in in_slots[p]]
-        order.cut(p)
         apply_redex(tabs, chosen)
         log.append(rtype)
         for x in itertools.chain((p,) if rtype == 0 else payload, origins):
@@ -751,8 +674,6 @@ def _reduce_in_place(tabs, sources, redexes) -> list:
                 t.pop(x, None)
         for r in _redexes_at(work, origins):
             live[r[0]][r[1]] = r
-            if r[0] == 2:
-                order.note(r[1])
     return log
 
 

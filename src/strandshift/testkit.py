@@ -14,10 +14,11 @@ The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
 diagram at every move and a skeleton and a push plan in every freeing
-round.  They also hold the only random reduction orders: given `rng`, each
-picks uniformly among the current redexes, so the tests can check that
-neither the normal form nor the conjugacy verdict depends on the order.
-The pipeline has one order.  The reference conjugator fold builds each
+round.  They keep the canonical order, least type and then breadth-first
+rank, and hold the only random reduction orders: given `rng`, each picks
+uniformly among the current redexes, so the tests can check that neither
+the normal form nor the conjugacy verdict depends on the order.  The
+pipeline takes redexes in the order its worklists found them.  The reference conjugator fold builds each
 move's conjugator as a diagram and composes and reduces after every move.
 The reference forest check rebuilds every prefix of every leaf and tests
 each internal node's children one by one.  The reference reader keeps each
@@ -149,9 +150,9 @@ def _choose_redex(redexes, rng, order_of):
 
 
 def reference_reduce_with_log(d: StrandDiagram, rng=None):
-    """The full-scan reducer that `diagrams.reduce_with_log` must match id
-    for id: before every rewrite it scans the whole diagram for redexes and
-    recomputes the whole canonical order."""
+    """The full-scan reducer whose normal form `diagrams.reduce_with_log`
+    must match by canonical key: before every rewrite it scans the whole
+    diagram for redexes and recomputes the whole canonical order."""
     log = []
     tabs = _copy_tables(d)
     work = _Tables(*tabs)
@@ -178,8 +179,8 @@ def _freeable(sk: SplitMergeSkeleton) -> list:
 
 
 def reference_semi_reduce(c: ClosedDiagram, rng=None):
-    """The from-scratch loop that `closed.semi_reduce` must match move for
-    move and id for id: before every step it scans the whole diagram for
+    """The from-scratch loop whose forms `closed.semi_reduce` must match up
+    to similarity: before every step it scans the whole diagram for
     redexes and recomputes the whole order, every move builds a new
     diagram, and every freeing round builds the skeleton, tests it with
     :func:`_freeable` and runs the push planner on the redex's component."""

@@ -20,11 +20,12 @@ from strandshift.closed import (
     shift_directions,
     shift_expand,
     shift_reduce,
+    skeleton,
     type3_expand,
     type3_reduce,
     unordered_key,
 )
-from strandshift.conjugacy import conjugator_witness, is_conjugate
+from strandshift.conjugacy import compare_split_merge, conjugator_witness, is_conjugate
 from strandshift.diagrams import (
     canonical_key,
     compose,
@@ -38,6 +39,7 @@ from strandshift.diagrams import (
 from strandshift.errors import LimitExceeded, PreconditionError, SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
+from strandshift.semigroup import decide_equal, max_winding, presentation_from_graph
 from strandshift.testkit import (
     GeneratorConfig,
     random_element,
@@ -518,37 +520,52 @@ def test_skeleton_criterion_agrees_with_the_similarity_search(fig1, base_bg):
     assert sum(k > 2 for k in depths) >= 3
 
 
-def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_shift2, thompson_x0):
-    """Pins every point and strand id a move allocates, through the traces.
+TABLES = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
 
-    Reduction payloads in the traces name point ids, so a change to id
-    allocation, to the default redex order or to the choice of the redex
-    semi-reduction frees changes this digest.  A rewrite of the table core or
-    of the reducer must keep it.
+
+def record(c):
+    """A closed diagram's tables in insertion order, slot lists included, and its base line."""
+    return [list(getattr(c, t).items()) for t in TABLES], c.base_line
+
+
+def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_shift2, thompson_x0):
+    """Pins the open normal forms, which no reduction order changes, and
+    checks the closed traces by replaying them.
+
+    The digest covers the canonical keys of thirty reduced fig1 elements,
+    of their reduced squares and of the reduced product of sixteen copies
+    of x0.  A change to the reduction calculus, to the forest pair builder
+    or to canonical keys changes it; a change of redex order does not.  A
+    semi-reduced form is fixed only up to similarity, so each element's
+    trace is replayed on its closed diagram instead, and must rebuild the
+    returned form table for table.
     """
-    records = []
+    keys = []
     for e in range(30):
-        fp = random_element(fig1, base_bg, GeneratorConfig(seed=e, growth_steps=2 + e % 5))
-        semi, trace = semi_reduce(close(from_forest_pair(fig1, fp)))
-        records.append((closed_key(semi), [(m.kind, m.data) for m in trace]))
+        d = from_forest_pair(fig1, random_element(fig1, base_bg, GeneratorConfig(seed=e, growth_steps=2 + e % 5)))
+        keys += [canonical_key(reduce(d)), canonical_key(reduce(compose(d, d)))]
+        c = close(d)
+        semi, trace = semi_reduce(c)
+        assert record(replay(c, trace)) == record(semi), e
     x0 = from_forest_pair(full_shift2, thompson_x0)
     power = x0
     for _ in range(15):
         power = compose(power, x0)
-    records.append(canonical_key(reduce(power)))
-    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "166b4cc3f58619d9"
+    keys.append(canonical_key(reduce(power)))
+    assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == "4934907348f0e501"
 
 
-TABLES = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")
-
-
-def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg, monkeypatch):
+def test_semi_reduce_replays_and_agrees_with_the_reference_loop(fig1, base_bg, monkeypatch):
     """The worklist semi-reduction against the loop that rescans, reorders
-    and rebuilds the diagram before every step: the same Move records, the
-    same tables in the same insertion order (slot lists included) and the
-    same base line.  The forms are fig1 elements at growth 8-10, random
-    graphs 1-25 at element seeds 0-11, and planted conjugates at growth 40
-    (f and h f h^-1, on fig1 and random graphs 1-4).
+    and rebuilds the diagram before every step.  The two may take moves in
+    other orders and stop at other forms, so on every form: replaying the
+    trace gives the returned form table for table (insertion order and slot
+    lists included) with its base line; a second semi-reduction makes no
+    move and finds nothing to free; step 2 pairs its skeleton with the
+    reference form's; and the loop vectors are equal in the loops
+    semigroup.  The forms are fig1 elements at growth 8-10, random graphs
+    1-25 at element seeds 0-11, and planted conjugates at growth 40 (f and
+    h f h^-1, on fig1 and random graphs 1-4).
 
     The freeing cases are counted on the reference loop's skeleton: a split
     or a merge primary, alone with its partner in its skeleton component or
@@ -582,23 +599,29 @@ def test_semi_reduce_matches_the_reference_loop_id_for_id(fig1, base_bg, monkeyp
     def element(g, base, seed, steps):
         return from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=steps)))
 
-    forms = [fig1_element(fig1, base_bg, seed) for seed in range(60)]
+    def loop_vectors(g, a, b):
+        pres = presentation_from_graph(g, max(max_winding(a), max_winding(b)))
+        return pres.vector(a), pres.vector(b), pres
+
+    forms = [(fig1, fig1_element(fig1, base_bg, seed)) for seed in range(60)]
     for gs in range(1, 26):
         g, base = random_graph(GeneratorConfig(seed=gs))
-        forms += [close(element(g, base, e, 2 + e % 5)) for e in range(12)]
+        forms += [(g, close(element(g, base, e, 2 + e % 5))) for e in range(12)]
     cases = [(fig1, base_bg, e) for e in range(6)] + [(*random_graph(GeneratorConfig(seed=gs)), 0) for gs in range(1, 5)]
     for g, base, e in cases:
         f, h = element(g, base, e, 40), element(g, base, e + 500, 40)
-        forms += [close(f), close(reduce(compose(compose(h, f), invert(h))))]
+        forms += [(g, close(f)), (g, close(reduce(compose(compose(h, f), invert(h)))))]
     moved = 0
-    for k, c in enumerate(forms):
-        got, want = semi_reduce(c), reference_semi_reduce(c)
-        assert got[1] == want[1], k
-        assert [list(getattr(got[0], t).items()) for t in TABLES] == [
-            list(getattr(want[0], t).items()) for t in TABLES
-        ], k
-        assert got[0].base_line == want[0].base_line, k
-        moved += bool(want[1])
+    for k, (g, c) in enumerate(forms):
+        (got, trace), (want, want_trace) = semi_reduce(c), reference_semi_reduce(c)
+        assert record(replay(c, trace)) == record(got), k
+        assert semi_reduce(got)[1] == [] and closed._freeable(got) is None, k
+        (part, loops), (want_part, want_loops) = decompose_parts(got), decompose_parts(want)
+        assert compare_split_merge(skeleton(part), skeleton(want_part)) is not None, k
+        assert bool(loops) == bool(want_loops), k
+        if loops:
+            assert decide_equal(*loop_vectors(g, loops, want_loops)), k
+        moved += bool(want_trace)
     assert len(forms) == 380 and moved > 250
     assert checked > sum(freed.values())  # redexes the default order does not pick
     assert {(kind, width) for kind in ("split", "merge") for width in ("pair", "wide")} <= set(freed), freed

@@ -853,15 +853,15 @@ def planted_conjugates(graph_cfg, e, growth):
 
 
 @pytest.mark.parametrize("graph_cfg, e, growth", FALSE_NEGATIVES)
-def test_planted_conjugates_are_conjugate_at_default_budget(graph_cfg, e, growth):
+def test_planted_conjugates_are_conjugate(graph_cfg, e, growth):
     g, f, target = planted_conjugates(graph_cfg, e, growth)
     assert is_conjugate(f, target, g).conjugate
 
 
 @pytest.mark.parametrize("graph_cfg, e, growth", FALSE_NEGATIVES)
-def test_planted_conjugates_are_never_denied_at_budget_3(graph_cfg, e, growth):
-    """Named for the search budget that refused or denied these pairs; it now
-    runs at default settings, allows no refusal and verifies the witness."""
+def test_planted_conjugates_get_a_verified_witness(graph_cfg, e, growth):
+    """These pairs were refused or denied by the retired search budget; they
+    run at default settings, allow no refusal and verify the witness."""
     g, f, target = planted_conjugates(graph_cfg, e, growth)
     res = is_conjugate(f, target, g)
     assert res.conjugate
@@ -869,11 +869,10 @@ def test_planted_conjugates_are_never_denied_at_budget_3(graph_cfg, e, growth):
     assert w is not None and equal(compose(compose(w, target), invert(w)), f)
 
 
-def test_planted_conjugacy_fuzz_never_denies_at_budget_3():
+def test_planted_conjugacy_fuzz_never_denies():
     """ROADMAP item 1's gate, the slice that fits tier-1: f against its
     planted conjugate on random graphs 1-20, element seeds 0-5, at default
-    settings.  Neither a refusal nor "not conjugate" is allowed; the name
-    keeps the search budget the gate was first written for."""
+    settings.  Neither a refusal nor "not conjugate" is allowed."""
     denied = []
     for seed in range(1, 21):
         for e in range(6):

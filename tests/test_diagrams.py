@@ -433,11 +433,21 @@ def reduction_corpus(full_shift2, thompson_x0):
 
 
 def test_reduce_matches_the_full_scan_reference(full_shift2, thompson_x0):
-    def record(d, log):  # tables in insertion order, so ids and table order both count
-        return [list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks, log
+    """The worklist reducer against the full-scan reducer, in its canonical
+    order and in three seeded random orders: the same normal form by
+    canonical key, the same source and sink colours, and irreducible.  Which
+    ids survive depends on the order of the type 2 rewrites, so ids are not
+    compared."""
+
+    def record(d):
+        return canonical_key(d), d.domain(), d.range(), is_reduced(d)
 
     for i, d in enumerate(reduction_corpus(full_shift2, thompson_x0)):
-        assert record(*reduce_with_log(d)) == record(*reference_reduce_with_log(d)), i
+        want = record(reduce_with_log(d)[0])
+        assert want[3], i
+        assert record(reference_reduce_with_log(d)[0]) == want, i
+        for seed in range(3):
+            assert record(reference_reduce_with_log(d, random.Random(seed))[0]) == want, (i, seed)
 
 
 class _CountingDict(dict):
@@ -449,9 +459,9 @@ class _CountingDict(dict):
 
 
 def test_reduce_does_linear_work_on_x0_powers(full_shift2, thompson_x0, monkeypatch):
-    """The work is counted as reads of the working copy's out-slot table: one
-    per point the resumable order processes, and a few per point the redex
-    predicate examines or a rewrite touches."""
+    """The work is counted as reads of the working copy's out-slot table: a
+    few per point the redex predicate examines or a rewrite touches.  No
+    breadth-first order is built."""
 
     def forbidden(*args):
         raise AssertionError("the per-redex BFS ran")
