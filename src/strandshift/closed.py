@@ -27,7 +27,6 @@ redex, which semi-reduction writes down directly.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,6 +37,7 @@ from .diagrams import (
     _drop_point,
     _drop_strand,
     _redexes_at,
+    _reduce_in_place,
     _retarget,
     _splice_out,
     _Tables,
@@ -83,10 +83,10 @@ class _ClosedTables(_Tables):
     """A copy of a closed diagram's tables and base line that the in-place
     moves edit.
 
-    `base_line` is a list and `base_set` its set.  Each shift and reduction
-    appends to `moved` the origin of every strand whose target it changes,
-    at the time of the change: those are the only points whose redex
-    predicate it can change (see :func:`semi_reduce`).
+    `base_line` is a list and `base_set` its set.  Each shift appends to
+    `moved` the origin of every strand whose target it changes, at the time
+    of the change: those are the only points whose redex predicate it can
+    change (see :func:`semi_reduce`).
     """
 
     __slots__ = ("base_line", "base_set", "moved")
@@ -558,14 +558,9 @@ def _permute_base(c: _ClosedTables, perm):
 # reductions
 
 def _reduce(c: _ClosedTables, rtype, payload):
-    """Apply the type 0/1/2 redex with this payload to c in place: the move.
-
-    The payload is that of :func:`strandshift.diagrams.find_redexes`; the
-    in-strands of its primary point change target.
-    """
-    p = payload if rtype == 0 else payload[0]
-    c.moved.extend(c.strand_from[s] for s in c.in_slots[p])
-    apply_redex(c.tables(), (rtype, p, payload))
+    """Apply the type 0/1/2 redex with this payload (as in
+    :func:`strandshift.diagrams.find_redexes`) to c in place: the move."""
+    apply_redex(c.tables(), (rtype, payload if rtype == 0 else payload[0], payload))
     colors = c.base_colors()
     return Move("reduce", (rtype, payload), colors, colors)
 
@@ -873,13 +868,16 @@ def _freeable(c) -> tuple | None:
 def _freeing_plan(c, v, w, t) -> list:
     """The push plan of :func:`_plan_cocycle_moves` on x = t at v, 0
     elsewhere in v's skeleton component (see :func:`semi_reduce`): t forward
-    pushes at w when the component is {v, w}, else t backward pushes at v."""
-    ins, outs = c.in_slots, c.out_slots
-    pair = len(ins[v]) + len(ins[w]) == len(outs[v]) + len(outs[w]) and all(
-        _chain(c, s)[0] in (v, w) for s in outs[w]
-    )
+    pushes at w when the component is {v, w}, else t backward pushes at v.
+
+    The chains out of v end at w, so the component is {v, w} exactly when
+    those out of w end at v or w, as v and w have as many in-slots as
+    out-slots: for type 1, ins[w] = outs[v] and ins[v] = outs[w] = 1; for
+    type 2, ins[w] = outs[v] = 1, and v and w, of one colour, have a slot
+    per child on their other sides."""
+    pair = all(_chain(c, s)[0] in (v, w) for s in c.out_slots[w])
     p, forward = (w, True) if pair else (v, False)
-    return [(p, "expand" if forward == (len(outs[p]) >= 2) else "reduce")] * t
+    return [(p, "expand" if forward == (len(c.out_slots[p]) >= 2) else "reduce")] * t
 
 
 def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
@@ -934,27 +932,23 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     pushes at w.  (Pushing every point of a component once changes no
     count, so both give the same cocycle.)  A forward push through a split
     and a backward push through a merge are expanding shifts, the other two
-    reducing shifts.  :func:`_freeing_plan` writes the plan down; the
-    component is {v, w} exactly when every chain out of v or w ends at v or
-    w and the two have as many in-slots as out-slots, so that no chain
-    joins them to another point.
+    reducing shifts.  :func:`_freeing_plan` writes the plan down.
 
     Each reduction removes points, so this terminates, and a diagram it
     returns is semi-reduced: a second call performs no move.
 
     Every move edits one copy of c's tables and base line in place, and one
     diagram is built at the end; when no move applies, c itself is
-    returned.  The off-base redexes are found once and kept per type, keyed
-    by primary point, as in :func:`strandshift.diagrams.reduce_with_log`
-    with the base points skipped.  The redex test at q reads the degrees of
-    q and of the target w of its out-strands, w's color, in-slots and base
-    membership.  No move changes the degrees of a point it keeps, so a move
-    changes the test only at the origins of the strands whose target it
-    changes (a point that fed w by another strand before and after fails
-    the type 1 test both times), and only those are tested again: for a
-    reduction, the origins of its primary's in-strands; for a shift, of the
-    strands into the base points it removes and of those its new base
-    points cut.
+    returned.  Reductions run on the worklist of
+    :func:`strandshift.diagrams.reduce_with_log`, base points skipped, and
+    a freeing round runs when none is left.  The redex test at q reads the
+    degrees of q and of the target w of its out-strands, w's color,
+    in-slots and base membership.  No shift changes the degrees of a point
+    it keeps, so it changes the test only at the origins of the strands
+    whose target it changes (a point that fed w by another strand before
+    and after fails the type 1 test both times), and only those are tested
+    again: of the strands into the base points it removes and of those its
+    new base points cut.
 
     A freeing round frees the first freeable redex in table order, so it
     reads the working tables at most once, copies nothing, and stops early
@@ -968,33 +962,23 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     else.  The canonical and random orders live on
     :func:`strandshift.testkit.reference_semi_reduce`.
     """
-    live = ({}, {}, {})
-    for r in find_redexes(c, skip=c.base_set):
-        live[r[0]][r[1]] = r
-    if not any(live) and _freeable(c) is None:
+    redexes = find_redexes(c, skip=c.base_set)
+    if not redexes and _freeable(c) is None:
         return c, []
     w = _ClosedTables(c)
     trace = []
     while True:
-        if any(live):
-            rtype, p, payload = next(iter((live[0] or live[1] or live[2]).values()))
-            gone = (p,) if rtype == 0 else payload
-            trace.append(_reduce(w, rtype, payload))
-        else:
-            freeable = _freeable(w)
-            if freeable is None:
-                break
-            _, v, partner, t = freeable
-            assert t > 0, "a free redex is missing from the worklist"
-            trace.extend(_push(w, _freeing_plan(w, v, partner, t)))
-            gone = ()
-        moved = [q for q in w.moved if q in w.point_color]
+        colors = w.base_colors()  # reductions never touch the base line
+        for rtype, _, payload in _reduce_in_place(w.tables(), redexes, w.base_set):
+            trace.append(Move("reduce", (rtype, payload), colors, colors))
+        freeable = _freeable(w)
+        if freeable is None:
+            break
+        _, v, partner, t = freeable
+        assert t > 0, "a free redex is missing from the worklist"
+        trace.extend(_push(w, _freeing_plan(w, v, partner, t)))
+        redexes = _redexes_at(w, [q for q in w.moved if q in w.point_color], w.base_set)
         w.moved.clear()
-        for q in itertools.chain(gone, moved):
-            for t in live:
-                t.pop(q, None)
-        for r in _redexes_at(w, moved, w.base_set):
-            live[r[0]][r[1]] = r
     return w.freeze(), trace
 
 

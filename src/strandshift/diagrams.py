@@ -239,11 +239,6 @@ def validate_strand_diagram(d: StrandDiagram, g: ShiftGraph) -> list:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def canonical_order(d: StrandDiagram) -> dict:
-    """Point id -> canonical index, by BFS from sources in order, out-slots in order."""
-    return _forward_order(d, d.sources)
-
-
 def _forward_order(d, sources) -> dict:
     order = {}
     queue = deque()
@@ -263,14 +258,15 @@ def _forward_order(d, sources) -> dict:
 
 
 def canonical_key(d: StrandDiagram) -> tuple:
-    """Total invariant of the diagram up to relabeling.
+    """Total invariant of the diagram up to relabeling, ranking points
+    breadth first from the sources in order, out-slots in order.
 
     Two diagrams are isomorphic by a color-, slot- and endpoint-order-
     preserving isomorphism iff their keys are equal.
     """
     if d._key is not None:
         return d._key
-    order = canonical_order(d)
+    order = _forward_order(d, d.sources)
     by_rank = sorted(d.point_color, key=order.__getitem__)
     records = []
     for p in by_rank:
@@ -649,32 +645,36 @@ def reduce_with_log(d: StrandDiagram):
     if not redexes:
         return d, []
     tabs = _copy_tables(d)
-    log = _reduce_in_place(tabs, redexes)
-    return StrandDiagram(*tabs, d.sources, d.sinks), log
+    applied = _reduce_in_place(tabs, redexes)
+    return StrandDiagram(*tabs, d.sources, d.sinks), [r[0] for r in applied]
 
 
-def _reduce_in_place(tabs, redexes) -> list:
+def _reduce_in_place(tabs, redexes, skip=frozenset()) -> list:
     """Apply redexes to the mutable `tabs` until none is left, starting from
-    `redexes`, which must hold every redex of the tables; returns the log of
-    redex types.  The order is the one :func:`reduce_with_log` describes."""
+    `redexes`, which must hold every redex that avoids the points in `skip`
+    (a closed diagram's base points); returns the redexes applied, in the
+    order :func:`reduce_with_log` describes.  No origin tested again is a
+    point the rewrite removed: it would close a directed cycle through the
+    payload, off the base line, which neither an open diagram nor a closed
+    one (whose cycles all cross its base line) has."""
     work = _Tables(*tabs)
     strand_from, in_slots = tabs[2], tabs[4]
     live = ({}, {}, {})
     for r in redexes:
         live[r[0]][r[1]] = r
-    log = []
+    applied = []
     while any(live):
         chosen = next(iter((live[0] or live[1] or live[2]).values()))
         rtype, p, payload = chosen
         origins = [strand_from[s] for s in in_slots[p]]
         apply_redex(tabs, chosen)
-        log.append(rtype)
+        applied.append(chosen)
         for x in itertools.chain((p,) if rtype == 0 else payload, origins):
             for t in live:
                 t.pop(x, None)
-        for r in _redexes_at(work, origins):
+        for r in _redexes_at(work, origins, skip):
             live[r[0]][r[1]] = r
-    return log
+    return applied
 
 
 def reduce(d: StrandDiagram) -> StrandDiagram:

@@ -696,6 +696,33 @@ def test_conj_fig1_pair_that_frees_a_split(capsys, monkeypatch):
     assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
 
 
+def test_conj_fig1_pair_that_frees_a_two_point_component(capsys, monkeypatch):
+    """fig1 element seed 37 (growth 9) and its conjugate by the growth-2
+    element of seed 500; the fig1 graph is fixtures/three_color.graph.  On
+    both sides Step 1 frees a redex that is alone in its skeleton
+    component, so `_freeing_plan` pushes forward at the partner.  The CI
+    workflow runs the same command."""
+    forward = []
+    plan = closed._freeing_plan
+
+    def recording_plan(c, v, w, t):
+        pushes = plan(c, v, w, t)
+        forward.append(pushes[0][0] == w)
+        return pushes
+
+    monkeypatch.setattr(closed, "_freeing_plan", recording_plan)
+    names = ("fig1_e37.elem", "fig1_e37_conj500.elem")
+    argv = ["conj", "--graph", str(FIXTURES / "three_color.graph"), "--lhs", str(FIXTURES / names[0])]
+    code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / names[1]), "--witness"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: conjugate\n")
+    assert forward.count(True) == 2
+    g, base = parse_graph((FIXTURES / "three_color.graph").read_text())
+    texts = [(FIXTURES / name).read_text() for name in names]
+    f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])
+    assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
+
+
 def test_conj_step2_negative(capsys):
     """Random graph 3, element seeds 2 and 9 at growth 3: the skeletons of
     their split-merge parts have the same shape, but the cocycles lie in

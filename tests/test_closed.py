@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from strandshift import closed, testkit
+from strandshift import closed, diagrams, testkit
 from strandshift.closed import (
     ClosedDiagram,
     _loops,
@@ -625,6 +625,27 @@ def test_semi_reduce_replays_and_agrees_with_the_reference_loop(fig1, base_bg, m
     assert len(forms) == 380 and moved > 250
     assert checked > sum(freed.values())  # redexes the default order does not pick
     assert {(kind, width) for kind in ("split", "merge") for width in ("pair", "wide")} <= set(freed), freed
+
+
+def test_semi_reduce_reduces_through_the_shared_worklist(fig1, base_bg, monkeypatch):
+    """Step 1 applies every type 0/1/2 reduction through the open reducer's
+    worklist, which looks `apply_redex` up on `diagrams`: on the fig1 forms
+    of the test above, the rewrites counted there are the `reduce` moves of
+    the traces, and some form takes one."""
+    applied = 0
+    apply_redex = diagrams.apply_redex
+
+    def counting(tabs, redex):
+        nonlocal applied
+        applied += 1
+        apply_redex(tabs, redex)
+
+    monkeypatch.setattr(diagrams, "apply_redex", counting)
+    reductions = 0
+    for seed in range(60):
+        _, trace = semi_reduce(fig1_element(fig1, base_bg, seed))
+        reductions += sum(move.kind == "reduce" for move in trace)
+    assert applied == reductions > 0
 
 
 def snapshot(c):
