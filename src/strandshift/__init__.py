@@ -5,8 +5,6 @@ from .closed import (
     ClosedDiagram,
     Move,
     close,
-    conjugator_of,
-    cut,
     decompose_parts,
     permute_base,
     replay,
@@ -26,24 +24,19 @@ from .conjugacy import (
 from .diagrams import (
     StrandDiagram,
     compose,
-    decompose_generators,
     equal,
     from_forest_pair,
     identity_diagram,
     invert,
-    is_group_element,
     product,
     reduce,
     to_forest_pair,
-    validate_strand_diagram,
 )
 from .errors import LimitExceeded, ParseError, PreconditionError, SignatureMismatch
-from .forest import ForestPair, apply_to_word, compose_pairs, expand_degenerate, expand_regular
+from .forest import ForestPair, apply_to_word, expand_degenerate, expand_regular
 from .graphs import (
     PathWord,
     ShiftGraph,
-    children,
-    enumerate_words,
     is_isolated_cylinder,
     normalize_graph,
     validate_graph,

@@ -2,7 +2,8 @@
 
 Closing a diagram with equal domain and range glues source i to sink i; each
 gluing leaves one base point of in- and out-degree 1 on the resulting cycle
-structure.  Cutting at the base points is the inverse bijection.  Base line
+structure.  Cutting at the base points is the inverse bijection
+(:func:`strandshift.testkit.cut`, which only the tests need).  Base line
 shifts move a split or merge through the base line, base line permutations
 reorder it; both are similarities and conjugate the cut element.  Type 0/1/2
 reductions act away from the base line; type 3 reductions collapse interleaved
@@ -10,8 +11,8 @@ loops whose colors form the out-star of a common vertex.
 
 Each move kind is one in-place edit of a :class:`_ClosedTables` copy that
 returns a :class:`Move` record, with enough data to replay the move and to
-build the conjugating diagram.  Its public name runs the edit on a fresh
-copy and returns (new diagram, move).
+stack its conjugating diagram (:class:`_Stack`).  Its public name runs the
+edit on a fresh copy and returns (new diagram, move).
 
 The skeleton of a split-merge part splices its base points out into a
 cocycle that counts the base points on each chain between split, merge and
@@ -43,11 +44,6 @@ from .diagrams import (
     _Tables,
     apply_redex,
     find_redexes,
-    identity_diagram,
-    invert,
-    multi_split_diagram,
-    permutation_diagram,
-    split_diagram,
 )
 from .errors import PreconditionError, SignatureMismatch
 from .graphs import ShiftGraph
@@ -117,7 +113,9 @@ class Move:
     """One similarity or reduction step.
 
     `data` replays the move; `old_base`/`new_base` are color tuples;
-    `conj` holds what :func:`conjugator_of` and :meth:`_Stack.glue` need.
+    `conj` holds what :meth:`_Stack.glue` needs to stack the move's
+    conjugator, and what :func:`strandshift.testkit.conjugator_of` needs to
+    build it as a diagram.
     """
 
     kind: str  # shift-expand | shift-reduce | permute | reduce | type3 | type3-expand
@@ -127,41 +125,14 @@ class Move:
     conj: tuple = ()
 
 
-def conjugator_of(move: Move) -> StrandDiagram:
-    """The diagram G with cut(after) = G . cut(before) . G^-1: the reference
-    meaning of a move, which :class:`_Stack` glues on as one in-place layer.
-
-    G runs from the new base to the old base; expanding shifts yield merge
-    diagrams, reducing shifts split diagrams, permutations permutation
-    diagrams, type 0/1/2 reductions the identity, and type 3 moves one-layer
-    diagrams with one split (or merge) per unit of winding.
-    """
-    if move.kind == "shift-expand":
-        pos, kids = move.conj
-        return invert(split_diagram(move.old_base, pos, kids))
-    if move.kind == "shift-reduce":
-        pos, kids = move.conj
-        return split_diagram(move.new_base, pos, kids)
-    if move.kind == "permute":
-        (perm,) = move.conj
-        return permutation_diagram(move.new_base, list(perm))
-    if move.kind == "reduce":
-        return identity_diagram(move.old_base)
-    if move.kind == "type3":
-        start, kids, k = move.conj
-        return multi_split_diagram(move.new_base, {start + j: kids for j in range(k)})
-    if move.kind == "type3-expand":
-        start, kids, k = move.conj
-        return invert(multi_split_diagram(move.old_base, {start + j: kids for j in range(k)}))
-    raise ValueError(f"unknown move kind {move.kind}")
-
-
 class _Stack(_Builder):
     """An open diagram built from the bottom up: the identity on `colors`,
     then conjugator layers glued on top, onto its sources, in place.
 
-    `glue(move)` stacks :func:`conjugator_of` (move), and `glue(move,
-    inverse=True)` its inverse, so the stack reads G_n ... G_1 . identity.
+    `glue(move)` stacks the move's conjugator G, the diagram with
+    cut(after) = G . cut(before) . G^-1, and `glue(move, inverse=True)` its
+    inverse, so the stack reads G_n ... G_1 . identity.  The tests hold each
+    layer to the reference diagram :func:`strandshift.testkit.conjugator_of`.
     A layer is a split or a merge at one position per unit of winding, or a
     reordering of the sources; a type 0/1/2 reduction adds nothing.
     """
@@ -220,7 +191,7 @@ class _Stack(_Builder):
 
 
 # ---------------------------------------------------------------------------
-# closing and cutting
+# closing
 
 def close(d: StrandDiagram) -> ClosedDiagram:
     """Glue source i to sink i; each gluing becomes a base point."""
@@ -241,24 +212,6 @@ def close(d: StrandDiagram) -> ClosedDiagram:
         del pc[snk], ins[snk], outs[snk]
         base.append(src)
     return ClosedDiagram(pc, sc, sf, st, ins, outs, base)
-
-
-def cut(c: ClosedDiagram) -> StrandDiagram:
-    """Split every base point into a source/sink pair, ordered by the base line."""
-    pc, sc, sf, st, ins, outs = _copy_tables(c)
-    nxt = _fresh_id(c)
-    sinks = []
-    for b in c.base_line:
-        s_in = ins[b][0]
-        snk = nxt
-        nxt += 1
-        pc[snk] = c.point_color[b]
-        ins[snk] = [s_in]
-        outs[snk] = []
-        st[s_in] = snk
-        ins[b] = []
-        sinks.append(snk)
-    return StrandDiagram(pc, sc, sf, st, ins, outs, c.base_line, sinks)
 
 
 # ---------------------------------------------------------------------------

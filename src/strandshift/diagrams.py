@@ -9,10 +9,10 @@ lists are equivalent to cyclic rotations (split: (in, out_1..out_k), merge:
 (out, in_k..in_1)).
 
 Every diagram produced by this module carries one univalent source per domain
-position and one univalent sink per range position.  The validator still
-accepts split-sources and merge-sinks (they are legitimate diagrams), but the
-normalized form is what makes closing along a base line a bijection, so the
-constructors never emit them.
+position and one univalent sink per range position.  The validator in
+:mod:`strandshift.testkit` still accepts split-sources and merge-sinks (they
+are legitimate diagrams), but the normalized form is what makes closing along
+a base line a bijection, so the constructors never emit them.
 
 The six tables and the edits on them (copy, retarget, splice, drop) are the
 core that closed diagrams (closed.py) share; a closed diagram trades the
@@ -164,78 +164,6 @@ def kind_of(d, p) -> str:
     return "invalid"
 
 
-def validate_strand_diagram(d: StrandDiagram, g: ShiftGraph) -> list:
-    """Report every violated diagram condition; empty report iff valid.
-
-    Checks acyclicity, the split/merge/degenerate local color conditions
-    against the graph's ordered out-stars, the degree classification of every
-    point, agreement of univalent endpoints with their strand color, and that
-    the source/sink orders list exactly the in-degree-0/out-degree-0 points.
-    """
-    report = []
-    # Kahn's algorithm for acyclicity.
-    indeg = {p: len(d.in_slots[p]) for p in d.point_color}
-    queue = deque(p for p, k in indeg.items() if k == 0)
-    seen = 0
-    while queue:
-        p = queue.popleft()
-        seen += 1
-        for s in d.out_slots[p]:
-            q = d.strand_to[s]
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                queue.append(q)
-    if seen != len(d.point_color):
-        report.append("diagram contains a directed cycle")
-
-    for p in sorted(d.point_color):
-        color = d.point_color[p]
-        kind = kind_of(d, p)
-        if color not in g.out_order:
-            report.append(f"point {p}: color {color} is not a vertex")
-            continue
-        if kind == "invalid":
-            report.append(
-                f"point {p}: degrees ({len(d.in_slots[p])},{len(d.out_slots[p])}) match no kind"
-            )
-            continue
-        if kind in ("split", "split-source"):
-            want = g.child_colors(color)
-            got = tuple(d.strand_color[s] for s in d.out_slots[p])
-            if got != want:
-                report.append(f"point {p}: split out-colors {got}, expected {want}")
-            if kind == "split" and d.strand_color[d.in_slots[p][0]] != color:
-                report.append(f"point {p}: split in-strand color differs from point color")
-        elif kind in ("merge", "merge-sink"):
-            want = g.child_colors(color)
-            got = tuple(d.strand_color[s] for s in d.in_slots[p])
-            if got != want:
-                report.append(f"point {p}: merge in-colors {got}, expected {want}")
-            if kind == "merge" and d.strand_color[d.out_slots[p][0]] != color:
-                report.append(f"point {p}: merge out-strand color differs from point color")
-        elif kind == "degenerate":
-            sin = d.strand_color[d.in_slots[p][0]]
-            sout = d.strand_color[d.out_slots[p][0]]
-            if not (sin == sout == color):
-                report.append(f"point {p}: degenerate colors disagree")
-            if not g.is_isolated_color(color):
-                report.append(f"point {p}: degenerate color {color} has no single self-loop")
-        elif kind == "source":
-            if d.strand_color[d.out_slots[p][0]] != color:
-                report.append(f"point {p}: source color differs from its strand")
-        elif kind == "sink":
-            if d.strand_color[d.in_slots[p][0]] != color:
-                report.append(f"point {p}: sink color differs from its strand")
-
-    real_sources = {p for p in d.point_color if not d.in_slots[p]}
-    real_sinks = {p for p in d.point_color if not d.out_slots[p]}
-    if set(d.sources) != real_sources or len(set(d.sources)) != len(d.sources):
-        report.append("source order does not list exactly the in-degree-0 points")
-    if set(d.sinks) != real_sinks or len(set(d.sinks)) != len(d.sinks):
-        report.append("sink order does not list exactly the out-degree-0 points")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
 
@@ -344,56 +272,6 @@ def identity_diagram(colors) -> StrandDiagram:
         sources.append(src)
         sinks.append(snk)
     return b.build(sources, sinks)
-
-
-def permutation_diagram(domain_colors, mapping) -> StrandDiagram:
-    """Straight strands only: source j is wired to sink mapping[j]."""
-    n = len(domain_colors)
-    if sorted(mapping) != list(range(n)):
-        raise ValueError("mapping is not a permutation")
-    b = _Builder()
-    sources = [b.point(c) for c in domain_colors]
-    range_colors = [None] * n
-    for j in range(n):
-        range_colors[mapping[j]] = domain_colors[j]
-    sinks = [b.point(c) for c in range_colors]
-    for j in range(n):
-        b.strand(domain_colors[j], sources[j], sinks[mapping[j]])
-    return b.build(sources, sinks)
-
-
-def multi_split_diagram(domain_colors, splits: dict) -> StrandDiagram:
-    """One layer of splits: `splits` maps position -> tuple of child colors.
-
-    Positions not mentioned pass straight through.  The range is the domain
-    with each split position replaced by its children, in order.
-    """
-    b = _Builder()
-    sources = [b.point(c) for c in domain_colors]
-    sinks = []
-    for j, c in enumerate(domain_colors):
-        if j in splits:
-            kids = splits[j]
-            v = b.point(c)
-            b.strand(c, sources[j], v)
-            for kc in kids:
-                snk = b.point(kc)
-                b.strand(kc, v, snk)
-                sinks.append(snk)
-        else:
-            snk = b.point(c)
-            b.strand(c, sources[j], snk)
-            sinks.append(snk)
-    return b.build(sources, sinks)
-
-
-def split_diagram(domain_colors, position, child_colors) -> StrandDiagram:
-    return multi_split_diagram(domain_colors, {position: tuple(child_colors)})
-
-
-def merge_diagram(range_colors, position, child_colors) -> StrandDiagram:
-    """Merges the block of `child_colors` at `position` (of the domain) into one point."""
-    return invert(split_diagram(range_colors, position, child_colors))
 
 
 def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
@@ -692,10 +570,6 @@ def equal(a: StrandDiagram, b: StrandDiagram) -> bool:
     return canonical_key(reduce(a)) == canonical_key(reduce(b))
 
 
-def is_group_element(d: StrandDiagram, base) -> bool:
-    return d.domain() == tuple(base) == d.range()
-
-
 # ---------------------------------------------------------------------------
 # cutting a reduced diagram back into a forest pair
 
@@ -746,52 +620,3 @@ def to_forest_pair(g: ShiftGraph, d: StrandDiagram) -> ForestPair:
         tuple(glue_range[s] for s in strands),
         tuple(base),
     )
-
-
-# ---------------------------------------------------------------------------
-# slicing into generators
-
-def decompose_generators(d: StrandDiagram) -> list:
-    """Slice reduce(d) into split diagrams, a permutation diagram and merge diagrams.
-
-    The composition of the returned diagrams reduces back to reduce(d).  The
-    permutation layer is omitted when it is the identity, unless it is the
-    only layer.
-    """
-    r = reduce(d)
-
-    def layers_below(x):  # multi-split layers down from x's sources, and the strands below
-        layers = []
-        frontier = [s for p in x.sources for s in x.out_slots[p]]
-        while True:
-            splits = {}
-            for j, s in enumerate(frontier):
-                q = x.strand_to[s]
-                if len(x.out_slots[q]) >= 2 and len(x.in_slots[q]) == 1:
-                    splits[j] = q
-            if not splits:
-                return layers, frontier
-            kids = {j: tuple(x.strand_color[t] for t in x.out_slots[q]) for j, q in splits.items()}
-            layers.append(multi_split_diagram([x.strand_color[s] for s in frontier], kids))
-            nxt = []
-            for j, s in enumerate(frontier):
-                if j in splits:
-                    nxt.extend(x.out_slots[splits[j]])
-                else:
-                    nxt.append(s)
-            frontier = nxt
-
-    # the merge layers are the inverted split layers of the inverse, bottom up
-    split_layers, frontier = layers_below(r)
-    inverse_layers, mfrontier = layers_below(invert(r))
-    merge_layers = [invert(layer) for layer in reversed(inverse_layers)]
-
-    # Both frontiers now hold exactly the glue strands; the middle layer
-    # permutes the split frontier onto the merge frontier.
-    assert set(frontier) == set(mfrontier)
-    mapping = [mfrontier.index(s) for s in frontier]
-    pieces = list(split_layers)
-    if mapping != list(range(len(mapping))) or not (split_layers or merge_layers):
-        pieces.append(permutation_diagram([r.strand_color[s] for s in frontier], mapping))
-    pieces.extend(merge_layers)
-    return pieces

@@ -15,7 +15,6 @@ from .graphs import (
     BaseTuple,
     PathWord,
     ShiftGraph,
-    children,
     color_of_word,
     format_word,
     is_isolated_cylinder,
@@ -141,15 +140,6 @@ def validate_forest_pair(g: ShiftGraph, fp: ForestPair):
     return domain, rng
 
 
-def identity_pair(g: ShiftGraph, base: BaseTuple) -> ForestPair:
-    roots = tuple(PathWord(i) for i in range(len(base)))
-    return ForestPair(roots, roots, base)
-
-
-def invert_pair(fp: ForestPair) -> ForestPair:
-    return ForestPair(fp.range_leaves, fp.domain_leaves, fp.base)
-
-
 def apply_to_word(g: ShiftGraph, fp: ForestPair, w: PathWord) -> PathWord:
     """Apply the represented homeomorphism to a finite path.
 
@@ -204,53 +194,3 @@ def expand_degenerate(g: ShiftGraph, fp: ForestPair, side: str, index: int) -> F
     if side == "domain":
         return ForestPair(new, fp.range_leaves, fp.base)
     return ForestPair(fp.domain_leaves, new, fp.base)
-
-
-def _forest_union(g: ShiftGraph, base: BaseTuple, a, b) -> list:
-    """Leaves of the union-closure of two complete rooted subforests.
-
-    The union of the node sets is again complete and rooted; its leaves are
-    the nodes with no child in the union.
-    """
-    nodes = set()
-    for leaves in (a, b):
-        for w in leaves:
-            for p_len in range(len(w.edges) + 1):
-                nodes.add(PathWord(w.root, w.edges[:p_len]))
-    leaves = [w for w in nodes if not any(c in nodes for c in children(g, base, w))]
-    leaves.sort(key=lambda w: (w.root, w.edges))
-    return leaves
-
-
-def _expand_side_to(g: ShiftGraph, fp: ForestPair, target_leaves, side: str) -> ForestPair:
-    """Regular-expand fp until the given side's forest contains the target forest."""
-    target = set(target_leaves)
-    while True:
-        leaves = fp.range_leaves if side == "range" else fp.domain_leaves
-        todo = None
-        for i, w in enumerate(leaves):
-            if w not in target:
-                todo = i  # a proper prefix of some target leaf; expand it
-                break
-        if todo is None:
-            return fp
-        fp = expand_regular(g, fp, todo)
-
-
-def compose_pairs(g: ShiftGraph, f: ForestPair, h: ForestPair) -> ForestPair:
-    """Composite pair: f applied first, then h.
-
-    Both pairs are expanded until f's range forest and h's domain forest agree
-    with their union-closure E, then leaves are matched through E by word.
-    """
-    if f.base != h.base:
-        raise ValueError("pairs over different bases")
-    common = _forest_union(g, f.base, f.range_leaves, h.domain_leaves)
-    f2 = _expand_side_to(g, f, common, "range")
-    h2 = _expand_side_to(g, h, common, "domain")
-    h_map = dict(zip(h2.domain_leaves, h2.range_leaves))
-    return ForestPair(
-        f2.domain_leaves,
-        tuple(h_map[w] for w in f2.range_leaves),
-        f.base,
-    )

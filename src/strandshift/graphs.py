@@ -155,23 +155,6 @@ def format_word(w: PathWord, base: BaseTuple) -> str:
     return ".".join([written_roots(base)[w.root], *w.edges])
 
 
-def is_valid_word(g: ShiftGraph, base: BaseTuple, w: PathWord) -> bool:
-    if not (0 <= w.root < len(base)):
-        return False
-    at = base[w.root]
-    for e in w.edges:
-        if e not in g.edges or g.init(e) != at:
-            return False
-        at = g.term(e)
-    return True
-
-
-def children(g: ShiftGraph, base: BaseTuple, w: PathWord) -> list:
-    """One-edge extensions of w, in the out-star order of its color."""
-    c = color_of_word(g, base, w)
-    return [w.child(e) for e in g.out_order[c]]
-
-
 def is_isolated_cylinder(g: ShiftGraph, base: BaseTuple, w: PathWord) -> bool:
     """True iff the cylinder of w is a single eventually-constant point.
 
@@ -179,23 +162,6 @@ def is_isolated_cylinder(g: ShiftGraph, base: BaseTuple, w: PathWord) -> bool:
     in which case the cylinder equals the cylinder of its unique extension.
     """
     return g.is_isolated_color(color_of_word(g, base, w))
-
-
-def enumerate_words(g: ShiftGraph, base: BaseTuple, depth: int) -> list:
-    """All words of length <= depth, in (root, slot-sequence) lexicographic order."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    out = []
-
-    def visit(w: PathWord):
-        out.append(w)
-        if len(w.edges) < depth:
-            for c in children(g, base, w):
-                visit(c)
-
-    for i in range(len(base)):
-        visit(PathWord(i))
-    return out
 
 
 def normalize_graph(g: ShiftGraph, base: BaseTuple):

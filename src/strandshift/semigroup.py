@@ -31,6 +31,12 @@ from .errors import LimitExceeded
 from .graphs import ShiftGraph
 
 DEFAULT_MAX_RULES = 20000
+# S-pairs one block completion may examine.  The largest completion in the
+# test suite and the benchmark workloads examines 66.  Among random graphs of
+# 6 to 10 vertices (seeds 0-119), 315 of the 322 completions that ended
+# examined at most 1,035 (the other seven 1,891 to 6,903), and the 38 that
+# ran on, which the rule limit did not stop, all passed the bound.
+MAX_SPAIRS = 1500
 
 
 @dataclass
@@ -133,7 +139,9 @@ def _block_rules(p: Presentation, max_rules: int) -> list:
     lead supports resolve automatically and are skipped.  The limit counts
     stage rules, one copy of the block per winding; it is checked while the
     block completes and again on every call, so a cached completion answers
-    each limit as a fresh one would.
+    each limit as a fresh one would.  The completion also stops after
+    examining :data:`MAX_SPAIRS` S-pairs, skipped ones included, so that its
+    work is bounded and not only its rule count.
     """
     rules = p._rules
     if rules is None:
@@ -145,7 +153,11 @@ def _block_rules(p: Presentation, max_rules: int) -> list:
                 if o:
                     rules.append(o)
         pending = list(itertools.combinations(range(len(rules)), 2))
+        examined = 0
         while pending:
+            examined += 1
+            if examined > MAX_SPAIRS:
+                raise LimitExceeded("semigroup-completion", f"more than {MAX_SPAIRS} S-pairs examined")
             i, j = pending.pop()
             u1, v1 = rules[i]
             u2, v2 = rules[j]

@@ -24,6 +24,13 @@ The reference forest check rebuilds every prefix of every leaf and tests
 each internal node's children one by one.  The reference reader keeps each
 token's line and column from the start and reads the tokens through one
 method call each.
+
+The references that the command line never needs live here too: the word
+enumerator and the forest-pair group operations, which compose and invert
+elements without diagrams; the diagram validator; the one-layer split and
+permutation diagrams; cutting a closed diagram at its base line; and
+:func:`conjugator_of`, the meaning of a move as a diagram, which the
+witness stack in :mod:`strandshift.closed` is tested against.
 """
 
 from __future__ import annotations
@@ -36,16 +43,17 @@ from dataclasses import dataclass
 
 from .closed import (
     ClosedDiagram,
+    Move,
     SplitMergeSkeleton,
     _bidirectional_order,
     _consolidate,
     _edited,
+    _fresh_id,
     _plan_cocycle_moves,
     _push,
     _reduce,
     _serialize,
     components,
-    conjugator_of,
     shift_directions,
     shift_expand,
     skeleton,
@@ -54,6 +62,7 @@ from .closed import (
 from .conjugacy import SkeletonMatch, _coboundary_solution
 from .diagrams import (
     StrandDiagram,
+    _Builder,
     _copy_tables,
     _forward_order,
     _Tables,
@@ -64,18 +73,18 @@ from .diagrams import (
     from_forest_pair,
     identity_diagram,
     invert,
+    kind_of,
     reduce,
 )
 from .errors import LimitExceeded, ParseError
-from .forest import ForestPair, LeafFault, apply_to_word, validate_forest_pair
+from .forest import ForestPair, LeafFault, apply_to_word, expand_regular, validate_forest_pair
 from .graphs import (
+    BaseTuple,
     PathWord,
     ShiftGraph,
     _structure_faults,
-    children,
     color_of_word,
     format_word,
-    is_valid_word,
     normalize_graph,
     validate_graph,
 )
@@ -88,13 +97,6 @@ class GeneratorConfig:
     growth_steps: int = 3
     max_vertices: int = 4
     max_out_degree: int = 3
-
-
-def _exact_words(g: ShiftGraph, base, depth: int):
-    words = [PathWord(i) for i in range(len(base))]
-    for _ in range(depth):
-        words = [w.child(e) for w in words for e in g.out_order[color_of_word(g, base, w)]]
-    return words
 
 
 def point_form(g: ShiftGraph, w: PathWord) -> PathWord:
@@ -132,12 +134,280 @@ def semantic_equal(g: ShiftGraph, f1: ForestPair, f2: ForestPair, depth: int) ->
         raise ValueError(f"depth {depth} below maximum leaf length {need}")
     if f1.base != f2.base:
         return False
-    for w in _exact_words(g, f1.base, depth):
+    for w in enumerate_words(g, f1.base, depth):
+        if len(w.edges) < depth:
+            continue
         u = point_form(g, apply_to_word(g, f1, w))
         v = point_form(g, apply_to_word(g, f2, w))
         if u != v:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# words, and the group operations on forest pairs, which the pipeline does
+# on diagrams instead
+
+def is_valid_word(g: ShiftGraph, base: BaseTuple, w: PathWord) -> bool:
+    if not (0 <= w.root < len(base)):
+        return False
+    at = base[w.root]
+    for e in w.edges:
+        if e not in g.edges or g.init(e) != at:
+            return False
+        at = g.term(e)
+    return True
+
+
+def children(g: ShiftGraph, base: BaseTuple, w: PathWord) -> list:
+    """One-edge extensions of w, in the out-star order of its color."""
+    c = color_of_word(g, base, w)
+    return [w.child(e) for e in g.out_order[c]]
+
+
+def enumerate_words(g: ShiftGraph, base: BaseTuple, depth: int) -> list:
+    """All words of length <= depth, in (root, slot-sequence) lexicographic order."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    out = []
+
+    def visit(w: PathWord):
+        out.append(w)
+        if len(w.edges) < depth:
+            for c in children(g, base, w):
+                visit(c)
+
+    for i in range(len(base)):
+        visit(PathWord(i))
+    return out
+
+
+def identity_pair(g: ShiftGraph, base: BaseTuple) -> ForestPair:
+    roots = tuple(PathWord(i) for i in range(len(base)))
+    return ForestPair(roots, roots, base)
+
+
+def invert_pair(fp: ForestPair) -> ForestPair:
+    return ForestPair(fp.range_leaves, fp.domain_leaves, fp.base)
+
+
+def _forest_union(g: ShiftGraph, base: BaseTuple, a, b) -> list:
+    """Leaves of the union-closure of two complete rooted subforests.
+
+    The union of the node sets is again complete and rooted; its leaves are
+    the nodes with no child in the union.
+    """
+    nodes = set()
+    for leaves in (a, b):
+        for w in leaves:
+            for p_len in range(len(w.edges) + 1):
+                nodes.add(PathWord(w.root, w.edges[:p_len]))
+    leaves = [w for w in nodes if not any(c in nodes for c in children(g, base, w))]
+    leaves.sort(key=lambda w: (w.root, w.edges))
+    return leaves
+
+
+def _expand_side_to(g: ShiftGraph, fp: ForestPair, target_leaves, side: str) -> ForestPair:
+    """Regular-expand fp until the given side's forest contains the target forest."""
+    target = set(target_leaves)
+    while True:
+        leaves = fp.range_leaves if side == "range" else fp.domain_leaves
+        todo = None
+        for i, w in enumerate(leaves):
+            if w not in target:
+                todo = i  # a proper prefix of some target leaf; expand it
+                break
+        if todo is None:
+            return fp
+        fp = expand_regular(g, fp, todo)
+
+
+def compose_pairs(g: ShiftGraph, f: ForestPair, h: ForestPair) -> ForestPair:
+    """Composite pair: f applied first, then h.
+
+    Both pairs are expanded until f's range forest and h's domain forest agree
+    with their union-closure E, then leaves are matched through E by word.
+    """
+    if f.base != h.base:
+        raise ValueError("pairs over different bases")
+    common = _forest_union(g, f.base, f.range_leaves, h.domain_leaves)
+    f2 = _expand_side_to(g, f, common, "range")
+    h2 = _expand_side_to(g, h, common, "domain")
+    h_map = dict(zip(h2.domain_leaves, h2.range_leaves))
+    return ForestPair(
+        f2.domain_leaves,
+        tuple(h_map[w] for w in f2.range_leaves),
+        f.base,
+    )
+
+
+# ---------------------------------------------------------------------------
+# diagrams: the validator, one-layer generators, cutting, and the meaning
+# of a move
+
+def validate_strand_diagram(d: StrandDiagram, g: ShiftGraph) -> list:
+    """Report every violated diagram condition; empty report iff valid.
+
+    Checks acyclicity, the split/merge/degenerate local color conditions
+    against the graph's ordered out-stars, the degree classification of every
+    point, agreement of univalent endpoints with their strand color, and that
+    the source/sink orders list exactly the in-degree-0/out-degree-0 points.
+    """
+    report = []
+    # Kahn's algorithm for acyclicity.
+    indeg = {p: len(d.in_slots[p]) for p in d.point_color}
+    queue = deque(p for p, k in indeg.items() if k == 0)
+    seen = 0
+    while queue:
+        p = queue.popleft()
+        seen += 1
+        for s in d.out_slots[p]:
+            q = d.strand_to[s]
+            indeg[q] -= 1
+            if indeg[q] == 0:
+                queue.append(q)
+    if seen != len(d.point_color):
+        report.append("diagram contains a directed cycle")
+
+    for p in sorted(d.point_color):
+        color = d.point_color[p]
+        kind = kind_of(d, p)
+        if color not in g.out_order:
+            report.append(f"point {p}: color {color} is not a vertex")
+            continue
+        if kind == "invalid":
+            report.append(
+                f"point {p}: degrees ({len(d.in_slots[p])},{len(d.out_slots[p])}) match no kind"
+            )
+            continue
+        if kind in ("split", "split-source"):
+            want = g.child_colors(color)
+            got = tuple(d.strand_color[s] for s in d.out_slots[p])
+            if got != want:
+                report.append(f"point {p}: split out-colors {got}, expected {want}")
+            if kind == "split" and d.strand_color[d.in_slots[p][0]] != color:
+                report.append(f"point {p}: split in-strand color differs from point color")
+        elif kind in ("merge", "merge-sink"):
+            want = g.child_colors(color)
+            got = tuple(d.strand_color[s] for s in d.in_slots[p])
+            if got != want:
+                report.append(f"point {p}: merge in-colors {got}, expected {want}")
+            if kind == "merge" and d.strand_color[d.out_slots[p][0]] != color:
+                report.append(f"point {p}: merge out-strand color differs from point color")
+        elif kind == "degenerate":
+            sin = d.strand_color[d.in_slots[p][0]]
+            sout = d.strand_color[d.out_slots[p][0]]
+            if not (sin == sout == color):
+                report.append(f"point {p}: degenerate colors disagree")
+            if not g.is_isolated_color(color):
+                report.append(f"point {p}: degenerate color {color} has no single self-loop")
+        elif kind == "source":
+            if d.strand_color[d.out_slots[p][0]] != color:
+                report.append(f"point {p}: source color differs from its strand")
+        elif kind == "sink":
+            if d.strand_color[d.in_slots[p][0]] != color:
+                report.append(f"point {p}: sink color differs from its strand")
+
+    real_sources = {p for p in d.point_color if not d.in_slots[p]}
+    real_sinks = {p for p in d.point_color if not d.out_slots[p]}
+    if set(d.sources) != real_sources or len(set(d.sources)) != len(d.sources):
+        report.append("source order does not list exactly the in-degree-0 points")
+    if set(d.sinks) != real_sinks or len(set(d.sinks)) != len(d.sinks):
+        report.append("sink order does not list exactly the out-degree-0 points")
+    return report
+
+
+def permutation_diagram(domain_colors, mapping) -> StrandDiagram:
+    """Straight strands only: source j is wired to sink mapping[j]."""
+    n = len(domain_colors)
+    if sorted(mapping) != list(range(n)):
+        raise ValueError("mapping is not a permutation")
+    b = _Builder()
+    sources = [b.point(c) for c in domain_colors]
+    range_colors = [None] * n
+    for j in range(n):
+        range_colors[mapping[j]] = domain_colors[j]
+    sinks = [b.point(c) for c in range_colors]
+    for j in range(n):
+        b.strand(domain_colors[j], sources[j], sinks[mapping[j]])
+    return b.build(sources, sinks)
+
+
+def multi_split_diagram(domain_colors, splits: dict) -> StrandDiagram:
+    """One layer of splits: `splits` maps position -> tuple of child colors.
+
+    Positions not mentioned pass straight through.  The range is the domain
+    with each split position replaced by its children, in order.
+    """
+    b = _Builder()
+    sources = [b.point(c) for c in domain_colors]
+    sinks = []
+    for j, c in enumerate(domain_colors):
+        if j in splits:
+            kids = splits[j]
+            v = b.point(c)
+            b.strand(c, sources[j], v)
+            for kc in kids:
+                snk = b.point(kc)
+                b.strand(kc, v, snk)
+                sinks.append(snk)
+        else:
+            snk = b.point(c)
+            b.strand(c, sources[j], snk)
+            sinks.append(snk)
+    return b.build(sources, sinks)
+
+
+def split_diagram(domain_colors, position, child_colors) -> StrandDiagram:
+    return multi_split_diagram(domain_colors, {position: tuple(child_colors)})
+
+
+def cut(c: ClosedDiagram) -> StrandDiagram:
+    """Split every base point into a source/sink pair, ordered by the base line."""
+    pc, sc, sf, st, ins, outs = _copy_tables(c)
+    nxt = _fresh_id(c)
+    sinks = []
+    for b in c.base_line:
+        s_in = ins[b][0]
+        snk = nxt
+        nxt += 1
+        pc[snk] = c.point_color[b]
+        ins[snk] = [s_in]
+        outs[snk] = []
+        st[s_in] = snk
+        ins[b] = []
+        sinks.append(snk)
+    return StrandDiagram(pc, sc, sf, st, ins, outs, c.base_line, sinks)
+
+
+def conjugator_of(move: Move) -> StrandDiagram:
+    """The diagram G with cut(after) = G . cut(before) . G^-1: the reference
+    meaning of a move, which :class:`strandshift.closed._Stack` glues on as one
+    in-place layer.
+
+    G runs from the new base to the old base; expanding shifts yield merge
+    diagrams, reducing shifts split diagrams, permutations permutation
+    diagrams, type 0/1/2 reductions the identity, and type 3 moves one-layer
+    diagrams with one split (or merge) per unit of winding.
+    """
+    if move.kind == "shift-expand":
+        pos, kids = move.conj
+        return invert(split_diagram(move.old_base, pos, kids))
+    if move.kind == "shift-reduce":
+        pos, kids = move.conj
+        return split_diagram(move.new_base, pos, kids)
+    if move.kind == "permute":
+        (perm,) = move.conj
+        return permutation_diagram(move.new_base, list(perm))
+    if move.kind == "reduce":
+        return identity_diagram(move.old_base)
+    if move.kind == "type3":
+        start, kids, k = move.conj
+        return multi_split_diagram(move.new_base, {start + j: kids for j in range(k)})
+    if move.kind == "type3-expand":
+        start, kids, k = move.conj
+        return invert(multi_split_diagram(move.old_base, {start + j: kids for j in range(k)}))
+    raise ValueError(f"unknown move kind {move.kind}")
 
 
 def _choose_redex(redexes, rng, order_of):

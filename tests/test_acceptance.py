@@ -30,11 +30,14 @@ from strandshift.diagrams import (
     reduce,
     reduce_with_log,
 )
-from strandshift.forest import ForestPair, identity_pair
+from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord, ShiftGraph
 from strandshift.semigroup import bfs_equal, decide_equal, presentation_from_graph
 from strandshift.testkit import (
     GeneratorConfig,
+    compose_pairs,
+    identity_pair,
+    invert_pair,
     random_element,
     random_graph,
     reference_reduce_with_log,
@@ -346,8 +349,6 @@ def test_criterion_10_semantic_grounding(fig1, nonconfluent_left, full_shift2):
             if seed % 3 == 0:
                 # planted equal pair written differently
                 h = random_element(g, base, GeneratorConfig(seed=seed + 90000, growth_steps=1))
-                from strandshift.forest import compose_pairs, invert_pair
-
                 other = compose_pairs(g, compose_pairs(g, f, h), invert_pair(h))
             else:
                 other = random_element(g, base, GeneratorConfig(seed=seed + 90000, growth_steps=2))

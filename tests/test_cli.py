@@ -22,9 +22,8 @@ from strandshift.diagrams import (
     to_forest_pair,
 )
 from strandshift.dot import diagram_dot
-from strandshift.forest import identity_pair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, random_element, random_graph
+from strandshift.testkit import GeneratorConfig, identity_pair, random_element, random_graph
 from strandshift.textio import (
     _PUNCT,
     _Tokens,
@@ -732,6 +731,26 @@ def test_conj_step2_negative(capsys):
     code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / "graph3_step2_rhs.elem")])
     assert (code, err) == (0, "")
     assert out.splitlines()[:2] == ["verdict: not-conjugate", "step failed: 2 (split-merge parts are not similar)"]
+
+
+def test_semigroup_eq_whose_completion_runs_on_is_refused():
+    """fixtures/random_v8_seed12.graph is the random graph of seed 12 at
+    max_vertices=8.  The completion of its loops semigroup runs on without
+    reaching the rule limit, so the S-pair bound refuses the query: exit 2,
+    with the limit named.  The CI workflow runs the same command."""
+    text = (FIXTURES / "random_v8_seed12.graph").read_text()
+    assert text == format_graph(*random_graph(GeneratorConfig(seed=12, max_vertices=8)))
+    argv = [sys.executable, "-m", "strandshift.cli", "semigroup-eq", "--graph", str(FIXTURES / "random_v8_seed12.graph")]
+    path = os.pathsep.join([str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        argv + ["--lhs", "L(V0,1)", "--rhs", "L(V1,1)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "limit exceeded: semigroup-completion" in proc.stderr
 
 
 def _power_inputs(name, tmp_path, full_shift2):

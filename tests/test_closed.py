@@ -11,8 +11,6 @@ from strandshift.closed import (
     _loops,
     close,
     closed_key,
-    conjugator_of,
-    cut,
     decompose_parts,
     permute_base,
     replay,
@@ -33,7 +31,6 @@ from strandshift.diagrams import (
     from_forest_pair,
     identity_diagram,
     invert,
-    permutation_diagram,
     reduce,
 )
 from strandshift.errors import LimitExceeded, PreconditionError, SignatureMismatch
@@ -42,11 +39,15 @@ from strandshift.graphs import PathWord
 from strandshift.semigroup import decide_equal, max_winding, presentation_from_graph
 from strandshift.testkit import (
     GeneratorConfig,
+    conjugator_of,
+    cut,
+    permutation_diagram,
     random_element,
     random_graph,
     reduce_closed_step,
     reference_semi_reduce,
     search_semi_reduce,
+    split_diagram,
 )
 
 from conftest import loops_closed
@@ -103,8 +104,6 @@ def test_close_structure_and_round_trip(fig1, sigma, base_bg):
 
 
 def test_close_requires_equal_signature(fig1):
-    from strandshift.diagrams import split_diagram
-
     with pytest.raises(SignatureMismatch):
         close(split_diagram(("B",), 0, ("G", "R")))
 

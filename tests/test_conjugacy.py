@@ -14,7 +14,6 @@ from strandshift.closed import (
     _Stack,
     close,
     components,
-    conjugator_of,
     decompose_parts,
     permute_base,
     semi_reduce,
@@ -51,6 +50,7 @@ from strandshift.testkit import (
     GeneratorConfig,
     _color_bijections,
     brute_conjugate,
+    conjugator_of,
     enumerate_forests,
     juxtapose,
     random_element,
@@ -59,6 +59,7 @@ from strandshift.testkit import (
     reference_fold_conjugators,
     reference_similarity,
     similar_by_search,
+    split_diagram,
 )
 
 from test_closed import renumbered
@@ -263,8 +264,6 @@ def test_is_conjugate_reflexive_and_negative(fig1, base_bg, sigma):
 
 
 def test_is_conjugate_signature_mismatch(fig1):
-    from strandshift.diagrams import split_diagram
-
     res = is_conjugate(identity_diagram(("B",)), identity_diagram(("G",)), fig1)
     assert not res.conjugate and res.step_failed == 0
     with pytest.raises(SignatureMismatch):
@@ -622,19 +621,16 @@ def test_direct_sums_with_dissimilar_summands_fail_at_step_2(fig1):
 
 
 def test_witness_builds_no_conjugator_diagram_and_reduces_once(fig1, base_bg, monkeypatch):
-    """The witness stacks every move's layer in place, a reduction's adds
-    nothing, and the stack is reduced once."""
-    built, reduced = [], []
-
-    def recording_conjugator(mv):
-        built.append(mv.kind)
-        return conjugator_of(mv)
+    """The witness stacks every move's layer in place and the stack is
+    reduced once.  It cannot build a conjugator diagram, since
+    `conjugator_of` lives in `testkit`, which no pipeline module imports
+    (see tests/test_testkit.py)."""
+    reduced = []
 
     def recording_reduce(d):
         reduced.append(d)
         return reduce(d)
 
-    monkeypatch.setattr("strandshift.closed.conjugator_of", recording_conjugator)
     monkeypatch.setattr("strandshift.conjugacy.reduce", recording_reduce)
     reductions = 0
     for seed in range(10):
@@ -645,7 +641,7 @@ def test_witness_builds_no_conjugator_diagram_and_reduces_once(fig1, base_bg, mo
         assert conjugator_witness(f, g, res, fig1) is not None
         assert len(reduced) == 1
         reductions += sum(mv.kind == "reduce" for a in res.analyses for mv in a.trace)
-    assert reductions >= 10 and built == []
+    assert reductions >= 10
 
 
 def planted_pairs(fig1, base_bg):

@@ -11,26 +11,29 @@ from strandshift.diagrams import (
     _copy_tables,
     canonical_key,
     compose,
-    decompose_generators,
     equal,
     from_forest_pair,
     identity_diagram,
     invert,
-    is_group_element,
     is_reduced,
-    merge_diagram,
-    permutation_diagram,
     product,
     reduce,
     reduce_with_log,
-    split_diagram,
     to_forest_pair,
-    validate_strand_diagram,
 )
 from strandshift.errors import SignatureMismatch
-from strandshift.forest import ForestPair, identity_pair
+from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
-from strandshift.testkit import GeneratorConfig, random_element, random_graph, reference_reduce_with_log
+from strandshift.testkit import (
+    GeneratorConfig,
+    identity_pair,
+    permutation_diagram,
+    random_element,
+    random_graph,
+    reference_reduce_with_log,
+    split_diagram,
+    validate_strand_diagram,
+)
 
 
 def build_sigma_expected():
@@ -227,10 +230,6 @@ def test_invert_is_involution(fig1, base_bg, sigma):
     assert canonical_key(invert(invert(d))) == canonical_key(d)
     ident = identity_diagram(base_bg)
     assert canonical_key(invert(ident)) == canonical_key(ident)
-    caret = split_diagram(("B", "G"), 0, ("G", "R"))
-    assert canonical_key(invert(caret)) == canonical_key(
-        merge_diagram(("B", "G"), 0, ("G", "R"))
-    )
 
 
 def test_type0_reduction_from_unary_caret(fig1, base_bg, sigma):
@@ -290,49 +289,6 @@ def test_associativity_up_to_equivalence(fig1, base_bg):
             for off in (0, 100, 200)
         )
         assert equal(compose(compose(a, b), c), compose(a, compose(b, c)))
-
-
-def test_decompose_generators_shapes(fig1, base_bg, sigma):
-    d = from_forest_pair(fig1, sigma)
-    pieces = decompose_generators(d)
-    kinds = []
-    for p in pieces:
-        splits = sum(1 for q in p.point_color if len(p.out_slots[q]) >= 2)
-        merges = sum(1 for q in p.point_color if len(p.in_slots[q]) >= 2)
-        kinds.append("split" if splits else "merge" if merges else "perm")
-    assert kinds == ["split", "perm", "merge", "merge"]
-    assert sum(1 for q in pieces[0].point_color if len(pieces[0].out_slots[q]) >= 2) == 2
-
-    recomposed = pieces[0]
-    for p in pieces[1:]:
-        recomposed = compose(recomposed, p)
-    assert equal(recomposed, d)
-
-    ident_pieces = decompose_generators(identity_diagram(base_bg))
-    assert len(ident_pieces) == 1 and equal(ident_pieces[0], identity_diagram(base_bg))
-
-    caret = split_diagram(("B",), 0, ("G", "R"))
-    caret_pieces = decompose_generators(caret)
-    assert len(caret_pieces) == 1 and equal(caret_pieces[0], caret)
-
-
-def test_decompose_generators_random(fig1, base_bg):
-    for seed in range(10):
-        d = from_forest_pair(
-            fig1, random_element(fig1, base_bg, GeneratorConfig(seed=seed, growth_steps=3))
-        )
-        pieces = decompose_generators(d)
-        recomposed = pieces[0]
-        for p in pieces[1:]:
-            recomposed = compose(recomposed, p)
-        assert equal(recomposed, d)
-
-
-def test_is_group_element(fig1, base_bg, sigma):
-    d = from_forest_pair(fig1, sigma)
-    assert is_group_element(d, base_bg)
-    assert not is_group_element(split_diagram(("B",), 0, ("G", "R")), ("B",))
-    assert not is_group_element(permutation_diagram(("B", "G"), [1, 0]), ("B", "G"))
 
 
 TABLES = ("point_color", "strand_color", "strand_from", "strand_to", "in_slots", "out_slots")

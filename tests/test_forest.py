@@ -6,16 +6,18 @@ from strandshift.forest import (
     ForestPair,
     _check_leaf_forest,
     apply_to_word,
-    compose_pairs,
     expand_degenerate,
     expand_regular,
-    identity_pair,
-    invert_pair,
     validate_forest_pair,
 )
 from strandshift.diagrams import canonical_key, from_forest_pair
-from strandshift.graphs import PathWord, ShiftGraph, children, color_of_word, enumerate_words, format_word
+from strandshift.graphs import PathWord, ShiftGraph, color_of_word, format_word
 from strandshift.testkit import (
+    children,
+    compose_pairs,
+    enumerate_words,
+    identity_pair,
+    invert_pair,
     GeneratorConfig,
     random_element,
     random_graph,

@@ -3,12 +3,12 @@ import pytest
 from strandshift.graphs import (
     PathWord,
     ShiftGraph,
-    children,
-    enumerate_words,
+    color_of_word,
     is_isolated_cylinder,
     normalize_graph,
     validate_graph,
 )
+from strandshift.testkit import children, enumerate_words, is_valid_word
 
 
 def test_fig1_is_valid(fig1):
@@ -165,8 +165,6 @@ def test_enumerate_restriction_property(fig1, base_bg):
 
 
 def test_children_produce_valid_words(fig1, base_bg):
-    from strandshift.graphs import color_of_word, is_valid_word
-
     for w in enumerate_words(fig1, base_bg, 3):
         for c in children(fig1, base_bg, w):
             assert is_valid_word(fig1, base_bg, c)

@@ -1,3 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from strandshift.diagrams import (
@@ -7,17 +13,20 @@ from strandshift.diagrams import (
     identity_diagram,
     invert,
     reduce,
-    validate_strand_diagram,
 )
-from strandshift.forest import compose_pairs, expand_regular, identity_pair, invert_pair, validate_forest_pair
+from strandshift.forest import expand_regular, validate_forest_pair
 from strandshift.graphs import validate_graph
 from strandshift.testkit import (
     GeneratorConfig,
     brute_conjugate,
+    compose_pairs,
     enumerate_forests,
+    identity_pair,
+    invert_pair,
     random_element,
     random_graph,
     semantic_equal,
+    validate_strand_diagram,
 )
 
 
@@ -137,3 +146,32 @@ def test_semantic_equal_respects_isolated_points(fig1, base_bg):
         base_bg,
     )
     assert not semantic_equal(fig1, swap, identity_pair(fig1, base_bg), depth=3)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_loads_no_testkit():
+    """The command line runs without the oracles: importing it in a fresh
+    interpreter loads no `strandshift.testkit`."""
+    code = "import sys, strandshift.cli; print(sorted(m for m in sys.modules if m.startswith('strandshift')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    loaded = ast.literal_eval(proc.stdout)
+    assert "strandshift.cli" in loaded and "strandshift.testkit" not in loaded
+
+
+def test_no_pipeline_module_imports_testkit():
+    """No module but `testkit` itself imports `testkit`, not even inside a
+    function."""
+    pipeline = [p for p in (SRC / "strandshift").glob("*.py") if p.name != "testkit.py"]
+    assert len(pipeline) >= 10
+    for path in pipeline:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        assert not any("testkit" in name.split(".") for name in imported), path.name
