@@ -65,14 +65,12 @@ class ClosedDiagram(_Tables):
         for b in self.base_line:
             assert len(self.in_slots[b]) == 1 and len(self.out_slots[b]) == 1, "base points have degree (1,1)"
 
-    def base_colors(self) -> tuple:
-        return tuple(self.point_color[b] for b in self.base_line)
-
     def splits_merges_degens(self) -> int:
         return len(self.point_color) - len(self.base_line)
 
     def __repr__(self):
-        return f"ClosedDiagram({len(self.point_color)} points, base {self.base_colors()})"
+        colors = tuple(self.point_color[b] for b in self.base_line)
+        return f"ClosedDiagram({len(self.point_color)} points, base {colors})"
 
 
 class _ClosedTables(_Tables):
@@ -85,16 +83,26 @@ class _ClosedTables(_Tables):
     change (see :func:`semi_reduce`).
     """
 
-    __slots__ = ("base_line", "base_set", "moved")
+    __slots__ = ("base_line", "base_set", "moved", "_next")
 
     def __init__(self, c: ClosedDiagram):
         _Tables.__init__(self, *_copy_tables(c))
         self.base_line = list(c.base_line)
         self.base_set = set(c.base_line)
         self.moved = []
+        self._next = None
 
-    def base_colors(self) -> tuple:
-        return tuple(self.point_color[b] for b in self.base_line)
+    def fresh(self, n: int) -> int:
+        """The first of n new consecutive ids.  The largest id in use is
+        scanned for on the first call only.  Each move takes its ids before
+        it removes any, and no reduction removes the last strand a move
+        adds, which leaves a base point, so this is 1 + the largest live id,
+        as on a fresh copy."""
+        if self._next is None:
+            self._next = 1 + max([*self.point_color, *self.strand_color], default=0)
+        first = self._next
+        self._next += n
+        return first
 
     def freeze(self) -> ClosedDiagram:
         """The diagram of the tables and base line; edit them no further."""
@@ -112,16 +120,15 @@ def _edited(c: ClosedDiagram, edit, *args):
 class Move:
     """One similarity or reduction step.
 
-    `data` replays the move; `old_base`/`new_base` are color tuples;
-    `conj` holds what :meth:`_Stack.glue` needs to stack the move's
-    conjugator, and what :func:`strandshift.testkit.conjugator_of` needs to
-    build it as a diagram.
+    `data` replays the move, and :meth:`_Stack.glue` stacks `conj` as its
+    conjugator: (perm,) for a permutation, () for a type 0/1/2 reduction,
+    and for a shift or type 3 move (start, parent, kids, k), a layer of one
+    `parent`-colored split or merge per unit of winding k (1 for a shift)
+    from base position `start` on.
     """
 
     kind: str  # shift-expand | shift-reduce | permute | reduce | type3 | type3-expand
     data: tuple
-    old_base: tuple
-    new_base: tuple
     conj: tuple = ()
 
 
@@ -174,15 +181,12 @@ class _Stack(_Builder):
             else:
                 self.sources[:] = [old[i] for i in perm]
             return
-        start, kids = move.conj[:2]
-        k = move.conj[2] if move.kind.startswith("type3") else 1
-        # the base with one parent per block: after a reduction, before an expansion
-        reduced = move.new_base if move.kind in ("shift-reduce", "type3") else move.old_base
+        start, parent, kids, k = move.conj
         splits = (move.kind in ("shift-reduce", "type3")) != inverse
         d = len(kids)
         for j in reversed(range(k)):
             if splits:
-                self._split(start + j * d, reduced[start + j], d)
+                self._split(start + j * d, parent, d)
             else:
                 self._merge(start + j, kids)
 
@@ -344,15 +348,15 @@ def unordered_key(c: ClosedDiagram) -> tuple:
 # ---------------------------------------------------------------------------
 # base point helpers
 
-def _subdivide(tabs, nxt, strand):
-    """Insert a fresh base-point-shaped point in the middle of `strand`.
+def _subdivide(c: _ClosedTables, strand):
+    """Insert a new base-point-shaped point in the middle of `strand`.
 
     The original strand keeps its origin and now ends at the new point; a new
     strand continues to the original target in the same in-slot.
     """
-    pc, sc, sf, st, ins, outs = tabs
-    b, n = nxt[0], nxt[0] + 1
-    nxt[0] += 2
+    pc, sc, sf, st, ins, outs = c.tables()
+    b = c.fresh(2)
+    n = b + 1
     color = sc[strand]
     pc[b] = color
     sc[n] = color
@@ -362,10 +366,6 @@ def _subdivide(tabs, nxt, strand):
     ins[b] = [strand]
     outs[b] = [n]
     return b
-
-
-def _fresh_id(c) -> int:
-    return 1 + max([*c.point_color, *c.strand_color], default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +407,22 @@ def _shift_expand(c: _ClosedTables, index: int, direction):
     if direction not in avail:
         raise PreconditionError(f"base point {index}: no movable point {direction}")
     b = c.base_line[index]
-    old = c.base_colors()
-    tabs = c.tables()
-    nxt = [_fresh_id(c)]
+    parent = c.point_color[b]
     u = c.strand_from[c.in_slots[b][0]]
     if direction == "down":
         v = c.strand_to[c.out_slots[b][0]]
         c.moved.append(v)
-        new_points = [_subdivide(tabs, nxt, s) for s in list(c.out_slots[v])]
+        new_points = [_subdivide(c, s) for s in list(c.out_slots[v])]
     else:
         c.moved.extend(c.strand_from[s] for s in c.in_slots[u])
-        new_points = [_subdivide(tabs, nxt, s) for s in list(c.in_slots[u])]
+        new_points = [_subdivide(c, s) for s in list(c.in_slots[u])]
     c.moved.append(u)
-    _splice_out(tabs, b)
+    _splice_out(c.tables(), b)
     c.base_line[index : index + 1] = new_points
     c.base_set.remove(b)
     c.base_set.update(new_points)
-    return Move(
-        "shift-expand",
-        (index, direction),
-        old,
-        c.base_colors(),
-        conj=(index, tuple(c.point_color[p] for p in new_points)),
-    )
+    kids = tuple(c.point_color[p] for p in new_points)
+    return Move("shift-expand", (index, direction), (index, parent, kids, 1))
 
 
 def shift_reduce(c: ClosedDiagram, positions, direction=None):
@@ -467,28 +460,20 @@ def _shift_reduce(c: _ClosedTables, positions, direction):
     if not (down_ok if direction == "down" else up_ok):
         raise PreconditionError("points are not the full ordered boundary of one split/merge")
 
-    old = c.base_colors()
-    tabs = c.tables()
-    nxt = [_fresh_id(c)]
     kids = tuple(c.point_color[p] for p in points)
+    c.moved.extend(c.strand_from[c.in_slots[p][0]] for p in points)
+    # the new point first: its ids are taken before any is removed
+    nb = _subdivide(c, c.out_slots[w][0] if direction == "down" else c.in_slots[v][0])
+    tabs = c.tables()
     for p in points:
-        c.moved.append(c.strand_from[c.in_slots[p][0]])
         _splice_out(tabs, p)
-    s = c.out_slots[w][0] if direction == "down" else c.in_slots[v][0]
-    c.moved.append(c.strand_from[s])
-    nb = _subdivide(tabs, nxt, s)
+    c.moved.append(c.strand_from[c.in_slots[nb][0]])
     gone = set(points)
     c.base_line[:] = [p for p in c.base_line if p not in gone]
     c.base_line.insert(positions[0], nb)
     c.base_set -= gone
     c.base_set.add(nb)
-    return Move(
-        "shift-reduce",
-        (positions, direction),
-        old,
-        c.base_colors(),
-        conj=(positions[0], kids),
-    )
+    return Move("shift-reduce", (positions, direction), (positions[0], c.point_color[nb], kids, 1))
 
 
 def permute_base(c: ClosedDiagram, perm):
@@ -502,9 +487,8 @@ def _permute_base(c: _ClosedTables, perm):
     perm = tuple(perm)
     if sorted(perm) != list(range(len(c.base_line))):
         raise PreconditionError("not a permutation of base positions")
-    old = c.base_colors()
     c.base_line[:] = [c.base_line[j] for j in perm]
-    return Move("permute", (perm,), old, c.base_colors(), conj=(perm,))
+    return Move("permute", (perm,), (perm,))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +498,7 @@ def _reduce(c: _ClosedTables, rtype, payload):
     """Apply the type 0/1/2 redex with this payload (as in
     :func:`strandshift.diagrams.find_redexes`) to c in place: the move."""
     apply_redex(c.tables(), (rtype, payload if rtype == 0 else payload[0], payload))
-    colors = c.base_colors()
-    return Move("reduce", (rtype, payload), colors, colors)
+    return Move("reduce", (rtype, payload))
 
 
 def _replace_loops(c: _ClosedTables, start, block, colors, k):
@@ -523,15 +506,15 @@ def _replace_loops(c: _ClosedTables, start, block, colors, k):
     by d = len(colors) interleaved loops of winding k, in place.
 
     Loop j has color colors[j] and visits the new base positions start+j,
-    start+j+d, ...  New ids run on from the largest before the drops: the
-    points in base order, then the strands loop by loop.
+    start+j+d, ...  The new ids, taken before the drops, are the points in
+    base order, then the strands loop by loop.
     """
     tabs = pc, sc, sf, st, ins, outs = c.tables()
-    first = _fresh_id(c)
+    d = len(colors)
+    first = c.fresh(2 * k * d)
     for b in block:
         _drop_strand(tabs, outs[b][0])
         _drop_point(tabs, b)
-    d = len(colors)
     new_points = list(range(first, first + k * d))
     for p in new_points:
         ins[p] = []
@@ -590,9 +573,8 @@ def _type3_reduce(c: _ClosedTables, g: ShiftGraph, start: int, d: int, k: int, v
     elif vertex not in candidates:
         raise PreconditionError(f"vertex {vertex} does not have ordered children {kids}")
 
-    old = c.base_colors()
     _replace_loops(c, start, block, (vertex,), k)
-    return Move("type3", (start, d, k, vertex), old, c.base_colors(), conj=(start, kids, k))
+    return Move("type3", (start, d, k, vertex), (start, vertex, kids, k))
 
 
 def type3_expand(c: ClosedDiagram, g: ShiftGraph, start: int, k: int, vertex):
@@ -618,9 +600,8 @@ def _type3_expand(c: _ClosedTables, g: ShiftGraph, start: int, k: int, vertex):
     if c.point_color[block[0]] != vertex:
         raise PreconditionError("loop color differs from vertex")
     kids = g.child_colors(vertex)
-    old = c.base_colors()
     _replace_loops(c, start, block, kids, k)
-    return Move("type3-expand", (start, k, vertex), old, c.base_colors(), conj=(start, kids, k))
+    return Move("type3-expand", (start, k, vertex), (start, vertex, kids, k))
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +886,7 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
 
     A freeing round frees the first freeable redex in table order, so it
     reads the working tables at most once, copies nothing, and stops early
-    when it finds one.  Fresh ids are :func:`_fresh_id` of the live tables.
+    when it finds one.  New ids come from :meth:`_ClosedTables.fresh`.
 
     Another order of moves can stop at another form: its split-merge part
     is similar to this one's, and its loops are equal in the loops
@@ -921,9 +902,8 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     w = _ClosedTables(c)
     trace = []
     while True:
-        colors = w.base_colors()  # reductions never touch the base line
         for rtype, _, payload in _reduce_in_place(w.tables(), redexes, w.base_set):
-            trace.append(Move("reduce", (rtype, payload), colors, colors))
+            trace.append(Move("reduce", (rtype, payload)))
         freeable = _freeable(w)
         if freeable is None:
             break

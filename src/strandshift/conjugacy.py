@@ -57,7 +57,9 @@ def solve_integer(edges, d):
     This is the incidence system of a directed graph: a solution is fixed up
     to one constant per connected piece, so setting x = 0 at one point per
     piece and propagating along a spanning tree finds it, and the system is
-    solvable exactly when every edge then checks.
+    solvable exactly when every edge then checks.  Step 2 reads x off its
+    class keys instead; this stays for the benchmark's tracer, which wraps
+    it by name, and for the reference step 2 in :mod:`strandshift.testkit`.
     """
     nbrs = {}
     for (u, v), di in zip(edges, d):
@@ -80,20 +82,11 @@ def solve_integer(edges, d):
     return x
 
 
-def _coboundary_solution(a, comp_a, b, phi):
-    """Integer x over comp points with (coboundary of x) = cocycle_a - phi*cocycle_b."""
-    images = [(s, b.out_slots[phi[p]][j]) for p in sorted(comp_a) for j, s in enumerate(a.out_slots[p])]
-    return solve_integer(
-        [(a.strand_from[s], a.strand_to[s]) for s, _ in images],
-        [a.cocycle[s] - b.cocycle[t] for s, t in images],
-    )
-
-
 def _reduced_cocycle(sk: SplitMergeSkeleton, order: dict) -> tuple:
-    """The cocycle of sk on the component that `order` ranks, shifted by the
-    coboundary that makes it vanish on the breadth-first tree of `order`:
-    one value per strand, points by rank and strands by out-slot, as
-    :func:`closed._serialize` reads them.
+    """(reduced, y): the cocycle of sk on the component that `order` ranks,
+    shifted by the coboundary of the potentials y that makes it vanish on
+    the breadth-first tree of `order`, one value per strand, points by rank
+    and strands by out-slot, as :func:`closed._serialize` reads them.
 
     The tree is the one the breadth-first search grows: replaying the search
     in rank order, each point's potential is set over the strand that first
@@ -106,20 +99,20 @@ def _reduced_cocycle(sk: SplitMergeSkeleton, order: dict) -> tuple:
             y.setdefault(sk.strand_to[s], y[p] - sk.cocycle[s])
         for s in sk.in_slots[p]:
             y.setdefault(sk.strand_from[s], y[p] + sk.cocycle[s])
-    return tuple(sk.cocycle[s] - y[p] + y[sk.strand_to[s]] for p in order for s in sk.out_slots[p])
+    return tuple(sk.cocycle[s] - y[p] + y[sk.strand_to[s]] for p in order for s in sk.out_slots[p]), y
 
 
 def _class_key(sk: SplitMergeSkeleton, comp) -> tuple:
-    """(key, order): the similarity class key of a skeleton component and
-    the breadth-first order of an anchor that attains it.
+    """(key, order, y): the similarity class key of a skeleton component,
+    the breadth-first order of an anchor that attains it, and that order's
+    tree potentials.
 
     The key is the least serialization over all anchors in `comp`, then the
     least reduced cocycle over the anchors that tie on it.
     """
     records, orders = _least_serialization(sk, comp)
-    cocycles = [_reduced_cocycle(sk, order) for order in orders]
-    least = min(cocycles)
-    return (records, least), orders[cocycles.index(least)]
+    (least, y), order = min(((_reduced_cocycle(sk, order), order) for order in orders), key=lambda t: t[0][0])
+    return (records, least), order, y
 
 
 @dataclass
@@ -154,8 +147,9 @@ def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
     into an isomorphism phi under which the reduced cocycles agree, so the
     difference is a coboundary.  Components are therefore similar exactly
     when their keys are equal, and each component of a takes the first free
-    component of b with its key.  Solving the coboundary for that phi
-    cannot fail.
+    component of b with its key.  A reduced cocycle is the cocycle minus
+    the coboundary of its tree potentials y, so x[p] = y_a[p] - y_b[phi[p]]
+    solves the coboundary system of the pair.
     """
     comps_a, comps_b = components(a), components(b)
     if len(comps_a) != len(comps_b):
@@ -163,16 +157,13 @@ def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
     free = [(comp, *_class_key(b, comp)) for comp in comps_b]
     pairs = []
     for comp_a in comps_a:
-        key, order_a = _class_key(a, comp_a)
-        j = next((j for j, (_, key_b, _) in enumerate(free) if key_b == key), None)
+        key, order_a, y_a = _class_key(a, comp_a)
+        j = next((j for j, (_, key_b, _, _) in enumerate(free) if key_b == key), None)
         if j is None:
             return None
-        comp_b, _, order_b = free.pop(j)
+        comp_b, _, order_b, y_b = free.pop(j)
         phi = dict(zip(order_a, order_b))
-        x = _coboundary_solution(a, comp_a, b, phi)
-        if x is None:
-            raise AssertionError("equal class keys without a coboundary")
-        pairs.append((comp_a, comp_b, phi, x))
+        pairs.append((comp_a, comp_b, phi, {p: y_a[p] - y_b[phi[p]] for p in order_a}))
     return SkeletonMatch(pairs, a, b)
 
 

@@ -235,5 +235,5 @@ def normalize_graph(g: ShiftGraph, base: BaseTuple):
     rename = {}
     for v in g.vertices:
         rename[v] = None if v in removed else find(v)
-    new_base = tuple(rename[y] for y in base if rename[y] is not None)
-    return ShiftGraph(survivors, new_edges, new_order), new_base, rename
+    renamed_base = tuple(rename[y] for y in base if rename[y] is not None)
+    return ShiftGraph(survivors, new_edges, new_order), renamed_base, rename

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 from .errors import LimitExceeded
 from .graphs import ShiftGraph
 
-DEFAULT_MAX_RULES = 20000
 # S-pairs one block completion may examine.  The largest completion in the
 # test suite and the benchmark workloads examines 66.  Among random graphs of
 # 6 to 10 vertices (seeds 0-119), 315 of the 322 completions that ended
 # examined at most 1,035 (the other seven 1,891 to 6,903), and the 38 that
-# ran on, which the rule limit did not stop, all passed the bound.
+# ran on all passed the bound.  Each S-pair adds at most one rule, so this
+# bounds the rules too.
 MAX_SPAIRS = 1500
 
 
@@ -60,9 +60,6 @@ class Presentation:
             if count:
                 vec[self.index(color, n)] += count
         return tuple(vec)
-
-    def loops(self, vec) -> dict:
-        return {self.gens[i]: x for i, x in enumerate(vec) if x}
 
 
 def presentation_from_graph(g: ShiftGraph, n_max: int) -> Presentation:
@@ -130,18 +127,16 @@ def _normal_form(m: tuple, rules) -> tuple:
     return m
 
 
-def _block_rules(p: Presentation, max_rules: int) -> list:
+def _block_rules(p: Presentation) -> list:
     """Completed rules of the winding-1 block over its |V| coordinates, cached.
 
     Buchberger completion stays inside pure-difference binomials: the S-pair
     of two rules at the lcm of their leads reduces to two normal forms whose
     oriented difference, when nonzero, is a new rule.  Pairs with disjoint
-    lead supports resolve automatically and are skipped.  The limit counts
-    stage rules, one copy of the block per winding; it is checked while the
-    block completes and again on every call, so a cached completion answers
-    each limit as a fresh one would.  The completion also stops after
-    examining :data:`MAX_SPAIRS` S-pairs, skipped ones included, so that its
-    work is bounded and not only its rule count.
+    lead supports resolve automatically and are skipped.  The completion
+    stops after examining :data:`MAX_SPAIRS` S-pairs, skipped ones included,
+    which bounds its work and its rule count; neither depends on the
+    winding.
     """
     rules = p._rules
     if rules is None:
@@ -171,23 +166,19 @@ def _block_rules(p: Presentation, max_rules: int) -> list:
             o = _orient(s1, s2)
             assert o is not None
             rules.append(o)
-            if len(rules) * p.max_winding > max_rules:
-                raise LimitExceeded("semigroup-completion", f"more than {max_rules} rules")
             pending.extend((t, len(rules) - 1) for t in range(len(rules) - 1))
         p._rules = rules
-    if len(rules) * p.max_winding > max_rules:
-        raise LimitExceeded("semigroup-completion", f"more than {max_rules} rules")
     return rules
 
 
-def completed_rules(p: Presentation, max_rules: int = DEFAULT_MAX_RULES) -> list:
+def completed_rules(p: Presentation) -> list:
     """Confluent rewriting rules for the stage congruence over full-stage vectors.
 
     These are the completed winding-1 block rules lifted into each winding's
     block, so there are max_winding times as many as in the block.  Leads in
     different blocks are disjoint, so the lifted copies never interact.
     """
-    rules = _block_rules(p, max_rules)
+    rules = _block_rules(p)
     zero = (0,) * len(p.graph.vertices)
     n = p.max_winding
     return [
@@ -197,7 +188,7 @@ def completed_rules(p: Presentation, max_rules: int = DEFAULT_MAX_RULES) -> list
     ]
 
 
-def decide_equal(a: tuple, b: tuple, p: Presentation, max_rules: int = DEFAULT_MAX_RULES) -> bool:
+def decide_equal(a: tuple, b: tuple, p: Presentation) -> bool:
     """Whether two nonzero vectors are congruent in stage max_winding.
 
     The vectors are compared block by block, one block per winding, by their
@@ -210,7 +201,7 @@ def decide_equal(a: tuple, b: tuple, p: Presentation, max_rules: int = DEFAULT_M
             raise ValueError("negative loop count")
         if not any(vec):
             raise ValueError("the semigroup has no identity; vectors must be nonzero")
-    rules = _block_rules(p, max_rules)
+    rules = _block_rules(p)
     k = len(p.graph.vertices)
     for i in range(0, len(a), k):
         x, y = a[i : i + k], b[i : i + k]

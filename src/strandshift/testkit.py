@@ -7,7 +7,8 @@ forest pairs directly.  The similarity searches reuse the closed moves but
 neither step 2's skeleton comparison nor semi-reduction's skeleton
 criterion, which are what they check.  The reference step 2 searches
 component isomorphisms anchor by anchor instead of comparing class keys,
-and shares only the coboundary solver with it.  The class enumeration
+and solves each coboundary along a spanning tree instead of reading it
+off the tree potentials of the keys.  The class enumeration
 applies the loop relations one at a time instead of the completed
 rewriting system.
 The reference reducer and the reference semi-reduction reuse the redex
@@ -30,7 +31,8 @@ enumerator and the forest-pair group operations, which compose and invert
 elements without diagrams; the diagram validator; the one-layer split and
 permutation diagrams; cutting a closed diagram at its base line; and
 :func:`conjugator_of`, the meaning of a move as a diagram, which the
-witness stack in :mod:`strandshift.closed` is tested against.
+witness stack in :mod:`strandshift.closed` is tested against, built from
+the base colors (:func:`base_colors`) on either side of the move.
 """
 
 from __future__ import annotations
@@ -48,18 +50,18 @@ from .closed import (
     _bidirectional_order,
     _consolidate,
     _edited,
-    _fresh_id,
     _plan_cocycle_moves,
     _push,
     _reduce,
     _serialize,
     components,
+    replay,
     shift_directions,
     shift_expand,
     skeleton,
     unordered_key,
 )
-from .conjugacy import SkeletonMatch, _coboundary_solution
+from .conjugacy import SkeletonMatch, solve_integer
 from .diagrams import (
     StrandDiagram,
     _Builder,
@@ -362,10 +364,15 @@ def split_diagram(domain_colors, position, child_colors) -> StrandDiagram:
     return multi_split_diagram(domain_colors, {position: tuple(child_colors)})
 
 
+def base_colors(c: ClosedDiagram) -> tuple:
+    """The colors of c's base points, in base line order."""
+    return tuple(c.point_color[b] for b in c.base_line)
+
+
 def cut(c: ClosedDiagram) -> StrandDiagram:
     """Split every base point into a source/sink pair, ordered by the base line."""
     pc, sc, sf, st, ins, outs = _copy_tables(c)
-    nxt = _fresh_id(c)
+    nxt = 1 + max([*c.point_color, *c.strand_color], default=0)
     sinks = []
     for b in c.base_line:
         s_in = ins[b][0]
@@ -380,34 +387,31 @@ def cut(c: ClosedDiagram) -> StrandDiagram:
     return StrandDiagram(pc, sc, sf, st, ins, outs, c.base_line, sinks)
 
 
-def conjugator_of(move: Move) -> StrandDiagram:
-    """The diagram G with cut(after) = G . cut(before) . G^-1: the reference
-    meaning of a move, which :class:`strandshift.closed._Stack` glues on as one
-    in-place layer.
+def conjugator_of(move: Move, before: tuple, after: tuple) -> StrandDiagram:
+    """The diagram G with cut(after) = G . cut(before) . G^-1, where
+    `before` and `after` are the base colors of the diagrams on either side
+    of the move: the reference meaning of a move, which
+    :class:`strandshift.closed._Stack` glues on as one in-place layer.
 
     G runs from the new base to the old base; expanding shifts yield merge
     diagrams, reducing shifts split diagrams, permutations permutation
     diagrams, type 0/1/2 reductions the identity, and type 3 moves one-layer
-    diagrams with one split (or merge) per unit of winding.
+    diagrams with one split (or merge) per unit of winding.  The layer is
+    built from the base colors and the kids, not from the parent color the
+    move records.
     """
-    if move.kind == "shift-expand":
-        pos, kids = move.conj
-        return invert(split_diagram(move.old_base, pos, kids))
-    if move.kind == "shift-reduce":
-        pos, kids = move.conj
-        return split_diagram(move.new_base, pos, kids)
     if move.kind == "permute":
         (perm,) = move.conj
-        return permutation_diagram(move.new_base, list(perm))
+        return permutation_diagram(after, list(perm))
     if move.kind == "reduce":
-        return identity_diagram(move.old_base)
-    if move.kind == "type3":
-        start, kids, k = move.conj
-        return multi_split_diagram(move.new_base, {start + j: kids for j in range(k)})
-    if move.kind == "type3-expand":
-        start, kids, k = move.conj
-        return invert(multi_split_diagram(move.old_base, {start + j: kids for j in range(k)}))
-    raise ValueError(f"unknown move kind {move.kind}")
+        return identity_diagram(before)
+    if move.kind not in ("shift-expand", "shift-reduce", "type3", "type3-expand"):
+        raise ValueError(f"unknown move kind {move.kind}")
+    start, _, kids, k = move.conj
+    splits = {start + j: kids for j in range(k)}
+    if move.kind in ("shift-reduce", "type3"):
+        return multi_split_diagram(after, splits)
+    return invert(multi_split_diagram(before, splits))
 
 
 def _choose_redex(redexes, rng, order_of):
@@ -496,12 +500,23 @@ def _component_isos(a: SplitMergeSkeleton, comp_a, b: SplitMergeSkeleton, comp_b
                 yield dict(zip(order_a, order_b))
 
 
+def coboundary_solution(a: SplitMergeSkeleton, comp_a, b: SplitMergeSkeleton, phi):
+    """Integer x over comp_a's points with (coboundary of x) = cocycle_a -
+    phi*cocycle_b, or None: the incidence system solved along a spanning
+    tree by :func:`strandshift.conjugacy.solve_integer`."""
+    images = [(s, b.out_slots[phi[p]][j]) for p in sorted(comp_a) for j, s in enumerate(a.out_slots[p])]
+    return solve_integer(
+        [(a.strand_from[s], a.strand_to[s]) for s, _ in images],
+        [a.cocycle[s] - b.cocycle[t] for s, t in images],
+    )
+
+
 def reference_similarity(a: SplitMergeSkeleton, comp_a, b: SplitMergeSkeleton, comp_b):
     """(phi, x) for the first isomorphism comp_a -> comp_b with a coboundary
     solution x, or None: the search over isomorphisms that step 2's class
     keys replace."""
     for phi in _component_isos(a, comp_a, b, comp_b):
-        x = _coboundary_solution(a, comp_a, b, phi)
+        x = coboundary_solution(a, comp_a, b, phi)
         if x is not None:
             return phi, x
     return None
@@ -530,12 +545,16 @@ def reference_compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
     return SkeletonMatch(pairs, a, b)
 
 
-def reference_fold_conjugators(moves, base_colors) -> StrandDiagram:
-    """Product of the moves' conjugators; a type 0/1/2 reduction's is the identity."""
-    h = identity_diagram(base_colors)
+def reference_fold_conjugators(c: ClosedDiagram, moves, g: ShiftGraph) -> StrandDiagram:
+    """Product of the conjugators of `moves`, replayed one at a time from c
+    for the base colors on either side of each; a type 0/1/2 reduction's
+    is the identity."""
+    h = identity_diagram(base_colors(c))
     for mv in moves:
+        after = replay(c, [mv], g)
         if mv.kind != "reduce":
-            h = reduce(compose(conjugator_of(mv), h))
+            h = reduce(compose(conjugator_of(mv, base_colors(c), base_colors(after)), h))
+        c = after
     return h
 
 

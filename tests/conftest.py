@@ -110,3 +110,8 @@ def loops_closed(loop_specs, order=None):
     if order is None:
         order = [(i, t) for i, (_, w) in enumerate(loop_specs) for t in range(w)]
     return ClosedDiagram(pc, sc, sf, st, ins, outs, [ids[key] for key in order])
+
+
+def loops_of(p, vec) -> dict:
+    """The loop multiset {(color, winding): count} of an exponent vector of presentation p."""
+    return {p.gens[i]: x for i, x in enumerate(vec) if x}

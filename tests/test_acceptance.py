@@ -46,7 +46,7 @@ from strandshift.testkit import (
     similar_by_search,
 )
 
-from conftest import loops_closed
+from conftest import loops_closed, loops_of
 
 
 def report(n, message):
@@ -327,7 +327,7 @@ def test_criterion_9_filtration_consistency(fig1, nonconfluent_left):
 
             a, b = rand_vec(small), rand_vec(small)
             lifted = decide_equal(
-                big.vector(small.loops(a)), big.vector(small.loops(b)), big
+                big.vector(loops_of(small, a)), big.vector(loops_of(small, b)), big
             )
             assert decide_equal(a, b, small) == lifted
             checked += 1

@@ -722,6 +722,30 @@ def test_conj_fig1_pair_that_frees_a_two_point_component(capsys, monkeypatch):
     assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
 
 
+def test_conj_fig1_pair_whose_witness_needs_type3_layers(capsys, monkeypatch):
+    """fig1 element seed 0 (growth 3) and its conjugate by the growth-3
+    element of seed 1000, the pair of
+    tests/test_conjugacy.py::test_witness_realizes_type3_moves; the fig1
+    graph is fixtures/three_color.graph.  Their semi-reduced loop parts
+    differ, so the witness stacks type 3 layers, whose parent color the
+    stack reads off the move.  The CI workflow runs the same command."""
+    kinds = []
+    glue = closed._Stack.glue
+    monkeypatch.setattr(closed._Stack, "glue", lambda stack, mv, inverse=False: kinds.append(mv.kind) or glue(stack, mv, inverse))
+    names = ("fig1_e0.elem", "fig1_e0_conj1000.elem")
+    g, base = parse_graph((FIXTURES / "three_color.graph").read_text())
+    f, h = (from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=s, growth_steps=3))) for s in (0, 1000))
+    texts = [(FIXTURES / name).read_text() for name in names]
+    assert texts == [format_element(to_forest_pair(g, d)) for d in (f, reduce(compose(compose(h, f), invert(h))))]
+    argv = ["conj", "--graph", str(FIXTURES / "three_color.graph"), "--lhs", str(FIXTURES / names[0])]
+    code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / names[1]), "--witness"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: conjugate\n")
+    assert {"type3", "type3-expand"} & set(kinds)
+    f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])
+    assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
+
+
 def test_conj_step2_negative(capsys):
     """Random graph 3, element seeds 2 and 9 at growth 3: the skeletons of
     their split-merge parts have the same shape, but the cocycles lie in
@@ -735,9 +759,9 @@ def test_conj_step2_negative(capsys):
 
 def test_semigroup_eq_whose_completion_runs_on_is_refused():
     """fixtures/random_v8_seed12.graph is the random graph of seed 12 at
-    max_vertices=8.  The completion of its loops semigroup runs on without
-    reaching the rule limit, so the S-pair bound refuses the query: exit 2,
-    with the limit named.  The CI workflow runs the same command."""
+    max_vertices=8.  The completion of its loops semigroup runs on, so the
+    S-pair bound refuses the query: exit 2, with the limit named.  The CI
+    workflow runs the same command."""
     text = (FIXTURES / "random_v8_seed12.graph").read_text()
     assert text == format_graph(*random_graph(GeneratorConfig(seed=12, max_vertices=8)))
     argv = [sys.executable, "-m", "strandshift.cli", "semigroup-eq", "--graph", str(FIXTURES / "random_v8_seed12.graph")]

@@ -39,6 +39,7 @@ from strandshift.graphs import PathWord
 from strandshift.semigroup import decide_equal, max_winding, presentation_from_graph
 from strandshift.testkit import (
     GeneratorConfig,
+    base_colors,
     conjugator_of,
     cut,
     permutation_diagram,
@@ -96,7 +97,7 @@ def apply_moves(c, moves, g):
 def test_close_structure_and_round_trip(fig1, sigma, base_bg):
     d = from_forest_pair(fig1, sigma)
     c = close(d)
-    assert c.base_colors() == base_bg
+    assert base_colors(c) == base_bg
     assert len(c.point_color) == 6  # two base points, two splits, two merges
     assert no_baseless_cycle(c)
     assert canonical_key(cut(c)) == canonical_key(d)
@@ -132,23 +133,23 @@ def test_cut_close_round_trip_fuzz(fig1, base_bg):
 def test_shift_expand_through_split(fig1, sigma):
     c = close(from_forest_pair(fig1, sigma))
     c2, mv = shift_expand(c, 1, "down")
-    assert c2.base_colors() == ("B", "G", "B")
+    assert base_colors(c2) == ("B", "G", "B")
     assert no_baseless_cycle(c2)
-    g = conjugator_of(mv)
+    g = conjugator_of(mv, base_colors(c), base_colors(c2))
     assert equal(compose(compose(g, cut(c)), invert(g)), cut(c2))
 
 
 def test_shift_expand_caret_example(fig1):
     c = expansion_caret(fig1)
     c2, mv = shift_expand(c, 0, "down")
-    assert c2.base_colors() == ("G", "R")
-    g = conjugator_of(mv)
+    assert base_colors(c2) == ("G", "R")
+    g = conjugator_of(mv, base_colors(c), base_colors(c2))
     assert equal(compose(compose(g, cut(c)), invert(g)), cut(c2))
     # the reducing shift through the merge brings the base line back
     c3, mv3 = shift_reduce(c2, (0, 1), "down")
-    assert c3.base_colors() == ("B",)
+    assert base_colors(c3) == ("B",)
     assert closed_key(c3) == closed_key(c)
-    g3 = conjugator_of(mv3)
+    g3 = conjugator_of(mv3, base_colors(c2), base_colors(c3))
     assert equal(compose(compose(g3, cut(c2)), invert(g3)), cut(c3))
 
 
@@ -203,11 +204,11 @@ def test_shift_directions_rejects_bad_base_positions(fig1, sigma):
 def test_permute_base(fig1):
     left = loops_closed([("G", 2), ("R", 2)])  # base (G, G, R, R)
     right, mv = permute_base(left, (0, 2, 1, 3))
-    assert right.base_colors() == ("G", "R", "G", "R")
+    assert base_colors(right) == ("G", "R", "G", "R")
     assert closed_key(right) == closed_key(
         loops_closed([("G", 2), ("R", 2)], order=[(0, 0), (1, 0), (0, 1), (1, 1)])
     )
-    g = conjugator_of(mv)
+    g = conjugator_of(mv, base_colors(left), base_colors(right))
     assert equal(compose(compose(g, cut(left)), invert(g)), cut(right))
     same, _ = permute_base(left, (0, 1, 2, 3))
     assert closed_key(same) == closed_key(left)
@@ -235,8 +236,8 @@ def test_type3_interleaved_loops(fig1):
     c2, mv = type3_reduce(c, fig1, 0, 2, 2)
     _, loops = decompose_parts(c2)
     assert loops == {("B", 2): 1}
-    assert c2.base_colors() == ("B", "B")
-    g = conjugator_of(mv)
+    assert base_colors(c2) == ("B", "B")
+    g = conjugator_of(mv, base_colors(c), base_colors(c2))
     assert equal(compose(compose(g, cut(c)), invert(g)), cut(c2))
 
 
@@ -277,7 +278,7 @@ def test_type3_expand_round_trip(fig1):
     c2, mv = type3_expand(c, fig1, 0, 2, "B")
     _, loops = decompose_parts(c2)
     assert loops == {("G", 2): 1, ("R", 2): 1}
-    g = conjugator_of(mv)
+    g = conjugator_of(mv, base_colors(c), base_colors(c2))
     assert equal(compose(compose(g, cut(c)), invert(g)), cut(c2))
     back, _ = type3_reduce(c2, fig1, 0, 2, 2, vertex="B")
     assert decompose_parts(back)[1] == {("B", 2): 1}
@@ -326,14 +327,12 @@ def test_semi_reduce_trace_conjugation(fig1, base_bg):
         d = from_forest_pair(fig1, fp)
         c = close(d)
         semi, trace = semi_reduce(c)
-        h = identity_diagram(base_bg)
-        for mv in trace:
-            h = compose(conjugator_of(mv), h)
+        h = testkit.reference_fold_conjugators(c, trace, fig1)
         assert equal(compose(compose(h, cut(c)), invert(h)), cut(semi))
         # per-move soundness along the realized chain
         states = apply_moves(c, trace, fig1)
         for before, after, mv in zip(states, states[1:], trace):
-            g = conjugator_of(mv)
+            g = conjugator_of(mv, base_colors(before), base_colors(after))
             assert equal(compose(compose(g, cut(before)), invert(g)), cut(after))
 
 

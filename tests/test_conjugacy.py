@@ -16,6 +16,7 @@ from strandshift.closed import (
     components,
     decompose_parts,
     permute_base,
+    replay,
     semi_reduce,
     shift_directions,
     shift_expand,
@@ -25,7 +26,6 @@ from strandshift.closed import (
 )
 from strandshift.conjugacy import (
     _class_key,
-    _coboundary_solution,
     _moves_onto,
     _reduced_cocycle,
     analyze,
@@ -49,7 +49,9 @@ from strandshift.graphs import PathWord
 from strandshift.testkit import (
     GeneratorConfig,
     _color_bijections,
+    base_colors,
     brute_conjugate,
+    coboundary_solution,
     conjugator_of,
     enumerate_forests,
     juxtapose,
@@ -62,7 +64,7 @@ from strandshift.testkit import (
     split_diagram,
 )
 
-from test_closed import renumbered
+from test_closed import apply_moves, record, renumbered
 
 
 def caret_loop(fig1, color="B", edges=("1", "2")):
@@ -474,11 +476,11 @@ def test_reduced_cocycle_breaks_ties_between_automorphic_anchors():
         sk = skeleton(part)
         ((comp,),) = [components(sk)]
         _, orders = _least_serialization(sk, comp)
-        assert len({_reduced_cocycle(sk, order) for order in orders}) == 2
+        assert len({_reduced_cocycle(sk, order)[0] for order in orders}) == 2
     # the first tied anchors of parts 0 and 2 pair the marked caret with the unmarked one
     a, b = skeleton(parts[0]), skeleton(parts[2])
     first = [_least_serialization(sk, components(sk)[0])[1][0] for sk in (a, b)]
-    assert _coboundary_solution(a, components(a)[0], b, dict(zip(*first))) is None
+    assert coboundary_solution(a, components(a)[0], b, dict(zip(*first))) is None
     shifted = [shift_expand(part, 0, "down")[0] for part in parts]
     # the carets' cycle sums: base points on strand 0 or 2 against 1 or 3
     expected = {(i, j): i % 2 == j % 2 for i in range(4) for j in range(4)}
@@ -523,11 +525,15 @@ def test_step2_pairs_match_recorded_digest(fig1, base_bg):
 
     On random graphs 1-5, each element is paired with a planted conjugate,
     itself and another element; then every pair of the multi-component
-    skeletons of :func:`similarity_pool` is matched.
+    skeletons of :func:`similarity_pool` is matched.  A solution is fixed
+    only up to a constant on its component, so the digest holds it as
+    x[p] - x[least point].
     """
 
     def pairs(match):
-        return match and [(ca, cb, sorted(phi.items()), sorted(x.items())) for ca, cb, phi, x in match.pairs]
+        return match and [
+            (ca, cb, sorted(phi.items()), sorted((p, x[p] - x[min(ca)]) for p in x)) for ca, cb, phi, x in match.pairs
+        ]
 
     records = []
     for g, f, rhs in digest_pairs():
@@ -537,6 +543,23 @@ def test_step2_pairs_match_recorded_digest(fig1, base_bg):
     records += [pairs(compare_split_merge(a, b)) for a in unions for b in unions]
     assert sum(r is not None for r in records[-len(unions) ** 2 :]) >= 40
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "2aea0995fd48cb2e"
+
+
+def test_step2_coboundary_is_the_spanning_tree_solution_up_to_a_constant(fig1, base_bg):
+    """On every matched pair of the step-2 digest's matches, the coboundary
+    that step 2 reads off the class keys' tree potentials differs from the
+    spanning-tree solution of the incidence system by one constant."""
+    matches = [is_conjugate(f, rhs, g).match for g, f, rhs in digest_pairs()]
+    unions = [sk for sk in similarity_pool(fig1, base_bg) if len(components(sk)) > 1]
+    matches += [compare_split_merge(a, b) for a in unions for b in unions]
+    checked = shifted = 0
+    for match in filter(None, matches):
+        for comp_a, _, phi, x in match.pairs:
+            ref = coboundary_solution(match.a, comp_a, match.b, phi)
+            assert set(x) == set(comp_a) and len({x[p] - ref[p] for p in comp_a}) == 1
+            checked += 1
+            shifted += len(set(x.values())) > 1
+    assert checked >= 90 and shifted >= 30
 
 
 def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
@@ -661,42 +684,81 @@ def planted_pairs(fig1, base_bg):
     return [(g, f, target, is_conjugate(f, target, g)) for g, f, target in pairs]
 
 
+def type3_pair(fig1, semi):
+    """(semi, moves): the permutation that brings the first G loop of winding
+    2 of `semi` to the front, type3-expand splitting it into two blocks, and
+    type3 merging them back."""
+    points = next(pts for color, pts in _loops(semi) if color == "G" and len(pts) == 2)
+    front = [semi.base_line.index(p) for p in points]
+    c, to_front = permute_base(semi, front + [i for i in range(len(semi.base_line)) if i not in front])
+    c, expand = type3_expand(c, fig1, 0, 2, "G")
+    _, merge = type3_reduce(c, fig1, 0, 2, 2)
+    return semi, [to_front, expand, merge]
+
+
 def test_stack_layer_is_the_conjugator_of_its_move(fig1, base_bg):
     """One glued layer equals conjugator_of(move), and its inverse layer the
     inverse diagram, for real moves of all six kinds: the traces and the
     moves onto b of planted pairs, and the seed 8/1008 pair's G loop of
     winding 2 split into two blocks by type3-expand and merged back."""
     pairs = planted_pairs(fig1, base_bg)
-    moves = []
+    runs = []  # (diagram, moves from it, graph)
     for g, _, _, res in pairs:
-        moves += _moves_onto(res, g, None) + res.analyses[1].trace
-    semi = pairs[10][3].analyses[0].semi
-    points = next(pts for color, pts in _loops(semi) if color == "G" and len(pts) == 2)
-    front = [semi.base_line.index(p) for p in points]
-    c, to_front = permute_base(semi, front + [i for i in range(len(semi.base_line)) if i not in front])
-    c, expand = type3_expand(c, fig1, 0, 2, "G")
-    _, merge = type3_reduce(c, fig1, 0, 2, 2)
-    moves += [to_front, expand, merge]
+        a, b = res.analyses
+        runs += [(a.closed, _moves_onto(res, g, None), g), (b.closed, b.trace, g)]
+    runs.append((*type3_pair(fig1, pairs[10][3].analyses[0].semi), fig1))
+    layers = []  # (move, base colors before it, after it)
+    for c, moves, g in runs:
+        states = apply_moves(c, moves, g)
+        layers += [(mv, base_colors(s), base_colors(t)) for s, t, mv in zip(states, states[1:], moves)]
 
-    assert {mv.kind for mv in moves} == {"shift-expand", "shift-reduce", "permute", "reduce", "type3", "type3-expand"}
+    assert {mv.kind for mv, _, _ in layers} == {"shift-expand", "shift-reduce", "permute", "reduce", "type3", "type3-expand"}
     # a permutation that is not its own inverse tells the two directions apart
-    assert any(mv.kind == "permute" and any(mv.conj[0][j] != i for i, j in enumerate(mv.conj[0])) for mv in moves)
-    for mv in moves:
-        up = _Stack(mv.old_base)
+    assert any(mv.kind == "permute" and any(mv.conj[0][j] != i for i, j in enumerate(mv.conj[0])) for mv, _, _ in layers)
+    for mv, before, after in layers:
+        up = _Stack(before)
         up.glue(mv)
-        assert equal(up.diagram(), conjugator_of(mv)), mv
-        down = _Stack(mv.new_base)
+        assert equal(up.diagram(), conjugator_of(mv, before, after)), mv
+        down = _Stack(after)
         down.glue(mv, inverse=True)
-        assert equal(down.diagram(), invert(conjugator_of(mv))), mv
+        assert equal(down.diagram(), invert(conjugator_of(mv, before, after))), mv
+
+
+def test_moves_take_new_ids_above_every_id_in_use(fig1, base_bg):
+    """Each move takes its new ids from the working copy's counter.  Replayed
+    on one copy, as Step 1 and the witness run them, through the traces and
+    the moves onto b of the planted fig1 pairs and the type3-expand/type3
+    pair: no id names both a point and a strand, every id a move adds is
+    larger than every id of the diagram before it, and the move adds the
+    same ids when replayed alone on that diagram."""
+    pairs = planted_pairs(fig1, base_bg)[:11]
+    runs = [type3_pair(fig1, pairs[10][3].analyses[0].semi)]
+    for g, _, _, res in pairs:
+        a, b = res.analyses
+        runs += [(a.closed, _moves_onto(res, g, None)), (b.closed, b.trace)]
+    adding = set()
+    for c, moves in runs:
+        before = c
+        for i, mv in enumerate(moves, 1):
+            after = replay(c, moves[:i], fig1)
+            assert not set(after.point_color) & set(after.strand_color), mv
+            old = [*before.point_color, *before.strand_color]
+            new = {*after.point_color, *after.strand_color}.difference(old)
+            assert all(n > max(old) for n in new), mv
+            assert record(replay(before, [mv], fig1)) == record(after), mv
+            if new:
+                adding.add(mv.kind)
+            before = after
+    assert adding == {"shift-expand", "shift-reduce", "type3", "type3-expand"}
 
 
 def test_witness_stack_matches_the_reference_fold(fig1, base_bg):
     """The witness is h_a^-1 . h_b for the folded conjugators of a's moves
     onto b and of b's trace."""
     for g, f, target, res in planted_pairs(fig1, base_bg):
-        moves_a = _moves_onto(res, g, None)
-        ref_a = reference_fold_conjugators(moves_a, f.domain())
-        ref_b = reference_fold_conjugators(res.analyses[1].trace, target.domain())
+        a, b = res.analyses
+        ref_a = reference_fold_conjugators(a.closed, _moves_onto(res, g, None), g)
+        ref_b = reference_fold_conjugators(b.closed, b.trace, g)
         h = conjugator_witness(f, target, res, g)
         assert h is not None
         assert canonical_key(h) == canonical_key(reduce(compose(invert(ref_a), ref_b)))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandshift.errors import LimitExceeded
 from strandshift.semigroup import (
     _divides,
     _normal_form,
@@ -19,6 +18,8 @@ from strandshift.semigroup import (
 )
 from strandshift.testkit import GeneratorConfig, enumerate_class, random_graph
 from strandshift.textio import parse_graph
+
+from conftest import loops_of
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -157,7 +158,7 @@ def _random_vector(p, rng, max_count=3):
 
 
 def _embed(p_small, p_big, v):
-    return p_big.vector(p_small.loops(v))
+    return p_big.vector(loops_of(p_small, v))
 
 
 def test_filtration_consistency(fig1, nonconfluent_left):
@@ -179,7 +180,7 @@ def test_winding_set_invariance(nonconfluent_left):
     p = presentation_from_graph(nonconfluent_left, 3)
 
     def winding_set(v):
-        return {n for (c, n), count in p.loops(v).items() if count}
+        return {n for (c, n), count in loops_of(p, v).items() if count}
 
     pairs = 0
     while pairs < 30:
@@ -321,30 +322,3 @@ def test_block_decision_matches_full_vector_normal_forms(case):
     p = presentation_from_graph(g, n)
     rules = _lifted(completed_rules(presentation_from_graph(g, 1)), len(g.vertices), n)
     assert decide_equal(a, b, p) == (_normal_form(a, rules) == _normal_form(b, rules))
-
-
-@pytest.mark.parametrize("seed", [26, 37])
-@pytest.mark.parametrize("n", [1, 3])
-def test_rule_limit_counts_stage_rules(seed, n):
-    g = BLOCK_GRAPHS[seed]
-    r = len(completed_rules(presentation_from_graph(g, 1)))
-    assert r > len(presentation_from_graph(g, 1).relations)  # completion adds rules
-    p = presentation_from_graph(g, n)
-    assert len(completed_rules(p, max_rules=n * r)) == n * r
-    v = p.vector({(g.vertices[0], n): 1})
-    # a fresh presentation, then `p`, whose completion is cached by now
-    for q in (presentation_from_graph(g, n), p):
-        with pytest.raises(LimitExceeded) as exc:
-            completed_rules(q, max_rules=n * r - 1)
-        assert exc.value.limit == "semigroup-completion"
-        with pytest.raises(LimitExceeded) as exc:
-            decide_equal(v, v, q, max_rules=n * r - 1)
-        assert exc.value.limit == "semigroup-completion"
-
-
-def test_rule_limit_counts_rules_that_need_no_completion(full_shift2):
-    p = presentation_from_graph(full_shift2, 2)  # one rule per winding, already confluent
-    assert len(completed_rules(p, max_rules=2)) == 2
-    for q in (presentation_from_graph(full_shift2, 2), p):
-        with pytest.raises(LimitExceeded):
-            completed_rules(q, max_rules=1)
