@@ -227,6 +227,7 @@ def build_parser():
             p.add_argument(flag, **kwargs)
         return p
 
+    per_winding = ": one search per winding, within its larger input degree plus the cap minus the larger total input degree"
     add("check-graph", cmd_check_graph, **{"--fix": dict(action="store_true", help="show the normalized graph")})
     add("normalize", cmd_normalize)
     add("reduce", cmd_reduce, **{"--elem": dict(required=True), "--dot": dict(default=None)})
@@ -250,7 +251,7 @@ def build_parser():
             "--rhs": dict(required=True),
             "--budget": dict(type=int, default=2, help="ignored: semi-reduction is exact and needs no search depth"),
             "--witness": dict(action="store_true", help="attempt conjugator assembly"),
-            "--semigroup-cap": dict(type=int, default=None, help="degree cap for the loop-part witness search"),
+            "--semigroup-cap": dict(type=int, default=None, help="degree cap of the loop-part witness search" + per_winding),
         },
     )
     add(
@@ -259,8 +260,8 @@ def build_parser():
         **{
             "--lhs": dict(required=True, help="loop sum, e.g. 'L(R,1)+2*L(B,1)'"),
             "--rhs": dict(required=True),
-            "--semigroup-cap": dict(type=int, default=None, help="also run the BFS oracle at this cap"),
-            "--explain": dict(action="store_true", help="dump the presentation"),
+            "--semigroup-cap": dict(type=int, default=None, help="also run the BFS oracle at this cap" + per_winding),
+            "--explain": dict(action="store_true", help="dump the block relations, which hold for every winding"),
         },
     )
     add(

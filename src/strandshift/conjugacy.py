@@ -45,7 +45,7 @@ from .closed import (
 from .diagrams import StrandDiagram, compose, equal, invert, reduce
 from .errors import SignatureMismatch
 from .graphs import ShiftGraph
-from .semigroup import bfs_path, decide_equal, max_winding, presentation_from_graph
+from .semigroup import bfs_path, decide_equal, degree, max_winding, presentation_from_graph
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +260,12 @@ def is_conjugate(f: StrandDiagram, g: StrandDiagram, graph: ShiftGraph) -> Conju
 # ---------------------------------------------------------------------------
 # witness assembly
 
-def _realize_semigroup_path(c: _ClosedTables, graph: ShiftGraph, pres, path) -> list:
+def _realize_semigroup_path(c: _ClosedTables, graph: ShiftGraph, path) -> list:
     """Apply a loops-semigroup relation path to c in place by type 3 moves,
     each on a loop block first brought to the front of the base line: the
     moves."""
     moves = []
-    for ridx, sign in path:
-        vtx, k = pres.relation_info[ridx]
+    for vtx, k, sign in path:
         kids = graph.child_colors(vtx)
         loops = [loop for loop in _loops(c) if len(loop[1]) == k]
         if sign > 0:
@@ -320,12 +319,12 @@ def _moves_onto(result: ConjugacyResult, graph: ShiftGraph, semigroup_cap) -> li
         n = max(max_winding(a.loops), max_winding(b.loops))
         pres = presentation_from_graph(graph, n)
         va, vb = pres.vector(a.loops), pres.vector(b.loops)
-        need = max(sum(va), sum(vb))
+        need = max(degree(va), degree(vb))
         cap = need + 8 if semigroup_cap is None else max(semigroup_cap, need)
         path = bfs_path(va, vb, pres, cap)
         if path is None:
             return None
-        moves_a.extend(_realize_semigroup_path(cur, graph, pres, path))
+        moves_a.extend(_realize_semigroup_path(cur, graph, path))
 
     line = _aligned_base_line(cur, b.semi, result.match)
     if line is None:

@@ -15,11 +15,11 @@ independent bidirectional search over relation applications cross-checks it
 and gives the relation paths that witnesses realize.
 
 Because no relation mixes windings, stage N is the direct sum of N copies of
-the winding-1 presentation.  Generators are ordered winding-major, so winding
-k owns the block of coordinates [(k-1)|V|, k|V|).  Only the winding-1 block is
-completed; two vectors are congruent iff every block of one is congruent to
-the same block of the other.  A zero block stays zero, since every relation
-side is nonzero, so it matches only a zero block.
+one block: the generators L(c, n) of one winding n, counted in vertex order.
+A :class:`Presentation` holds the block relations once, and a loop multiset
+is a vector {winding: block}.  A zero block stays zero, since every relation
+side is nonzero, so zero blocks are left out: two vectors are congruent iff
+they have the same windings and each winding's blocks are congruent.
 """
 
 from __future__ import annotations
@@ -43,50 +43,43 @@ MAX_SPAIRS = 1500
 class Presentation:
     graph: ShiftGraph
     max_winding: int
-    gens: tuple  # ordered ((color, n), ...), grading ties broken by (n, vertex position)
-    relations: tuple  # ((u, v), ...) exponent-vector pairs, both sides nonzero
-    relation_info: tuple = ()  # (vertex, winding) per relation
-    _rules: list = field(default=None, repr=False, compare=False)  # completed winding-1 block
+    relations: tuple  # ((vertex, children's loops, vertex's loop), ...) as nonzero blocks
+    _rules: list = field(default=None, repr=False, compare=False)  # completed block rules
 
-    def index(self, color, n) -> int:
-        return self.gens.index((color, n))
-
-    def vector(self, loops: dict) -> tuple:
-        """Exponent vector of a loop multiset {(color, winding): count}."""
-        vec = [0] * len(self.gens)
+    def vector(self, loops: dict) -> dict:
+        """The loop multiset {(color, winding): count} as {winding: block}, zero blocks left out."""
+        pos = {c: i for i, c in enumerate(self.graph.vertices)}
+        blocks = {}
         for (color, n), count in loops.items():
             if count < 0:
                 raise ValueError("negative loop count")
+            if color not in pos or not 1 <= n <= self.max_winding:
+                raise ValueError(f"L({color},{n}) is not a generator of stage {self.max_winding}")
             if count:
-                vec[self.index(color, n)] += count
-        return tuple(vec)
+                blocks.setdefault(n, [0] * len(pos))[pos[color]] += count
+        return {n: tuple(blocks[n]) for n in sorted(blocks)}
 
 
 def presentation_from_graph(g: ShiftGraph, n_max: int) -> Presentation:
-    """Stage-N presentation: one generator and at most one relation per (color, winding).
+    """Stage-N presentation: the block relation of every vertex, for every winding up to N.
 
     Vertices whose out-star is a single self-loop would contribute the trivial
     relation L(c,n) = L(c,n); those are dropped.
     """
     if n_max < 1:
         raise ValueError("the filtration starts at winding 1")
-    gens = tuple((c, n) for n in range(1, n_max + 1) for c in g.vertices)
-    pos = {cn: i for i, cn in enumerate(gens)}
+    pos = {c: i for i, c in enumerate(g.vertices)}
     relations = []
-    info = []
     for v in g.vertices:
         if g.is_isolated_color(v):
             continue
-        kids = g.child_colors(v)
-        for n in range(1, n_max + 1):
-            u = [0] * len(gens)
-            for c in kids:
-                u[pos[(c, n)]] += 1
-            w = [0] * len(gens)
-            w[pos[(v, n)]] = 1
-            relations.append((tuple(u), tuple(w)))
-            info.append((v, n))
-    return Presentation(g, n_max, gens, tuple(relations), tuple(info))
+        u = [0] * len(pos)
+        for c in g.child_colors(v):
+            u[pos[c]] += 1
+        w = [0] * len(pos)
+        w[pos[v]] = 1
+        relations.append((v, tuple(u), tuple(w)))
+    return Presentation(g, n_max, tuple(relations))
 
 
 def max_winding(loops: dict) -> int:
@@ -95,6 +88,11 @@ def max_winding(loops: dict) -> int:
     if not windings:
         raise ValueError("empty loop multiset has no winding")
     return max(windings)
+
+
+def degree(vec: dict) -> int:
+    """The number of loops of a vector {winding: block}."""
+    return sum(map(sum, vec.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +125,8 @@ def _normal_form(m: tuple, rules) -> tuple:
     return m
 
 
-def _block_rules(p: Presentation) -> list:
-    """Completed rules of the winding-1 block over its |V| coordinates, cached.
+def completed_rules(p: Presentation) -> list:
+    """Confluent rewriting rules of the block congruence over |V| coordinates, cached.
 
     Buchberger completion stays inside pure-difference binomials: the S-pair
     of two rules at the lcm of their leads reduces to two normal forms whose
@@ -140,13 +138,7 @@ def _block_rules(p: Presentation) -> list:
     """
     rules = p._rules
     if rules is None:
-        k = len(p.graph.vertices)
-        rules = []
-        for (a, b), (_, n) in zip(p.relations, p.relation_info):
-            if n == 1:
-                o = _orient(a[:k], b[:k])
-                if o:
-                    rules.append(o)
+        rules = [_orient(u, v) for _, u, v in p.relations]  # u != v: isolated vertices have no relation
         pending = list(itertools.combinations(range(len(rules)), 2))
         examined = 0
         while pending:
@@ -171,79 +163,79 @@ def _block_rules(p: Presentation) -> list:
     return rules
 
 
-def completed_rules(p: Presentation) -> list:
-    """Confluent rewriting rules for the stage congruence over full-stage vectors.
-
-    These are the completed winding-1 block rules lifted into each winding's
-    block, so there are max_winding times as many as in the block.  Leads in
-    different blocks are disjoint, so the lifted copies never interact.
-    """
-    rules = _block_rules(p)
-    zero = (0,) * len(p.graph.vertices)
-    n = p.max_winding
-    return [
-        (zero * w + u + zero * (n - 1 - w), zero * w + v + zero * (n - 1 - w))
-        for w in range(n)
-        for u, v in rules
-    ]
-
-
-def decide_equal(a: tuple, b: tuple, p: Presentation) -> bool:
+def decide_equal(a: dict, b: dict, p: Presentation) -> bool:
     """Whether two nonzero vectors are congruent in stage max_winding.
 
-    The vectors are compared block by block, one block per winding, by their
-    normal forms under the completed winding-1 block rules.
+    They must have the same windings, and each winding's two blocks the
+    same normal form under the completed block rules.
     """
     for vec in (a, b):
-        if len(vec) != len(p.gens):
-            raise ValueError("vector length does not match the presentation")
-        if min(vec) < 0:
-            raise ValueError("negative loop count")
-        if not any(vec):
+        if not vec:
             raise ValueError("the semigroup has no identity; vectors must be nonzero")
-    rules = _block_rules(p)
-    k = len(p.graph.vertices)
-    for i in range(0, len(a), k):
-        x, y = a[i : i + k], b[i : i + k]
-        if x != y and _normal_form(x, rules) != _normal_form(y, rules):
-            return False
-    return True
+        for block in vec.values():
+            if len(block) != len(p.graph.vertices):
+                raise ValueError("block length does not match the presentation")
+            if min(block) < 0:
+                raise ValueError("negative loop count")
+            if not any(block):
+                raise ValueError("zero blocks are left out of a vector")
+    if a.keys() != b.keys():
+        return False
+    rules = completed_rules(p)
+    return all(a[n] == b[n] or _normal_form(a[n], rules) == _normal_form(b[n], rules) for n in a)
 
 
 # ---------------------------------------------------------------------------
 # independent oracle
 
-def bfs_equal(a: tuple, b: tuple, p: Presentation, cap: int) -> str:
+def bfs_equal(a: dict, b: dict, p: Presentation, cap: int) -> str:
     """:func:`bfs_path`'s verdict: "equal" (always sound) or
     "not-equal-within-cap" (sound only as a statement about derivations
-    whose intermediate degrees stay <= cap)."""
+    whose intermediate degrees stay within :func:`bfs_path`'s caps)."""
     return "equal" if bfs_path(a, b, p, cap) is not None else "not-equal-within-cap"
 
 
-def bfs_path(a: tuple, b: tuple, p: Presentation, cap: int):
-    """A relation-application path from a to b within the degree cap, or None.
+def bfs_path(a: dict, b: dict, p: Presentation, cap: int):
+    """A relation-application path from a to b within the degree caps, or None.
 
-    Each step is (relation index, +1 | -1): +1 rewrites children-sum to parent
-    (a type 3 reduction on the diagram side), -1 the inverse expansion.  The
-    search is bidirectional: it grows the smaller frontier by one level and
-    keeps a parent map per side.  Relations apply both ways, so the half of
-    the path found from b's side is read backwards with its signs flipped.
+    One search runs per winding, in increasing order; winding n's block
+    stays within max(|a_n|, |b_n|) plus the slack cap - max(|a|, |b|) that
+    all windings share.  Each step is (vertex, winding, +1 | -1): +1
+    rewrites the vertex's children-sum to its loop (a type 3 reduction on
+    the diagram side), -1 the inverse expansion.
     """
-    if cap < max(sum(a), sum(b)):
+    slack = cap - max(degree(a), degree(b))
+    if slack < 0:
         raise ValueError("cap below the degree of an input")
+    if a.keys() != b.keys():
+        return None
+    path = []
+    for n in sorted(a):
+        steps = _block_path(a[n], b[n], p, max(sum(a[n]), sum(b[n])) + slack)
+        if steps is None:
+            return None
+        path.extend((vertex, n, sign) for vertex, sign in steps)
+    return path
+
+
+def _block_path(a: tuple, b: tuple, p: Presentation, cap: int):
+    """A path of (vertex, sign) steps from block a to block b within the cap,
+    or None, by bidirectional search: it grows the smaller frontier by one
+    level and keeps a parent map per side.  Relations apply both ways, so the
+    half found from b's side is read backwards with its signs flipped."""
     if a == b:
         return []
     steps = []
-    for ridx, (u, v) in enumerate(p.relations):
-        steps.append((ridx, u, v, +1))
-        steps.append((ridx, v, u, -1))
+    for vertex, u, v in p.relations:
+        steps.append((vertex, u, v, +1))
+        steps.append((vertex, v, u, -1))
 
     def walk(parents, m):
         """The steps that led to m, last first."""
         out = []
         while parents[m] is not None:
-            m, ridx, sign = parents[m]
-            out.append((ridx, sign))
+            m, vertex, sign = parents[m]
+            out.append((vertex, sign))
         return out
 
     parents = ({a: None}, {b: None})
@@ -253,27 +245,26 @@ def bfs_path(a: tuple, b: tuple, p: Presentation, cap: int):
         mine, other = parents[side], parents[1 - side]
         nxt = []
         for m in fronts[side]:
-            for ridx, lhs, rhs, sign in steps:
+            for vertex, lhs, rhs, sign in steps:
                 if _divides(lhs, m):
                     n = tuple(x - c + d for x, c, d in zip(m, lhs, rhs))
                     if sum(n) <= cap and n not in mine:
-                        mine[n] = (m, ridx, sign)
+                        mine[n] = (m, vertex, sign)
                         if n in other:
-                            return walk(parents[0], n)[::-1] + [(r, -s) for r, s in walk(parents[1], n)]
+                            return walk(parents[0], n)[::-1] + [(v, -s) for v, s in walk(parents[1], n)]
                         nxt.append(n)
         fronts[side] = nxt
     return None
 
 
 def dump_presentation(p: Presentation) -> str:
-    """One relation per line, generators printed L(color,n)."""
-    lines = []
-    for u, v in p.relations:
-        left = "+".join(
-            "+".join([f"L({c},{n})"] * u[i]) for i, (c, n) in enumerate(p.gens) if u[i]
-        )
-        right = "+".join(
-            "+".join([f"L({c},{n})"] * v[i]) for i, (c, n) in enumerate(p.gens) if v[i]
-        )
-        lines.append(f"{left}={right}")
+    """The block relations once, for every winding n, generators printed L(color,n)."""
+    if not p.relations:
+        return "no relations: every vertex's out-star is a single self-loop"
+
+    def side(m):
+        return "+".join(f"L({c},n)" for c, x in zip(p.graph.vertices, m) for _ in range(x))
+
+    lines = [f"for every winding n from 1 to {p.max_winding}:"]
+    lines += [f"{side(u)}={side(v)}" for _, u, v in p.relations]
     return "\n".join(lines)

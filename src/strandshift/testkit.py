@@ -10,7 +10,10 @@ component isomorphisms anchor by anchor instead of comparing class keys,
 and solves each coboundary along a spanning tree instead of reading it
 off the tree potentials of the keys.  The class enumeration
 applies the loop relations one at a time instead of the completed
-rewriting system.
+rewriting system.  The stage presentation builds stage N whole, one
+generator per color and winding and one relation per vertex and winding,
+completes all of it at once and searches all windings jointly; the
+pipeline completes and searches one winding's block at a time.
 The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
@@ -90,7 +93,7 @@ from .graphs import (
     normalize_graph,
     validate_graph,
 )
-from .semigroup import Presentation, _divides
+from .semigroup import Presentation, _block_path, _divides, _normal_form, _orient
 
 
 @dataclass
@@ -808,13 +811,13 @@ def similar_by_search(a: ClosedDiagram, b: ClosedDiagram, depth: int = 6) -> boo
 
 
 def enumerate_class(a: tuple, p: Presentation, cap: int, limit: int = 100000) -> set:
-    """Every vector congruent to `a` reachable without exceeding degree `cap`.
+    """Every block congruent to block `a` reachable without exceeding degree `cap`.
 
     When the true congruence class has all degrees <= cap this is the exact
     class, which upgrades "not-equal-within-cap" to a proof of inequality.
     """
     steps = []
-    for u, v in p.relations:
+    for _, u, v in p.relations:
         steps.append((u, v))
         steps.append((v, u))
     seen = {a}
@@ -830,6 +833,75 @@ def enumerate_class(a: tuple, p: Presentation, cap: int, limit: int = 100000) ->
                     if len(seen) > limit:
                         raise LimitExceeded("class-enumeration", "class too large")
     return seen
+
+
+# ---------------------------------------------------------------------------
+# the stage presentation, built whole: the reference for the block decision
+
+@dataclass
+class StagePresentation:
+    """Stage N over all N|V| generators, winding-major, with one relation per
+    vertex and winding; nothing here assumes that windings do not mix."""
+
+    graph: ShiftGraph
+    gens: tuple  # ((color, n), ...) winding-major
+    relations: tuple  # (((vertex, winding), u, v), ...) full-stage vector pairs, both sides nonzero
+
+    def vector(self, blocks: dict) -> tuple:
+        """The full-stage vector of a block vector {winding: block}."""
+        k = len(self.graph.vertices)
+        vec = [0] * len(self.gens)
+        for n, block in blocks.items():
+            vec[(n - 1) * k : n * k] = block
+        return tuple(vec)
+
+
+def stage_presentation(g: ShiftGraph, n_max: int) -> StagePresentation:
+    gens = tuple((c, n) for n in range(1, n_max + 1) for c in g.vertices)
+    pos = {cn: i for i, cn in enumerate(gens)}
+    relations = []
+    for v in g.vertices:
+        if g.is_isolated_color(v):
+            continue
+        for n in range(1, n_max + 1):
+            u = [0] * len(gens)
+            for c in g.child_colors(v):
+                u[pos[(c, n)]] += 1
+            w = [0] * len(gens)
+            w[pos[(v, n)]] = 1
+            relations.append(((v, n), tuple(u), tuple(w)))
+    return StagePresentation(g, gens, tuple(relations))
+
+
+def stage_completed_rules(sp: StagePresentation) -> list:
+    """Buchberger completion of all the stage's relations at once, unbounded:
+    S-pairs taken last in, first out, and those with disjoint leads skipped."""
+    rules = [_orient(u, v) for _, u, v in sp.relations]
+    pending = list(itertools.combinations(range(len(rules)), 2))
+    while pending:
+        i, j = pending.pop()
+        (u1, v1), (u2, v2) = rules[i], rules[j]
+        lcm = tuple(map(max, u1, u2))
+        if all(a + b == c for a, b, c in zip(u1, u2, lcm)):
+            continue
+        s1 = _normal_form(tuple(c - a + b for c, a, b in zip(lcm, u1, v1)), rules)
+        s2 = _normal_form(tuple(c - a + b for c, a, b in zip(lcm, u2, v2)), rules)
+        if s1 != s2:
+            rules.append(_orient(s1, s2))
+            pending.extend((t, len(rules) - 1) for t in range(len(rules) - 1))
+    return rules
+
+
+def stage_decide_equal(a: tuple, b: tuple, rules) -> bool:
+    """Whether two full-stage vectors have the same normal form under the stage's completed rules."""
+    return _normal_form(a, rules) == _normal_form(b, rules)
+
+
+def stage_bfs_path(a: tuple, b: tuple, sp: StagePresentation, cap: int):
+    """A path of ((vertex, winding), sign) steps from a to b whose every
+    vector has total degree <= cap, or None: the bidirectional search run
+    once over whole-stage vectors, all windings jointly."""
+    return _block_path(a, b, sp, cap)
 
 
 def random_element(g: ShiftGraph, base, cfg: GeneratorConfig = None, rng=None) -> ForestPair:

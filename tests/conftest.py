@@ -113,5 +113,13 @@ def loops_closed(loop_specs, order=None):
 
 
 def loops_of(p, vec) -> dict:
-    """The loop multiset {(color, winding): count} of an exponent vector of presentation p."""
-    return {p.gens[i]: x for i, x in enumerate(vec) if x}
+    """The loop multiset {(color, winding): count} of a block vector {winding: block} of presentation p."""
+    return {(c, n): x for n, block in vec.items() for c, x in zip(p.graph.vertices, block) if x}
+
+
+def blocks_of(p, flat) -> dict:
+    """The block vector of a winding-major list of counts, one per color and winding of stage p.max_winding."""
+    k = len(p.graph.vertices)
+    assert len(flat) == k * p.max_winding
+    blocks = {n + 1: tuple(flat[n * k : (n + 1) * k]) for n in range(p.max_winding)}
+    return {n: block for n, block in blocks.items() if any(block)}

@@ -46,7 +46,7 @@ from strandshift.testkit import (
     similar_by_search,
 )
 
-from conftest import loops_closed, loops_of
+from conftest import blocks_of, loops_closed, loops_of
 
 
 def report(n, message):
@@ -320,10 +320,10 @@ def test_criterion_9_filtration_consistency(fig1, nonconfluent_left):
         big = presentation_from_graph(g, n + 2)
         for _ in range(100):
             def rand_vec(p):
-                v = [0] * len(p.gens)
+                v = [0] * (p.max_winding * len(p.graph.vertices))
                 while not any(v):
-                    v = [rng.randint(0, 3) if rng.random() < 0.5 else 0 for _ in p.gens]
-                return tuple(v)
+                    v = [rng.randint(0, 3) if rng.random() < 0.5 else 0 for _ in v]
+                return blocks_of(p, v)
 
             a, b = rand_vec(small), rand_vec(small)
             lifted = decide_equal(

@@ -392,12 +392,40 @@ def test_semigroup_eq_command(files, capsys):
     assert code == 0
     assert out.startswith("equal in stage 1")
     assert "bfs oracle (cap 12): equal" in out
-    assert "L(R,1)+L(B,1)=L(R,1)" in out
+    assert "L(R,n)+L(B,n)=L(R,n)" in out
     code, out, _ = run(
         capsys,
         ["semigroup-eq", "--graph", files["fig1.graph"], "--lhs", "L(R,1)", "--rhs", "L(G,1)"],
     )
     assert code == 0 and out.startswith("not equal")
+
+
+ISOLATED = """
+graph
+  vertex R; vertex B
+  edge rr: R -> R; edge bb: B -> B
+  order R: [rr]; order B: [bb]
+base [R, B]
+"""
+
+
+def test_semigroup_eq_explain_prints_the_block_once(files, tmp_path, capsys):
+    """--explain prints the block relations once, for every winding up to
+    the stage, as text and as the report's `presentation`; a graph whose
+    every vertex is a single self-loop has no relations and says so."""
+    isolated = tmp_path / "isolated.graph"
+    isolated.write_text(ISOLATED)
+    block = "for every winding n from 1 to 3:\nL(R,n)+L(B,n)=L(R,n)\nL(R,n)+L(B,n)=L(B,n)"
+    none = "no relations: every vertex's out-star is a single self-loop"
+    for graph, lhs, rhs, verdict, dump in (
+        (files["left.graph"], "L(R,3)+L(B,1)", "L(B,3)+L(R,1)", "equal in stage 3", block),
+        (str(isolated), "L(R,2)", "L(B,2)", "not equal in stage 2", none),
+    ):
+        argv = ["semigroup-eq", "--graph", graph, "--lhs", lhs, "--rhs", rhs, "--explain"]
+        assert run(capsys, argv) == (0, f"{verdict}\n{dump}\n", "")
+        code, out, err = run(capsys, ["--json", *argv])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["presentation"] == dump
 
 
 @pytest.mark.parametrize("lhs, col", [("0*L(R,1)", 1), ("00*L(R,1)", 1), ("L(R,1)+0*L(B,1)", 8)])
@@ -577,7 +605,7 @@ def test_main_reuses_one_parser_across_calls(files, capsys, monkeypatch):
     parser = built[0]
     assert fresh[0][1].startswith("{") and '"witness"' in fresh[0][1]
     assert fresh[1][1].startswith("verdict: not-conjugate")
-    assert "L(R,1)+L(B,1)=L(R,1)" in fresh[2][1]
+    assert "L(R,n)+L(B,n)=L(R,n)" in fresh[2][1]
     for argv in sequence:  # no flag of an earlier call leaks into a later one
         assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
@@ -757,6 +785,22 @@ def test_conj_step2_negative(capsys):
     assert out.splitlines()[:2] == ["verdict: not-conjugate", "step failed: 2 (split-merge parts are not similar)"]
 
 
+def _run_python(code, *argv, timeout=30):
+    """A child interpreter running `code` with argv, on this checkout's src/."""
+    path = os.pathsep.join([str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def _run_cli(*argv, timeout=30):
+    return _run_python("import sys; from strandshift.cli import main; sys.exit(main())", *argv, timeout=timeout)
+
+
 def test_semigroup_eq_whose_completion_runs_on_is_refused():
     """fixtures/random_v8_seed12.graph is the random graph of seed 12 at
     max_vertices=8.  The completion of its loops semigroup runs on, so the
@@ -764,17 +808,50 @@ def test_semigroup_eq_whose_completion_runs_on_is_refused():
     workflow runs the same command."""
     text = (FIXTURES / "random_v8_seed12.graph").read_text()
     assert text == format_graph(*random_graph(GeneratorConfig(seed=12, max_vertices=8)))
-    argv = [sys.executable, "-m", "strandshift.cli", "semigroup-eq", "--graph", str(FIXTURES / "random_v8_seed12.graph")]
-    path = os.pathsep.join([str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        argv + ["--lhs", "L(V0,1)", "--rhs", "L(V1,1)"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    graph = str(FIXTURES / "random_v8_seed12.graph")
+    proc = _run_cli("semigroup-eq", "--graph", graph, "--lhs", "L(V0,1)", "--rhs", "L(V1,1)")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "limit exceeded: semigroup-completion" in proc.stderr
+
+
+def _three_color_query(n):
+    graph = str(FIXTURES / "three_color.graph")
+    return ["semigroup-eq", "--graph", graph, "--lhs", f"L(B,{n})", "--rhs", f"L(G,{n})+L(R,{n})"]
+
+
+def test_semigroup_eq_at_a_huge_winding_answers_at_once():
+    """Stage N is N copies of one block, and only the windings present are
+    looked at, so a winding of 100000 costs what winding 1 does.  The CI
+    workflow runs the same command."""
+    proc = _run_cli(*_three_color_query(100000))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "equal in stage 100000\n", "")
+
+
+def test_semigroup_eq_memory_does_not_grow_with_the_winding():
+    """Peak memory (ru_maxrss) of the same query at winding 800 stays
+    within 2 MB of winding 1; a dense stage presentation takes 75 MB there,
+    against 16.5 MB at winding 1.  A process started from this one would
+    begin with this one's peak as its own, so the query runs in a fork of a
+    small fresh interpreter, which begins with that interpreter's size."""
+    code = "\n".join(
+        [
+            "import os, resource, sys",
+            "if os.fork() == 0:",
+            "    from strandshift.cli import main",
+            "    code = main()",
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr, flush=True)",
+            "    sys.stdout.flush()",
+            "    os._exit(code)",
+            "sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))",
+        ]
+    )
+    unit = 1 if sys.platform == "darwin" else 1024  # bytes per ru_maxrss unit
+    peak = {}
+    for n in (1, 800):
+        proc = _run_python(code, *_three_color_query(n))
+        assert (proc.returncode, proc.stdout) == (0, f"equal in stage {n}\n")
+        peak[n] = int(proc.stderr) * unit
+    assert peak[800] - peak[1] <= 2 * 2**20, peak
 
 
 def _power_inputs(name, tmp_path, full_shift2):

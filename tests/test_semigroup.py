@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -12,20 +13,29 @@ from strandshift.semigroup import (
     bfs_path,
     completed_rules,
     decide_equal,
+    degree,
     dump_presentation,
     max_winding,
     presentation_from_graph,
 )
-from strandshift.testkit import GeneratorConfig, enumerate_class, random_graph
+from strandshift.testkit import (
+    GeneratorConfig,
+    enumerate_class,
+    random_graph,
+    stage_bfs_path,
+    stage_completed_rules,
+    stage_decide_equal,
+    stage_presentation,
+)
 from strandshift.textio import parse_graph
 
-from conftest import loops_of
+from conftest import blocks_of, loops_of
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def vec(p, **loops):
-    """Convenience: vec(p, R1=2, B2=1) -> exponent vector."""
+    """Convenience: vec(p, R1=2, B2=1) -> block vector {winding: block}."""
     d = {}
     for key, count in loops.items():
         d[(key[:-1], int(key[-1]))] = count
@@ -34,25 +44,37 @@ def vec(p, **loops):
 
 def test_presentation_fig1(fig1):
     p = presentation_from_graph(fig1, 1)
-    assert len(p.gens) == 3
+    assert fig1.vertices == ("R", "B", "G")
     # R's out-star is a single self-loop: its trivial relation is dropped
-    assert len(p.relations) == 2
-    rels = {(tuple(u), tuple(v)) for u, v in p.relations}
-    assert (vec(p, G1=1, R1=1), vec(p, B1=1)) in rels
-    assert (vec(p, G1=1, B1=1), vec(p, G1=1)) in rels
+    assert p.relations == (("B", (1, 0, 1), (0, 1, 0)), ("G", (0, 1, 1), (0, 0, 1)))
+    assert vec(p, G1=1, R1=1) == {1: (1, 0, 1)}
 
 
 def test_presentation_nonconfluent_left(nonconfluent_left):
     p = presentation_from_graph(nonconfluent_left, 1)
-    rels = {(tuple(u), tuple(v)) for u, v in p.relations}
-    assert (vec(p, B1=1, R1=1), vec(p, R1=1)) in rels
-    assert (vec(p, R1=1, B1=1), vec(p, B1=1)) in rels
+    rels = {(vtx, u, v) for vtx, u, v in p.relations}
+    assert ("R", vec(p, B1=1, R1=1)[1], vec(p, R1=1)[1]) in rels
+    assert ("B", vec(p, R1=1, B1=1)[1], vec(p, B1=1)[1]) in rels
 
 
 def test_presentation_counts(fig1):
     p = presentation_from_graph(fig1, 3)
-    assert len(p.gens) == 9
-    assert len(p.relations) == 6  # two non-trivial vertices, three windings
+    assert p.max_winding == 3
+    assert len(p.relations) == 2  # two non-trivial vertices; the block serves every winding
+    assert vec(p, B3=2, R1=1, G3=1) == {1: (1, 0, 0), 3: (0, 2, 1)}
+
+
+def test_vector_rejects_unknown_color_winding_and_negative_count(fig1):
+    p = presentation_from_graph(fig1, 3)
+    for loops, message in (
+        ({("Y", 1): 1}, "L(Y,1) is not a generator of stage 3"),
+        ({("R", 4): 1}, "L(R,4) is not a generator of stage 3"),
+        ({("R", 0): 1}, "L(R,0) is not a generator of stage 3"),
+        ({("R", 1): 1, ("B", 2): -1}, "negative loop count"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p.vector(loops)
+    assert p.vector({("R", 1): 0, ("B", 2): 1}) == {2: (0, 1, 0)}
 
 
 def test_presentation_rejects_zero_stage(fig1):
@@ -82,19 +104,21 @@ def test_decide_equal_reflexive_and_fig1_negative(fig1):
     assert decide_equal(r1, r1, p)
     assert not decide_equal(r1, g1, p)
     # the negative is exact: no relation applies to a bare R loop at all
-    assert enumerate_class(r1, p, cap=12) == {r1}
+    assert enumerate_class(r1[1], p, cap=12) == {r1[1]}
 
 
 def test_decide_equal_rejects_zero_vector(fig1):
     p = presentation_from_graph(fig1, 1)
-    with pytest.raises(ValueError):
-        decide_equal(tuple([0] * 3), vec(p, B1=1), p)
+    with pytest.raises(ValueError, match="vectors must be nonzero"):
+        decide_equal({}, vec(p, B1=1), p)
+    with pytest.raises(ValueError, match="zero blocks are left out"):
+        decide_equal({1: (0, 0, 0)}, vec(p, B1=1), p)
 
 
 def test_decide_equal_rejects_negative_entries():
     g, _ = parse_graph((FIXTURES / "two_vertex.graph").read_text())
     p = presentation_from_graph(g, 1)
-    for a, b in (((-1, 2), (-1, 2)), ((1, 0), (2, -1))):
+    for a, b in (({1: (-1, 2)}, {1: (-1, 2)}), ({1: (1, 0)}, {1: (2, -1)})):
         with pytest.raises(ValueError, match="negative loop count"):
             decide_equal(a, b, p)
 
@@ -118,21 +142,28 @@ def test_bfs_equal_cap_and_reflexivity(fig1):
         bfs_equal(a, vec(p, B1=1), p, 1)
 
 
-def _walk(path, a, p, cap):
-    """The end of a relation path from a; every step must apply within the cap."""
-    for ridx, sign in path:
-        u, v = p.relations[ridx]
+def _walk(path, a, b, p, cap):
+    """The end of a path of (vertex, winding, sign) steps from a; every step
+    must apply, and keep its winding's block within that winding's degree
+    cap: its larger degree in a and b plus the slack cap - max(|a|, |b|)."""
+    slack = cap - max(degree(a), degree(b))
+    relation = {vtx: (u, v) for vtx, u, v in p.relations}
+    zero = (0,) * len(p.graph.vertices)
+    end = dict(a)
+    for vtx, n, sign in path:
+        u, v = relation[vtx]
         lhs, rhs = (u, v) if sign > 0 else (v, u)
-        assert _divides(lhs, a)
-        a = tuple(x - c + d for x, c, d in zip(a, lhs, rhs))
-        assert sum(a) <= cap
-    return a
+        block = end.get(n, zero)
+        assert _divides(lhs, block)
+        end[n] = tuple(x - c + d for x, c, d in zip(block, lhs, rhs))
+        assert sum(end[n]) <= max(sum(a.get(n, zero)), sum(b.get(n, zero))) + slack
+    return end
 
 
 def test_bfs_path_roundtrip(nonconfluent_left, nonconfluent_right):
     p = presentation_from_graph(nonconfluent_right, 1)
     a, b = vec(p, R1=5, B1=5), vec(p, R1=1)
-    assert _walk(bfs_path(a, b, p, 12), a, p, 12) == b
+    assert _walk(bfs_path(a, b, p, 12), a, b, p, 12) == b
     # no moves fit under a cap equal to the input degree, so no path is found
     assert bfs_path(vec(p, R1=1), vec(p, B1=1), p, 1) is None
     # both directions of the fuzz pairs, so paths end in a half met from the
@@ -140,21 +171,27 @@ def test_bfs_path_roundtrip(nonconfluent_left, nonconfluent_right):
     q = presentation_from_graph(nonconfluent_left, 2)
     found = 0
     for a, b in _fuzz_pairs(q):
-        cap = max(sum(a), sum(b)) + 4
+        cap = max(degree(a), degree(b)) + 4
         for x, y in ((a, b), (b, a)):
             path = bfs_path(x, y, q, cap)
             assert (path is not None) == (bfs_equal(x, y, q, cap) == "equal")
             if path is not None:
-                assert _walk(path, x, q, cap) == y
+                assert _walk(path, x, y, q, cap) == y
                 found += 1
     assert found == 30
 
 
 def _random_vector(p, rng, max_count=3):
-    v = [0] * len(p.gens)
+    v = [0] * (p.max_winding * len(p.graph.vertices))
     while not any(v):
-        v = [rng.randint(0, max_count) if rng.random() < 0.6 else 0 for _ in p.gens]
-    return tuple(v)
+        v = [rng.randint(0, max_count) if rng.random() < 0.6 else 0 for _ in v]
+    return blocks_of(p, v)
+
+
+def _add(a, b):
+    """The sum of two block vectors."""
+    zero = (0,) * len(next(iter(a.values())))
+    return {n: tuple(x + y for x, y in zip(a.get(n, zero), b.get(n, zero))) for n in sorted(a.keys() | b.keys())}
 
 
 def _embed(p_small, p_big, v):
@@ -206,9 +243,7 @@ def test_congruence_laws(nonconfluent_right):
         if decide_equal(a, b, p) and decide_equal(b, c, p):
             assert decide_equal(a, c, p)
         if decide_equal(a, b, p) and decide_equal(c, d, p):
-            s1 = tuple(x + y for x, y in zip(a, c))
-            s2 = tuple(x + y for x, y in zip(b, d))
-            assert decide_equal(s1, s2, p)
+            assert decide_equal(_add(a, c), _add(b, d), p)
 
 
 def _fuzz_pairs(p):
@@ -220,7 +255,7 @@ def _fuzz_pairs(p):
 def test_oracle_vs_decide_on_fuzz(nonconfluent_left):
     p = presentation_from_graph(nonconfluent_left, 2)
     for a, b in _fuzz_pairs(p):
-        verdict = bfs_equal(a, b, p, cap=max(sum(a), sum(b)) + 4)
+        verdict = bfs_equal(a, b, p, cap=max(degree(a), degree(b)) + 4)
         if verdict == "equal":
             assert decide_equal(a, b, p)
 
@@ -232,54 +267,63 @@ def test_max_winding(fig1):
         max_winding({})
 
 
-def test_dump_format(nonconfluent_left):
-    # summands print in generator order (the sums are commutative)
+def test_dump_format(nonconfluent_left, fig1):
+    # the block once, for every winding; summands print in vertex order
+    # (the sums are commutative)
     p = presentation_from_graph(nonconfluent_left, 1)
     lines = dump_presentation(p).splitlines()
-    assert lines == ["L(R,1)+L(B,1)=L(R,1)", "L(R,1)+L(B,1)=L(B,1)"]
+    assert lines == ["for every winding n from 1 to 1:", "L(R,n)+L(B,n)=L(R,n)", "L(R,n)+L(B,n)=L(B,n)"]
+    assert dump_presentation(presentation_from_graph(fig1, 5)).splitlines() == [
+        "for every winding n from 1 to 5:",
+        "L(R,n)+L(G,n)=L(B,n)",
+        "L(B,n)+L(G,n)=L(G,n)",
+    ]
 
 
 def test_completion_confluence_under_random_rewrites(fig1, nonconfluent_left, nonconfluent_right):
-    from strandshift.semigroup import _divides, _normal_form, completed_rules
-
+    # the rules act on one block at a time, so each block of a random
+    # vector is a start
     rng = random.Random(8)
     for g in (fig1, nonconfluent_left, nonconfluent_right):
         p = presentation_from_graph(g, 2)
         rules = completed_rules(p)
         for _ in range(40):
-            start = _random_vector(p, rng)
-            expected = _normal_form(start, rules)
-            for _ in range(5):
-                m = start
-                while True:
-                    applicable = [(u, v) for u, v in rules if _divides(u, m)]
-                    if not applicable:
-                        break
-                    u, v = applicable[rng.randrange(len(applicable))]
-                    m = tuple(x - a + b for x, a, b in zip(m, u, v))
-                assert m == expected
+            for start in _random_vector(p, rng).values():
+                expected = _normal_form(start, rules)
+                for _ in range(5):
+                    m = start
+                    while True:
+                        applicable = [(u, v) for u, v in rules if _divides(u, m)]
+                        if not applicable:
+                            break
+                        u, v = applicable[rng.randrange(len(applicable))]
+                        m = tuple(x - a + b for x, a, b in zip(m, u, v))
+                    assert m == expected
 
 
 def test_completed_rules_stay_in_congruence(nonconfluent_left, nonconfluent_right):
     # every derived rule must itself be a consequence of the presentation,
     # which the independent search confirms on these small stages
-    from strandshift.semigroup import completed_rules
-
     for g in (nonconfluent_left, nonconfluent_right):
         p = presentation_from_graph(g, 1)
         for u, v in completed_rules(p):
             cap = max(sum(u), sum(v)) + 6
-            assert bfs_equal(u, v, p, cap) == "equal"
+            assert bfs_equal({1: u}, {1: v}, p, cap) == "equal"
+
+
 
 
 # ---------------------------------------------------------------------------
-# stage N is the direct sum of N copies of the winding-1 block
+# the block decision against the stage presentation built whole (testkit)
 
 BLOCK_GRAPHS = [random_graph(GeneratorConfig(seed=s, max_vertices=3))[0] for s in range(40)]
+FIXTURE_GRAPHS = [
+    parse_graph((FIXTURES / name).read_text())[0] for name in ("three_color.graph", "two_vertex.graph", "graph3.graph")
+]
 
 
 def _lifted(rules, block, n):
-    """The N copies of winding-1 block rules, one per winding's coordinates."""
+    """The N copies of block rules, one per winding's coordinates."""
     zero = (0,) * block
     return [
         (zero * w + u + zero * (n - 1 - w), zero * w + v + zero * (n - 1 - w))
@@ -290,17 +334,19 @@ def _lifted(rules, block, n):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_completed_rules_are_lifted_winding_one_rules(n):
+    """Completing the whole stage at once, with nothing told of windings,
+    gives N copies of the block completion: no rule mixes windings."""
     for g in BLOCK_GRAPHS:
-        block = completed_rules(presentation_from_graph(g, 1))
-        stage = completed_rules(presentation_from_graph(g, n))
+        block = completed_rules(presentation_from_graph(g, n))
+        stage = stage_completed_rules(stage_presentation(g, n))
         assert len(stage) == n * len(block)
         assert set(stage) == set(_lifted(block, len(g.vertices), n))
 
 
 @st.composite
 def _block_pairs(draw):
-    """Two nonzero stage vectors; each block of the second is zero, random or the first's."""
-    g = draw(st.sampled_from(BLOCK_GRAPHS))
+    """Two nonzero stage vectors as winding-major lists; each block of the second is zero, random or the first's."""
+    g = draw(st.sampled_from(BLOCK_GRAPHS + FIXTURE_GRAPHS))
     n = draw(st.integers(1, 4))
     k = len(g.vertices)
     zero, random_block = st.just([0] * k), st.lists(st.integers(0, 3), min_size=k, max_size=k)
@@ -311,8 +357,22 @@ def _block_pairs(draw):
         vec = [x for blk in blocks for x in blk]
         if not any(vec):
             vec[draw(st.integers(0, len(vec) - 1))] = 1
-        vecs.append(tuple(vec))
+        vecs.append(vec)
     return g, n, vecs[0], vecs[1]
+
+
+def _check_against_stage(g, n, a, b, stage_rules, slack):
+    """Check decide_equal against normal forms under the whole stage's
+    completion, and walk bfs_path's path, when it finds one, within its
+    caps.  Returns the verdict and the path, or None."""
+    p, sp = presentation_from_graph(g, n), stage_presentation(g, n)
+    equal = decide_equal(a, b, p)
+    assert equal == stage_decide_equal(sp.vector(a), sp.vector(b), stage_rules)
+    cap = max(degree(a), degree(b)) + slack
+    path = bfs_path(a, b, p, cap)
+    if path is not None:
+        assert equal and _walk(path, a, b, p, cap) == b
+    return equal, path
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,5 +380,68 @@ def _block_pairs(draw):
 def test_block_decision_matches_full_vector_normal_forms(case):
     g, n, a, b = case
     p = presentation_from_graph(g, n)
-    rules = _lifted(completed_rules(presentation_from_graph(g, 1)), len(g.vertices), n)
-    assert decide_equal(a, b, p) == (_normal_form(a, rules) == _normal_form(b, rules))
+    a, b = blocks_of(p, a), blocks_of(p, b)
+    _check_against_stage(g, n, a, b, stage_completed_rules(stage_presentation(g, n)), 2)
+
+
+def _relation_moves(g, loops, moves, rng):
+    """Random relation applications (children's loops <-> the parent's loop,
+    in one winding) to a loop multiset, done by hand."""
+    loops = dict(loops)
+    for _ in range(moves):
+        options = []
+        for v in g.vertices:
+            if g.is_isolated_color(v):
+                continue
+            for w in sorted({w for (_, w), x in loops.items() if x}):
+                need = {}
+                for c in g.child_colors(v):
+                    need[(c, w)] = need.get((c, w), 0) + 1
+                if all(loops.get(key, 0) >= x for key, x in need.items()):
+                    options.append((need, {(v, w): 1}))
+                if loops.get((v, w), 0):
+                    options.append(({(v, w): 1}, need))
+        if not options:
+            break
+        take, give = rng.choice(options)
+        for key, x in take.items():
+            loops[key] -= x
+        for key, x in give.items():
+            loops[key] = loops.get(key, 0) + x
+    return {key: x for key, x in loops.items() if x}
+
+
+def test_block_decision_on_loops_eq_pairs():
+    """Pairs built as the loops-eq benchmark builds them, at top windings
+    8-16: loops at the top winding and two lower ones, a planted equal
+    right side by relation moves, and for half of them one lower winding
+    dropped from it.  The verdict is the planted one and the stage
+    reference's.  The search per winding finds every equal pair's path,
+    each walks within its caps, and each is as long as the joint search's
+    over the whole stage."""
+    graphs = [g for g in BLOCK_GRAPHS if sum(not g.is_isolated_color(v) for v in g.vertices) >= 2][:15]
+    rng = random.Random(16)
+    equal_pairs = 0
+    for i in range(18):
+        g = graphs[i % len(graphs)]
+        top = 8 + i // 2
+        windings = sorted({top} | set(rng.sample(range(1, top), 2)))
+        lhs = {}
+        for w in windings:
+            for _ in range(rng.randint(1, 3)):
+                key = (rng.choice(g.vertices), w)
+                lhs[key] = lhs.get(key, 0) + 1
+        rhs = _relation_moves(g, lhs, rng.randint(1, 6), rng)
+        answer = rng.random() < 0.5
+        if not answer:
+            dropped = rng.choice(windings[:-1])
+            rhs = {key: x for key, x in rhs.items() if key[1] != dropped}
+        p, sp = presentation_from_graph(g, top), stage_presentation(g, top)
+        a, b = p.vector(lhs), p.vector(rhs)
+        equal, path = _check_against_stage(g, top, a, b, stage_completed_rules(sp), 2)
+        assert equal == answer
+        joint = stage_bfs_path(sp.vector(a), sp.vector(b), sp, max(degree(a), degree(b)) + 2)
+        assert (path is None) == (joint is None) == (not equal)
+        assert path is None or len(path) == len(joint)
+        equal_pairs += equal
+    assert equal_pairs == 9
