@@ -22,8 +22,7 @@ and the push planner turns step 2's coboundary back into legal shifts.
 Semi-reduction tests the same chains without building a skeleton: it follows
 them through the base points of its working tables.  A split-merge redex can
 be freed of base points by similarities exactly when its strands carry one
-count t, and then the push planner's plan is t pushes at one point of the
-redex, which semi-reduction writes down directly.
+count t, and then t backward pushes at its split or merge free it.
 """
 
 from __future__ import annotations
@@ -77,19 +76,15 @@ class _ClosedTables(_Tables):
     """A copy of a closed diagram's tables and base line that the in-place
     moves edit.
 
-    `base_line` is a list and `base_set` its set.  Each shift appends to
-    `moved` the origin of every strand whose target it changes, at the time
-    of the change: those are the only points whose redex predicate it can
-    change (see :func:`semi_reduce`).
+    `base_line` is a list and `base_set` its set.
     """
 
-    __slots__ = ("base_line", "base_set", "moved", "_next")
+    __slots__ = ("base_line", "base_set", "_next")
 
     def __init__(self, c: ClosedDiagram):
         _Tables.__init__(self, *_copy_tables(c))
         self.base_line = list(c.base_line)
         self.base_set = set(c.base_line)
-        self.moved = []
         self._next = None
 
     def fresh(self, n: int) -> int:
@@ -408,15 +403,12 @@ def _shift_expand(c: _ClosedTables, index: int, direction):
         raise PreconditionError(f"base point {index}: no movable point {direction}")
     b = c.base_line[index]
     parent = c.point_color[b]
-    u = c.strand_from[c.in_slots[b][0]]
     if direction == "down":
         v = c.strand_to[c.out_slots[b][0]]
-        c.moved.append(v)
         new_points = [_subdivide(c, s) for s in list(c.out_slots[v])]
     else:
-        c.moved.extend(c.strand_from[s] for s in c.in_slots[u])
+        u = c.strand_from[c.in_slots[b][0]]
         new_points = [_subdivide(c, s) for s in list(c.in_slots[u])]
-    c.moved.append(u)
     _splice_out(c.tables(), b)
     c.base_line[index : index + 1] = new_points
     c.base_set.remove(b)
@@ -461,13 +453,11 @@ def _shift_reduce(c: _ClosedTables, positions, direction):
         raise PreconditionError("points are not the full ordered boundary of one split/merge")
 
     kids = tuple(c.point_color[p] for p in points)
-    c.moved.extend(c.strand_from[c.in_slots[p][0]] for p in points)
     # the new point first: its ids are taken before any is removed
     nb = _subdivide(c, c.out_slots[w][0] if direction == "down" else c.in_slots[v][0])
     tabs = c.tables()
     for p in points:
         _splice_out(tabs, p)
-    c.moved.append(c.strand_from[c.in_slots[nb][0]])
     gone = set(points)
     c.base_line[:] = [p for p in c.base_line if p not in gone]
     c.base_line.insert(positions[0], nb)
@@ -742,8 +732,8 @@ def _plan_cocycle_moves(sk: SplitMergeSkeleton, comp, x: dict) -> list:
 
 
 def _push(c: _ClosedTables, plan) -> list:
-    """Carry out a push plan of :func:`_plan_cocycle_moves` by shifts, in
-    place: the moves."""
+    """Carry out a push plan, as :func:`_plan_cocycle_moves` and
+    :func:`semi_reduce` write it, by shifts, in place: the moves."""
     moves = []
     for p, action in plan:
         is_split = len(c.out_slots[p]) >= 2
@@ -776,7 +766,7 @@ def _chain(c, s) -> tuple:
 def _freeable(c) -> tuple | None:
     """The first type 1/2 redex of c's skeleton, in `point_color` order,
     whose strands carry one count of base points, read on c itself:
-    (type, point, partner, count), or None.  The tests are those of the
+    (primary point, count), or None.  The tests are those of the
     skeleton's redex predicate on the chains, a chain's last strand
     standing for the skeleton strand in its in-slot."""
     pc, ins, outs, base = c.point_color, c.in_slots, c.out_slots, c.base_set
@@ -792,26 +782,11 @@ def _freeable(c) -> tuple | None:
             continue
         if not split:
             if len(ins[w]) == 1 and len(outs[w]) >= 2:
-                return 2, v, w, t
+                return v, t
         elif len(outs[w]) == 1 and len(ins[w]) == len(o) and ins[w][0] == s:
             if all(_chain(c, s_out)[1:] == (s_in, t) for s_out, s_in in zip(o[1:], ins[w][1:])):
-                return 1, v, w, t
+                return v, t
     return None
-
-
-def _freeing_plan(c, v, w, t) -> list:
-    """The push plan of :func:`_plan_cocycle_moves` on x = t at v, 0
-    elsewhere in v's skeleton component (see :func:`semi_reduce`): t forward
-    pushes at w when the component is {v, w}, else t backward pushes at v.
-
-    The chains out of v end at w, so the component is {v, w} exactly when
-    those out of w end at v or w, as v and w have as many in-slots as
-    out-slots: for type 1, ins[w] = outs[v] and ins[v] = outs[w] = 1; for
-    type 2, ins[w] = outs[v] = 1, and v and w, of one colour, have a slot
-    per child on their other sides."""
-    pair = all(_chain(c, s)[0] in (v, w) for s in c.out_slots[w])
-    p, forward = (w, True) if pair else (v, False)
-    return [(p, "expand" if forward == (len(c.out_slots[p]) >= 2) else "reduce")] * t
 
 
 def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
@@ -848,25 +823,12 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     when the redex strands carry one count t.  A type 2 redex has one strand
     and always passes; a type 1 redex passes when its strands agree.
 
-    "<=": the shortest-path potentials from a virtual source are then
-    y = -t at v and 0 elsewhere, since every path from v to another point
-    passes w at cost t.  The target cocycle c[s] + y(from s) - y(to s) is
-    non-negative and zero on the redex strands, and
-    :func:`_plan_cocycle_moves` reaches every non-negative cocycle of the
-    class by legal shifts, because every directed cycle crosses the base
-    line and pushes never change cycle sums.  So its plan on x = -y, which
-    is t at v and 0 elsewhere on v's skeleton component, frees the redex,
-    and the next round reduces it.
-
-    That plan has a closed form.  It pushes each point p of the component
-    net m - x[p] times, where m is entry len // 2 of the sorted values of x.
-    A component of n >= 3 points sorts to n - 1 zeros and then t, and
-    n // 2 <= n - 2, so m = 0: the plan is t backward pushes at v.  The
-    component {v, w} sorts to [0, t], so m = t: the plan is t forward
-    pushes at w.  (Pushing every point of a component once changes no
-    count, so both give the same cocycle.)  A forward push through a split
-    and a backward push through a merge are expanding shifts, the other two
-    reducing shifts.  :func:`_freeing_plan` writes the plan down.
+    "<=": a backward push through v takes one base point off each of v's
+    out-chains and puts one on each of its in-chains.  Those out-chains
+    carry t, so all t pushes are legal.  A backward push through a split is
+    a reducing shift, through a merge an expanding one.  The pushes leave 0
+    on the redex strands and only add base points to v's in-chains, so they
+    free this redex and no other, and the next round reduces it.
 
     Each reduction removes points, so this terminates, and a diagram it
     returns is semi-reduced: a second call performs no move.
@@ -875,14 +837,14 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     diagram is built at the end; when no move applies, c itself is
     returned.  Reductions run on the worklist of
     :func:`strandshift.diagrams.reduce_with_log`, base points skipped, and
-    a freeing round runs when none is left.  The redex test at q reads the
-    degrees of q and of the target w of its out-strands, w's color,
-    in-slots and base membership.  No shift changes the degrees of a point
-    it keeps, so it changes the test only at the origins of the strands
-    whose target it changes (a point that fed w by another strand before
-    and after fails the type 1 test both times), and only those are tested
-    again: of the strands into the base points it removes and of those its
-    new base points cut.
+    a freeing round runs when none is left.  After the round only v is
+    tested again.  The redex test at a point reads its degrees, the target
+    of its out-strands and that target's in-slots.  No shift changes the
+    degrees of a point it keeps, and w's in-strands come from v alone, so
+    the pushes change the test only at v and at the in-neighbours of v
+    whose out-chains into v now pass a base point.  A redex at such an
+    in-neighbour would have been plain before the round, when the worklist
+    was empty.
 
     A freeing round frees the first freeable redex in table order, so it
     reads the working tables at most once, copies nothing, and stops early
@@ -907,11 +869,11 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
         freeable = _freeable(w)
         if freeable is None:
             break
-        _, v, partner, t = freeable
+        v, t = freeable
         assert t > 0, "a free redex is missing from the worklist"
-        trace.extend(_push(w, _freeing_plan(w, v, partner, t)))
-        redexes = _redexes_at(w, [q for q in w.moved if q in w.point_color], w.base_set)
-        w.moved.clear()
+        trace.extend(_push(w, [(v, "reduce" if len(w.out_slots[v]) >= 2 else "expand")] * t))
+        redexes = _redexes_at(w, [v], w.base_set)
+        assert redexes, "the pushes left the redex at v unfreed"
     return w.freeze(), trace
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandshift import cli, closed
+from strandshift import cli, closed, conjugacy
 from strandshift.cli import build_parser, main
 from strandshift.diagrams import (
     canonical_key,
@@ -701,22 +701,45 @@ def test_conj_former_false_negative_is_conjugate(capsys):
     assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
 
 
+def _record_frees(monkeypatch) -> list:
+    """Record the freeing rounds of each side's Step 1, one list per side.
+    A round is recorded as (the primary is a split, the primary is alone
+    with its partner in its skeleton component), after checking that it
+    pushes t times backward at the primary v of the redex `_freeable`
+    picks: a reducing shift through a split, an expanding shift through a
+    merge.  The witness's pushes are not seen: `conjugacy` binds `_push`
+    under its own name."""
+    sides = []
+    push, semi_reduce = closed._push, conjugacy.semi_reduce
+
+    def recording_push(c, plan):
+        v, t = closed._freeable(c)
+        split = len(c.out_slots[v]) >= 2
+        assert plan == [(v, "reduce" if split else "expand")] * t
+        sides[-1].append((split, len(closed._bidirectional_order(closed.skeleton(c), [v])) == 2))
+        return push(c, plan)
+
+    def recording_semi_reduce(c):
+        sides.append([])
+        return semi_reduce(c)
+
+    monkeypatch.setattr(closed, "_push", recording_push)
+    monkeypatch.setattr(conjugacy, "semi_reduce", recording_semi_reduce)
+    return sides
+
+
 def test_conj_fig1_pair_that_frees_a_split(capsys, monkeypatch):
     """fig1-conj suite element 168 (growth 8) as two forest pairs; the fig1
     graph is fixtures/three_color.graph.  Step 1 frees a split-merge (type
-    1) redex on both sides, which no other fixture does.  The CI workflow
-    runs the same command."""
-    freed = []
-    plan = closed._freeing_plan
-    monkeypatch.setattr(
-        closed, "_freeing_plan", lambda c, v, w, t: freed.append(len(c.out_slots[v])) or plan(c, v, w, t)
-    )
+    1) redex on both sides, by reducing shifts through its split, which no
+    other fixture does.  The CI workflow runs the same command."""
+    sides = _record_frees(monkeypatch)
     names = ("fig1_e168.elem", "fig1_e168_expanded.elem")
     argv = ["conj", "--graph", str(FIXTURES / "three_color.graph"), "--lhs", str(FIXTURES / names[0])]
     code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / names[1]), "--witness"])
     assert (code, err) == (0, "")
     assert out.startswith("verdict: conjugate\n")
-    assert max(freed) >= 2
+    assert len(sides) == 2 and all(any(split for split, _ in frees) for frees in sides)
     g, base = parse_graph((FIXTURES / "three_color.graph").read_text())
     texts = [(FIXTURES / name).read_text() for name in names]
     f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])
@@ -727,23 +750,15 @@ def test_conj_fig1_pair_that_frees_a_two_point_component(capsys, monkeypatch):
     """fig1 element seed 37 (growth 9) and its conjugate by the growth-2
     element of seed 500; the fig1 graph is fixtures/three_color.graph.  On
     both sides Step 1 frees a redex that is alone in its skeleton
-    component, so `_freeing_plan` pushes forward at the partner.  The CI
-    workflow runs the same command."""
-    forward = []
-    plan = closed._freeing_plan
-
-    def recording_plan(c, v, w, t):
-        pushes = plan(c, v, w, t)
-        forward.append(pushes[0][0] == w)
-        return pushes
-
-    monkeypatch.setattr(closed, "_freeing_plan", recording_plan)
+    component, and frees it by pushes at its primary, as every other.  The
+    CI workflow runs the same command."""
+    sides = _record_frees(monkeypatch)
     names = ("fig1_e37.elem", "fig1_e37_conj500.elem")
     argv = ["conj", "--graph", str(FIXTURES / "three_color.graph"), "--lhs", str(FIXTURES / names[0])]
     code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / names[1]), "--witness"])
     assert (code, err) == (0, "")
     assert out.startswith("verdict: conjugate\n")
-    assert forward.count(True) == 2
+    assert [[pair for _, pair in frees].count(True) for frees in sides] == [1, 1]
     g, base = parse_graph((FIXTURES / "three_color.graph").read_text())
     texts = [(FIXTURES / name).read_text() for name in names]
     f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])

@@ -25,9 +25,11 @@ from strandshift.closed import (
 )
 from strandshift.conjugacy import compare_split_merge, conjugator_witness, is_conjugate
 from strandshift.diagrams import (
+    _redexes_at,
     canonical_key,
     compose,
     equal,
+    find_redexes,
     from_forest_pair,
     identity_diagram,
     invert,
@@ -567,13 +569,15 @@ def test_semi_reduce_replays_and_agrees_with_the_reference_loop(fig1, base_bg, m
 
     The freeing cases are counted on the reference loop's skeleton: a split
     or a merge primary, alone with its partner in its skeleton component or
-    in a wider one.  `semi_reduce` plans each case in closed form, so the
-    forms must reach all four.  Every freeing round of the reference loop
-    also checks the closed-form plan against the push planner on every
-    freeable redex, not only on the one it frees."""
+    in a wider one.  `semi_reduce` frees each case by t backward pushes at
+    its primary v, so the forms must reach all four.  Every freeing round of
+    the reference loop also runs those pushes on a copy, for every freeable
+    redex and not only the one it frees: they must be legal and leave v's
+    redex, and no other, plain.  Every freeing round of `semi_reduce` must
+    leave plain only the redexes that re-testing v finds."""
     freed = Counter()
-    plan, build_skeleton = testkit._plan_cocycle_moves, testkit.skeleton
-    checked = 0
+    plan, build_skeleton, push = testkit._plan_cocycle_moves, testkit.skeleton, closed._push
+    checked = rounds = 0
 
     def counting_plan(sk, comp, x):
         (v,) = [p for p in comp if x[p]]
@@ -583,16 +587,24 @@ def test_semi_reduce_replays_and_agrees_with_the_reference_loop(fig1, base_bg, m
     def checking_skeleton(c):
         nonlocal checked
         sk = build_skeleton(c)
-        for _, v, (_, w) in testkit._freeable(sk):
-            comp = closed._bidirectional_order(sk, [v])
-            x = dict.fromkeys(comp, 0)
-            x[v] = sk.cocycle[sk.out_slots[v][0]]
-            assert closed._freeing_plan(c, v, w, x[v]) == plan(sk, comp, x), v
+        for redex in testkit._freeable(sk):
+            v, t = redex[1], sk.cocycle[sk.out_slots[redex[1]][0]]
+            w = closed._ClosedTables(c)
+            push(w, [(v, "reduce" if len(w.out_slots[v]) >= 2 else "expand")] * t)
+            assert find_redexes(w, skip=w.base_set) == [redex], v
             checked += 1
         return sk
 
+    def checking_push(w, pushes):
+        nonlocal rounds
+        moves = push(w, pushes)
+        assert find_redexes(w, skip=w.base_set) == _redexes_at(w, [pushes[0][0]], w.base_set)
+        rounds += 1
+        return moves
+
     monkeypatch.setattr(testkit, "_plan_cocycle_moves", counting_plan)
     monkeypatch.setattr(testkit, "skeleton", checking_skeleton)
+    monkeypatch.setattr(closed, "_push", checking_push)
 
     def element(g, base, seed, steps):
         return from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=steps)))
@@ -622,6 +634,7 @@ def test_semi_reduce_replays_and_agrees_with_the_reference_loop(fig1, base_bg, m
         moved += bool(want_trace)
     assert len(forms) == 380 and moved > 250
     assert checked > sum(freed.values())  # redexes the default order does not pick
+    assert rounds > 1000
     assert {(kind, width) for kind in ("split", "merge") for width in ("pair", "wide")} <= set(freed), freed
 
 

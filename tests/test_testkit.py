@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from strandshift import closed
+from strandshift.closed import close
 from strandshift.diagrams import (
     compose,
     equal,
@@ -175,3 +178,24 @@ def test_no_pipeline_module_imports_testkit():
                 imported.add(node.module or "")
                 imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
         assert not any("testkit" in name.split(".") for name in imported), path.name
+
+
+def test_the_benchmark_tracer_finds_every_name_it_pins(fig1, base_bg, monkeypatch):
+    """bench/tracer.py wraps pipeline functions by module attribute and calls
+    `semi_reduce` with keywords that it ignores, so renaming either breaks
+    the benchmark.  Every (module, attribute) in its NESTED and COUNTED
+    resolves to a function, and its Step 1 call and probe still run: the
+    keywords change no move, and a second call finds nothing to unlock."""
+    path = SRC.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    pinned = tracer.NESTED + tracer.COUNTED
+    assert len(pinned) >= 7
+    for mod, attr, _ in pinned:
+        assert callable(getattr(mod, attr, None)), (mod.__name__, attr)
+    c = close(from_forest_pair(fig1, random_element(fig1, base_bg, GeneratorConfig(seed=168, growth_steps=8))))
+    semi, moves = closed.semi_reduce(c, budget=2, rng=None, probe=False)
+    assert moves and moves == closed.semi_reduce(c)[1]
+    assert closed.semi_reduce(semi, budget=3, rng=None, probe=False)[1] == []
