@@ -7,7 +7,9 @@ structure.  Cutting at the base points is the inverse bijection
 shifts move a split or merge through the base line, base line permutations
 reorder it; both are similarities and conjugate the cut element.  Type 0/1/2
 reductions act away from the base line; type 3 reductions collapse interleaved
-loops whose colors form the out-star of a common vertex.
+loops whose colors form the out-star of a common vertex.  The keys come
+from the one serializer, :func:`strandshift.diagrams._least_serialization`,
+with the base points as its `marked` points.
 
 Each move kind is one in-place edit of a :class:`_ClosedTables` copy that
 returns a :class:`Move` record, with enough data to replay the move and to
@@ -27,7 +29,6 @@ count t, and then t backward pushes at its split or merge free it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .diagrams import (
@@ -36,6 +37,7 @@ from .diagrams import (
     _copy_tables,
     _drop_point,
     _drop_strand,
+    _least_serialization,
     _redexes_at,
     _reduce_in_place,
     _retarget,
@@ -216,125 +218,50 @@ def close(d: StrandDiagram) -> ClosedDiagram:
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _bidirectional_order(c: ClosedDiagram, seeds) -> dict:
-    order = {}
-    queue = deque()
-    for p in seeds:
-        if p not in order:
-            order[p] = len(order)
-            queue.append(p)
-    while queue:
-        p = queue.popleft()
-        for s in c.out_slots[p]:
-            q = c.strand_to[s]
-            if q not in order:
-                order[q] = len(order)
-                queue.append(q)
-        for s in c.in_slots[p]:
-            q = c.strand_from[s]
-            if q not in order:
-                order[q] = len(order)
-                queue.append(q)
-    return order
-
-
-def _serialize(c: ClosedDiagram, order: dict) -> tuple:
-    by_rank = sorted(order, key=order.__getitem__)
-    records = []
-    for p in by_rank:
-        outs = []
-        for s in c.out_slots[p]:
-            q = c.strand_to[s]
-            outs.append((c.strand_color[s], order[q], c.in_slots[q].index(s)))
-        records.append((c.point_color[p], p in c.base_set, tuple(outs)))
-    return tuple(records)
-
-
 def closed_key(c: ClosedDiagram) -> tuple:
-    """Canonical key including the base line order."""
-    order = _bidirectional_order(c, c.base_line)
+    """Canonical key including the base line order: the serialization from
+    one run of the base line, base points marked, and the base ranks."""
+    records, (order,) = _least_serialization(c, [c.base_line], c.base_set)
     assert len(order) == len(c.point_color), "component without a base point"
-    return (_serialize(c, order), tuple(order[b] for b in c.base_line))
+    return records, tuple(order[b] for b in c.base_line)
 
 
 def components(c) -> list:
     """Weakly connected components of any table object, each a sorted tuple of point ids."""
+    strand_from, strand_to, in_slots, out_slots = c.strand_from, c.strand_to, c.in_slots, c.out_slots
     seen = set()
     comps = []
     for p in sorted(c.point_color):
         if p in seen:
             continue
-        order = _bidirectional_order(c, [p])
-        seen.update(order)
-        comps.append(tuple(sorted(order)))
+        seen.add(p)
+        comp = [p]
+        for q in comp:
+            for s in out_slots[q]:
+                r = strand_to[s]
+                if r not in seen:
+                    seen.add(r)
+                    comp.append(r)
+            for s in in_slots[q]:
+                r = strand_from[s]
+                if r not in seen:
+                    seen.add(r)
+                    comp.append(r)
+        comps.append(tuple(sorted(comp)))
     return comps
 
 
-def _least_serialization(c: ClosedDiagram, seeds) -> tuple:
-    """(records, orders): records = min(_serialize(c, _bidirectional_order(c,
-    [s])) for s in seeds), seeds of one component, and orders the
-    breadth-first orders of the seeds that attain it, in seed order.
-
-    Record r of a seed's serialization is fixed once the r-th point leaves
-    its breadth-first queue, so the seeds run in lockstep, one record per
-    round, and a seed whose record exceeds the round's least one is dropped:
-    its serialization can no longer be the minimum.  Seeds that tie to the
-    end serialize identically, so pairing the points of equal rank in two
-    of their orders is an automorphism of the component.
-    """
-    point_color, strand_color, base_set = c.point_color, c.strand_color, c.base_set
-    strand_from, strand_to, in_slots, out_slots = c.strand_from, c.strand_to, c.in_slots, c.out_slots
-    runs = [({s: 0}, deque([s])) for s in seeds]
-    records = []
-    while runs[0][1]:
-        best, kept = None, []
-        for run in runs:
-            order, queue = run
-            p = queue.popleft()
-            outs = []
-            for s in out_slots[p]:
-                q = strand_to[s]
-                if q not in order:
-                    order[q] = len(order)
-                    queue.append(q)
-                outs.append((strand_color[s], order[q], in_slots[q].index(s)))
-            for s in in_slots[p]:
-                q = strand_from[s]
-                if q not in order:
-                    order[q] = len(order)
-                    queue.append(q)
-            rec = (point_color[p], p in base_set, tuple(outs))
-            if best is None or rec < best:
-                best, kept = rec, [run]
-            elif rec == best:
-                kept.append(run)
-        records.append(best)
-        runs = kept
-    return tuple(records), [order for order, _ in runs]
-
-
 def unordered_key(c: ClosedDiagram) -> tuple:
-    """Canonical key modulo base line permutations.
-
-    Each component is serialized from its best base-point seed, the one whose
-    serialization is least; the diagram key is the sorted tuple of component
-    keys.  The similarity searches of :mod:`testkit` dedupe their states by
-    it, since base order is free.
-    The least serialization is found by seed pruning
-    (:func:`_least_serialization`), which gives the same key as serializing
-    from every seed.
-    """
+    """Canonical key modulo base line permutations: the sorted keys of the
+    components, each its least serialization over one run per base point.
+    The similarity searches of :mod:`testkit` dedupe their states by it."""
     if c._ukey is not None:
         return c._ukey
     comp_keys = []
-    covered = set()
-    for b in c.base_line:
-        if b in covered:
-            continue
-        comp = _bidirectional_order(c, [b])
-        covered.update(comp)
-        comp_keys.append(_least_serialization(c, [p for p in comp if p in c.base_set])[0])
-    assert len(covered) == len(c.point_color), "component without a base point"
+    for comp in components(c):
+        runs = [(p,) for p in comp if p in c.base_set]
+        assert runs, "component without a base point"
+        comp_keys.append(_least_serialization(c, runs, c.base_set)[0])
     key = tuple(sorted(comp_keys))
     c._ukey = key
     return key
@@ -661,19 +588,19 @@ def decompose_parts(c: ClosedDiagram):
 # ---------------------------------------------------------------------------
 # the skeleton and its pushes
 
-class SplitMergeSkeleton(ClosedDiagram):
-    """Split-merge part with its base points spliced out, on the table core.
+class SplitMergeSkeleton(_Tables):
+    """Split-merge part with its base points spliced out: tables plus `cocycle`.
 
     Splicing keeps the incoming strand's id, so a skeleton strand is the
     first strand of its base-point chain, the out-strand of a split, merge or
     degenerate point, and `cocycle` maps it to the number of base points
-    spliced out of that chain.  The base line is empty.
+    spliced out of that chain.
     """
 
     __slots__ = ("cocycle",)
 
     def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, cocycle):
-        ClosedDiagram.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, ())
+        _Tables.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots)
         self.cocycle = cocycle
 
 

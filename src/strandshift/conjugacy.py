@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 from .closed import (
     ClosedDiagram,
     SplitMergeSkeleton,
-    _bidirectional_order,
     _ClosedTables,
-    _least_serialization,
     _loops,
     _plan_cocycle_moves,
     _push,
@@ -42,7 +40,7 @@ from .closed import (
     semi_reduce,
     skeleton,
 )
-from .diagrams import StrandDiagram, compose, equal, invert, reduce
+from .diagrams import StrandDiagram, _least_serialization, compose, equal, invert, reduce
 from .errors import SignatureMismatch
 from .graphs import ShiftGraph
 from .semigroup import bfs_path, decide_equal, degree, max_winding, presentation_from_graph
@@ -86,7 +84,8 @@ def _reduced_cocycle(sk: SplitMergeSkeleton, order: dict) -> tuple:
     """(reduced, y): the cocycle of sk on the component that `order` ranks,
     shifted by the coboundary of the potentials y that makes it vanish on
     the breadth-first tree of `order`, one value per strand, points by rank
-    and strands by out-slot, as :func:`closed._serialize` reads them.
+    and strands by out-slot, as :func:`diagrams._least_serialization` lists
+    them; a skeleton has no base points, so it marks none.
 
     The tree is the one the breadth-first search grows: replaying the search
     in rank order, each point's potential is set over the strand that first
@@ -110,7 +109,7 @@ def _class_key(sk: SplitMergeSkeleton, comp) -> tuple:
     The key is the least serialization over all anchors in `comp`, then the
     least reduced cocycle over the anchors that tie on it.
     """
-    records, orders = _least_serialization(sk, comp)
+    records, orders = _least_serialization(sk, [(p,) for p in comp])
     (least, y), order = min(((_reduced_cocycle(sk, order), order) for order in orders), key=lambda t: t[0][0])
     return (records, least), order, y
 
@@ -294,7 +293,9 @@ def _aligned_base_line(c: _ClosedTables, target: ClosedDiagram, match: SkeletonM
     """
     psi = {}
     for comp_a, _, phi, _ in match.pairs:
-        psi.update(zip(_bidirectional_order(c, comp_a[:1]), _bidirectional_order(target, [phi[comp_a[0]]])))
+        _, (order_a,) = _least_serialization(c, [comp_a[:1]])
+        _, (order_b,) = _least_serialization(target, [(phi[comp_a[0]],)])
+        psi.update(zip(order_a, order_b))
     loops_a, loops_b = (sorted(_loops(d), key=lambda t: (t[0], len(t[1]))) for d in (c, target))
     for (_, pa), (_, pb) in zip(loops_a, loops_b):
         psi.update(zip(pa, pb))

@@ -16,7 +16,10 @@ a base line a bijection, so the constructors never emit them.
 
 The six tables and the edits on them (copy, retarget, splice, drop) are the
 core that closed diagrams (closed.py) share; a closed diagram trades the
-source and sink orders for a base line.
+source and sink orders for a base line.  So is the one serializer,
+:func:`_least_serialization`, a breadth-first walk in both directions from
+runs of seed points whose records flag the points in `marked` (a closed
+diagram's base points): it writes every open, closed and skeleton key.
 
 Constructors adopt, and every edit copies once: a diagram keeps the six dicts
 it is given and never changes them, so an inverse shares its input's
@@ -167,43 +170,67 @@ def kind_of(d, p) -> str:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _forward_order(d, sources) -> dict:
-    order = {}
-    queue = deque()
-    for p in sources:
-        order[p] = len(order)
-        queue.append(p)
-    while queue:
-        p = queue.popleft()
-        for s in d.out_slots[p]:
-            q = d.strand_to[s]
-            if q not in order:
-                order[q] = len(order)
-                queue.append(q)
-    if len(order) != len(d.point_color):
-        raise ValueError("diagram has points unreachable from its sources")
-    return order
+def _least_serialization(d, runs, marked=frozenset()) -> tuple:
+    """(records, orders): the least serialization of d over `runs`, and the
+    orders of the runs that attain it, in run order.
+
+    A run is a sequence of distinct seed points, ranked first; then each
+    point leaving its breadth-first queue ranks the targets of its
+    out-slots and the origins of its in-slots, in slot order.  The record
+    of point p is (color, p in `marked`, and per out-strand its color, its
+    target's rank and its in-slot there); `marked` holds a closed diagram's
+    base points.  The runs must cover the same points.
+
+    Record r of a run is fixed once its r-th point leaves the queue, so the
+    runs go in lockstep, one record per round, and a run whose record
+    exceeds the round's least one is dropped.  Runs that tie to the end
+    serialize identically, so pairing the points of equal rank in two of
+    their orders is an automorphism.
+    """
+    point_color, strand_color, strand_from, strand_to, in_slots, out_slots = d.tables()
+    states = [({p: rank for rank, p in enumerate(seeds)}, deque(seeds)) for seeds in runs]
+    records = []
+    while states[0][1]:
+        best, kept = None, []
+        for state in states:
+            order, queue = state
+            p = queue.popleft()
+            outs = []
+            for s in out_slots[p]:
+                q = strand_to[s]
+                if q not in order:
+                    order[q] = len(order)
+                    queue.append(q)
+                outs.append((strand_color[s], order[q], in_slots[q].index(s)))
+            for s in in_slots[p]:
+                q = strand_from[s]
+                if q not in order:
+                    order[q] = len(order)
+                    queue.append(q)
+            rec = (point_color[p], p in marked, tuple(outs))
+            if best is None or rec < best:
+                best, kept = rec, [state]
+            elif rec == best:
+                kept.append(state)
+        records.append(best)
+        states = kept
+    return tuple(records), [order for order, _ in states]
 
 
 def canonical_key(d: StrandDiagram) -> tuple:
-    """Total invariant of the diagram up to relabeling, ranking points
-    breadth first from the sources in order, out-slots in order.
+    """Total invariant of the diagram up to relabeling: its serialization
+    from one run of the sources (:func:`_least_serialization`) and the
+    ranks of its sinks.
 
     Two diagrams are isomorphic by a color-, slot- and endpoint-order-
     preserving isomorphism iff their keys are equal.
     """
     if d._key is not None:
         return d._key
-    order = _forward_order(d, d.sources)
-    by_rank = sorted(d.point_color, key=order.__getitem__)
-    records = []
-    for p in by_rank:
-        outs = []
-        for s in d.out_slots[p]:
-            q = d.strand_to[s]
-            outs.append((d.strand_color[s], order[q], d.in_slots[q].index(s)))
-        records.append((d.point_color[p], tuple(outs)))
-    key = (len(d.sources), tuple(records), tuple(order[p] for p in d.sinks))
+    records, (order,) = _least_serialization(d, [d.sources])
+    if len(order) != len(d.point_color):
+        raise ValueError("diagram has points not connected to its sources")
+    key = (len(d.sources), records, tuple(order[p] for p in d.sinks))
     d._key = key
     return key
 

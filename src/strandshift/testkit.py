@@ -27,7 +27,11 @@ move's conjugator as a diagram and composes and reduces after every move.
 The reference forest check rebuilds every prefix of every leaf and tests
 each internal node's children one by one.  The reference reader keeps each
 token's line and column from the start and reads the tokens through one
-method call each.
+method call each.  The reference serializations build one breadth-first
+order first and write the records from it; the open one walks out-slots
+only, so its key is the forward-order key, and the closed one keys a
+component by trying every seed in turn.  The pipeline's serializer writes
+records as it walks, in both directions, and runs its seeds in lockstep.
 
 The references that the command line never needs live here too: the word
 enumerator and the forest-pair group operations, which compose and invert
@@ -50,13 +54,11 @@ from .closed import (
     ClosedDiagram,
     Move,
     SplitMergeSkeleton,
-    _bidirectional_order,
     _consolidate,
     _edited,
     _plan_cocycle_moves,
     _push,
     _reduce,
-    _serialize,
     components,
     replay,
     shift_directions,
@@ -69,7 +71,6 @@ from .diagrams import (
     StrandDiagram,
     _Builder,
     _copy_tables,
-    _forward_order,
     _Tables,
     apply_redex,
     compose,
@@ -415,6 +416,99 @@ def conjugator_of(move: Move, before: tuple, after: tuple) -> StrandDiagram:
     if move.kind in ("shift-reduce", "type3"):
         return multi_split_diagram(after, splits)
     return invert(multi_split_diagram(before, splits))
+
+
+# ---------------------------------------------------------------------------
+# reference serializations: one breadth-first order first, then the records
+
+def _forward_order(d, sources) -> dict:
+    order = {}
+    queue = deque()
+    for p in sources:
+        order[p] = len(order)
+        queue.append(p)
+    while queue:
+        p = queue.popleft()
+        for s in d.out_slots[p]:
+            q = d.strand_to[s]
+            if q not in order:
+                order[q] = len(order)
+                queue.append(q)
+    if len(order) != len(d.point_color):
+        raise ValueError("diagram has points unreachable from its sources")
+    return order
+
+
+def reference_canonical_key(d: StrandDiagram) -> tuple:
+    """The forward-order key of an open diagram: points ranked breadth
+    first from the sources in order along out-slots only, then one record
+    per point.  Equal exactly when `diagrams.canonical_key` is equal."""
+    order = _forward_order(d, d.sources)
+    by_rank = sorted(d.point_color, key=order.__getitem__)
+    records = []
+    for p in by_rank:
+        outs = []
+        for s in d.out_slots[p]:
+            q = d.strand_to[s]
+            outs.append((d.strand_color[s], order[q], d.in_slots[q].index(s)))
+        records.append((d.point_color[p], tuple(outs)))
+    return (len(d.sources), tuple(records), tuple(order[p] for p in d.sinks))
+
+
+def _bidirectional_order(c, seeds) -> dict:
+    order = {}
+    queue = deque()
+    for p in seeds:
+        if p not in order:
+            order[p] = len(order)
+            queue.append(p)
+    while queue:
+        p = queue.popleft()
+        for s in c.out_slots[p]:
+            q = c.strand_to[s]
+            if q not in order:
+                order[q] = len(order)
+                queue.append(q)
+        for s in c.in_slots[p]:
+            q = c.strand_from[s]
+            if q not in order:
+                order[q] = len(order)
+                queue.append(q)
+    return order
+
+
+def _serialize(c, order: dict, marked=frozenset()) -> tuple:
+    by_rank = sorted(order, key=order.__getitem__)
+    records = []
+    for p in by_rank:
+        outs = []
+        for s in c.out_slots[p]:
+            q = c.strand_to[s]
+            outs.append((c.strand_color[s], order[q], c.in_slots[q].index(s)))
+        records.append((c.point_color[p], p in marked, tuple(outs)))
+    return tuple(records)
+
+
+def reference_components(c) -> list:
+    """Weakly connected components, each the sorted points of one breadth-first order."""
+    seen = set()
+    comps = []
+    for p in sorted(c.point_color):
+        if p in seen:
+            continue
+        order = _bidirectional_order(c, [p])
+        seen.update(order)
+        comps.append(tuple(sorted(order)))
+    return comps
+
+
+def reference_unordered_key(c: ClosedDiagram) -> tuple:
+    """Serialize every component from every base-point seed and keep the least."""
+    comp_keys = []
+    for comp in components(c):
+        seeds = [p for p in comp if p in c.base_set]
+        comp_keys.append(min(_serialize(c, _bidirectional_order(c, [s]), c.base_set) for s in seeds))
+    return tuple(sorted(comp_keys))
 
 
 def _choose_redex(redexes, rng, order_of):

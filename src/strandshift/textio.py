@@ -256,15 +256,15 @@ def parse_loops(text: str, vertices) -> dict:
             i = ts.expect(ts.expect(i, "*"), "L")
             tok = "L"
         if tok != "L":
-            ts.fail(f"expected L(color,winding), found {tok!r}", i)
+            ts.fail(f"expected L(color,winding), found {tok!r}", i - 1)
         color = ts.name(ts.expect(i, "("), "a color")
         i += 2
         if color not in vertices:
-            ts.fail(f"{color} is not a vertex", i)
+            ts.fail(f"{color} is not a vertex", i - 1)
         winding = ts.name(ts.expect(i, ","), "a winding number")
         i += 2
         if not winding.isdecimal() or int(winding) < 1:
-            ts.fail("winding must be a positive integer", i)
+            ts.fail("winding must be a positive integer", i - 1)
         i = ts.expect(i, ")")
         key = (color, int(winding))
         loops[key] = loops.get(key, 0) + count

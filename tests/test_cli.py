@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandshift import cli, closed, conjugacy
+from strandshift import cli, closed, conjugacy, testkit
 from strandshift.cli import build_parser, main
 from strandshift.diagrams import (
     canonical_key,
@@ -442,12 +442,27 @@ def test_semigroup_eq_rejects_zero_multiplier(files, capsys, lhs, col):
 @pytest.mark.parametrize(
     "lhs, message",
     [
-        ("L(R,\u00b2)", "1:6: winding must be a positive integer"),
-        ("L(R,1)+\u2460*L(B,1)", "1:9: expected L(color,winding), found '\u2460'"),
+        ("L(R,\u00b2)", "1:5: winding must be a positive integer"),
+        ("L(R,1)+\u2460*L(B,1)", "1:8: expected L(color,winding), found '\u2460'"),
     ],
 )
 def test_semigroup_eq_rejects_non_decimal_digits(files, capsys, lhs, message):
     # superscript two and circled one are digits to str.isdigit(), not decimals
+    code, out, err = run(
+        capsys,
+        ["semigroup-eq", "--graph", files["left.graph"], "--lhs", lhs, "--rhs", "L(B,1)"],
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "lhs, message",
+    [
+        ("L(X,1)", "1:3: X is not a vertex"),
+        ("L(R,0)", "1:5: winding must be a positive integer"),
+    ],
+)
+def test_semigroup_eq_reports_a_loop_error_at_its_token(files, capsys, lhs, message):
     code, out, err = run(
         capsys,
         ["semigroup-eq", "--graph", files["left.graph"], "--lhs", lhs, "--rhs", "L(B,1)"],
@@ -716,7 +731,7 @@ def _record_frees(monkeypatch) -> list:
         v, t = closed._freeable(c)
         split = len(c.out_slots[v]) >= 2
         assert plan == [(v, "reduce" if split else "expand")] * t
-        sides[-1].append((split, len(closed._bidirectional_order(closed.skeleton(c), [v])) == 2))
+        sides[-1].append((split, len(testkit._bidirectional_order(closed.skeleton(c), [v])) == 2))
         return push(c, plan)
 
     def recording_semi_reduce(c):

@@ -48,7 +48,9 @@ from strandshift.testkit import (
     random_element,
     random_graph,
     reduce_closed_step,
+    reference_canonical_key,
     reference_semi_reduce,
+    reference_unordered_key,
     search_semi_reduce,
     split_diagram,
 )
@@ -381,15 +383,6 @@ def test_semi_reduce_state_cap_surfaces(fig1, sigma):
     assert exc.value.limit == "similarity-states"
 
 
-def reference_unordered_key(c):
-    """Serialize every component from every base-point seed and keep the least."""
-    comp_keys = []
-    for comp in closed.components(c):
-        seeds = [p for p in comp if p in c.base_set]
-        comp_keys.append(min(closed._serialize(c, closed._bidirectional_order(c, [s])) for s in seeds))
-    return tuple(sorted(comp_keys))
-
-
 def renumbered(c, rng):
     """The same closed diagram with fresh, shuffled point and strand ids."""
     old = [*c.point_color, *c.strand_color]
@@ -532,18 +525,18 @@ def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_
     """Pins the open normal forms, which no reduction order changes, and
     checks the closed traces by replaying them.
 
-    The digest covers the canonical keys of thirty reduced fig1 elements,
-    of their reduced squares and of the reduced product of sixteen copies
-    of x0.  A change to the reduction calculus, to the forest pair builder
-    or to canonical keys changes it; a change of redex order does not.  A
-    semi-reduced form is fixed only up to similarity, so each element's
-    trace is replayed on its closed diagram instead, and must rebuild the
-    returned form table for table.
+    The digest covers the reference forward-order keys of thirty reduced
+    fig1 elements, of their reduced squares and of the reduced product of
+    sixteen copies of x0.  A change to the reduction calculus or to the
+    forest pair builder changes it; a change of redex order or of the
+    canonical key's encoding does not.  A semi-reduced form is fixed only
+    up to similarity, so each element's trace is replayed on its closed
+    diagram instead, and must rebuild the returned form table for table.
     """
     keys = []
     for e in range(30):
         d = from_forest_pair(fig1, random_element(fig1, base_bg, GeneratorConfig(seed=e, growth_steps=2 + e % 5)))
-        keys += [canonical_key(reduce(d)), canonical_key(reduce(compose(d, d)))]
+        keys += [reference_canonical_key(reduce(d)), reference_canonical_key(reduce(compose(d, d)))]
         c = close(d)
         semi, trace = semi_reduce(c)
         assert record(replay(c, trace)) == record(semi), e
@@ -551,7 +544,7 @@ def test_move_traces_and_normal_forms_match_recorded_digest(fig1, base_bg, full_
     power = x0
     for _ in range(15):
         power = compose(power, x0)
-    keys.append(canonical_key(reduce(power)))
+    keys.append(reference_canonical_key(reduce(power)))
     assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == "4934907348f0e501"
 
 

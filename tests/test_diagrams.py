@@ -5,6 +5,7 @@ import random
 import pytest
 
 from strandshift import diagrams
+from strandshift.closed import close, closed_key, components, decompose_parts, semi_reduce, skeleton
 from strandshift.diagrams import (
     StrandDiagram,
     _Builder,
@@ -26,10 +27,14 @@ from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
 from strandshift.testkit import (
     GeneratorConfig,
+    _bidirectional_order,
+    _serialize,
     identity_pair,
     permutation_diagram,
     random_element,
     random_graph,
+    reference_canonical_key,
+    reference_components,
     reference_reduce_with_log,
     split_diagram,
     validate_strand_diagram,
@@ -341,13 +346,15 @@ def test_reduce_checks_structure_once(full_shift2, thompson_x0, monkeypatch):
     assert len(log) > 1 and checked == [red]
 
 
+def with_tuple_slots(d):
+    pc, sc, sf, st, ins, outs = _copy_tables(d)
+    tuples = ({p: tuple(v) for p, v in ins.items()}, {p: tuple(v) for p, v in outs.items()})
+    return StrandDiagram(pc, sc, sf, st, *tuples, d.sources, d.sinks)
+
+
 def test_tuple_and_list_slots_reduce_alike(fig1, base_bg, sigma):
     for d in unreduced(fig1, base_bg, sigma):
-        pc, sc, sf, st, ins, outs = _copy_tables(d)
-        as_tuples = StrandDiagram(
-            pc, sc, sf, st, {p: tuple(v) for p, v in ins.items()}, {p: tuple(v) for p, v in outs.items()},
-            d.sources, d.sinks,
-        )
+        as_tuples = with_tuple_slots(d)
         as_lists = StrandDiagram(*_copy_tables(d), d.sources, d.sinks)
         (rt, log_t), (rl, log_l) = reduce_with_log(as_tuples), reduce_with_log(as_lists)
         assert log_t == log_l and canonical_key(rt) == canonical_key(rl) == canonical_key(reduce(d))
@@ -406,6 +413,68 @@ def test_reduce_matches_the_full_scan_reference(full_shift2, thompson_x0):
             assert record(reference_reduce_with_log(d, random.Random(seed))[0]) == want, (i, seed)
 
 
+def renumbered_open(d, rng):
+    """The same diagram with fresh, shuffled point and strand ids."""
+    old = [*d.point_color, *d.strand_color]
+    m = dict(zip(old, rng.sample(range(1000, 1000 + 10 * len(old)), len(old))))
+    return StrandDiagram(
+        {m[p]: v for p, v in d.point_color.items()},
+        {m[s]: v for s, v in d.strand_color.items()},
+        {m[s]: m[p] for s, p in d.strand_from.items()},
+        {m[s]: m[p] for s, p in d.strand_to.items()},
+        {m[p]: [m[s] for s in v] for p, v in d.in_slots.items()},
+        {m[p]: [m[s] for s in v] for p, v in d.out_slots.items()},
+        [m[p] for p in d.sources],
+        [m[p] for p in d.sinks],
+    )
+
+
+def test_serializer_matches_the_reference_serializations(fig1, base_bg, full_shift2, thompson_x0):
+    """The one serializer against the reference orders and records of
+    `testkit`.  Open keys: on the reduction corpus and on random elements,
+    their inverses, products and reduced forms, with id-renumbered and
+    tuple-slot copies of each, two canonical keys are equal exactly when
+    the reference forward-order keys are.  Closed keys: on fig1 and random
+    closed diagrams and their semi-reduced forms, `closed_key` is the
+    reference serialization from the base line, record for record.
+    Components: the same as the reference breadth-first ones on those
+    forms, their split-merge parts and their skeletons."""
+    rng = random.Random(0)
+    corpus = list(reduction_corpus(full_shift2, thompson_x0))
+    graphs = [(fig1, base_bg)] + [random_graph(GeneratorConfig(seed=gs)) for gs in range(1, 9)]
+    elements = []
+    for g, base in graphs:
+        for e in range(6):
+            cfg = GeneratorConfig(seed=e, growth_steps=2 + e % 5)
+            elements.append(from_forest_pair(g, random_element(g, base, cfg)))
+    for f, h in zip(elements, elements[1:] + elements[:1]):
+        corpus += [f, invert(f), reduce(f), compose(f, invert(f))]
+        if f.range() == h.domain():
+            corpus += [compose(f, h), product(reduce(f), reduce(h))]
+    corpus += [reduce(d) for d in corpus]
+    corpus += [renumbered_open(d, rng) for d in corpus] + [with_tuple_slots(d) for d in corpus]
+    pairs = {(canonical_key(d), reference_canonical_key(d)) for d in corpus}
+    keys, references = {k for k, _ in pairs}, {r for _, r in pairs}
+    assert len(pairs) == len(keys) == len(references)
+    assert len(corpus) > 4 * len(pairs) and len(pairs) > 500
+
+    closed_forms = []
+    for f in elements:
+        c = close(f)
+        closed_forms += [c, semi_reduce(c)[0]]
+    for g, base in graphs[:1]:
+        for seed in range(20):
+            fp = random_element(g, base, GeneratorConfig(seed=seed, growth_steps=8 + seed % 3))
+            c = close(from_forest_pair(g, fp))
+            closed_forms += [c, semi_reduce(c)[0]]
+    for c in closed_forms:
+        order = _bidirectional_order(c, c.base_line)
+        assert closed_key(c) == (_serialize(c, order, c.base_set), tuple(order[b] for b in c.base_line))
+        part = decompose_parts(c)[0]
+        for x in (c, part, skeleton(part)):
+            assert components(x) == reference_components(x)
+
+
 class _CountingDict(dict):
     reads = 0
 
@@ -428,7 +497,7 @@ def test_reduce_does_linear_work_on_x0_powers(full_shift2, thompson_x0, monkeypa
 
     powers = {n: x0_power(full_shift2, thompson_x0, n) for n in (64, 128)}
     real_copy = diagrams._copy_tables
-    monkeypatch.setattr(diagrams, "_forward_order", forbidden)
+    monkeypatch.setattr(diagrams, "_least_serialization", forbidden)
     monkeypatch.setattr(diagrams, "_copy_tables", counting_copy)
     reads = {}
     for n, power in powers.items():
