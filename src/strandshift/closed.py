@@ -14,7 +14,9 @@ with the base points as its `marked` points.
 Each move kind is one in-place edit of a :class:`_ClosedTables` copy that
 returns a :class:`Move` record, with enough data to replay the move and to
 stack its conjugating diagram (:class:`_Stack`).  Its public name runs the
-edit on a fresh copy and returns (new diagram, move).
+edit on a fresh copy and returns (new diagram, move).  The copy and the
+stack are builders of the diagram core (:class:`strandshift.diagrams._Builder`),
+whose one allocator gives every new point, strand and id.
 
 The skeleton of a split-merge part splices its base points out into a
 cocycle that counts the base points on each chain between split, merge and
@@ -74,32 +76,19 @@ class ClosedDiagram(_Tables):
         return f"ClosedDiagram({len(self.point_color)} points, base {colors})"
 
 
-class _ClosedTables(_Tables):
-    """A copy of a closed diagram's tables and base line that the in-place
-    moves edit.
+class _ClosedTables(_Builder):
+    """A builder over a copy of a closed diagram's tables, with its base
+    line, that the in-place moves edit.
 
     `base_line` is a list and `base_set` its set.
     """
 
-    __slots__ = ("base_line", "base_set", "_next")
+    __slots__ = ("base_line", "base_set")
 
     def __init__(self, c: ClosedDiagram):
-        _Tables.__init__(self, *_copy_tables(c))
+        _Builder.__init__(self, *_copy_tables(c))
         self.base_line = list(c.base_line)
         self.base_set = set(c.base_line)
-        self._next = None
-
-    def fresh(self, n: int) -> int:
-        """The first of n new consecutive ids.  The largest id in use is
-        scanned for on the first call only.  Each move takes its ids before
-        it removes any, and no reduction removes the last strand a move
-        adds, which leaves a base point, so this is 1 + the largest live id,
-        as on a fresh copy."""
-        if self._next is None:
-            self._next = 1 + max([*self.point_color, *self.strand_color], default=0)
-        first = self._next
-        self._next += n
-        return first
 
     def freeze(self) -> ClosedDiagram:
         """The diagram of the tables and base line; edit them no further."""
@@ -154,7 +143,7 @@ class _Stack(_Builder):
         v = self.point(color)
         for p in self.sources[pos : pos + d]:
             self.attach_origin(self.out_slots[p][0], v)
-            del self.point_color[p], self.in_slots[p], self.out_slots[p]
+            _drop_point(self.tables(), p)
         self.sources[pos : pos + d] = [self.point(color)]
         self.strand(color, self.sources[pos], v)
 
@@ -276,17 +265,10 @@ def _subdivide(c: _ClosedTables, strand):
     The original strand keeps its origin and now ends at the new point; a new
     strand continues to the original target in the same in-slot.
     """
-    pc, sc, sf, st, ins, outs = c.tables()
-    b = c.fresh(2)
-    n = b + 1
-    color = sc[strand]
-    pc[b] = color
-    sc[n] = color
-    sf[n] = b
-    _retarget(st, ins, n, strand)
-    st[strand] = b
-    ins[b] = [strand]
-    outs[b] = [n]
+    color = c.strand_color[strand]
+    b = c.point(color)
+    _retarget(c.strand_to, c.in_slots, c.strand(color, b), strand)
+    c.attach_target(strand, b)
     return b
 
 
@@ -426,30 +408,16 @@ def _replace_loops(c: _ClosedTables, start, block, colors, k):
     start+j+d, ...  The new ids, taken before the drops, are the points in
     base order, then the strands loop by loop.
     """
-    tabs = pc, sc, sf, st, ins, outs = c.tables()
     d = len(colors)
-    first = c.fresh(2 * k * d)
-    for b in block:
-        _drop_strand(tabs, outs[b][0])
-        _drop_point(tabs, b)
-    new_points = list(range(first, first + k * d))
-    for p in new_points:
-        ins[p] = []
-        outs[p] = []
-    loops = [new_points[j::d] for j in range(d)]
-    for color, loop in zip(colors, loops):
-        for p in loop:
-            pc[p] = color
-    s = first + k * d
-    for color, loop in zip(colors, loops):
+    new_points = [c.point(colors[i % d]) for i in range(k * d)]
+    for j, color in enumerate(colors):
+        loop = new_points[j::d]
         for t in range(k):
-            a, b = loop[t], loop[(t + 1) % k]
-            sc[s] = color
-            sf[s] = a
-            st[s] = b
-            outs[a].append(s)
-            ins[b].append(s)
-            s += 1
+            c.strand(color, loop[t], loop[(t + 1) % k])
+    tabs = c.tables()
+    for b in block:
+        _drop_strand(tabs, c.out_slots[b][0])
+        _drop_point(tabs, b)
     c.base_line[start : start + len(block)] = new_points
     c.base_set.difference_update(block)
     c.base_set.update(new_points)
@@ -775,7 +743,8 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
 
     A freeing round frees the first freeable redex in table order, so it
     reads the working tables at most once, copies nothing, and stops early
-    when it finds one.  New ids come from :meth:`_ClosedTables.fresh`.
+    when it finds one.  New ids come from the working copy's
+    :meth:`strandshift.diagrams._Builder.fresh`.
 
     Another order of moves can stop at another form: its split-merge part
     is similar to this one's, and its loops are equal in the loops

@@ -14,12 +14,13 @@ position and one univalent sink per range position.  The validator in
 are legitimate diagrams), but the normalized form is what makes closing along
 a base line a bijection, so the constructors never emit them.
 
-The six tables and the edits on them (copy, retarget, splice, drop) are the
-core that closed diagrams (closed.py) share; a closed diagram trades the
-source and sink orders for a base line.  So is the one serializer,
+The core that closed diagrams (closed.py) share is the six tables, the
+edits on them (copy, retarget, splice, drop), one builder with the one id
+allocator (:meth:`_Builder.fresh`) and the one serializer,
 :func:`_least_serialization`, a breadth-first walk in both directions from
 runs of seed points whose records flag the points in `marked` (a closed
-diagram's base points): it writes every open, closed and skeleton key.
+diagram's base points): it writes every open, closed and skeleton key.  A
+closed diagram trades the source and sink orders for a base line.
 
 Constructors adopt, and every edit copies once: a diagram keeps the six dicts
 it is given and never changes them, so an inverse shares its input's
@@ -238,19 +239,33 @@ def canonical_key(d: StrandDiagram) -> tuple:
 # ---------------------------------------------------------------------------
 # constructors
 
-class _Builder:
-    def __init__(self):
-        self.point_color = {}
-        self.strand_color = {}
-        self.strand_from = {}
-        self.strand_to = {}
-        self.in_slots = {}
-        self.out_slots = {}
-        self._next = 0
+def _top_id(d) -> int:
+    """The largest id in d's tables, -1 when they are empty."""
+    return max(itertools.chain(d.point_color, d.strand_color, (-1,)))
 
-    def fresh(self):
-        self._next += 1
-        return self._next - 1
+
+class _Builder(_Tables):
+    """Six tables under construction, adopted as given or new and empty.
+    `fresh` is the pipeline's one id allocator: only :func:`from_forest_pair`,
+    the hot parse path, counts its own ids."""
+
+    __slots__ = ("_next",)
+
+    def __init__(self, *tabs):
+        _Tables.__init__(self, *(tabs or ({}, {}, {}, {}, {}, {})))
+        self._next = None
+
+    def fresh(self, n: int = 1) -> int:
+        """The first of n new consecutive ids: 1 + the largest id in use,
+        scanned for on the first call only (0 on empty tables), and on from
+        there.  Each closed move takes its ids before it removes any, and no
+        reduction removes the last strand a move adds, which leaves a base
+        point, so on a closed copy this is 1 + the largest live id."""
+        if self._next is None:
+            self._next = 1 + _top_id(self)
+        first = self._next
+        self._next += n
+        return first
 
     def point(self, color):
         p = self.fresh()
@@ -277,16 +292,7 @@ class _Builder:
         self.in_slots[p].append(s)
 
     def build(self, sources, sinks) -> StrandDiagram:
-        return StrandDiagram(
-            self.point_color,
-            self.strand_color,
-            self.strand_from,
-            self.strand_to,
-            self.in_slots,
-            self.out_slots,
-            sources,
-            sinks,
-        )
+        return StrandDiagram(*self.tables(), sources, sinks)
 
 
 def identity_diagram(colors) -> StrandDiagram:
@@ -363,11 +369,8 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     # Glue leaf i of the domain forest to leaf i of the range forest: the two
     # dangling strands fuse, keeping the domain-side id.
     for s, t in zip(domain_leaves, range_leaves):
-        target = strand_to.pop(t)
-        strand_to[s] = target
-        slots = in_slots[target]
-        slots[slots.index(t)] = s
-        del strand_color[t]
+        _retarget(strand_to, in_slots, s, t)
+        del strand_to[t], strand_color[t]
     return StrandDiagram(point_color, strand_color, strand_from, strand_to, in_slots, out_slots, sources, sinks)
 
 
@@ -383,10 +386,8 @@ def _glue(a: StrandDiagram, b: StrandDiagram):
     """
     if a.range() != b.domain():
         raise SignatureMismatch(f"range {a.range()} != domain {b.domain()}")
-    offset = 1 + max(
-        itertools.chain(a.point_color, a.strand_color, [0]),
-    )
     tabs = pc, sc, sf, st, ins, outs = _copy_tables(a)
+    offset = _Builder(*tabs).fresh(1 + _top_id(b))
     for p, c in b.point_color.items():
         pc[p + offset] = c
         ins[p + offset] = [s + offset for s in b.in_slots[p]]

@@ -169,71 +169,37 @@ def normalize_graph(g: ShiftGraph, base: BaseTuple):
 
     Dead ends are removed to a fixpoint first (removal can enable
     contractions but contraction never creates dead ends), then every
-    out-degree-1 non-loop edge is contracted, identifying its endpoints.
+    out-degree-1 non-loop edge v -> w is contracted, first vertex first:
+    the edges into v now end at w, and w keeps its own out-star in its own
+    order, since v had no other edge.
     Returns `(graph, base, rename)` where `rename` maps each original vertex
-    to its surviving representative, or to None if it was removed outright.
+    to its surviving representative, the end of its chain of contractions,
+    or to None if it was removed outright.
     Raises ValueError when nothing survives (the shift space is empty).
     """
-    vertices = list(g.vertices)
     edges = dict(g.edges)
-    removed = set()
-
-    # Dead-end removal to fixpoint.
-    while True:
-        dead = [
-            v
-            for v in vertices
-            if v not in removed and not any(a == v for (a, _) in edges.values())
-        ]
-        if not dead:
-            break
-        for v in dead:
-            removed.add(v)
-        edges = {e: (a, b) for e, (a, b) in edges.items() if b not in removed}
-    vertices = [v for v in vertices if v not in removed]
-    if not vertices:
+    alive = set(g.vertices)
+    while dead := alive - {a for a, _ in edges.values()}:
+        alive -= dead
+        edges = {e: (a, b) for e, (a, b) in edges.items() if b in alive}
+    if not alive:
         raise ValueError("normalization removed every vertex; the shift space is empty")
 
-    # Contract out-degree-1 non-loop edges to fixpoint (union-find on vertices).
-    parent = {v: v for v in vertices}
+    order = {v: [e for e in g.out_order[v] if e in edges] for v in g.vertices if v in alive}
+    into = {}  # contracted vertex -> the end of its one edge
+    while True:
+        v = next((v for v, es in order.items() if len(es) == 1 and edges[es[0]][1] != v), None)
+        if v is None:
+            break
+        (e,) = order.pop(v)
+        w = into[v] = edges.pop(e)[1]
+        edges = {f: (a, w if b == v else b) for f, (a, b) in edges.items()}
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+    def survivor(v):
+        while v in into:
+            v = into[v]
         return v
 
-    while True:
-        out = {v: [] for v in vertices if find(v) == v}
-        for e, (a, b) in edges.items():
-            out[find(a)].append(e)
-        target = None
-        for v, es in out.items():
-            if len(es) == 1 and find(edges[es[0]][1]) != v:
-                target = (v, es[0])
-                break
-        if target is None:
-            break
-        v, e = target
-        w = find(edges[e][1])
-        parent[v] = w
-        del edges[e]
-        edges = {f: (find(a), find(b)) for f, (a, b) in edges.items()}
-
-    survivors = [v for v in vertices if find(v) == v]
-    new_edges = {e: (find(a), find(b)) for e, (a, b) in edges.items()}
-    # Keep the original relative edge order within each merged out-star:
-    # surviving vertex order, then the source graph's own out_order.
-    new_order = {}
-    for v in survivors:
-        es = []
-        for u in g.vertices:
-            if u not in removed and find(u) == v:
-                es.extend(e for e in g.out_order[u] if e in new_edges)
-        new_order[v] = tuple(es)
-
-    rename = {}
-    for v in g.vertices:
-        rename[v] = None if v in removed else find(v)
+    rename = {v: survivor(v) if v in alive else None for v in g.vertices}
     renamed_base = tuple(rename[y] for y in base if rename[y] is not None)
-    return ShiftGraph(survivors, new_edges, new_order), renamed_base, rename
+    return ShiftGraph(list(order), edges, order), renamed_base, rename

@@ -942,3 +942,42 @@ def test_power_of_a_huge_exponent(tmp_path, capsys):
     p.write_text(out)
     code, out, _ = run(capsys, ["eq", "--graph", graph, "--lhs", str(p), "--rhs", sigma])
     assert (code, out) == (0, "equal\n")
+
+
+EMPTY_ELEMENT = "element\n  domain []\n  range  []\n"
+EMPTY_DOT = 'digraph strand_diagram {\n  rankdir="TB";\n}\n'
+
+
+def test_commands_on_an_empty_base(tmp_path, capsys):
+    """On a `base []` graph every command answers for the empty element:
+    gluing, closing and the witness stack all start from empty tables."""
+    graph = tmp_path / "empty.graph"
+    graph.write_text(FIG1.replace("base [B, G]", "base []"))
+    elem = tmp_path / "empty.elem"
+    elem.write_text(EMPTY_ELEMENT)
+    dot = tmp_path / "out.dot"
+    g, e = ["--graph", str(graph)], str(elem)
+
+    assert run(capsys, ["reduce", *g, "--elem", e]) == (0, EMPTY_ELEMENT, "")
+    assert run(capsys, ["power", *g, "--elem", e, "-n", "3", "--dot", str(dot)]) == (0, EMPTY_ELEMENT, "")
+    assert dot.read_text() == EMPTY_DOT
+    assert run(capsys, ["eq", *g, "--lhs", e, "--rhs", e]) == (0, "equal\n", "")
+    conj = ["conj", "--witness", *g, "--lhs", e, "--rhs", e]
+    text = "verdict: conjugate\nsteps: (none)\nwitness:\n" + EMPTY_ELEMENT
+    assert run(capsys, conj) == (0, text, "")
+    report = {
+        "command": "conj",
+        "loop_multisets": [[], []],
+        "reason": "equivalent closed diagrams",
+        "schema_version": 1,
+        "semi_reduced_sizes": [[0, 0], [0, 0]],
+        "step_failed": None,
+        "steps": [],
+        "verdict": "conjugate",
+        "witness": EMPTY_ELEMENT,
+        "witness_available": True,
+    }
+    assert run(capsys, ["--json", *conj]) == (0, json.dumps(report, indent=2, sort_keys=True) + "\n", "")
+    dot.unlink()
+    assert run(capsys, ["export-dot", *g, "--elem", e, "--dot", str(dot)]) == (0, f"wrote {dot}\n", "")
+    assert dot.read_text() == EMPTY_DOT

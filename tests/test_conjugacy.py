@@ -724,12 +724,15 @@ def test_stack_layer_is_the_conjugator_of_its_move(fig1, base_bg):
 
 
 def test_moves_take_new_ids_above_every_id_in_use(fig1, base_bg):
-    """Each move takes its new ids from the working copy's counter.  Replayed
+    """Every id comes from the one allocator, `_Builder.fresh`.  Replayed
     on one copy, as Step 1 and the witness run them, through the traces and
     the moves onto b of the planted fig1 pairs and the type3-expand/type3
-    pair: no id names both a point and a strand, every id a move adds is
-    larger than every id of the diagram before it, and the move adds the
-    same ids when replayed alone on that diagram."""
+    pair: no id names both a point and a strand, the ids a move adds are
+    the consecutive run from 1 + the largest id of the diagram before it,
+    and the move adds the same ids when replayed alone on that diagram.  A
+    type 3 edit's run is its new points in base order, then its strands
+    loop by loop.  A new builder numbers from 0, and compose moves b's ids
+    up by 1 + the largest id of a."""
     pairs = planted_pairs(fig1, base_bg)[:11]
     runs = [type3_pair(fig1, pairs[10][3].analyses[0].semi)]
     for g, _, _, res in pairs:
@@ -741,14 +744,31 @@ def test_moves_take_new_ids_above_every_id_in_use(fig1, base_bg):
         for i, mv in enumerate(moves, 1):
             after = replay(c, moves[:i], fig1)
             assert not set(after.point_color) & set(after.strand_color), mv
-            old = [*before.point_color, *before.strand_color]
-            new = {*after.point_color, *after.strand_color}.difference(old)
-            assert all(n > max(old) for n in new), mv
+            first = 1 + max([*before.point_color, *before.strand_color])
+            new = {*after.point_color, *after.strand_color}.difference(before.point_color, before.strand_color)
+            assert sorted(new) == list(range(first, first + len(new))), mv
+            if mv.kind in ("type3", "type3-expand"):
+                start, _, kids, k = mv.conj
+                d = 1 if mv.kind == "type3" else len(kids)
+                block = list(after.base_line[start : start + k * d])
+                assert block == list(range(first, first + k * d)), mv
+                strands = [after.out_slots[p][0] for j in range(d) for p in block[j::d]]
+                assert strands == list(range(first + k * d, first + 2 * k * d)), mv
             assert record(replay(before, [mv], fig1)) == record(after), mv
             if new:
                 adding.add(mv.kind)
             before = after
     assert adding == {"shift-expand", "shift-reduce", "type3", "type3-expand"}
+
+    for colors in (("B", "G"), ("R", "B", "G", "G")):
+        for d in (identity_diagram(colors), _Stack(colors).diagram()):
+            assert sorted([*d.point_color, *d.strand_color]) == list(range(3 * len(colors)))
+    for _, f, g, _ in pairs:
+        offset = 1 + max([*f.point_color, *f.strand_color])
+        glued = compose(f, g)
+        assert glued.sinks == tuple(p + offset for p in g.sinks)
+        kept_b = {p + offset for p in g.point_color}.difference(p + offset for p in g.sources)
+        assert set(glued.point_color) == set(f.point_color).difference(f.sinks) | kept_b
 
 
 def test_witness_stack_matches_the_reference_fold(fig1, base_bg):

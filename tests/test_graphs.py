@@ -80,6 +80,27 @@ def test_normalize_collapses_inescapable_cycle():
     assert len(set(rename.values())) == 1
 
 
+def test_normalize_output_is_pinned():
+    """A two-hop contraction (A -> B -> C), a dead-end cascade (S, then D)
+    and an out-star whose order survives (P keeps p1, p2, p3, with p1 now
+    ending at C): the exact graph, base and rename."""
+    edges = {
+        "p1": ("P", "A"), "p2": ("P", "P"), "p3": ("P", "C"), "q1": ("Q", "D"), "q2": ("Q", "Q"),
+        "a1": ("A", "B"), "b1": ("B", "C"), "c1": ("C", "C"), "c2": ("C", "P"), "d1": ("D", "S"),
+    }
+    order = {"P": ("p1", "p2", "p3"), "Q": ("q1", "q2"), "A": ("a1",), "B": ("b1",), "C": ("c1", "c2"), "D": ("d1",)}
+    g = ShiftGraph(["P", "Q", "A", "B", "C", "D", "S"], edges, order)
+    g2, base2, rename = normalize_graph(g, ("A", "D", "Q", "P"))
+    assert g2.vertices == ("P", "Q", "C")
+    assert list(g2.edges.items()) == [
+        ("p1", ("P", "C")), ("p2", ("P", "P")), ("p3", ("P", "C")),
+        ("q2", ("Q", "Q")), ("c1", ("C", "C")), ("c2", ("C", "P")),
+    ]
+    assert g2.out_order == {"P": ("p1", "p2", "p3"), "Q": ("q2",), "C": ("c1", "c2")}
+    assert base2 == ("C", "Q", "P")
+    assert rename == {"P": "P", "Q": "Q", "A": "C", "B": "C", "C": "C", "D": None, "S": None}
+
+
 def test_normalize_errors_on_empty_result():
     g = ShiftGraph(["a", "b"], {"e": ("a", "b")}, {"a": ("e",), "b": ()})
     with pytest.raises(ValueError):
