@@ -27,18 +27,15 @@ def _read(path):
         return fh.read()
 
 
-def _load_graph(args):
-    """The graph and base of `--graph`, refused at its first violation of
-    the shift assumptions (see `check-graph`)."""
+def _load(args, *names):
+    """The graph of `--graph`, refused at its first violation of the shift
+    assumptions (see `check-graph`), then the diagram of the element file
+    in each named argument, read in order."""
     g, base = parse_graph(_read(args.graph))
     violations = validate_graph(g)
     if violations:
         raise ValueError(str(violations[0]))
-    return g, base
-
-
-def _load_element(path, g, base):
-    return parse_element(_read(path), g, base)
+    return (g, *(from_forest_pair(g, parse_element(_read(getattr(args, n)), g, base)) for n in names))
 
 
 def _emit(args, report: dict, human: str):
@@ -62,7 +59,7 @@ def cmd_check_graph(args):
         g2, base2, rename = normalize_graph(g, base)
         fixed = format_graph(g2, base2)
         report["normalized"] = fixed
-        report["rename"] = {k: v for k, v in rename.items()}
+        report["rename"] = rename
         human += "\nnormalized:\n" + fixed
     _emit(args, report, human)
     return 0
@@ -76,7 +73,7 @@ def cmd_normalize(args):
         "schema_version": 1,
         "command": "normalize",
         "graph": text,
-        "rename": {k: v for k, v in rename.items()},
+        "rename": rename,
     }
     _emit(args, report, text + "\nrename: " + json.dumps(rename, sort_keys=True))
     return 0
@@ -95,27 +92,23 @@ def _element_out(args, g, reduced, report):
 
 
 def cmd_reduce(args):
-    g, base = _load_graph(args)
-    d = from_forest_pair(g, _load_element(args.elem, g, base))
+    g, d = _load(args, "elem")
     return _element_out(args, g, reduce(d), {"schema_version": 1, "command": "reduce"})
 
 
 def cmd_compose(args):
-    g, base = _load_graph(args)
-    lhs = from_forest_pair(g, _load_element(args.lhs, g, base))
-    rhs = from_forest_pair(g, _load_element(args.rhs, g, base))
+    g, lhs, rhs = _load(args, "lhs", "rhs")
     return _element_out(args, g, reduce(compose(lhs, rhs)), {"schema_version": 1, "command": "compose"})
 
 
 def cmd_invert(args):
-    g, base = _load_graph(args)
-    d = from_forest_pair(g, _load_element(args.elem, g, base))
+    g, d = _load(args, "elem")
     return _element_out(args, g, reduce(invert(d)), {"schema_version": 1, "command": "invert"})
 
 
 def cmd_power(args):
-    g, base = _load_graph(args)
-    d = reduce(from_forest_pair(g, _load_element(args.elem, g, base)))
+    g, d = _load(args, "elem")
+    d = reduce(d)
     n = args.n
     result = identity_diagram(d.domain())
     square = d if n >= 0 else invert(d)
@@ -135,9 +128,7 @@ def cmd_power(args):
 
 
 def cmd_eq(args):
-    g, base = _load_graph(args)
-    lhs = from_forest_pair(g, _load_element(args.lhs, g, base))
-    rhs = from_forest_pair(g, _load_element(args.rhs, g, base))
+    g, lhs, rhs = _load(args, "lhs", "rhs")
     verdict = equal(lhs, rhs)
     report = {"schema_version": 1, "command": "eq", "equal": verdict}
     _emit(args, report, "equal" if verdict else "not equal")
@@ -145,20 +136,15 @@ def cmd_eq(args):
 
 
 def cmd_conj(args):
-    g, base = _load_graph(args)
-    lhs = from_forest_pair(g, _load_element(args.lhs, g, base))
-    rhs = from_forest_pair(g, _load_element(args.rhs, g, base))
+    g, lhs, rhs = _load(args, "lhs", "rhs")
     result = is_conjugate(lhs, rhs, g)
     witness_text = None
     if result.conjugate and args.witness:
         w = conjugator_witness(lhs, rhs, result, g, semigroup_cap=args.semigroup_cap)
         if w is not None:
-            result.witness_available = True
             witness_text = format_element(to_forest_pair(g, w))
-    report = result.record()
+    report = result.record(witness_text)
     report["command"] = "conj"
-    if witness_text:
-        report["witness"] = witness_text
     steps = [m.kind for a in (result.analyses or ()) for m in a.trace]
     report["steps"] = steps
     lines = [f"verdict: {report['verdict']}"]
@@ -172,7 +158,7 @@ def cmd_conj(args):
 
 
 def cmd_semigroup_eq(args):
-    g, base = _load_graph(args)
+    g = _load(args)[0]
     lhs = parse_loops(args.lhs, g.vertices)
     rhs = parse_loops(args.rhs, g.vertices)
     n = max(max_winding(lhs), max_winding(rhs))
@@ -201,8 +187,7 @@ def cmd_semigroup_eq(args):
 
 
 def cmd_export_dot(args):
-    g, base = _load_graph(args)
-    d = from_forest_pair(g, _load_element(args.elem, g, base))
+    g, d = _load(args, "elem")
     text = closed_dot(close(d)) if args.closed else diagram_dot(d)
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(text)

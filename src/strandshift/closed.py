@@ -58,18 +58,14 @@ class ClosedDiagram(_Tables):
     a move's public name runs its in-place edit on a :class:`_ClosedTables`
     copy and builds a new diagram from it."""
 
-    __slots__ = ("base_line", "base_set", "_ukey")
+    __slots__ = ("base_line", "base_set")
 
     def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, base_line):
         _Tables.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots)
         self.base_line = tuple(base_line)
         self.base_set = frozenset(base_line)
-        self._ukey = None
         for b in self.base_line:
             assert len(self.in_slots[b]) == 1 and len(self.out_slots[b]) == 1, "base points have degree (1,1)"
-
-    def splits_merges_degens(self) -> int:
-        return len(self.point_color) - len(self.base_line)
 
     def __repr__(self):
         colors = tuple(self.point_color[b] for b in self.base_line)
@@ -244,16 +240,12 @@ def unordered_key(c: ClosedDiagram) -> tuple:
     """Canonical key modulo base line permutations: the sorted keys of the
     components, each its least serialization over one run per base point.
     The similarity searches of :mod:`testkit` dedupe their states by it."""
-    if c._ukey is not None:
-        return c._ukey
     comp_keys = []
     for comp in components(c):
         runs = [(p,) for p in comp if p in c.base_set]
         assert runs, "component without a base point"
         comp_keys.append(_least_serialization(c, runs, c.base_set)[0])
-    key = tuple(sorted(comp_keys))
-    c._ukey = key
-    return key
+    return tuple(sorted(comp_keys))
 
 
 # ---------------------------------------------------------------------------

@@ -190,32 +190,33 @@ class ConjugacyResult:
     conjugate: bool
     step_failed: object  # None, 0 (signatures), 2 or 3
     reason: str
-    semi_reduced_sizes: tuple = ()
-    loop_multisets: tuple = ()
-    witness_available: bool = False
     analyses: tuple = field(default=None, repr=False)
     match: object = field(default=None, repr=False)
 
-    def record(self) -> dict:
-        """Machine-readable verdict, schema version 1.
+    def record(self, witness: str = None) -> dict:
+        """Machine-readable verdict, schema version 1, read off the two
+        analyses; with a witness's text, also that text.
 
         The semi-reduced sizes and loop multisets describe the forms this
         run's Step 1 found, not invariants of the conjugacy classes: another
         reduction order can stop at a similar form whose loops pass more or
         fewer base points.  So do the Step 1 moves that `conj` reports as
         `steps`.  The verdict does not depend on any of them."""
-        return {
+        sides = self.analyses or ()
+        record = {
             "schema_version": 1,
             "verdict": "conjugate" if self.conjugate else "not-conjugate",
             "step_failed": self.step_failed,
             "reason": self.reason,
-            "semi_reduced_sizes": list(self.semi_reduced_sizes),
-            "loop_multisets": [
-                sorted([c, n, count] for (c, n), count in side.items())
-                for side in self.loop_multisets
+            "semi_reduced_sizes": [
+                [len(a.semi.point_color) - len(a.semi.base_line), len(a.semi.base_line)] for a in sides
             ],
-            "witness_available": self.witness_available,
+            "loop_multisets": [sorted([c, n, count] for (c, n), count in a.loops.items()) for a in sides],
+            "witness_available": witness is not None,
         }
+        if witness is not None:
+            record["witness"] = witness
+        return record
 
 
 def is_conjugate(f: StrandDiagram, g: StrandDiagram, graph: ShiftGraph) -> ConjugacyResult:
@@ -227,33 +228,20 @@ def is_conjugate(f: StrandDiagram, g: StrandDiagram, graph: ShiftGraph) -> Conju
     if f.domain() != f.range() or g.domain() != g.range():
         raise SignatureMismatch("both inputs must have equal domain and range")
     if f.domain() != g.domain():
-        return ConjugacyResult(
-            False, 0, "domain/range signatures differ; no conjugator can exist"
-        )
+        return ConjugacyResult(False, 0, "domain/range signatures differ; no conjugator can exist")
     a = analyze(f)
     b = analyze(g)
-    sizes = (
-        (a.semi.splits_merges_degens(), len(a.semi.base_line)),
-        (b.semi.splits_merges_degens(), len(b.semi.base_line)),
-    )
-    loopsets = (dict(a.loops), dict(b.loops))
     match = compare_split_merge(skeleton(a.part), skeleton(b.part))
     if match is None:
-        return ConjugacyResult(
-            False, 2, "split-merge parts are not similar", sizes, loopsets, False, (a, b), None
-        )
+        return ConjugacyResult(False, 2, "split-merge parts are not similar", (a, b))
     if bool(a.loops) != bool(b.loops):
-        return ConjugacyResult(
-            False, 3, "one loop part is empty and the other is not", sizes, loopsets, False, (a, b), match
-        )
+        return ConjugacyResult(False, 3, "one loop part is empty and the other is not", (a, b), match)
     if a.loops:
         n = max(max_winding(a.loops), max_winding(b.loops))
         pres = presentation_from_graph(graph, n)
         if not decide_equal(pres.vector(a.loops), pres.vector(b.loops), pres):
-            return ConjugacyResult(
-                False, 3, "loop parts differ in the loops semigroup", sizes, loopsets, False, (a, b), match
-            )
-    return ConjugacyResult(True, None, "equivalent closed diagrams", sizes, loopsets, False, (a, b), match)
+            return ConjugacyResult(False, 3, "loop parts differ in the loops semigroup", (a, b), match)
+    return ConjugacyResult(True, None, "equivalent closed diagrams", (a, b), match)
 
 
 # ---------------------------------------------------------------------------

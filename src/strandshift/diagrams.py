@@ -70,13 +70,12 @@ class StrandDiagram(_Tables):
     """Diagram value: the six adopted tables, never edited after
     construction, plus ordered sources/sinks point id tuples."""
 
-    __slots__ = ("sources", "sinks", "_key")
+    __slots__ = ("sources", "sinks")
 
     def __init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots, sources, sinks):
         _Tables.__init__(self, point_color, strand_color, strand_from, strand_to, in_slots, out_slots)
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
-        self._key = None
         _check_structure(self)
 
     def domain(self) -> tuple:
@@ -226,14 +225,10 @@ def canonical_key(d: StrandDiagram) -> tuple:
     Two diagrams are isomorphic by a color-, slot- and endpoint-order-
     preserving isomorphism iff their keys are equal.
     """
-    if d._key is not None:
-        return d._key
     records, (order,) = _least_serialization(d, [d.sources])
     if len(order) != len(d.point_color):
         raise ValueError("diagram has points not connected to its sources")
-    key = (len(d.sources), records, tuple(order[p] for p in d.sinks))
-    d._key = key
-    return key
+    return len(d.sources), records, tuple(order[p] for p in d.sinks)
 
 
 # ---------------------------------------------------------------------------

@@ -815,6 +815,72 @@ def test_conj_step2_negative(capsys):
     assert out.splitlines()[:2] == ["verdict: not-conjugate", "step failed: 2 (split-merge parts are not similar)"]
 
 
+def _conj_report(step_failed, reason, sizes, loops, steps, witness=None):
+    """The `conj --json` report of a run, as `json.dumps` prints it."""
+    report = {
+        "command": "conj",
+        "loop_multisets": loops,
+        "reason": reason,
+        "schema_version": 1,
+        "semi_reduced_sizes": sizes,
+        "step_failed": step_failed,
+        "steps": steps,
+        "verdict": "conjugate" if step_failed is None else "not-conjugate",
+        "witness_available": witness is not None,
+    }
+    if witness is not None:
+        report["witness"] = witness
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+FIG1_E0_WITNESS = "element\n  domain [B, G.3.3, G.3.4.1, G.3.4.2, G.4]\n  range  [B, G.3, G.4.1.3, G.4.2, G.4.1.4]\n"
+STEP2_STEPS = ["shift-expand", "reduce"] * 4
+SIGMA_STEPS = ["shift-expand", "reduce", "shift-expand", "shift-expand", "reduce"]
+E0_STEPS = ["shift-expand", "reduce"] * 7
+
+# the exact stdout of `conj`, plain and --json, for a step-3 refusal, a
+# step-2 refusal and a pair whose witness stacks type 3 layers
+CONJ_OUTPUT = [
+    pytest.param(
+        ["three_color", "sigma", "identity"],
+        "verdict: not-conjugate\nstep failed: 3 (loop parts differ in the loops semigroup)\n"
+        f"steps: {' '.join(SIGMA_STEPS)}\n",
+        _conj_report(
+            3, "loop parts differ in the loops semigroup", [[0, 5], [0, 2]],
+            [[["G", 3, 1], ["R", 2, 1]], [["B", 1, 1], ["G", 1, 1]]], SIGMA_STEPS,
+        ),
+        id="sigma-identity-step3",
+    ),
+    pytest.param(
+        ["graph3", "graph3_step2_lhs", "graph3_step2_rhs"],
+        f"verdict: not-conjugate\nstep failed: 2 (split-merge parts are not similar)\nsteps: {' '.join(STEP2_STEPS)}\n",
+        _conj_report(
+            2, "split-merge parts are not similar", [[2, 6], [2, 6]], [[["V0", 1, 2]], [["V1", 1, 1]]], STEP2_STEPS
+        ),
+        id="graph3-step2",
+    ),
+    pytest.param(
+        ["three_color", "fig1_e0", "fig1_e0_conj1000", "--witness"],
+        f"verdict: conjugate\nsteps: {' '.join(E0_STEPS)}\nwitness:\n{FIG1_E0_WITNESS}",
+        _conj_report(
+            None, "equivalent closed diagrams", [[0, 5], [0, 6]],
+            [[["B", 1, 1], ["B", 3, 1], ["G", 1, 1]], [["B", 3, 1], ["G", 1, 2], ["R", 1, 1]]],
+            E0_STEPS, FIG1_E0_WITNESS,
+        ),
+        id="fig1-e0-witness",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, plain, report", CONJ_OUTPUT)
+def test_conj_output_is_pinned(args, plain, report, capsys):
+    graph, lhs, rhs, *flags = args
+    argv = ["conj", "--graph", str(FIXTURES / f"{graph}.graph"), "--lhs", str(FIXTURES / f"{lhs}.elem")]
+    argv += ["--rhs", str(FIXTURES / f"{rhs}.elem"), *flags]
+    assert run(capsys, argv) == (0, plain, "")
+    assert run(capsys, ["--json", *argv]) == (0, report, "")
+
+
 def _run_python(code, *argv, timeout=30):
     """A child interpreter running `code` with argv, on this checkout's src/."""
     path = os.pathsep.join([str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH", "")])
