@@ -15,8 +15,8 @@ are legitimate diagrams), but the normalized form is what makes closing along
 a base line a bijection, so the constructors never emit them.
 
 The core that closed diagrams (closed.py) share is the six tables, the
-edits on them (copy, retarget, splice, drop), one builder with the one id
-allocator (:meth:`_Builder.fresh`) and the one serializer,
+edits on them (copy, retarget, splice, drop), one builder whose
+:meth:`_Builder.fresh` hands out every new id, and the one serializer,
 :func:`_least_serialization`, a breadth-first walk in both directions from
 runs of seed points whose records flag the points in `marked` (a closed
 diagram's base points): it writes every open, closed and skeleton key.  A
@@ -147,26 +147,6 @@ def _splice_out(tabs, p):
     del sc[s_out], sf[s_out], st[s_out]
 
 
-def kind_of(d, p) -> str:
-    ind = len(d.in_slots[p])
-    outd = len(d.out_slots[p])
-    if ind == 0 and outd == 1:
-        return "source"
-    if ind == 1 and outd == 0:
-        return "sink"
-    if ind == 0 and outd >= 2:
-        return "split-source"
-    if ind >= 2 and outd == 0:
-        return "merge-sink"
-    if ind == 1 and outd >= 2:
-        return "split"
-    if ind >= 2 and outd == 1:
-        return "merge"
-    if ind == 1 and outd == 1:
-        return "degenerate"
-    return "invalid"
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
 
@@ -234,15 +214,9 @@ def canonical_key(d: StrandDiagram) -> tuple:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _top_id(d) -> int:
-    """The largest id in d's tables, -1 when they are empty."""
-    return max(itertools.chain(d.point_color, d.strand_color, (-1,)))
-
-
 class _Builder(_Tables):
     """Six tables under construction, adopted as given or new and empty.
-    `fresh` is the pipeline's one id allocator: only :func:`from_forest_pair`,
-    the hot parse path, counts its own ids."""
+    `fresh` is the pipeline's one id allocator."""
 
     __slots__ = ("_next",)
 
@@ -257,7 +231,7 @@ class _Builder(_Tables):
         reduction removes the last strand a move adds, which leaves a base
         point, so on a closed copy this is 1 + the largest live id."""
         if self._next is None:
-            self._next = 1 + _top_id(self)
+            self._next = 1 + max(itertools.chain(self.point_color, self.strand_color, (-1,)))
         first = self._next
         self._next += n
         return first
@@ -310,32 +284,31 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     of the domain forest is glued to leaf i of the range forest.
 
     The pair is checked against `g` unless `fp.checked` holds that check's
-    internal nodes for `g` itself.  Ids are handed out depth first, domain
-    forest first: per root its end point, then per node its strand and, for
-    an internal node, its point.
+    internal nodes for `g` itself.  Ids come from one builder's `fresh`,
+    depth first, domain forest first: per root its end point, then per node
+    its strand and, for an internal node, its point.
     """
     if fp.checked is None or fp.checked[0] is not g:
         validate_forest_pair(g, fp)
     _, domain_internal, range_internal = fp.checked
-    point_color, strand_color, strand_from, strand_to, in_slots, out_slots = {}, {}, {}, {}, {}, {}
+    b = _Builder()
+    fresh = b.fresh
+    point_color, strand_color, strand_from, strand_to, in_slots, out_slots = b.tables()
     kids = {v: [(e, g.edges[e][1]) for e in es] for v, es in g.out_order.items()}
-    fresh = 0
 
     def grow(leaves, internal, head, heads, tail, tails):
         """One forest.  A node's strand meets the node's own point, for an
         internal node, through `head`/`heads` and its parent's point, or a
         root's new end point, through `tail`/`tails`.  Returns the end points
         and the leaves' strands, both in order."""
-        nonlocal fresh
         leaf_strand = {}
 
         def node(root, edges, color, parent):
-            nonlocal fresh
-            s = fresh
+            split = (root, edges) in internal
+            s = fresh(2) if split else fresh()
             strand_color[s] = color
-            if (root, edges) in internal:
+            if split:
                 p = s + 1
-                fresh = s + 2
                 point_color[p] = color
                 head[s] = p
                 heads[p] = [s]
@@ -343,15 +316,13 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
                 for e, c in kids[color]:
                     node(root, edges + (e,), c, p)
             else:
-                fresh = s + 1
                 leaf_strand[root, edges] = s
             tail[s] = parent
             tails[parent].append(s)
 
         ends = []
         for root, color in enumerate(fp.base):
-            p = fresh
-            fresh += 1
+            p = fresh()
             point_color[p] = color
             heads[p] = []
             tails[p] = []
@@ -366,7 +337,7 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     for s, t in zip(domain_leaves, range_leaves):
         _retarget(strand_to, in_slots, s, t)
         del strand_to[t], strand_color[t]
-    return StrandDiagram(point_color, strand_color, strand_from, strand_to, in_slots, out_slots, sources, sinks)
+    return b.build(sources, sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +353,7 @@ def _glue(a: StrandDiagram, b: StrandDiagram):
     if a.range() != b.domain():
         raise SignatureMismatch(f"range {a.range()} != domain {b.domain()}")
     tabs = pc, sc, sf, st, ins, outs = _copy_tables(a)
-    offset = _Builder(*tabs).fresh(1 + _top_id(b))
+    offset = _Builder(*tabs).fresh()
     for p, c in b.point_color.items():
         pc[p + offset] = c
         ins[p + offset] = [s + offset for s in b.in_slots[p]]

@@ -1,9 +1,14 @@
-"""DOT export for open and closed strand diagrams. Presentation only."""
+"""DOT export for open and closed strand diagrams. Presentation only.
+
+One rule shapes every point by its degrees: a base point is a filled square,
+no in-strand an inverted triangle, no out-strand a triangle, two or more
+strands on either side a circle, and anything else a diamond.
+"""
 
 from __future__ import annotations
 
 from .closed import ClosedDiagram
-from .diagrams import StrandDiagram, kind_of
+from .diagrams import StrandDiagram
 
 _PALETTE = (
     "red",
@@ -29,24 +34,22 @@ def _colors(vertex_ids):
     return table
 
 
-_SHAPES = {
-    "source": "invtriangle",
-    "sink": "triangle",
-    "split-source": "invtriangle",
-    "merge-sink": "triangle",
-    "split": "circle",
-    "merge": "circle",
-    "degenerate": "diamond",
-}
-
-
-def _dot(d, name, point_attrs, footer=()) -> str:
-    """DOT text of a table object: points sorted by id, styled by
-    point_attrs(p) -> (shape, extra attributes), then strands sorted by id."""
+def _dot(d, name, base=frozenset(), footer=()) -> str:
+    """DOT text of a table object: points sorted by id, shaped by the one
+    rule with `base` as the base points, then strands sorted by id."""
     table = _colors(set(d.point_color.values()) | set(d.strand_color.values()))
     lines = [f"digraph {name} {{", '  rankdir="TB";']
     for p in sorted(d.point_color):
-        shape, style = point_attrs(p)
+        ind, outd = len(d.in_slots[p]), len(d.out_slots[p])
+        style = ""
+        if p in base:
+            shape, style = "square", ', style="filled", fillcolor="lightgray"'
+        elif ind == 0:
+            shape = "invtriangle"
+        elif outd == 0:
+            shape = "triangle"
+        else:
+            shape = "circle" if ind >= 2 or outd >= 2 else "diamond"
         lines.append(
             f'  p{p} [shape={shape}, ordering="out", label="{d.point_color[p]}",'
             f" color={table[d.point_color[p]]}{style}];"
@@ -66,19 +69,13 @@ def _dot(d, name, point_attrs, footer=()) -> str:
 
 def diagram_dot(d: StrandDiagram, name: str = "strand_diagram") -> str:
     """DOT text; rotation order is carried by out-slot labels and ordering."""
-    return _dot(d, name, lambda p: (_SHAPES.get(kind_of(d, p), "circle"), ""))
+    return _dot(d, name)
 
 
 def closed_dot(c: ClosedDiagram, name: str = "closed_diagram") -> str:
     """DOT text; the base line is drawn as a dashed chain through the base points."""
-
-    def point_attrs(p):
-        if p in c.base_set:
-            return "square", ', style="filled", fillcolor="lightgray"'
-        return ("circle", "") if len(c.out_slots[p]) >= 2 or len(c.in_slots[p]) >= 2 else ("diamond", "")
-
     footer = [
         f'  p{a} -> p{b} [style="dashed", color="gray", constraint=false, arrowhead=none];'
         for a, b in zip(c.base_line, c.base_line[1:])
     ]
-    return _dot(c, name, point_attrs, footer)
+    return _dot(c, name, c.base_set, footer)

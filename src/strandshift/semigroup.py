@@ -115,12 +115,16 @@ def _divides(u: tuple, m: tuple) -> bool:
 
 
 def _normal_form(m: tuple, rules) -> tuple:
+    """m rewritten until no rule applies.  Each rule u -> v that applies is
+    applied k times at once, k the largest with k*u dividing m, so the work
+    does not grow with the counts in m."""
     changed = True
     while changed:
         changed = False
         for u, v in rules:
-            if _divides(u, m):
-                m = tuple(x - a + b for x, a, b in zip(m, u, v))
+            k = min(x // a for x, a in zip(m, u) if a)
+            if k:
+                m = tuple(x + k * (b - a) for x, a, b in zip(m, u, v))
                 changed = True
     return m
 

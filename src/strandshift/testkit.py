@@ -35,8 +35,9 @@ records as it walks, in both directions, and runs its seeds in lockstep.
 
 The references that the command line never needs live here too: the word
 enumerator and the forest-pair group operations, which compose and invert
-elements without diagrams; the diagram validator; the one-layer split and
-permutation diagrams; cutting a closed diagram at its base line; and
+elements without diagrams; the diagram validator with its point kinds
+(:func:`kind_of`); the one-layer split and permutation diagrams; cutting a
+closed diagram at its base line; and
 :func:`conjugator_of`, the meaning of a move as a diagram, which the
 witness stack in :mod:`strandshift.closed` is tested against, built from
 the base colors (:func:`base_colors`) on either side of the move.
@@ -79,7 +80,6 @@ from .diagrams import (
     from_forest_pair,
     identity_diagram,
     invert,
-    kind_of,
     reduce,
 )
 from .errors import LimitExceeded, ParseError
@@ -250,6 +250,26 @@ def compose_pairs(g: ShiftGraph, f: ForestPair, h: ForestPair) -> ForestPair:
 # ---------------------------------------------------------------------------
 # diagrams: the validator, one-layer generators, cutting, and the meaning
 # of a move
+
+def kind_of(d, p) -> str:
+    ind = len(d.in_slots[p])
+    outd = len(d.out_slots[p])
+    if ind == 0 and outd == 1:
+        return "source"
+    if ind == 1 and outd == 0:
+        return "sink"
+    if ind == 0 and outd >= 2:
+        return "split-source"
+    if ind >= 2 and outd == 0:
+        return "merge-sink"
+    if ind == 1 and outd >= 2:
+        return "split"
+    if ind >= 2 and outd == 1:
+        return "merge"
+    if ind == 1 and outd == 1:
+        return "degenerate"
+    return "invalid"
+
 
 def validate_strand_diagram(d: StrandDiagram, g: ShiftGraph) -> list:
     """Report every violated diagram condition; empty report iff valid.

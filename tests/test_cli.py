@@ -837,9 +837,12 @@ FIG1_E0_WITNESS = "element\n  domain [B, G.3.3, G.3.4.1, G.3.4.2, G.4]\n  range 
 STEP2_STEPS = ["shift-expand", "reduce"] * 4
 SIGMA_STEPS = ["shift-expand", "reduce", "shift-expand", "shift-expand", "reduce"]
 E0_STEPS = ["shift-expand", "reduce"] * 7
+EMPTY_LOOPS_STEPS = ["reduce"] + ["shift-expand", "reduce"] * 3
+CAPPED_STEPS = ["shift-expand", "reduce"] * 4
 
-# the exact stdout of `conj`, plain and --json, for a step-3 refusal, a
-# step-2 refusal and a pair whose witness stacks type 3 layers
+# the exact stdout of `conj`, plain and --json, for two step-3 refusals, a
+# step-2 refusal, a pair whose witness stacks type 3 layers and a pair whose
+# witness the relation-search cap gives up on
 CONJ_OUTPUT = [
     pytest.param(
         ["three_color", "sigma", "identity"],
@@ -869,11 +872,37 @@ CONJ_OUTPUT = [
         ),
         id="fig1-e0-witness",
     ),
+    pytest.param(
+        ["full_shift2", "full_shift2_step3_lhs", "full_shift2_step3_rhs"],
+        "verdict: not-conjugate\nstep failed: 3 (one loop part is empty and the other is not)\n"
+        f"steps: {' '.join(EMPTY_LOOPS_STEPS)}\n",
+        _conj_report(
+            3, "one loop part is empty and the other is not", [[2, 2], [2, 3]], [[], [["V0", 1, 1]]],
+            EMPTY_LOOPS_STEPS,
+        ),
+        id="full-shift-empty-loops-step3",
+    ),
+    pytest.param(
+        ["two_vertex", "two_vertex_e36", "two_vertex_e36_conj5591", "--witness", "--semigroup-cap", "3"],
+        f"verdict: conjugate\nsteps: {' '.join(CAPPED_STEPS)}\n",
+        _conj_report(
+            None, "equivalent closed diagrams", [[0, 4], [0, 4]],
+            [[["B", 1, 1], ["B", 2, 1], ["R", 1, 1]], [["B", 2, 1], ["R", 1, 2]]], CAPPED_STEPS,
+        ),
+        id="two-vertex-capped-witness",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, plain, report", CONJ_OUTPUT)
 def test_conj_output_is_pinned(args, plain, report, capsys):
+    """The full-shift pair is not conjugate for a reason apart from the
+    calculus: the rhs fixes the cylinder V0.e0.e0 pointwise, the lhs fixes
+    only 0^inf and 1^inf, and conjugate homeomorphisms have homeomorphic
+    fixed-point sets.  The two-vertex pair is the planted pair of
+    test_witness_cap_is_best_effort, element seeds 36 and 36 + 5555: at cap
+    3 every relation path between its loop parts is out of reach, so the
+    verdict stands with no witness."""
     graph, lhs, rhs, *flags = args
     argv = ["conj", "--graph", str(FIXTURES / f"{graph}.graph"), "--lhs", str(FIXTURES / f"{lhs}.elem")]
     argv += ["--rhs", str(FIXTURES / f"{rhs}.elem"), *flags]
@@ -921,6 +950,17 @@ def test_semigroup_eq_at_a_huge_winding_answers_at_once():
     workflow runs the same command."""
     proc = _run_cli(*_three_color_query(100000))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "equal in stage 100000\n", "")
+
+
+def test_semigroup_eq_with_huge_loop_counts_answers_at_once():
+    """Each rewriting rule applies by its largest multiple at once, so a
+    count of 10**7 costs what a count of 1 does; applied once per pass, the
+    equal query took over a minute.  The CI workflow runs it at 10**12."""
+    graph = str(FIXTURES / "three_color.graph")
+    n = 10**7
+    for rhs, verdict in ((f"{n}*L(G,1)+{n}*L(R,1)", "equal"), (f"{n}*L(G,1)+{n}*L(B,1)", "not equal")):
+        proc = _run_cli("semigroup-eq", "--graph", graph, "--lhs", f"{n}*L(B,1)", "--rhs", rhs)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{verdict} in stage 1\n", "")
 
 
 def test_semigroup_eq_memory_does_not_grow_with_the_winding():

@@ -1,8 +1,11 @@
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandshift.closed import (
     ClosedDiagram,
@@ -43,7 +46,7 @@ from strandshift.diagrams import (
     invert,
     reduce,
 )
-from strandshift.errors import SignatureMismatch
+from strandshift.errors import LimitExceeded, SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
 from strandshift.testkit import (
@@ -63,8 +66,11 @@ from strandshift.testkit import (
     similar_by_search,
     split_diagram,
 )
+from strandshift.textio import parse_graph
 
 from test_closed import apply_moves, record, renumbered
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def caret_loop(fig1, color="B", edges=("1", "2")):
@@ -854,6 +860,34 @@ def test_witness_fuzz_over_random_graphs():
             assert equal(compose(compose(w, target), invert(w)), f)
             verified += 1
     assert verified == 30
+
+
+# fig1 and the binary full shift, then random graphs by generator seed
+_PLANTED_GRAPHS = st.one_of(
+    st.sampled_from([parse_graph((FIXTURES / f"{name}.graph").read_text()) for name in ("three_color", "full_shift2")]),
+    st.integers(0, 40).map(lambda seed: random_graph(GeneratorConfig(seed=seed))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_PLANTED_GRAPHS, st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
+def test_planted_pairs_are_conjugate_or_refused_by_name(graph, rng, f_steps, h_steps):
+    """A slice of the planted-conjugacy gate that shrinks: f and h come from
+    hypothesis's own random stream, so a failing pair shrinks through its
+    choices.  A planted pair is "conjugate" or refused at the named
+    completion bound, never "not conjugate", and any witness verifies."""
+    g, base = graph
+    f, h = (from_forest_pair(g, random_element(g, base, GeneratorConfig(growth_steps=n), rng)) for n in (f_steps, h_steps))
+    target = conjugate_by(h, f)
+    try:
+        res = is_conjugate(f, target, g)
+    except LimitExceeded as exc:
+        assert exc.limit == "semigroup-completion"
+        return
+    assert res.conjugate, (res.step_failed, res.reason)
+    w = conjugator_witness(f, target, res, g)
+    if w is not None:
+        assert equal(compose(compose(w, target), invert(w)), f)
 
 
 def test_pipeline_negatives_survive_exhaustive_search(fig1, base_bg):
