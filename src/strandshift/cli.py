@@ -110,20 +110,26 @@ def cmd_power(args):
     g, d = _load(args, "elem")
     d = reduce(d)
     n = args.n
-    result = identity_diagram(d.domain())
+    result = None
     square = d if n >= 0 else invert(d)
-    # Binary exponentiation: at most 2*floor(log2 |n|) + 1 products, each of
-    # reduced factors, so each is reduced at its seam only.  The product is
-    # associative and the reduced form is unique, so the printed element is
-    # the one the factor-at-a-time product gives; only point ids in the DOT
-    # drawing follow the order of the products.
+    # Binary exponentiation over the bits of |n|, lowest first: the first set
+    # bit adopts the current square and each later one takes a product, so at
+    # most 2*floor(log2 |n|) products, each of reduced factors and so reduced
+    # at its seam only.  The product is associative and the reduced form is
+    # unique, so the printed element is the one the factor-at-a-time product
+    # gives; only point ids in the DOT drawing follow the order of the
+    # products.  n = 0 leaves no result: the identity.  `to_forest_pair` cuts
+    # the result without recursion, so the depth of its forests is not
+    # limited.
     k = abs(n)
     while k:
         if k & 1:
-            result = product(result, square)
+            result = square if result is None else product(result, square)
         k >>= 1
         if k:
             square = product(square, square)
+    if result is None:
+        result = identity_diagram(d.domain())
     return _element_out(args, g, result, {"schema_version": 1, "command": "power", "n": n})
 
 

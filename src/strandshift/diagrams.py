@@ -286,7 +286,9 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     The pair is checked against `g` unless `fp.checked` holds that check's
     internal nodes for `g` itself.  Ids come from one builder's `fresh`,
     depth first, domain forest first: per root its end point, then per node
-    its strand and, for an internal node, its point.
+    its strand and, for an internal node, its point.  Each forest grows from
+    an explicit stack, not by recursion, so the depth of a forest is not
+    limited.
     """
     if fp.checked is None or fp.checked[0] is not g:
         validate_forest_pair(g, fp)
@@ -294,7 +296,7 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     b = _Builder()
     fresh = b.fresh
     point_color, strand_color, strand_from, strand_to, in_slots, out_slots = b.tables()
-    kids = {v: [(e, g.edges[e][1]) for e in es] for v, es in g.out_order.items()}
+    kids = {v: [((e,), g.edges[e][1]) for e in reversed(es)] for v, es in g.out_order.items()}
 
     def grow(leaves, internal, head, heads, tail, tails):
         """One forest.  A node's strand meets the node's own point, for an
@@ -302,24 +304,6 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
         root's new end point, through `tail`/`tails`.  Returns the end points
         and the leaves' strands, both in order."""
         leaf_strand = {}
-
-        def node(root, edges, color, parent):
-            split = (root, edges) in internal
-            s = fresh(2) if split else fresh()
-            strand_color[s] = color
-            if split:
-                p = s + 1
-                point_color[p] = color
-                head[s] = p
-                heads[p] = [s]
-                tails[p] = []
-                for e, c in kids[color]:
-                    node(root, edges + (e,), c, p)
-            else:
-                leaf_strand[root, edges] = s
-            tail[s] = parent
-            tails[parent].append(s)
-
         ends = []
         for root, color in enumerate(fp.base):
             p = fresh()
@@ -327,7 +311,32 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
             heads[p] = []
             tails[p] = []
             ends.append(p)
-            node(root, (), color, p)
+            # (edges, color, parent point) for a node to grow, and (None,
+            # strand, parent point) for an internal node's strand, which
+            # meets its parent once every node below it has grown
+            stack = [((), color, p)]
+            push = stack.append
+            while stack:
+                edges, x, parent = stack.pop()
+                if edges is None:
+                    s = x
+                else:
+                    split = (root, edges) in internal
+                    s = fresh(2) if split else fresh()
+                    strand_color[s] = x
+                    if split:
+                        q = s + 1
+                        point_color[q] = x
+                        head[s] = q
+                        heads[q] = [s]
+                        tails[q] = []
+                        push((None, s, parent))
+                        for e, c in kids[x]:
+                            push((edges + e, c, q))
+                        continue
+                    leaf_strand[root, edges] = s
+                tail[s] = parent
+                tails[parent].append(s)
         return ends, [leaf_strand[w] for w in leaves]
 
     sources, domain_leaves = grow(fp.domain_leaves, domain_internal, strand_to, in_slots, strand_from, out_slots)
@@ -573,33 +582,45 @@ def to_forest_pair(g: ShiftGraph, d: StrandDiagram) -> ForestPair:
     In a reduced diagram no strand runs from a merge to a split, so the
     splits form the domain forest, the merges form the range forest, and the
     strands between the two layers are the glued leaves.  Leaves are listed
-    in the planar (slot-lexicographic) order of the domain forest: the walk
-    takes the sources in order and each split's out-slots in edge order, and
-    the leaves of a complete forest are prefix-free, so the order in which
-    the walk reaches them is already that order.
+    in the planar (slot-lexicographic) order of the domain forest: each
+    forest is walked depth first, the end points in order and each split's
+    out-slots in edge order, and the leaves of a complete forest are
+    prefix-free, so the order in which the walk reaches them is already that
+    order.  The walk keeps an explicit stack and one edge path, which it
+    copies into a word at a leaf only; it does not recurse, so the depth of
+    a forest is not limited.
     """
     if d.domain() != d.range():
         raise SignatureMismatch("domain and range differ; not a group element")
     if not is_reduced(d):
         raise ValueError("diagram is not reduced; reduce() it first")
     base = d.domain()
+    point_color = d.point_color
+    # per color, its out-edges last to first, each as a 1-tuple
+    edges_back = {v: [(e,) for e in reversed(es)] for v, es in g.out_order.items()}
 
     def glue_words(ends, head, ahead, behind):
         """Glue strand -> word, walking one forest away from its end points:
         `head` maps a strand to the point it leads to, `ahead` and `behind`
         a point to its strands away from and towards the end points."""
         glue = {}
-
-        def walk(strand, word):
-            q = head[strand]
-            if len(ahead[q]) >= 2 and len(behind[q]) == 1:
-                for s, e in zip(ahead[q], g.out_order[d.point_color[q]]):
-                    walk(s, word.child(e))
-            else:
-                glue[strand] = word
-
+        path = []
         for i, end in enumerate(ends):
-            walk(ahead[end][0], PathWord(i))
+            # (strand, length of its parent's word, its edge as a 1-tuple,
+            # or () for an end point's strand)
+            stack = [(ahead[end][0], 0, ())]
+            push = stack.append
+            while stack:
+                strand, depth, edge = stack.pop()
+                path[depth:] = edge
+                q = head[strand]
+                strands = ahead[q]
+                if len(strands) >= 2 and len(behind[q]) == 1:
+                    depth = len(path)
+                    for s, e in zip(reversed(strands), edges_back[point_color[q]]):
+                        push((s, depth, e))
+                else:
+                    glue[strand] = PathWord(i, tuple(path))
         return glue
 
     # the splits below the sources form the domain forest, the merges above

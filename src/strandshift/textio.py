@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 from .errors import ParseError
 from .forest import ForestPair, LeafFault, validate_forest_pair
@@ -84,6 +85,16 @@ class _Tokens:
         if tok in _NOT_NAME:
             self.fail(f"expected {what}", i)
         return tok
+
+    def integer(self, i, what):
+        """Decimal token i as an int; `what` names it in the fault raised
+        when it has more digits than Python converts."""
+        tok = self.toks[i]
+        try:
+            return int(tok)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            self.fail(f"{what} has {len(tok)} digits; integers of at most {limit} digits are read", i)
 
     def skip_separators(self, i):
         while self.toks[i] == ";":
@@ -205,7 +216,7 @@ def parse_element(text: str, g: ShiftGraph, base) -> ForestPair:
                     ts.fail(f"base repeats {name}; disambiguate with {name}#k", first[-1])
                 root = positions[0]
             else:
-                occurrence = int(k)
+                occurrence = ts.integer(i - 1, "occurrence")
                 if not 1 <= occurrence <= len(positions):
                     ts.fail(f"{name}#{occurrence}: only {len(positions)} occurrence(s)", i - 1)
                 root = positions[occurrence - 1]
@@ -250,7 +261,7 @@ def parse_loops(text: str, vertices) -> dict:
         tok = ts.name(i, "L or a multiplier")
         i += 1
         if tok.isdecimal():
-            count = int(tok)
+            count = ts.integer(i - 1, "multiplier")
             if count < 1:
                 ts.fail("multiplier must be a positive integer", i - 1)
             i = ts.expect(ts.expect(i, "*"), "L")
@@ -261,12 +272,13 @@ def parse_loops(text: str, vertices) -> dict:
         i += 2
         if color not in vertices:
             ts.fail(f"{color} is not a vertex", i - 1)
-        winding = ts.name(ts.expect(i, ","), "a winding number")
+        tok = ts.name(ts.expect(i, ","), "a winding number")
         i += 2
-        if not winding.isdecimal() or int(winding) < 1:
+        winding = ts.integer(i - 1, "winding") if tok.isdecimal() else 0
+        if winding < 1:
             ts.fail("winding must be a positive integer", i - 1)
         i = ts.expect(i, ")")
-        key = (color, int(winding))
+        key = (color, winding)
         loops[key] = loops.get(key, 0) + count
         if toks[i] is None:
             return loops

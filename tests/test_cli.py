@@ -456,6 +456,30 @@ def test_semigroup_eq_rejects_non_decimal_digits(files, capsys, lhs, message):
 
 
 @pytest.mark.parametrize(
+    "command, text, where, what",
+    [
+        ("semigroup-eq", "{big}*L(R,1)", "1:1", "multiplier"),
+        ("semigroup-eq", "L(R,{big})", "1:5", "winding"),
+        ("reduce", "element domain [B#{big}, G] range [B, G]", "1:19", "occurrence"),
+    ],
+    ids=["multiplier", "winding", "occurrence"],
+)
+def test_an_integer_past_the_string_conversion_limit_fails_at_its_token(files, tmp_path, capsys, command, text, where, what):
+    # Python converts strings of at most 4,300 digits to int by default
+    text = text.format(big="1" * 5000)
+    argv = [command, "--graph", files["fig1.graph"]]
+    if command == "reduce":
+        elem = tmp_path / "big.elem"
+        elem.write_text(text)
+        argv += ["--elem", str(elem)]
+    else:
+        argv += ["--lhs", text, "--rhs", "L(B,1)"]
+    limit = sys.get_int_max_str_digits()
+    message = f"error: {where}: {what} has 5000 digits; integers of at most {limit} digits are read\n"
+    assert run(capsys, argv) == (1, "", message)
+
+
+@pytest.mark.parametrize(
     "lhs, message",
     [
         ("L(X,1)", "1:3: X is not a vertex"),
@@ -660,7 +684,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # stdout and the SHA-256 prefix of the DOT file on fixtures/three_color.graph,
 # recorded while `_element_out` still reduced a second time for the DOT file,
 # and the reductions, each `reduce` or reduced `product` one: `power -n 3`
-# reduces its input and takes three products, whose result is already reduced.
+# reduces its input and takes two products, whose result is already reduced;
+# its first set bit adopts the square f itself.
 ELEMENT_DOT_OUTPUT = [
     pytest.param(
         ["reduce", "--elem", "sigma.elem"], 1,
@@ -679,9 +704,9 @@ ELEMENT_DOT_OUTPUT = [
         id="compose-sigma-sigma",
     ),
     pytest.param(
-        ["power", "--elem", "sigma.elem", "-n", "3"], 1 + 3,
+        ["power", "--elem", "sigma.elem", "-n", "3"], 1 + 2,
         "element\n  domain [B.1, B.2, G.3, G.4.1, G.4.2]\n  range  [B.1, G.4.2, G.3, G.4.1, B.2]\n",
-        "92d020af10fbbcbd",
+        "9f2647d2b6265f48",
         id="power-sigma-3",
     ),
 ]
@@ -1029,14 +1054,15 @@ def test_power_equals_the_factor_at_a_time_product(name, full_shift2, tmp_path, 
         assert canonical_key(drawn[-1]) == expected[n][1], n
 
 
-@pytest.mark.parametrize("n", [64, -100])
+@pytest.mark.parametrize("n", [64, -100, 7, -255])
 def test_power_takes_logarithmically_many_products(n, capsys, monkeypatch):
+    # at |n| = 2^k - 1 every bit is set: a product into an identity would break the bound
     calls = []
     monkeypatch.setattr(cli, "product", lambda a, b: calls.append(1) or product(a, b))
     argv = ["power", "--graph", str(FIXTURES / "three_color.graph"), "--elem", str(FIXTURES / "sigma.elem")]
     code, _, _ = run(capsys, argv + ["-n", str(n)])
     assert code == 0
-    assert len(calls) <= 2 * (abs(n).bit_length() - 1) + 1
+    assert len(calls) <= 2 * (abs(n).bit_length() - 1)
 
 
 def test_power_of_a_huge_exponent(tmp_path, capsys):
@@ -1048,6 +1074,34 @@ def test_power_of_a_huge_exponent(tmp_path, capsys):
     p.write_text(out)
     code, out, _ = run(capsys, ["eq", "--graph", graph, "--lhs", str(p), "--rhs", sigma])
     assert (code, out) == (0, "equal\n")
+
+
+def test_power_with_an_output_deeper_than_the_recursion_limit(capsys):
+    """Thompson's x0 on the binary full shift: x0^1100 has 1,102 leaf pairs,
+    the deepest 1,101 edges down, past Python's default recursion limit.
+    The cut walks each forest from a stack.  The CI workflow runs the same
+    command."""
+    n = 1100
+    argv = ["power", "--graph", str(FIXTURES / "full_shift2.graph"), "--elem", str(FIXTURES / "x0.elem"), "-n", str(n)]
+    domain = ["V0" + ".e0" * (n + 1)] + ["V0" + ".e0" * k + ".e1" for k in range(n, -1, -1)]
+    rng = ["V0" + ".e1" * k + ".e0" for k in range(n + 1)] + ["V0" + ".e1" * (n + 1)]
+    assert len(domain) == len(rng) == 1102
+    assert max(w.count(".") for w in domain + rng) == 1101
+    expected = f"element\n  domain [{', '.join(domain)}]\n  range  [{', '.join(rng)}]\n"
+    assert run(capsys, argv) == (0, expected, "")
+
+
+def test_an_input_deeper_than_the_recursion_limit(capsys):
+    """fixtures/fig1_deep1500.elem has a leaf B.2.0...0 1,500 edges down, a
+    chain of degenerate points that reduction removes.  The builder grows
+    each forest from a stack.  The CI workflow runs the same reduce."""
+    graph, deep = str(FIXTURES / "three_color.graph"), str(FIXTURES / "fig1_deep1500.elem")
+    leaf = "B.2" + ".0" * 1499
+    assert (FIXTURES / "fig1_deep1500.elem").read_text() == f"element\n  domain [B.1, {leaf}, G.3, G.4]\n  range  [B.1, B.2, G.3, G.4]\n"
+    assert run(capsys, ["reduce", "--graph", graph, "--elem", deep]) == (0, IDENTITY.lstrip("\n"), "")
+    code, out, err = run(capsys, ["conj", "--graph", graph, "--lhs", deep, "--rhs", str(FIXTURES / "identity.elem")])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: conjugate\n")
 
 
 EMPTY_ELEMENT = "element\n  domain []\n  range  []\n"
