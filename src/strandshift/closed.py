@@ -22,7 +22,7 @@ The skeleton of a split-merge part splices its base points out into a
 cocycle that counts the base points on each chain between split, merge and
 degenerate points.  A base line shift pushes that cocycle by a point
 coboundary and a permutation leaves it alone, so step 2 compares skeletons,
-and the push planner turns step 2's coboundary back into legal shifts.
+and the witness realizes step 2's coboundary by :func:`_push_coboundary`.
 Semi-reduction tests the same chains without building a skeleton: it follows
 them through the base points of its working tables.  A split-merge redex can
 be freed of base points by similarities exactly when its strands carry one
@@ -202,14 +202,6 @@ def close(d: StrandDiagram) -> ClosedDiagram:
 
 # ---------------------------------------------------------------------------
 # canonical forms
-
-def closed_key(c: ClosedDiagram) -> tuple:
-    """Canonical key including the base line order: the serialization from
-    one run of the base line, base points marked, and the base ranks."""
-    records, (order,) = _least_serialization(c, [c.base_line], c.base_set)
-    assert len(order) == len(c.point_color), "component without a base point"
-    return records, tuple(order[b] for b in c.base_line)
-
 
 def components(c) -> list:
     """Weakly connected components of any table object, each a sorted tuple of point ids."""
@@ -546,7 +538,7 @@ def decompose_parts(c: ClosedDiagram):
 
 
 # ---------------------------------------------------------------------------
-# the skeleton and its pushes
+# the skeleton, and pushes
 
 class SplitMergeSkeleton(_Tables):
     """Split-merge part with its base points spliced out: tables plus `cocycle`.
@@ -581,56 +573,54 @@ def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
     return SplitMergeSkeleton(*tabs, cocycle)
 
 
-def _plan_cocycle_moves(sk: SplitMergeSkeleton, comp, x: dict) -> list:
-    """Push plan carrying the cocycle of `sk` on component `comp` onto its match.
+def _push(c: _ClosedTables, p, step: int) -> list:
+    """Push the base line once through the split or merge p, in place: the
+    moves.  A forward push (step 1) moves the base points at the origins of
+    p's in-strands through p, a backward one (step -1) those at the targets
+    of its out-strands: one is an expanding shift, several are permuted
+    together and reduced."""
+    if step > 0:
+        ends, direction, far = [c.strand_from[s] for s in c.in_slots[p]], "down", c.out_slots[p]
+    else:
+        ends, direction, far = [c.strand_to[s] for s in c.out_slots[p]], "up", c.in_slots[p]
+    if len(far) >= 2:
+        return [_shift_expand(c, c.base_line.index(ends[0]), direction)]
+    return _consolidate(c, direction, ends)
+
+
+def _push_coboundary(c: _ClosedTables, comp, x: dict) -> list:
+    """Carry the cocycle of c on skeleton component `comp` onto its match, in place: the moves.
 
     `x` is step 2's solution: x[from s] - x[to s] is how many more base
     points skeleton strand s carries than its image.  A forward push through
-    p takes one base point off each strand into p and puts one on each strand
+    p takes one base point off each chain into p and puts one on each chain
     out of p (a backward push undoes it), so pushing every p net m - x[p]
     times realizes the difference for any constant m; a median m gives the
-    fewest pushes.  A push is legal when its source strands all carry a base
-    point.  While pushes remain some push is legal, because every directed
-    cycle crosses the base line and pushes never change cycle sums.  Shifts
-    keep the ids of strands leaving non-base points and never touch another
-    component, so one skeleton serves the plans of all its components in turn.
+    fewest pushes.  A push is legal when every chain it takes from carries
+    a base point, read off c as it stands: going forward every in-strand of
+    p starts at a base point, going backward every out-strand ends at one.
+    While pushes remain some push is legal, because every directed cycle
+    crosses the base line and pushes never change cycle sums.  Shifts keep
+    the ids of the points off the base line and never touch another
+    component, so the components of one match are pushed in turn.
     """
-    counts = dict(sk.cocycle)
     m = sorted(x[p] for p in comp)[len(comp) // 2]
     left = {p: m - x[p] for p in sorted(comp) if x[p] != m}
 
     def legal(p):
-        return all(counts[s] for s in (sk.in_slots[p] if left[p] > 0 else sk.out_slots[p]))
+        if left[p] > 0:
+            return all(c.strand_from[s] in c.base_set for s in c.in_slots[p])
+        return all(c.strand_to[s] in c.base_set for s in c.out_slots[p])
 
-    plan = []
+    moves = []
     while left:
         p = next(filter(legal, left), None)
         assert p is not None, "no legal push: a directed cycle misses the base line"
         step = 1 if left[p] > 0 else -1
-        for s in sk.in_slots[p]:
-            counts[s] -= step
-        for s in sk.out_slots[p]:
-            counts[s] += step
-        plan.append((p, "expand" if (step > 0) == (len(sk.out_slots[p]) >= 2) else "reduce"))
+        moves.extend(_push(c, p, step))
         left[p] -= step
         if not left[p]:
             del left[p]
-    return plan
-
-
-def _push(c: _ClosedTables, plan) -> list:
-    """Carry out a push plan, as :func:`_plan_cocycle_moves` and
-    :func:`semi_reduce` write it, by shifts, in place: the moves."""
-    moves = []
-    for p, action in plan:
-        is_split = len(c.out_slots[p]) >= 2
-        if action == "expand":
-            b = c.strand_from[c.in_slots[p][0]] if is_split else c.strand_to[c.out_slots[p][0]]
-            moves.append(_shift_expand(c, c.base_line.index(b), "down" if is_split else "up"))
-        elif is_split:
-            moves.extend(_consolidate(c, "up", [c.strand_to[s] for s in c.out_slots[p]]))
-        else:
-            moves.extend(_consolidate(c, "down", [c.strand_from[s] for s in c.in_slots[p]]))
     return moves
 
 
@@ -759,7 +749,8 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
             break
         v, t = freeable
         assert t > 0, "a free redex is missing from the worklist"
-        trace.extend(_push(w, [(v, "reduce" if len(w.out_slots[v]) >= 2 else "expand")] * t))
+        for _ in range(t):
+            trace.extend(_push(w, v, -1))
         redexes = _redexes_at(w, [v], w.base_set)
         assert redexes, "the pushes left the redex at v unfreed"
     return w.freeze(), trace

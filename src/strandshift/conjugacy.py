@@ -12,10 +12,11 @@ reduced to 0 on the breadth-first tree, so components are similar exactly
 when their keys are equal and step 2 pairs them by key, without a search.
 Step 3 compares loop parts in the loops semigroup.  Every move carries a
 conjugating diagram, so a positive verdict can be upgraded to an explicit
-conjugator: the witness hands step 2's coboundary to the push planner in
-:mod:`closed` on the matched skeleton, realizes the loop part by type 3
+conjugator: the witness pushes the base line of a copy of the first
+semi-reduced diagram by step 2's coboundary (:func:`closed._push_coboundary`,
+each push legal as read off that copy), realizes the loop part by type 3
 moves and aligns the base lines, then stacks the moves' conjugators as one
-diagram, layer by layer, and reduces it once.
+diagram, layer by layer, reduces it once and checks h g h^-1 = f.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from .closed import (
     SplitMergeSkeleton,
     _ClosedTables,
     _loops,
-    _plan_cocycle_moves,
-    _push,
+    _push_coboundary,
     _reorder,
     _Stack,
     _type3_expand,
     _type3_reduce,
     close,
     components,
-    closed_key,
     decompose_parts,
     semi_reduce,
     skeleton,
@@ -114,18 +113,10 @@ def _class_key(sk: SplitMergeSkeleton, comp) -> tuple:
     return (records, least), order, y
 
 
-@dataclass
-class SkeletonMatch:
-    """Witness for step 2: matched components with isomorphism and coboundary,
-    and the two skeletons they live on."""
-
-    pairs: list  # (comp_a, comp_b, phi, x)
-    a: SplitMergeSkeleton
-    b: SplitMergeSkeleton
-
-
-def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
-    """A similarity witness between two split-merge skeletons, or None.
+def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton) -> list | None:
+    """A similarity witness between two split-merge skeletons, or None: one
+    (comp_a, comp_b, phi, x) per component of a, with its partner in b, the
+    isomorphism and the coboundary solution.
 
     Two parts are similar exactly when their components can be paired one
     to one so that in each pair some color- and slot-preserving isomorphism
@@ -163,7 +154,7 @@ def compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
         comp_b, _, order_b, y_b = free.pop(j)
         phi = dict(zip(order_a, order_b))
         pairs.append((comp_a, comp_b, phi, {p: y_a[p] - y_b[phi[p]] for p in order_a}))
-    return SkeletonMatch(pairs, a, b)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +262,22 @@ def _realize_semigroup_path(c: _ClosedTables, graph: ShiftGraph, path) -> list:
     return moves
 
 
-def _aligned_base_line(c: _ClosedTables, target: ClosedDiagram, match: SkeletonMatch):
-    """c's base line ordered as target's under the point bijection extending the match.
+def _aligned_base_line(c: _ClosedTables, target: ClosedDiagram, pairs) -> list:
+    """c's base line ordered as target's under the point bijection extending
+    step 2's `pairs`.
 
-    After realization each matched component of c, base points included, is
-    isomorphic to its partner, so breadth-first orders from an anchor and its
-    image pair the points; loops are paired in (color, winding) order.  None
-    when that leaves a base point unpaired.
+    Realization leaves no base point unpaired.  The pushes carry each
+    matched component's cocycle onto its partner's exactly, so every chain
+    of c passes as many base points as its image under phi, and the
+    component, base points included, is isomorphic to its partner: the
+    breadth-first orders from an anchor and its image pair all their
+    points.  The relation path ends at b's loop vector, so the loops of c
+    and target have equal (color, winding) multisets, and sorting pairs
+    each loop with one of its own color and winding, point for point.  The
+    bijection thus maps c's base points onto target's.
     """
     psi = {}
-    for comp_a, _, phi, _ in match.pairs:
+    for comp_a, _, phi, _ in pairs:
         _, (order_a,) = _least_serialization(c, [comp_a[:1]])
         _, (order_b,) = _least_serialization(target, [(phi[comp_a[0]],)])
         psi.update(zip(order_a, order_b))
@@ -288,21 +285,20 @@ def _aligned_base_line(c: _ClosedTables, target: ClosedDiagram, match: SkeletonM
     for (_, pa), (_, pb) in zip(loops_a, loops_b):
         psi.update(zip(pa, pb))
     inv = {v: k for k, v in psi.items()}
-    line = [inv.get(bp) for bp in target.base_line]
-    return line if len(line) == len(c.base_line) and set(line) == c.base_set else None
+    return [inv[bp] for bp in target.base_line]
 
 
 def _moves_onto(result: ConjugacyResult, graph: ShiftGraph, semigroup_cap) -> list | None:
     """Moves from f's closed diagram to b's semi-reduced one, or None when
-    realization fails: a's trace, then the moves that realize the match and
-    the loop-part equality and align the base lines, which edit one copy of
-    a's semi-reduced diagram in place."""
+    the relation search gives up: a's trace, then the pushes that realize
+    step 2's pairs, the type 3 moves that realize the loop-part equality and
+    the permutation that aligns the base lines, which edit one copy of a's
+    semi-reduced diagram in place."""
     a, b = result.analyses
     moves_a = list(a.trace)
     cur = _ClosedTables(a.semi)
-
-    for comp_a, _, _, x in result.match.pairs:
-        moves_a.extend(_push(cur, _plan_cocycle_moves(result.match.a, comp_a, x)))
+    for comp_a, _, _, x in result.match:
+        moves_a.extend(_push_coboundary(cur, comp_a, x))
 
     if a.loops or b.loops:
         n = max(max_winding(a.loops), max_winding(b.loops))
@@ -315,12 +311,7 @@ def _moves_onto(result: ConjugacyResult, graph: ShiftGraph, semigroup_cap) -> li
             return None
         moves_a.extend(_realize_semigroup_path(cur, graph, path))
 
-    line = _aligned_base_line(cur, b.semi, result.match)
-    if line is None:
-        return None
-    moves_a.extend(_reorder(cur, line))
-    if closed_key(cur.freeze()) != closed_key(b.semi):
-        return None
+    moves_a.extend(_reorder(cur, _aligned_base_line(cur, b.semi, result.match)))
     return moves_a
 
 
@@ -331,7 +322,8 @@ def conjugator_witness(
     graph: ShiftGraph,
     semigroup_cap: int = None,
 ) -> StrandDiagram | None:
-    """An explicit reduced h with h g h^-1 = f, or None when realization fails.
+    """An explicit reduced h with h g h^-1 = f, or None: for a result that
+    is not conjugate, when realization gives up, or when the check fails.
 
     The step 2 coboundary is always realized by legal shifts.  The witness is
     best-effort only through step 3: the loop-part equality must be
@@ -339,7 +331,8 @@ def conjugator_witness(
     conjugators of the moves from f's closed diagram to b's semi-reduced one
     and h_b that of b's trace, h = h_a^-1 . h_b: one stack of layers, b's
     trace in order on the identity and then a's moves inverted in reverse,
-    reduced once.  It is verified by diagram algebra before returning.
+    reduced once.  The witness's one check is diagram algebra: h g h^-1 = f,
+    which rejects every wrong h, before it is returned.
     """
     if not (result.conjugate and result.analyses):
         return None

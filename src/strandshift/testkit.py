@@ -17,9 +17,10 @@ pipeline completes and searches one winding's block at a time.
 The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
-diagram at every move and a skeleton and a push plan in every freeing
-round.  They keep the canonical order, least type and then breadth-first
-rank, and hold the only random reduction orders: given `rng`, each picks
+diagram at every move and a skeleton in every freeing round, which it
+frees by the witness's pushes on the redex's component.  They keep the
+canonical order, least type and then breadth-first rank, and hold the
+only random reduction orders: given `rng`, each picks
 uniformly among the current redexes, so the tests can check that neither
 the normal form nor the conjugacy verdict depends on the order.  The
 pipeline takes redexes in the order its worklists found them.  The reference conjugator fold builds each
@@ -37,7 +38,8 @@ The references that the command line never needs live here too: the word
 enumerator and the forest-pair group operations, which compose and invert
 elements without diagrams; the diagram validator with its point kinds
 (:func:`kind_of`); the one-layer split and permutation diagrams; cutting a
-closed diagram at its base line; and
+closed diagram at its base line and keying it with its base line order
+(:func:`closed_key`); and
 :func:`conjugator_of`, the meaning of a move as a diagram, which the
 witness stack in :mod:`strandshift.closed` is tested against, built from
 the base colors (:func:`base_colors`) on either side of the move.
@@ -57,8 +59,7 @@ from .closed import (
     SplitMergeSkeleton,
     _consolidate,
     _edited,
-    _plan_cocycle_moves,
-    _push,
+    _push_coboundary,
     _reduce,
     components,
     replay,
@@ -67,11 +68,12 @@ from .closed import (
     skeleton,
     unordered_key,
 )
-from .conjugacy import SkeletonMatch, solve_integer
+from .conjugacy import solve_integer
 from .diagrams import (
     StrandDiagram,
     _Builder,
     _copy_tables,
+    _least_serialization,
     _Tables,
     apply_redex,
     compose,
@@ -475,6 +477,16 @@ def reference_canonical_key(d: StrandDiagram) -> tuple:
     return (len(d.sources), tuple(records), tuple(order[p] for p in d.sinks))
 
 
+def closed_key(c: ClosedDiagram) -> tuple:
+    """Canonical key including the base line order: the pipeline's
+    serialization from one run of the base line, base points marked, and
+    the base ranks.  The tests compare closed diagrams base line and all
+    by it; no pipeline step needs the order kept."""
+    records, (order,) = _least_serialization(c, [c.base_line], c.base_set)
+    assert len(order) == len(c.point_color), "component without a base point"
+    return records, tuple(order[b] for b in c.base_line)
+
+
 def _bidirectional_order(c, seeds) -> dict:
     order = {}
     queue = deque()
@@ -574,7 +586,8 @@ def reference_semi_reduce(c: ClosedDiagram, rng=None):
     to similarity: before every step it scans the whole diagram for
     redexes and recomputes the whole order, every move builds a new
     diagram, and every freeing round builds the skeleton, tests it with
-    :func:`_freeable` and runs the push planner on the redex's component."""
+    :func:`_freeable` and frees the redex by the witness's pushes,
+    :func:`strandshift.closed._push_coboundary`, on its component."""
     trace = []
     while True:
         step = reduce_closed_step(c, rng)
@@ -590,7 +603,7 @@ def reference_semi_reduce(c: ClosedDiagram, rng=None):
         comp = _bidirectional_order(sk, [v])
         x = dict.fromkeys(comp, 0)
         x[v] = sk.cocycle[sk.out_slots[v][0]]
-        c, moves = _edited(c, _push, _plan_cocycle_moves(sk, comp, x))
+        c, moves = _edited(c, _push_coboundary, comp, x)
         trace.extend(moves)
 
 
@@ -659,7 +672,7 @@ def reference_compare_split_merge(a: SplitMergeSkeleton, b: SplitMergeSkeleton):
                 break
         else:
             return None
-    return SkeletonMatch(pairs, a, b)
+    return pairs
 
 
 def reference_fold_conjugators(c: ClosedDiagram, moves, g: ShiftGraph) -> StrandDiagram:

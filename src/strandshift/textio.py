@@ -251,12 +251,15 @@ def parse_element(text: str, g: ShiftGraph, base) -> ForestPair:
 
 
 def parse_loops(text: str, vertices) -> dict:
-    """Parse a loop multiset `L(c,n)` sum into {(color, winding): count}."""
+    """Parse a loop multiset `L(c,n)` sum into {(color, winding): count}; a
+    term that takes a count past the digits Python prints is refused."""
     ts = _Tokens(text)
     toks = ts.toks
+    limit = sys.get_int_max_str_digits()
     loops = {}
     i = 0
     while True:
+        term = i
         count = 1
         tok = ts.name(i, "L or a multiplier")
         i += 1
@@ -279,7 +282,10 @@ def parse_loops(text: str, vertices) -> dict:
             ts.fail("winding must be a positive integer", i - 1)
         i = ts.expect(i, ")")
         key = (color, winding)
-        loops[key] = loops.get(key, 0) + count
+        total = loops[key] = loops.get(key, 0) + count
+        # 2**(3 * limit) < 10**limit: only a count that long is measured
+        if limit and total.bit_length() > 3 * limit and total >= 10**limit:
+            ts.fail(f"count of L({color},{winding}) has {limit + 1} digits; at most {limit} are printed", term)
         if toks[i] is None:
             return loops
         i = ts.expect(i, "+")

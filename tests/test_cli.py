@@ -479,6 +479,27 @@ def test_an_integer_past_the_string_conversion_limit_fails_at_its_token(files, t
     assert run(capsys, argv) == (1, "", message)
 
 
+@pytest.mark.parametrize("limit, code, err", [
+    (4300, 1, "error: 1:4309: count of L(B,1) has 4301 digits; at most 4300 are printed\n"),
+    (0, 0, ""),
+], ids=["default-limit", "no-limit"])
+def test_a_loop_count_past_the_string_conversion_limit_fails_at_its_term(capsys, limit, code, err):
+    """Two counts of 4,300 digits, Python's default limit, add up to 4,301
+    digits, which the report could not print: the second term is refused at
+    its position.  With the limit off (0) the sum is read and printed.  The
+    CI workflow runs the same command at the default limit."""
+    nines = "9" * 4300
+    argv = ["semigroup-eq", "--graph", str(FIXTURES / "three_color.graph")]
+    argv += ["--lhs", f"{nines}*L(B,1)+{nines}*L(B,1)", "--rhs", "L(B,1)"]
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got, _, got_err = run(capsys, argv)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (got, got_err) == (code, err)
+
+
 @pytest.mark.parametrize(
     "lhs, message",
     [
@@ -577,6 +598,17 @@ def test_conj_json_schema(files, capsys):
         "witness_available",
     ]
     assert report["schema_version"] == 1 and report["verdict"] == "not-conjugate"
+
+
+def test_conj_reports_no_witness_when_its_check_fails(files, capsys, monkeypatch):
+    """The witness's one check, h g h^-1 = f, failing (forced here) leaves
+    the verdict standing with no witness."""
+    monkeypatch.setattr(conjugacy, "equal", lambda a, b: False)
+    argv = ["--json", "conj", "--graph", files["fig1.graph"], "--lhs", files["sigma.elem"]]
+    code, out, err = run(capsys, argv + ["--rhs", files["sigma.elem"], "--witness"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "conjugate" and report["witness_available"] is False and "witness" not in report
 
 
 @pytest.mark.parametrize(
@@ -747,21 +779,30 @@ def _record_frees(monkeypatch) -> list:
     with its partner in its skeleton component), after checking that it
     pushes t times backward at the primary v of the redex `_freeable`
     picks: a reducing shift through a split, an expanding shift through a
-    merge.  The witness's pushes are not seen: `conjugacy` binds `_push`
-    under its own name."""
-    sides = []
+    merge.  The witness's pushes, which come after both sides' Step 1, are
+    not recorded."""
+    sides, due = [], []
+    stepping = False
     push, semi_reduce = closed._push, conjugacy.semi_reduce
 
-    def recording_push(c, plan):
-        v, t = closed._freeable(c)
-        split = len(c.out_slots[v]) >= 2
-        assert plan == [(v, "reduce" if split else "expand")] * t
-        sides[-1].append((split, len(testkit._bidirectional_order(closed.skeleton(c), [v])) == 2))
-        return push(c, plan)
+    def recording_push(c, p, step):
+        if stepping:
+            if not due:
+                v, t = closed._freeable(c)
+                due.extend([(v, -1)] * t)
+                pair = len(testkit._bidirectional_order(closed.skeleton(c), [v])) == 2
+                sides[-1].append((len(c.out_slots[v]) >= 2, pair))
+            assert (p, step) == due.pop()
+        return push(c, p, step)
 
     def recording_semi_reduce(c):
+        nonlocal stepping
         sides.append([])
-        return semi_reduce(c)
+        stepping = True
+        out = semi_reduce(c)
+        stepping = False
+        assert not due
+        return out
 
     monkeypatch.setattr(closed, "_push", recording_push)
     monkeypatch.setattr(conjugacy, "semi_reduce", recording_semi_reduce)
@@ -829,6 +870,38 @@ def test_conj_fig1_pair_whose_witness_needs_type3_layers(capsys, monkeypatch):
     assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
 
 
+def test_conj_fig1_pair_whose_witness_pushes(capsys, monkeypatch):
+    """fig1 element seed 189 (growth 6) and its conjugate h^-1 f h by the
+    growth-2 element h of seed 689; the fig1 graph is
+    fixtures/three_color.graph.  Their split-merge parts differ by a
+    coboundary that is not constant, so the witness pushes the base line
+    twice, which no other fixture's witness does.  The CI workflow runs the
+    same command."""
+    pushes = []
+    push_coboundary = conjugacy._push_coboundary
+
+    def counting(c, comp, x):
+        moves = push_coboundary(c, comp, x)
+        pushes.append(sum(mv.kind != "permute" for mv in moves))
+        return moves
+
+    monkeypatch.setattr(conjugacy, "_push_coboundary", counting)
+    names = ("fig1_e189.elem", "fig1_e189_conj689.elem")
+    g, base = parse_graph((FIXTURES / "three_color.graph").read_text())
+    fp = random_element(g, base, GeneratorConfig(seed=189, growth_steps=6))
+    f = from_forest_pair(g, fp)
+    h = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=689, growth_steps=2)))
+    texts = [(FIXTURES / name).read_text() for name in names]
+    assert texts == [format_element(fp), format_element(to_forest_pair(g, reduce(compose(compose(invert(h), f), h))))]
+    argv = ["conj", "--graph", str(FIXTURES / "three_color.graph"), "--lhs", str(FIXTURES / names[0])]
+    code, out, err = run(capsys, argv + ["--rhs", str(FIXTURES / names[1]), "--witness"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: conjugate\n")
+    assert pushes == [2]
+    f, target, w = (from_forest_pair(g, parse_element(t, g, base)) for t in texts + [out.split("witness:\n", 1)[1]])
+    assert canonical_key(reduce(compose(compose(w, target), invert(w)))) == canonical_key(reduce(f))
+
+
 def test_conj_step2_negative(capsys):
     """Random graph 3, element seeds 2 and 9 at growth 3: the skeletons of
     their split-merge parts have the same shape, but the cocycles lie in
@@ -859,15 +932,18 @@ def _conj_report(step_failed, reason, sizes, loops, steps, witness=None):
 
 
 FIG1_E0_WITNESS = "element\n  domain [B, G.3.3, G.3.4.1, G.3.4.2, G.4]\n  range  [B, G.3, G.4.1.3, G.4.2, G.4.1.4]\n"
+FIG1_E189_WITNESS = "element\n  domain [B, G.3, G.4]\n  range  [G.4, G.3, B]\n"
 STEP2_STEPS = ["shift-expand", "reduce"] * 4
 SIGMA_STEPS = ["shift-expand", "reduce", "shift-expand", "shift-expand", "reduce"]
 E0_STEPS = ["shift-expand", "reduce"] * 7
 EMPTY_LOOPS_STEPS = ["reduce"] + ["shift-expand", "reduce"] * 3
 CAPPED_STEPS = ["shift-expand", "reduce"] * 4
+E189_STEPS = ["reduce"] * 6
 
 # the exact stdout of `conj`, plain and --json, for two step-3 refusals, a
-# step-2 refusal, a pair whose witness stacks type 3 layers and a pair whose
-# witness the relation-search cap gives up on
+# step-2 refusal, a pair whose witness stacks type 3 layers, a pair whose
+# witness pushes the base line and a pair whose witness the relation-search
+# cap gives up on
 CONJ_OUTPUT = [
     pytest.param(
         ["three_color", "sigma", "identity"],
@@ -896,6 +972,12 @@ CONJ_OUTPUT = [
             E0_STEPS, FIG1_E0_WITNESS,
         ),
         id="fig1-e0-witness",
+    ),
+    pytest.param(
+        ["three_color", "fig1_e189", "fig1_e189_conj689", "--witness"],
+        f"verdict: conjugate\nsteps: {' '.join(E189_STEPS)}\nwitness:\n{FIG1_E189_WITNESS}",
+        _conj_report(None, "equivalent closed diagrams", [[4, 2], [4, 2]], [[], []], E189_STEPS, FIG1_E189_WITNESS),
+        id="fig1-e189-pushed-witness",
     ),
     pytest.param(
         ["full_shift2", "full_shift2_step3_lhs", "full_shift2_step3_rhs"],

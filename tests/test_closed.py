@@ -10,7 +10,6 @@ from strandshift.closed import (
     ClosedDiagram,
     _loops,
     close,
-    closed_key,
     decompose_parts,
     permute_base,
     replay,
@@ -42,6 +41,7 @@ from strandshift.semigroup import decide_equal, max_winding, presentation_from_g
 from strandshift.testkit import (
     GeneratorConfig,
     base_colors,
+    closed_key,
     conjugator_of,
     cut,
     permutation_diagram,
@@ -569,13 +569,13 @@ def test_semi_reduce_replays_and_agrees_with_the_reference_loop(fig1, base_bg, m
     redex, and no other, plain.  Every freeing round of `semi_reduce` must
     leave plain only the redexes that re-testing v finds."""
     freed = Counter()
-    plan, build_skeleton, push = testkit._plan_cocycle_moves, testkit.skeleton, closed._push
+    push_coboundary, build_skeleton = testkit._push_coboundary, testkit.skeleton
     checked = rounds = 0
 
-    def counting_plan(sk, comp, x):
+    def counting_pushes(c, comp, x):
         (v,) = [p for p in comp if x[p]]
-        freed["split" if len(sk.out_slots[v]) >= 2 else "merge", "pair" if len(comp) == 2 else "wide"] += 1
-        return plan(sk, comp, x)
+        freed["split" if len(c.out_slots[v]) >= 2 else "merge", "pair" if len(comp) == 2 else "wide"] += 1
+        return push_coboundary(c, comp, x)
 
     def checking_skeleton(c):
         nonlocal checked
@@ -583,21 +583,23 @@ def test_semi_reduce_replays_and_agrees_with_the_reference_loop(fig1, base_bg, m
         for redex in testkit._freeable(sk):
             v, t = redex[1], sk.cocycle[sk.out_slots[redex[1]][0]]
             w = closed._ClosedTables(c)
-            push(w, [(v, "reduce" if len(w.out_slots[v]) >= 2 else "expand")] * t)
+            for _ in range(t):
+                closed._push(w, v, -1)
             assert find_redexes(w, skip=w.base_set) == [redex], v
             checked += 1
         return sk
 
-    def checking_push(w, pushes):
+    def checking_retest(w, points, skip):
+        # semi_reduce re-tests v alone after each freeing round
         nonlocal rounds
-        moves = push(w, pushes)
-        assert find_redexes(w, skip=w.base_set) == _redexes_at(w, [pushes[0][0]], w.base_set)
+        found = _redexes_at(w, points, skip)
+        assert find_redexes(w, skip=skip) == found
         rounds += 1
-        return moves
+        return found
 
-    monkeypatch.setattr(testkit, "_plan_cocycle_moves", counting_plan)
+    monkeypatch.setattr(testkit, "_push_coboundary", counting_pushes)
     monkeypatch.setattr(testkit, "skeleton", checking_skeleton)
-    monkeypatch.setattr(closed, "_push", checking_push)
+    monkeypatch.setattr(closed, "_redexes_at", checking_retest)
 
     def element(g, base, seed, steps):
         return from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=steps)))

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandshift import conjugacy
 from strandshift.closed import (
     ClosedDiagram,
     _edited,
     _loops,
-    _plan_cocycle_moves,
-    _push,
+    _push_coboundary,
     _Stack,
     close,
     components,
@@ -122,9 +122,7 @@ def test_skeleton_empty_part(fig1, base_bg):
 
 def test_compare_split_merge_identity_witness(fig1):
     sk = skeleton(caret_loop(fig1))
-    match = compare_split_merge(sk, sk)
-    assert match is not None
-    ((comp_a, comp_b, phi, x),) = match.pairs
+    ((comp_a, comp_b, phi, x),) = compare_split_merge(sk, sk)
     assert phi == {p: p for p in comp_a}
     assert set(x.values()) <= {0}
 
@@ -133,9 +131,7 @@ def test_compare_split_merge_shifted_copy(fig1):
     c = caret_loop(fig1)
     shifted, _ = shift_expand(c, 0, "down")
     a, b = skeleton(c), skeleton(shifted)
-    match = compare_split_merge(a, b)
-    assert match is not None
-    ((comp_a, _, phi, x),) = match.pairs
+    ((comp_a, _, phi, x),) = compare_split_merge(a, b)
     # the coboundary solution moves one base point through one point
     rows = {}
     for p in comp_a:
@@ -223,13 +219,13 @@ def test_compare_split_merge_distinguishes_colors(fig1):
     assert compare_split_merge(a, b) is None
 
 
-def assert_similarity_witness(match):
-    """Each matched phi is a color- and slot-preserving isomorphism of its
-    components, and each x solves its coboundary rows."""
-    a, b = match.a, match.b
-    assert sorted(ca for ca, _, _, _ in match.pairs) == components(a)
-    assert sorted(cb for _, cb, _, _ in match.pairs) == components(b)
-    for comp_a, comp_b, phi, x in match.pairs:
+def assert_similarity_witness(a, b, pairs):
+    """Each phi that step 2 matched between skeletons a and b is a color-
+    and slot-preserving isomorphism of its components, and each x solves
+    its coboundary rows."""
+    assert sorted(ca for ca, _, _, _ in pairs) == components(a)
+    assert sorted(cb for _, cb, _, _ in pairs) == components(b)
+    for comp_a, comp_b, phi, x in pairs:
         assert sorted(phi) == list(comp_a) and sorted(phi.values()) == list(comp_b)
         for p in comp_a:
             q = phi[p]
@@ -252,8 +248,8 @@ def test_compare_split_merge_matches_crosswise(fig1):
     match = compare_split_merge(left, right)
     assert match is not None
     (comp_a, comp_b), (comp_b2, comp_a2) = components(left), components(right)
-    assert [pair[:2] for pair in match.pairs] == [(comp_a, comp_a2), (comp_b, comp_b2)]
-    assert_similarity_witness(match)
+    assert [pair[:2] for pair in match] == [(comp_a, comp_a2), (comp_b, comp_b2)]
+    assert_similarity_witness(left, right, match)
 
 
 def test_compare_split_merge_needs_a_partner_for_every_component(fig1):
@@ -419,7 +415,7 @@ def test_compare_split_merge_agrees_with_the_reference_search(fig1, base_bg):
         match = compare_split_merge(a, b)
         assert (match is None) == (reference_compare_split_merge(a, b) is None)
         if match is not None:
-            assert_similarity_witness(match)
+            assert_similarity_witness(a, b, match)
             similar += 1
     assert similar >= 150 and len(cases) - similar >= 1000
 
@@ -496,7 +492,7 @@ def test_reduced_cocycle_breaks_ties_between_automorphic_anchors():
             assert (match is not None) == similar
             assert (reference_compare_split_merge(skeleton(a), skeleton(b)) is not None) == similar
             if similar:
-                assert_similarity_witness(match)
+                assert_similarity_witness(skeleton(a), skeleton(b), match)
                 assert similar_by_search(a, b)
 
 
@@ -537,7 +533,7 @@ def test_step2_pairs_match_recorded_digest(fig1, base_bg):
 
     def pairs(match):
         return match and [
-            (ca, cb, sorted(phi.items()), sorted((p, x[p] - x[min(ca)]) for p in x)) for ca, cb, phi, x in match.pairs
+            (ca, cb, sorted(phi.items()), sorted((p, x[p] - x[min(ca)]) for p in x)) for ca, cb, phi, x in match
         ]
 
     records = []
@@ -554,20 +550,27 @@ def test_step2_coboundary_is_the_spanning_tree_solution_up_to_a_constant(fig1, b
     """On every matched pair of the step-2 digest's matches, the coboundary
     that step 2 reads off the class keys' tree potentials differs from the
     spanning-tree solution of the incidence system by one constant."""
-    matches = [is_conjugate(f, rhs, g).match for g, f, rhs in digest_pairs()]
+    cases = []
+    for g, f, rhs in digest_pairs():
+        res = is_conjugate(f, rhs, g)
+        cases.append((*(skeleton(side.part) for side in res.analyses), res.match))
     unions = [sk for sk in similarity_pool(fig1, base_bg) if len(components(sk)) > 1]
-    matches += [compare_split_merge(a, b) for a in unions for b in unions]
+    cases += [(a, b, compare_split_merge(a, b)) for a in unions for b in unions]
     checked = shifted = 0
-    for match in filter(None, matches):
-        for comp_a, _, phi, x in match.pairs:
-            ref = coboundary_solution(match.a, comp_a, match.b, phi)
+    for a, b, match in cases:
+        for comp_a, _, phi, x in match or ():
+            ref = coboundary_solution(a, comp_a, b, phi)
             assert set(x) == set(comp_a) and len({x[p] - ref[p] for p in comp_a}) == 1
             checked += 1
             shifted += len(set(x.values())) > 1
     assert checked >= 90 and shifted >= 30
 
 
-def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
+def test_push_coboundary_is_a_shortest_realization(fig1, base_bg):
+    """The pushes carry each matched component's cocycle onto its image's,
+    by the fewest pushes that any constant allows.  A push is one shift
+    move, with a permutation before it when it gathers base points: forward
+    pushes shift down and backward ones up, and some plan takes both."""
     rng = random.Random(17)
     graphs = [(*random_graph(GeneratorConfig(seed=s)), 3) for s in (1, 3)] + [(fig1, base_bg, 4)]
     plans = mixed = 0
@@ -578,12 +581,11 @@ def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
                 match = compare_split_merge(sk_a, sk_b)
                 assert match is not None
                 cur = a
-                for comp_a, _, phi, x in match.pairs:
-                    plan = _plan_cocycle_moves(sk_a, comp_a, x)
-                    assert len(plan) == min(sum(abs(m - x[p]) for p in comp_a) for m in x.values())
-                    forward = {(action == "expand") == (len(cur.out_slots[p]) >= 2) for p, action in plan}
-                    mixed += forward == {True, False}
-                    cur, _ = _edited(cur, _push, plan)
+                for comp_a, _, phi, x in match:
+                    cur, moves = _edited(cur, _push_coboundary, comp_a, x)
+                    shifts = [mv for mv in moves if mv.kind != "permute"]
+                    assert len(shifts) == min(sum(abs(m - x[p]) for p in comp_a) for m in x.values())
+                    mixed += {mv.data[1] for mv in shifts} == {"down", "up"}
                     target = {
                         s: sk_b.cocycle[sk_b.out_slots[phi[p]][j]]
                         for p in comp_a
@@ -591,7 +593,7 @@ def test_plan_cocycle_moves_is_a_shortest_realization(fig1, base_bg):
                     }
                     counts = skeleton(cur).cocycle
                     assert {s: counts[s] for s in target} == target
-                    plans += bool(plan)
+                    plans += bool(shifts)
     assert plans >= 60
     assert mixed >= 1
 
@@ -622,7 +624,7 @@ def test_direct_sums_match_two_components_with_verified_witnesses(fig1):
         for g in (from_forest_pair(fig1, juxtapose(f2, f1)), conjugate_by(invert(h), f)):
             res = is_conjugate(f, g, fig1)
             assert res.conjugate
-            two += len(components(res.match.a)) == 2
+            two += len(res.match) == 2
             w = conjugator_witness(f, g, res, fig1)
             assert w is not None and equal(compose(compose(w, g), invert(w)), f)
     assert two >= 10
@@ -795,6 +797,21 @@ def test_witness_for_equal_elements_is_identity_class(fig1, base_bg, sigma):
     w = conjugator_witness(d, d, res, fig1)
     assert w is not None
     assert equal(compose(compose(w, d), invert(w)), d)
+
+
+def test_witness_is_none_without_a_verdict_or_past_its_check(fig1, sigma, monkeypatch):
+    """The witness's guards: a result that is not conjugate gets no witness,
+    and neither does a conjugate pair whose one check, h g h^-1 = f, fails
+    (forced here)."""
+    d = from_forest_pair(fig1, sigma)
+    e = identity_diagram(d.domain())
+    res = is_conjugate(d, e, fig1)
+    assert not res.conjugate and res.analyses
+    assert conjugator_witness(d, e, res, fig1) is None
+    res = is_conjugate(d, d, fig1)
+    assert conjugator_witness(d, d, res, fig1) is not None
+    monkeypatch.setattr(conjugacy, "equal", lambda a, b: False)
+    assert conjugator_witness(d, d, res, fig1) is None
 
 
 def test_witness_verifies_on_fuzz(fig1, base_bg, sigma):

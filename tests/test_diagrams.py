@@ -5,7 +5,7 @@ import random
 import pytest
 
 from strandshift import diagrams
-from strandshift.closed import close, closed_key, components, decompose_parts, semi_reduce, skeleton
+from strandshift.closed import close, components, decompose_parts, semi_reduce, skeleton
 from strandshift.diagrams import (
     StrandDiagram,
     _Builder,
@@ -29,6 +29,7 @@ from strandshift.testkit import (
     GeneratorConfig,
     _bidirectional_order,
     _serialize,
+    closed_key,
     identity_pair,
     permutation_diagram,
     random_element,
