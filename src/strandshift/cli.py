@@ -1,5 +1,9 @@
 """Command-line surface: file parsing, verdicts, DOT export.
 
+Each command returns its report's fields and its plain text, and `main`
+prints every report: the `--json` record, stamped with its schema version
+and command, or the text.
+
 Exit codes: 0 a verdict was computed (the verdict itself, including
 "not conjugate" or "not equal", is in the report); 1 invalid input;
 2 an internal limit was hit (the limit is named in the report).
@@ -38,31 +42,25 @@ def _load(args, *names):
     return (g, *(from_forest_pair(g, parse_element(_read(getattr(args, n)), g, base)) for n in names))
 
 
-def _emit(args, report: dict, human: str):
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(human.rstrip("\n"))
-
-
 def cmd_check_graph(args):
     g, base = parse_graph(_read(args.graph))
-    violations = validate_graph(g)
+    violations = [str(v) for v in validate_graph(g)]
     report = {
-        "schema_version": 1,
-        "command": "check-graph",
         "valid": not violations,
-        "violations": [str(v) for v in violations],
+        "violations": violations,
     }
-    human = "\n".join(["valid" if not violations else "invalid"] + [str(v) for v in violations])
+    text = "\n".join(["invalid" if violations else "valid", *violations])
     if violations and args.fix:
-        g2, base2, rename = normalize_graph(g, base)
+        try:
+            g2, base2, rename = normalize_graph(g, base)
+        except ValueError:  # no vertex survives: the shift space is empty
+            report["normalized"] = report["rename"] = None
+            return report, text + "\nnormalized: none; normalization leaves no vertex"
         fixed = format_graph(g2, base2)
         report["normalized"] = fixed
         report["rename"] = rename
-        human += "\nnormalized:\n" + fixed
-    _emit(args, report, human)
-    return 0
+        text += "\nnormalized:\n" + fixed
+    return report, text
 
 
 def cmd_normalize(args):
@@ -70,40 +68,36 @@ def cmd_normalize(args):
     g2, base2, rename = normalize_graph(g, base)
     text = format_graph(g2, base2)
     report = {
-        "schema_version": 1,
-        "command": "normalize",
         "graph": text,
         "rename": rename,
     }
-    _emit(args, report, text + "\nrename: " + json.dumps(rename, sort_keys=True))
-    return 0
+    return report, text + "\nrename: " + json.dumps(rename, sort_keys=True)
 
 
-def _element_out(args, g, reduced, report):
-    """Print a reduced diagram as an element, and draw it when asked."""
+def _element_out(args, g, reduced, **report):
+    """The report and text of a reduced diagram as an element, after it is drawn when asked."""
     text = format_element(to_forest_pair(g, reduced))
     report["element"] = text
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(diagram_dot(reduced))
         report["dot"] = args.dot
-    _emit(args, report, text)
-    return 0
+    return report, text
 
 
 def cmd_reduce(args):
     g, d = _load(args, "elem")
-    return _element_out(args, g, reduce(d), {"schema_version": 1, "command": "reduce"})
+    return _element_out(args, g, reduce(d))
 
 
 def cmd_compose(args):
     g, lhs, rhs = _load(args, "lhs", "rhs")
-    return _element_out(args, g, reduce(compose(lhs, rhs)), {"schema_version": 1, "command": "compose"})
+    return _element_out(args, g, reduce(compose(lhs, rhs)))
 
 
 def cmd_invert(args):
     g, d = _load(args, "elem")
-    return _element_out(args, g, reduce(invert(d)), {"schema_version": 1, "command": "invert"})
+    return _element_out(args, g, reduce(invert(d)))
 
 
 def cmd_power(args):
@@ -130,15 +124,13 @@ def cmd_power(args):
             square = product(square, square)
     if result is None:
         result = identity_diagram(d.domain())
-    return _element_out(args, g, result, {"schema_version": 1, "command": "power", "n": n})
+    return _element_out(args, g, result, n=n)
 
 
 def cmd_eq(args):
     g, lhs, rhs = _load(args, "lhs", "rhs")
     verdict = equal(lhs, rhs)
-    report = {"schema_version": 1, "command": "eq", "equal": verdict}
-    _emit(args, report, "equal" if verdict else "not equal")
-    return 0
+    return {"equal": verdict}, "equal" if verdict else "not equal"
 
 
 def cmd_conj(args):
@@ -150,7 +142,6 @@ def cmd_conj(args):
         if w is not None:
             witness_text = format_element(to_forest_pair(g, w))
     report = result.record(witness_text)
-    report["command"] = "conj"
     steps = [m.kind for a in (result.analyses or ()) for m in a.trace]
     report["steps"] = steps
     lines = [f"verdict: {report['verdict']}"]
@@ -159,8 +150,7 @@ def cmd_conj(args):
     lines.append(f"steps: {' '.join(steps) if steps else '(none)'}")
     if witness_text:
         lines.append("witness:\n" + witness_text)
-    _emit(args, report, "\n".join(lines))
-    return 0
+    return report, "\n".join(lines)
 
 
 def cmd_semigroup_eq(args):
@@ -172,8 +162,6 @@ def cmd_semigroup_eq(args):
     va, vb = pres.vector(lhs), pres.vector(rhs)
     verdict = decide_equal(va, vb, pres)
     report = {
-        "schema_version": 1,
-        "command": "semigroup-eq",
         "equal": verdict,
         "stage": n,
         "lhs": format_loops(lhs),
@@ -188,8 +176,7 @@ def cmd_semigroup_eq(args):
         dump = dump_presentation(pres)
         report["presentation"] = dump
         lines.append(dump)
-    _emit(args, report, "\n".join(lines))
-    return 0
+    return report, "\n".join(lines)
 
 
 def cmd_export_dot(args):
@@ -197,9 +184,7 @@ def cmd_export_dot(args):
     text = closed_dot(close(d)) if args.closed else diagram_dot(d)
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(text)
-    report = {"schema_version": 1, "command": "export-dot", "dot": args.dot}
-    _emit(args, report, f"wrote {args.dot}")
-    return 0
+    return {"dot": args.dot}, f"wrote {args.dot}"
 
 
 def build_parser():
@@ -285,7 +270,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 1
     try:
-        return args.fn(args)
+        report, text = args.fn(args)
+        if args.json:  # a report's own schema_version, as in conj's record, stands
+            print(json.dumps({"schema_version": 1, "command": args.command, **report}, indent=2, sort_keys=True))
+        else:
+            print(text.rstrip("\n"))
+        return 0
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc.limit}: {exc}", file=sys.stderr)
         return 2

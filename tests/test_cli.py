@@ -1017,6 +1017,145 @@ def test_conj_output_is_pinned(args, plain, report, capsys):
     assert run(capsys, ["--json", *argv]) == (0, report, "")
 
 
+def _report(command, **fields) -> str:
+    return json.dumps({"schema_version": 1, "command": command, **fields}, indent=2, sort_keys=True) + "\n"
+
+
+SIGMA_TEXT = "element\n  domain [B.1, B.2, G.3, G.4]\n  range  [G.3, G.4.2, G.4.1, B]\n"
+SIGMA_SQUARE = "element\n  domain [B.1, B.2, G.3, G.4.1, G.4.2]\n  range  [G.4.1, B.2, B.1, G.3, G.4.2]\n"
+SIGMA_MINUS_2 = "element\n  domain [B.1, B.2, G.3, G.4.1, G.4.2]\n  range  [G.3, B.2, G.4.1, B.1, G.4.2]\n"
+SIGMA_INVERSE = "element\n  domain [B, G.3, G.4.1, G.4.2]\n  range  [G.4, B.1, G.3, B.2]\n"
+DEAD_END_VIOLATIONS = [
+    "dead-end at vertex s: out-degree 0",
+    "redundant-edge at vertex u: single outgoing edge f is not a self-loop",
+]
+DEAD_END_NORMALIZED = "graph\n  vertex ok\n  edge l1: ok -> ok; edge l2: ok -> ok\n  order ok: [l1, l2]\nbase [ok, ok]\n"
+DEAD_END_RENAME = {"ok": "ok", "s": None, "u": "ok"}
+FIG1_BLOCK = "for every winding n from 1 to 1:\nL(R,n)+L(G,n)=L(B,n)\nL(B,n)+L(G,n)=L(G,n)"
+
+# the exact stdout, plain and --json, of every subcommand and option that
+# the benchmark never runs; "dead_end.graph" is DEAD_END, every other file
+# is in fixtures/, and a --dot file is written to the working directory
+OTHER_COMMAND_OUTPUT = [
+    pytest.param(
+        ["check-graph", "--graph", "three_color.graph"], "valid\n",
+        _report("check-graph", valid=True, violations=[]),
+        id="check-graph-valid",
+    ),
+    pytest.param(
+        ["check-graph", "--graph", "dead_end.graph", "--fix"],
+        "\n".join(["invalid", *DEAD_END_VIOLATIONS, "normalized:", DEAD_END_NORMALIZED]),
+        _report(
+            "check-graph", valid=False, violations=DEAD_END_VIOLATIONS, normalized=DEAD_END_NORMALIZED,
+            rename=DEAD_END_RENAME,
+        ),
+        id="check-graph-fix",
+    ),
+    pytest.param(
+        ["normalize", "--graph", "dead_end.graph"],
+        DEAD_END_NORMALIZED + '\nrename: {"ok": "ok", "s": null, "u": "ok"}\n',
+        _report("normalize", graph=DEAD_END_NORMALIZED, rename=DEAD_END_RENAME),
+        id="normalize",
+    ),
+    pytest.param(
+        ["reduce", "--graph", "three_color.graph", "--elem", "sigma.elem", "--dot", "out.dot"], SIGMA_TEXT,
+        _report("reduce", element=SIGMA_TEXT, dot="out.dot"),
+        id="reduce-dot",
+    ),
+    pytest.param(
+        ["power", "--graph", "three_color.graph", "--elem", "sigma.elem", "-n", "-2", "--dot", "out.dot"],
+        SIGMA_MINUS_2,
+        _report("power", n=-2, element=SIGMA_MINUS_2, dot="out.dot"),
+        id="power-dot",
+    ),
+    pytest.param(
+        ["compose", "--graph", "three_color.graph", "--lhs", "sigma.elem", "--rhs", "sigma.elem"], SIGMA_SQUARE,
+        _report("compose", element=SIGMA_SQUARE),
+        id="compose",
+    ),
+    pytest.param(
+        ["invert", "--graph", "three_color.graph", "--elem", "sigma.elem"], SIGMA_INVERSE,
+        _report("invert", element=SIGMA_INVERSE),
+        id="invert",
+    ),
+    pytest.param(
+        ["export-dot", "--graph", "three_color.graph", "--elem", "sigma.elem", "--dot", "out.dot"], "wrote out.dot\n",
+        _report("export-dot", dot="out.dot"),
+        id="export-dot",
+    ),
+    pytest.param(
+        ["export-dot", "--graph", "three_color.graph", "--elem", "sigma.elem", "--dot", "out.dot", "--closed"],
+        "wrote out.dot\n",
+        _report("export-dot", dot="out.dot"),
+        id="export-dot-closed",
+    ),
+    pytest.param(
+        [
+            "semigroup-eq", "--graph", "three_color.graph", "--lhs", "L(G,1)+L(R,1)", "--rhs", "L(B,1)",
+            "--explain", "--semigroup-cap", "4",
+        ],
+        f"equal in stage 1\nbfs oracle (cap 4): equal\n{FIG1_BLOCK}\n",
+        _report(
+            "semigroup-eq", equal=True, stage=1, lhs="L(G,1)+L(R,1)", rhs="L(B,1)", bfs_oracle="equal",
+            presentation=FIG1_BLOCK,
+        ),
+        id="semigroup-eq-explain-cap",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, plain, report", OTHER_COMMAND_OUTPUT)
+def test_other_command_output_is_pinned(argv, plain, report, files, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [files[a] if a in files else str(FIXTURES / a) if a.endswith((".graph", ".elem")) else a for a in argv]
+    for flags, stdout in [([], plain), (["--json"], report)]:
+        dot = tmp_path / "out.dot"
+        dot.unlink(missing_ok=True)
+        assert run(capsys, [*flags, *argv]) == (0, stdout, "")
+        assert dot.is_file() == ("--dot" in argv)
+
+
+# a graph whose shift space is empty: D is a dead end, and removing it
+# leaves R with no edge
+EMPTY_SHIFT = "graph vertex D; vertex R; edge 0: R -> D; order D: []; order R: [0]; base [D]\n"
+EMPTY_SHIFT_VIOLATIONS = [
+    "dead-end at vertex D: out-degree 0",
+    "redundant-edge at vertex R: single outgoing edge 0 is not a self-loop",
+]
+
+
+def test_check_graph_fix_on_an_empty_shift_space(tmp_path, capsys):
+    """check-graph --fix reports the violations as plain check-graph does,
+    then says that no vertex survives normalization."""
+    graph = tmp_path / "empty.graph"
+    graph.write_text(EMPTY_SHIFT)
+    argv = ["check-graph", "--graph", str(graph)]
+    plain = "\n".join(["invalid", *EMPTY_SHIFT_VIOLATIONS]) + "\n"
+    assert run(capsys, argv) == (0, plain, "")
+    fixed = plain + "normalized: none; normalization leaves no vertex\n"
+    assert run(capsys, [*argv, "--fix"]) == (0, fixed, "")
+    report = _report("check-graph", valid=False, violations=EMPTY_SHIFT_VIOLATIONS, normalized=None, rename=None)
+    assert run(capsys, ["--json", *argv, "--fix"]) == (0, report, "")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_normalize_refuses_an_empty_shift_space(flags, tmp_path, capsys):
+    graph = tmp_path / "empty.graph"
+    graph.write_text(EMPTY_SHIFT)
+    error = "error: normalization removed every vertex; the shift space is empty\n"
+    assert run(capsys, [*flags, "normalize", "--graph", str(graph)]) == (1, "", error)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["reduce", "export-dot"])
+def test_an_unwritable_dot_file_prints_no_report(command, flags, tmp_path, capsys):
+    """A --dot path that is a directory fails the command before its report
+    is printed."""
+    argv = [command, "--graph", str(FIXTURES / "three_color.graph"), "--elem", str(FIXTURES / "sigma.elem")]
+    code, out, err = run(capsys, [*flags, *argv, "--dot", str(tmp_path)])
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
 def _run_python(code, *argv, timeout=30):
     """A child interpreter running `code` with argv, on this checkout's src/."""
     path = os.pathsep.join([str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH", "")])
