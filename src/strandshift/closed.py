@@ -15,8 +15,11 @@ Each move kind is one in-place edit of a :class:`_ClosedTables` copy that
 returns a :class:`Move` record, with enough data to replay the move and to
 stack its conjugating diagram (:class:`_Stack`).  Its public name runs the
 edit on a fresh copy and returns (new diagram, move).  The copy and the
-stack are builders of the diagram core (:class:`strandshift.diagrams._Builder`),
-whose one allocator gives every new point, strand and id.
+stack are working copies of the diagram core
+(:class:`strandshift.diagrams._Builder`), whose one allocator gives every
+new point, strand and id.  Every shift and push is one edit, :func:`_shift`,
+through one split or merge p: it subdivides p's far strands and splices out
+the base points next to p (:func:`_near`).
 
 The skeleton of a split-merge part splices its base points out into a
 cocycle that counts the base points on each chain between split, merge and
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from .diagrams import (
     StrandDiagram,
     _Builder,
-    _copy_tables,
     _drop_point,
     _drop_strand,
     _least_serialization,
@@ -73,8 +75,8 @@ class ClosedDiagram(_Tables):
 
 
 class _ClosedTables(_Builder):
-    """A builder over a copy of a closed diagram's tables, with its base
-    line, that the in-place moves edit.
+    """A working copy of a closed diagram's tables, with its base line,
+    that the in-place moves edit.
 
     `base_line` is a list and `base_set` its set.
     """
@@ -82,7 +84,7 @@ class _ClosedTables(_Builder):
     __slots__ = ("base_line", "base_set")
 
     def __init__(self, c: ClosedDiagram):
-        _Builder.__init__(self, *_copy_tables(c))
+        _Builder.__init__(self, c)
         self.base_line = list(c.base_line)
         self.base_set = set(c.base_line)
 
@@ -139,7 +141,7 @@ class _Stack(_Builder):
         v = self.point(color)
         for p in self.sources[pos : pos + d]:
             self.attach_origin(self.out_slots[p][0], v)
-            _drop_point(self.tables(), p)
+            _drop_point(self, p)
         self.sources[pos : pos + d] = [self.point(color)]
         self.strand(color, self.sources[pos], v)
 
@@ -189,15 +191,14 @@ def close(d: StrandDiagram) -> ClosedDiagram:
     for p in d.sinks:
         if len(d.in_slots[p]) != 1:
             raise ValueError("sinks must be univalent to close; normalize the diagram")
-    pc, sc, sf, st, ins, outs = _copy_tables(d)
-    base = []
+    w = _Builder(d)
+    st, ins = w.strand_to, w.in_slots
     for src, snk in zip(d.sources, d.sinks):
         s_in = ins[snk][0]
         st[s_in] = src
         ins[src] = [s_in]
-        del pc[snk], ins[snk], outs[snk]
-        base.append(src)
-    return ClosedDiagram(pc, sc, sf, st, ins, outs, base)
+        _drop_point(w, snk)
+    return ClosedDiagram(*w.tables(), d.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,42 @@ def _subdivide(c: _ClosedTables, strand):
 # ---------------------------------------------------------------------------
 # similarities
 
+def _near(c, p, step: int) -> list:
+    """The base points that a push through p moves, in slot order: going
+    forward (step > 0) the origins of p's in-strands, going backward the
+    targets of its out-strands."""
+    if step > 0:
+        return [c.strand_from[s] for s in c.in_slots[p]]
+    return [c.strand_to[s] for s in c.out_slots[p]]
+
+
+def _shift(c: _ClosedTables, p, step: int, start: int) -> Move:
+    """Push the base line once through the split or merge p, in place: the
+    move.  Every shift is this edit.  The near points (:func:`_near`) must
+    stand together, in slot order, from base position `start` on.
+
+    Each of p's far strands (its out-strands going forward, its in-strands
+    going backward) is subdivided by a new base point, whose ids are taken
+    first, and the near points are spliced out.  One near point meeting two
+    or more far strands is an expanding shift, anything else a reducing one.
+    """
+    near = _near(c, p, step)
+    far = list(c.out_slots[p] if step > 0 else c.in_slots[p])
+    expand = len(near) == 1 and len(far) >= 2
+    new = [_subdivide(c, s) for s in far]
+    kids = tuple(c.point_color[b] for b in (new if expand else near))
+    for b in near:
+        _splice_out(c, b)
+    c.base_line[start : start + len(near)] = new
+    c.base_set.difference_update(near)
+    c.base_set.update(new)
+    direction = "down" if step > 0 else "up"
+    conj = (start, c.point_color[p], kids, 1)
+    if expand:
+        return Move("shift-expand", (start, direction), conj)
+    return Move("shift-reduce", (tuple(range(start, start + len(near))), direction), conj)
+
+
 def shift_directions(c: ClosedDiagram, index: int) -> list:
     """Expanding shift directions available at a base point: "down", "up" or both."""
     if not 0 <= index < len(c.base_line):
@@ -295,19 +332,9 @@ def _shift_expand(c: _ClosedTables, index: int, direction):
     if direction not in avail:
         raise PreconditionError(f"base point {index}: no movable point {direction}")
     b = c.base_line[index]
-    parent = c.point_color[b]
     if direction == "down":
-        v = c.strand_to[c.out_slots[b][0]]
-        new_points = [_subdivide(c, s) for s in list(c.out_slots[v])]
-    else:
-        u = c.strand_from[c.in_slots[b][0]]
-        new_points = [_subdivide(c, s) for s in list(c.in_slots[u])]
-    _splice_out(c.tables(), b)
-    c.base_line[index : index + 1] = new_points
-    c.base_set.remove(b)
-    c.base_set.update(new_points)
-    kids = tuple(c.point_color[p] for p in new_points)
-    return Move("shift-expand", (index, direction), (index, parent, kids, 1))
+        return _shift(c, c.strand_to[c.out_slots[b][0]], 1, index)
+    return _shift(c, c.strand_from[c.in_slots[b][0]], -1, index)
 
 
 def shift_reduce(c: ClosedDiagram, positions, direction=None):
@@ -315,8 +342,9 @@ def shift_reduce(c: ClosedDiagram, positions, direction=None):
 
     `positions` must be consecutive ascending base-line indices whose points
     are, in this order, exactly the slot-order predecessors of one merge
-    (direction "down") or successors of one split (direction "up").
-    Returns (new diagram, move).
+    (direction "down") or successors of one split (direction "up").  One
+    point with a split below it (or a merge above it) makes the expanding
+    shift through it, and its move says so.  Returns (new diagram, move).
     """
     return _edited(c, _shift_reduce, positions, direction)
 
@@ -331,32 +359,17 @@ def _shift_reduce(c: _ClosedTables, positions, direction):
     if direction not in (None, "down", "up"):
         raise PreconditionError(f"unknown direction {direction!r}; use 'down' or 'up'")
     points = [c.base_line[i] for i in positions]
-
-    down_ok = False
     w = c.strand_to[c.out_slots[points[0]][0]]
-    if w not in c.base_set and len(c.in_slots[w]) == len(points):
-        down_ok = all(c.out_slots[points[j]][0] == c.in_slots[w][j] for j in range(len(points)))
-    up_ok = False
     v = c.strand_from[c.in_slots[points[0]][0]]
-    if v not in c.base_set and len(c.out_slots[v]) == len(points):
-        up_ok = all(c.in_slots[points[j]][0] == c.out_slots[v][j] for j in range(len(points)))
+    down_ok = w not in c.base_set and _near(c, w, 1) == points
+    up_ok = v not in c.base_set and _near(c, v, -1) == points
     if direction is None:
         direction = "down" if down_ok else "up"
     if not (down_ok if direction == "down" else up_ok):
         raise PreconditionError("points are not the full ordered boundary of one split/merge")
-
-    kids = tuple(c.point_color[p] for p in points)
-    # the new point first: its ids are taken before any is removed
-    nb = _subdivide(c, c.out_slots[w][0] if direction == "down" else c.in_slots[v][0])
-    tabs = c.tables()
-    for p in points:
-        _splice_out(tabs, p)
-    gone = set(points)
-    c.base_line[:] = [p for p in c.base_line if p not in gone]
-    c.base_line.insert(positions[0], nb)
-    c.base_set -= gone
-    c.base_set.add(nb)
-    return Move("shift-reduce", (positions, direction), (positions[0], c.point_color[nb], kids, 1))
+    if direction == "down":
+        return _shift(c, w, 1, positions[0])
+    return _shift(c, v, -1, positions[0])
 
 
 def permute_base(c: ClosedDiagram, perm):
@@ -374,13 +387,22 @@ def _permute_base(c: _ClosedTables, perm):
     return Move("permute", (perm,), (perm,))
 
 
+def _reorder(c: _ClosedTables, new_line) -> list:
+    """Permute the base line in place so it reads `new_line`: the moves, none
+    if it already does."""
+    if list(new_line) == c.base_line:
+        return []
+    at = {p: i for i, p in enumerate(c.base_line)}
+    return [_permute_base(c, tuple(at[p] for p in new_line))]
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
 def _reduce(c: _ClosedTables, rtype, payload):
     """Apply the type 0/1/2 redex with this payload (as in
     :func:`strandshift.diagrams.find_redexes`) to c in place: the move."""
-    apply_redex(c.tables(), (rtype, payload if rtype == 0 else payload[0], payload))
+    apply_redex(c, (rtype, payload if rtype == 0 else payload[0], payload))
     return Move("reduce", (rtype, payload))
 
 
@@ -398,10 +420,9 @@ def _replace_loops(c: _ClosedTables, start, block, colors, k):
         loop = new_points[j::d]
         for t in range(k):
             c.strand(color, loop[t], loop[(t + 1) % k])
-    tabs = c.tables()
     for b in block:
-        _drop_strand(tabs, c.out_slots[b][0])
-        _drop_point(tabs, b)
+        _drop_strand(c, c.out_slots[b][0])
+        _drop_point(c, b)
     c.base_line[start : start + len(block)] = new_points
     c.base_set.difference_update(block)
     c.base_set.update(new_points)
@@ -474,28 +495,6 @@ def _type3_expand(c: _ClosedTables, g: ShiftGraph, start: int, k: int, vertex):
 
 
 # ---------------------------------------------------------------------------
-# consolidation
-
-def _reorder(c: _ClosedTables, new_line) -> list:
-    """Permute the base line in place so it reads `new_line`: the moves, none
-    if it already does."""
-    if list(new_line) == c.base_line:
-        return []
-    at = {p: i for i, p in enumerate(c.base_line)}
-    return [_permute_base(c, tuple(at[p] for p in new_line))]
-
-
-def _consolidate(c: _ClosedTables, mode, slot_points) -> list:
-    """Permute the given base points together (if needed), then shift-reduce
-    them, in place: the moves."""
-    first = min(c.base_line.index(p) for p in slot_points)
-    rest = [p for p in c.base_line if p not in set(slot_points)]
-    moves = _reorder(c, rest[:first] + list(slot_points) + rest[first:])
-    moves.append(_shift_reduce(c, range(first, first + len(slot_points)), mode))
-    return moves
-
-
-# ---------------------------------------------------------------------------
 # parts
 
 def _loops(c: ClosedDiagram) -> list:
@@ -558,34 +557,36 @@ class SplitMergeSkeleton(_Tables):
 
 def skeleton(part: ClosedDiagram) -> SplitMergeSkeleton:
     """Splice out every base point of `part`; loop components vanish."""
-    tabs = _copy_tables(part)
-    ins, outs = tabs[4], tabs[5]
-    cocycle = dict.fromkeys(tabs[1], 0)
+    w = _Builder(part)
+    ins, outs = w.in_slots, w.out_slots
+    cocycle = dict.fromkeys(w.strand_color, 0)
     for b in part.base_line:
         s_in, s_out = ins[b][0], outs[b][0]
         if s_in == s_out:  # the last point of a loop component
-            _drop_point(tabs, b)
-            _drop_strand(tabs, s_in)
+            _drop_point(w, b)
+            _drop_strand(w, s_in)
             del cocycle[s_in]
         else:
-            _splice_out(tabs, b)
+            _splice_out(w, b)
             cocycle[s_in] += 1 + cocycle.pop(s_out)
-    return SplitMergeSkeleton(*tabs, cocycle)
+    return SplitMergeSkeleton(*w.tables(), cocycle)
 
 
 def _push(c: _ClosedTables, p, step: int) -> list:
-    """Push the base line once through the split or merge p, in place: the
-    moves.  A forward push (step 1) moves the base points at the origins of
-    p's in-strands through p, a backward one (step -1) those at the targets
-    of its out-strands: one is an expanding shift, several are permuted
-    together and reduced."""
-    if step > 0:
-        ends, direction, far = [c.strand_from[s] for s in c.in_slots[p]], "down", c.out_slots[p]
-    else:
-        ends, direction, far = [c.strand_to[s] for s in c.out_slots[p]], "up", c.in_slots[p]
-    if len(far) >= 2:
-        return [_shift_expand(c, c.base_line.index(ends[0]), direction)]
-    return _consolidate(c, direction, ends)
+    """Push the base line once through the split or merge p, in place, as
+    :func:`_shift` does, forward (step 1) or backward (step -1): the moves.
+    Several near points are first permuted together, in slot order, at the
+    position of the first of them."""
+    near = _near(c, p, step)
+    line = c.base_line
+    if len(near) == 1:
+        return [_shift(c, p, step, line.index(near[0]))]
+    first = min(map(line.index, near))
+    moved = set(near)
+    rest = [q for q in line if q not in moved]
+    moves = _reorder(c, rest[:first] + near + rest[first:])
+    moves.append(_shift(c, p, step, first))
+    return moves
 
 
 def _push_coboundary(c: _ClosedTables, comp, x: dict) -> list:
@@ -608,9 +609,7 @@ def _push_coboundary(c: _ClosedTables, comp, x: dict) -> list:
     left = {p: m - x[p] for p in sorted(comp) if x[p] != m}
 
     def legal(p):
-        if left[p] > 0:
-            return all(c.strand_from[s] in c.base_set for s in c.in_slots[p])
-        return all(c.strand_to[s] in c.base_set for s in c.out_slots[p])
+        return all(q in c.base_set for q in _near(c, p, left[p]))
 
     moves = []
     while left:
@@ -742,7 +741,7 @@ def semi_reduce(c: ClosedDiagram, budget=None, rng=None, probe=None):
     w = _ClosedTables(c)
     trace = []
     while True:
-        for rtype, _, payload in _reduce_in_place(w.tables(), redexes, w.base_set):
+        for rtype, _, payload in _reduce_in_place(w, redexes, w.base_set):
             trace.append(Move("reduce", (rtype, payload)))
         freeable = _freeable(w)
         if freeable is None:
@@ -773,5 +772,7 @@ def replay(c: ClosedDiagram, moves, g: ShiftGraph = None) -> ClosedDiagram:
     for mv in moves:
         if mv.kind not in edits:
             raise ValueError(f"unknown move {mv.kind}")
+        if g is None and mv.kind.startswith("type3"):
+            raise PreconditionError(f"replaying a {mv.kind} move needs the graph g")
         edits[mv.kind](w, *mv.data)
     return w.freeze()

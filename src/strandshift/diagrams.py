@@ -14,22 +14,23 @@ position and one univalent sink per range position.  The validator in
 are legitimate diagrams), but the normalized form is what makes closing along
 a base line a bijection, so the constructors never emit them.
 
-The core that closed diagrams (closed.py) share is the six tables, the
-edits on them (copy, retarget, splice, drop), one builder whose
-:meth:`_Builder.fresh` hands out every new id, and the one serializer,
-:func:`_least_serialization`, a breadth-first walk in both directions from
-runs of seed points whose records flag the points in `marked` (a closed
-diagram's base points): it writes every open, closed and skeleton key.  A
-closed diagram trades the source and sink orders for a base line.
+The core that closed diagrams (closed.py) share is the six tables, one
+working copy of them, :class:`_Builder`, whose :meth:`_Builder.fresh` hands
+out every new id, the edits on that copy (retarget, splice, drop, apply a
+redex), and the one serializer, :func:`_least_serialization`, a
+breadth-first walk in both directions from runs of seed points whose
+records flag the points in `marked` (a closed diagram's base points): it
+writes every open, closed and skeleton key.  A closed diagram trades the
+source and sink orders for a base line.
 
 Constructors adopt, and every edit copies once: a diagram keeps the six dicts
 it is given and never changes them, so an inverse shares its input's
-tables, and an edit rewrites one :func:`_copy_tables` copy in place.  A
-product of reduced diagrams (:func:`product`) is one such edit: the factors
-are glued on one copy, only the seam where they meet is reduced, and one
-diagram is built.  Copies and builders hold slot sequences as lists; a
-hand-built diagram may use tuples, but not both, since type 1 redexes
-compare whole slot sequences.
+tables, and an edit rewrites one working copy, ``_Builder(d)``, in place
+and builds one diagram from it.  A product of reduced diagrams
+(:func:`product`) is one such edit: the factors are glued on one copy, only
+the seam where they meet is reduced, and one diagram is built.  A working
+copy holds slot sequences as lists; a hand-built diagram may use tuples,
+but not both, since type 1 redexes compare whole slot sequences.
 """
 
 from __future__ import annotations
@@ -107,18 +108,6 @@ def _check_structure(d) -> None:
 # ---------------------------------------------------------------------------
 # table edits, shared by open and closed diagrams
 
-def _copy_tables(d):
-    """Mutable copies of d's six tables, slot sequences as lists."""
-    return (
-        dict(d.point_color),
-        dict(d.strand_color),
-        dict(d.strand_from),
-        dict(d.strand_to),
-        {p: list(v) for p, v in d.in_slots.items()},
-        {p: list(v) for p, v in d.out_slots.items()},
-    )
-
-
 def _retarget(strand_to, in_slots, s, replacing):
     """Strand s now ends where strand `replacing` ended, in the same in-slot."""
     target = strand_to[replacing]
@@ -127,24 +116,22 @@ def _retarget(strand_to, in_slots, s, replacing):
     slots[slots.index(replacing)] = s
 
 
-def _drop_point(tabs, p):
-    pc, _, _, _, ins, outs = tabs
-    del pc[p], ins[p], outs[p]
+def _drop_point(w, p):
+    del w.point_color[p], w.in_slots[p], w.out_slots[p]
 
 
-def _drop_strand(tabs, s):
-    _, sc, sf, st, _, _ = tabs
-    del sc[s], sf[s], st[s]
+def _drop_strand(w, s):
+    del w.strand_color[s], w.strand_from[s], w.strand_to[s]
 
 
-def _splice_out(tabs, p):
+def _splice_out(w, p):
     """Remove a degree-(1,1) point, fusing its strands (the incoming id survives)."""
-    pc, sc, sf, st, ins, outs = tabs
+    ins, outs, st = w.in_slots, w.out_slots, w.strand_to
     s_in, s_out = ins[p][0], outs[p][0]
     assert s_in != s_out, "cannot splice a point on a one-strand loop"
     _retarget(st, ins, s_in, s_out)
-    del pc[p], ins[p], outs[p]
-    del sc[s_out], sf[s_out], st[s_out]
+    del w.point_color[p], ins[p], outs[p]
+    del w.strand_color[s_out], w.strand_from[s_out], st[s_out]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +202,19 @@ def canonical_key(d: StrandDiagram) -> tuple:
 # constructors
 
 class _Builder(_Tables):
-    """Six tables under construction, adopted as given or new and empty.
-    `fresh` is the pipeline's one id allocator."""
+    """The one working copy that every table edit edits: ``_Builder(d)``
+    copies d's six tables, slot sequences as lists, and ``_Builder()``
+    starts six empty ones.  `fresh` is the pipeline's one id allocator."""
 
     __slots__ = ("_next",)
 
-    def __init__(self, *tabs):
-        _Tables.__init__(self, *(tabs or ({}, {}, {}, {}, {}, {})))
+    def __init__(self, d=None):
+        if d is None:
+            _Tables.__init__(self, {}, {}, {}, {}, {}, {})
+        else:
+            pc, sc, sf, st, ins, outs = d.tables()
+            slots = ({p: list(v) for p, v in ins.items()}, {p: list(v) for p, v in outs.items()})
+            _Tables.__init__(self, dict(pc), dict(sc), dict(sf), dict(st), *slots)
         self._next = None
 
     def fresh(self, n: int = 1) -> int:
@@ -353,16 +346,17 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
 # groupoid operations
 
 def _glue(a: StrandDiagram, b: StrandDiagram):
-    """Concatenate onto one copy of the tables: a's i-th sink is spliced onto
+    """Concatenate onto one copy of a's tables: a's i-th sink is spliced onto
     b's i-th source, and the glued strand keeps the id of a's strand.
 
-    Returns the tables, the new sinks (b's, moved past a's ids) and the
-    seam, the set of the origins of the glued strands.
+    Returns the working copy, the new sinks (b's, moved past a's ids) and
+    the seam, the set of the origins of the glued strands.
     """
     if a.range() != b.domain():
         raise SignatureMismatch(f"range {a.range()} != domain {b.domain()}")
-    tabs = pc, sc, sf, st, ins, outs = _copy_tables(a)
-    offset = _Builder(*tabs).fresh()
+    w = _Builder(a)
+    offset = w.fresh()
+    pc, sc, sf, st, ins, outs = w.tables()
     for p, c in b.point_color.items():
         pc[p + offset] = c
         ins[p + offset] = [s + offset for s in b.in_slots[p]]
@@ -377,16 +371,16 @@ def _glue(a: StrandDiagram, b: StrandDiagram):
         s_a, s_b = ins[snk][0], outs[src][0]
         seam.add(sf[s_a])
         _retarget(st, ins, s_a, s_b)
-        _drop_point(tabs, snk)
-        _drop_point(tabs, src)
-        _drop_strand(tabs, s_b)
-    return tabs, tuple(p + offset for p in b.sinks), seam
+        _drop_point(w, snk)
+        _drop_point(w, src)
+        _drop_strand(w, s_b)
+    return w, tuple(p + offset for p in b.sinks), seam
 
 
 def compose(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     """Concatenate: a's i-th sink is spliced onto b's i-th source. Not reduced."""
-    tabs, sinks, _ = _glue(a, b)
-    return StrandDiagram(*tabs, a.sources, sinks)
+    w, sinks, _ = _glue(a, b)
+    return w.build(a.sources, sinks)
 
 
 def product(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
@@ -405,9 +399,9 @@ def product(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     :func:`find_redexes` gives on the composite, so from there the reduction
     runs step for step as :func:`reduce_with_log` runs on the same tables.
     """
-    tabs, sinks, seam = _glue(a, b)
-    _reduce_in_place(tabs, _redexes_at(_Tables(*tabs), [p for p in a.point_color if p in seam]))
-    return StrandDiagram(*tabs, a.sources, sinks)
+    w, sinks, seam = _glue(a, b)
+    _reduce_in_place(w, _redexes_at(w, [p for p in a.point_color if p in seam]))
+    return w.build(a.sources, sinks)
 
 
 def invert(d: StrandDiagram) -> StrandDiagram:
@@ -473,30 +467,31 @@ def _redexes_at(d, points, skip=frozenset()) -> list:
     return redexes
 
 
-def apply_redex(tabs, redex):
-    """Apply one redex to mutable tables in place; shared by open and closed diagrams."""
+def apply_redex(work, redex):
+    """Apply one redex to the working copy `work` in place; shared by open
+    and closed diagrams."""
     rtype, _, payload = redex
-    _, _, _, st, ins, outs = tabs
     if rtype == 0:
-        _splice_out(tabs, payload)
-    elif rtype == 1:
-        v, w = payload
+        _splice_out(work, payload)
+        return
+    st, ins, outs = work.strand_to, work.in_slots, work.out_slots
+    v, w = payload
+    if rtype == 1:
         s_out = outs[w][0]
         for s in outs[v]:
-            _drop_strand(tabs, s)
+            _drop_strand(work, s)
         _retarget(st, ins, ins[v][0], s_out)
-        _drop_strand(tabs, s_out)
-        _drop_point(tabs, v)
-        _drop_point(tabs, w)
+        _drop_strand(work, s_out)
+        _drop_point(work, v)
+        _drop_point(work, w)
     else:
-        v, w = payload
         pairs = list(zip(ins[v], outs[w]))
-        _drop_strand(tabs, outs[v][0])
-        _drop_point(tabs, v)
-        _drop_point(tabs, w)
+        _drop_strand(work, outs[v][0])
+        _drop_point(work, v)
+        _drop_point(work, w)
         for s_j, t_j in pairs:
             _retarget(st, ins, s_j, t_j)
-            _drop_strand(tabs, t_j)
+            _drop_strand(work, t_j)
 
 
 def reduce_with_log(d: StrandDiagram):
@@ -525,21 +520,20 @@ def reduce_with_log(d: StrandDiagram):
     redexes = find_redexes(d)
     if not redexes:
         return d, []
-    tabs = _copy_tables(d)
-    applied = _reduce_in_place(tabs, redexes)
-    return StrandDiagram(*tabs, d.sources, d.sinks), [r[0] for r in applied]
+    work = _Builder(d)
+    applied = _reduce_in_place(work, redexes)
+    return work.build(d.sources, d.sinks), [r[0] for r in applied]
 
 
-def _reduce_in_place(tabs, redexes, skip=frozenset()) -> list:
-    """Apply redexes to the mutable `tabs` until none is left, starting from
-    `redexes`, which must hold every redex that avoids the points in `skip`
-    (a closed diagram's base points); returns the redexes applied, in the
-    order :func:`reduce_with_log` describes.  No origin tested again is a
+def _reduce_in_place(work, redexes, skip=frozenset()) -> list:
+    """Apply redexes to the working copy `work` until none is left, starting
+    from `redexes`, which must hold every redex that avoids the points in
+    `skip` (a closed diagram's base points); returns the redexes applied, in
+    the order :func:`reduce_with_log` describes.  No origin tested again is a
     point the rewrite removed: it would close a directed cycle through the
     payload, off the base line, which neither an open diagram nor a closed
     one (whose cycles all cross its base line) has."""
-    work = _Tables(*tabs)
-    strand_from, in_slots = tabs[2], tabs[4]
+    strand_from, in_slots = work.strand_from, work.in_slots
     live = ({}, {}, {})
     for r in redexes:
         live[r[0]][r[1]] = r
@@ -548,7 +542,7 @@ def _reduce_in_place(tabs, redexes, skip=frozenset()) -> list:
         chosen = next(iter((live[0] or live[1] or live[2]).values()))
         rtype, p, payload = chosen
         origins = [strand_from[s] for s in in_slots[p]]
-        apply_redex(tabs, chosen)
+        apply_redex(work, chosen)
         applied.append(chosen)
         for x in itertools.chain((p,) if rtype == 0 else payload, origins):
             for t in live:

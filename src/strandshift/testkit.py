@@ -57,8 +57,9 @@ from .closed import (
     ClosedDiagram,
     Move,
     SplitMergeSkeleton,
-    _consolidate,
     _edited,
+    _near,
+    _push,
     _push_coboundary,
     _reduce,
     components,
@@ -72,9 +73,7 @@ from .conjugacy import solve_integer
 from .diagrams import (
     StrandDiagram,
     _Builder,
-    _copy_tables,
     _least_serialization,
-    _Tables,
     apply_redex,
     compose,
     equal,
@@ -397,20 +396,13 @@ def base_colors(c: ClosedDiagram) -> tuple:
 
 def cut(c: ClosedDiagram) -> StrandDiagram:
     """Split every base point into a source/sink pair, ordered by the base line."""
-    pc, sc, sf, st, ins, outs = _copy_tables(c)
-    nxt = 1 + max([*c.point_color, *c.strand_color], default=0)
+    w = _Builder(c)
     sinks = []
     for b in c.base_line:
-        s_in = ins[b][0]
-        snk = nxt
-        nxt += 1
-        pc[snk] = c.point_color[b]
-        ins[snk] = [s_in]
-        outs[snk] = []
-        st[s_in] = snk
-        ins[b] = []
+        snk = w.point(c.point_color[b])
+        w.attach_target(w.in_slots[b].pop(), snk)
         sinks.append(snk)
-    return StrandDiagram(pc, sc, sf, st, ins, outs, c.base_line, sinks)
+    return w.build(c.base_line, sinks)
 
 
 def conjugator_of(move: Move, before: tuple, after: tuple) -> StrandDiagram:
@@ -557,13 +549,12 @@ def reference_reduce_with_log(d: StrandDiagram, rng=None):
     must match by canonical key: before every rewrite it scans the whole
     diagram for redexes and recomputes the whole canonical order."""
     log = []
-    tabs = _copy_tables(d)
-    work = _Tables(*tabs)
+    work = _Builder(d)
     while redexes := find_redexes(work):
         chosen = _choose_redex(redexes, rng, lambda: _forward_order(work, d.sources))
         log.append(chosen[0])
-        apply_redex(tabs, chosen)
-    return (StrandDiagram(*tabs, d.sources, d.sinks) if log else d), log
+        apply_redex(work, chosen)
+    return (work.build(d.sources, d.sinks) if log else d), log
 
 
 def reduce_closed_step(c: ClosedDiagram, rng=None):
@@ -785,11 +776,12 @@ def brute_conjugate(g: ShiftGraph, f, target, size_bound: int = 2):
 # the budgeted similarity search
 
 def _consolidations(c: ClosedDiagram):
-    """Consolidation opportunities: (mode, point, base points in slot order).
+    """Consolidation opportunities: (point, step) for a reducing push.
 
     A merge all of whose immediate predecessors are base points (or a split
-    all of whose immediate successors are) can absorb them after a base
-    permutation brings the points together in slot order.
+    all of whose immediate successors are) can absorb them, pushed forward
+    (backward) through it after a base permutation brings them together
+    in slot order (:func:`strandshift.closed._push`).
     """
     out = []
     for p in sorted(c.point_color):
@@ -797,13 +789,13 @@ def _consolidations(c: ClosedDiagram):
             continue
         ind, outd = len(c.in_slots[p]), len(c.out_slots[p])
         if ind >= 2 and outd == 1:
-            preds = [c.strand_from[s] for s in c.in_slots[p]]
-            if all(q in c.base_set for q in preds):
-                out.append(("down", p, preds))
-        if outd >= 2 and ind == 1:
-            succs = [c.strand_to[s] for s in c.out_slots[p]]
-            if all(q in c.base_set for q in succs):
-                out.append(("up", p, succs))
+            step = 1
+        elif outd >= 2 and ind == 1:
+            step = -1
+        else:
+            continue
+        if all(q in c.base_set for q in _near(c, p, step)):
+            out.append((p, step))
     return out
 
 
@@ -868,8 +860,8 @@ def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 
                     new, mv = step
                     yield new, path + [mv]
                     return
-                for mode, _, slot_points in _consolidations(state):
-                    nbrs.append((0, ("cons", mode, slot_points)))
+                for p, step in _consolidations(state):
+                    nbrs.append((0, ("cons", p, step)))
             if cost < limit:
                 for i in range(len(state.base_line)):
                     for direction in shift_directions(state, i):
@@ -881,7 +873,7 @@ def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 
                 nbrs.sort(key=lambda t: t[0])
             for extra, action in nbrs:
                 if action[0] == "cons":
-                    nstate, mvs = _edited(state, _consolidate, action[1], action[2])
+                    nstate, mvs = _edited(state, _push, action[1], action[2])
                 else:
                     nstate, mv = shift_expand(state, action[1], action[2])
                     mvs = [mv]
@@ -904,8 +896,8 @@ def _find_unlockable(c: ClosedDiagram, budget: int, rng=None, max_states: int = 
 
 
 def _similarity_neighbors(c: ClosedDiagram):
-    for mode, _, slot_points in _consolidations(c):
-        yield _edited(c, _consolidate, mode, slot_points)[0]
+    for p, step in _consolidations(c):
+        yield _edited(c, _push, p, step)[0]
     for i in range(len(c.base_line)):
         for direction in shift_directions(c, i):
             yield shift_expand(c, i, direction)[0]

@@ -933,6 +933,7 @@ def _conj_report(step_failed, reason, sizes, loops, steps, witness=None):
 
 FIG1_E0_WITNESS = "element\n  domain [B, G.3.3, G.3.4.1, G.3.4.2, G.4]\n  range  [B, G.3, G.4.1.3, G.4.2, G.4.1.4]\n"
 FIG1_E189_WITNESS = "element\n  domain [B, G.3, G.4]\n  range  [G.4, G.3, B]\n"
+H2_RAY_SWAP = "element\n  domain [A#1, A#2]\n  range  [A#2, A#1]\n"
 STEP2_STEPS = ["shift-expand", "reduce"] * 4
 SIGMA_STEPS = ["shift-expand", "reduce", "shift-expand", "shift-expand", "reduce"]
 E0_STEPS = ["shift-expand", "reduce"] * 7
@@ -942,8 +943,9 @@ E189_STEPS = ["reduce"] * 6
 
 # the exact stdout of `conj`, plain and --json, for two step-3 refusals, a
 # step-2 refusal, a pair whose witness stacks type 3 layers, a pair whose
-# witness pushes the base line and a pair whose witness the relation-search
-# cap gives up on
+# witness pushes the base line, a pair whose witness the relation-search
+# cap gives up on, and the Houghton group H2's translation against its
+# inverse and its square
 CONJ_OUTPUT = [
     pytest.param(
         ["three_color", "sigma", "identity"],
@@ -998,6 +1000,18 @@ CONJ_OUTPUT = [
         ),
         id="two-vertex-capped-witness",
     ),
+    pytest.param(
+        ["houghton2", "houghton2_t", "houghton2_t_inv", "--witness"],
+        f"verdict: conjugate\nsteps: (none)\nwitness:\n{H2_RAY_SWAP}",
+        _conj_report(None, "equivalent closed diagrams", [[2, 2], [2, 2]], [[], []], [], H2_RAY_SWAP),
+        id="houghton2-t-inverse-witness",
+    ),
+    pytest.param(
+        ["houghton2", "houghton2_t", "houghton2_t2"],
+        "verdict: not-conjugate\nstep failed: 2 (split-merge parts are not similar)\nsteps: (none)\n",
+        _conj_report(2, "split-merge parts are not similar", [[2, 2], [4, 2]], [[], []], []),
+        id="houghton2-t-square-step2",
+    ),
 ]
 
 
@@ -1009,7 +1023,14 @@ def test_conj_output_is_pinned(args, plain, report, capsys):
     fixed-point sets.  The two-vertex pair is the planted pair of
     test_witness_cap_is_best_effort, element seeds 36 and 36 + 5555: at cap
     3 every relation path between its loop parts is out of reach, so the
-    verdict stands with no witness."""
+    verdict stands with no witness.
+
+    fixtures/houghton2.graph presents the Houghton group H2, outside the
+    irreducible case: each root's shift space is a ray of isolated points
+    A.a^n.p... closed by its limit A.a.a...  t translates the line that the
+    two rays form by one point.  t^-1 is conjugate to it by the swap of the
+    two rays, which is the witness, and t^2, which translates by two, is
+    not."""
     graph, lhs, rhs, *flags = args
     argv = ["conj", "--graph", str(FIXTURES / f"{graph}.graph"), "--lhs", str(FIXTURES / f"{lhs}.elem")]
     argv += ["--rhs", str(FIXTURES / f"{rhs}.elem"), *flags]

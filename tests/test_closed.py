@@ -164,6 +164,16 @@ def test_shift_round_trip(fig1, sigma):
     assert closed_key(back) == closed_key(c)
 
 
+def test_shift_reduce_of_one_point_over_a_split_is_the_expanding_shift(fig1, sigma):
+    """One base point in front of a split is the whole near side of a push
+    through the split, so reducing it "down" is the expanding shift, not a
+    base point moved onto the split's first out-strand alone."""
+    c = close(from_forest_pair(fig1, sigma))
+    expanded, move = shift_expand(c, 1, "down")
+    reduced, again = shift_reduce(c, (1,), "down")
+    assert again == move and closed_key(reduced) == closed_key(expanded)
+
+
 def test_shift_reduce_preconditions(fig1):
     c = expansion_caret(fig1)
     c2, _ = shift_expand(c, 0, "down")
@@ -286,6 +296,18 @@ def test_type3_expand_round_trip(fig1):
     assert equal(compose(compose(g, cut(c)), invert(g)), cut(c2))
     back, _ = type3_reduce(c2, fig1, 0, 2, 2, vertex="B")
     assert decompose_parts(back)[1] == {("B", 2): 1}
+
+
+def test_replaying_a_type3_move_without_the_graph_names_the_move(fig1, base_bg):
+    """A type 3 move reads the graph's child colors, so replaying one without
+    the graph is refused by a precondition that names the move's kind."""
+    c = close(identity_diagram(base_bg))
+    expanded, expand = type3_expand(c, fig1, 0, 1, "B")
+    merged, merge = type3_reduce(expanded, fig1, 0, 2, 1)
+    for start, move, result in ((c, expand, expanded), (expanded, merge, merged)):
+        with pytest.raises(PreconditionError, match=f"replaying a {move.kind} move"):
+            replay(start, [move])
+        assert closed_key(replay(start, [move], fig1)) == closed_key(result)
 
 
 def test_semi_reduce_worked_element(fig1, sigma):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -544,6 +545,24 @@ def test_step2_pairs_match_recorded_digest(fig1, base_bg):
     records += [pairs(compare_split_merge(a, b)) for a in unions for b in unions]
     assert sum(r is not None for r in records[-len(unions) ** 2 :]) >= 40
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "2aea0995fd48cb2e"
+
+
+def test_move_records_match_recorded_digest(fig1, base_bg):
+    """Pins every move's kind, data and conjugator: both sides' Step 1 traces
+    and the witness's moves onto the second side, for sixty fig1 elements f
+    at growth 3-8 and g = h^-1 f h with h at growth 2.  Replaying checks a
+    trace only up to the diagram it rebuilds; this also fixes the positions
+    and layers that witness assembly reads."""
+    records, kinds = [], Counter()
+    for e in range(60):
+        f, h = element(fig1, base_bg, e, steps=3 + e % 6), element(fig1, base_bg, 500 + e)
+        res = is_conjugate(f, reduce(compose(compose(invert(h), f), h)), fig1)
+        a, b = res.analyses
+        for moves in (a.trace, b.trace, _moves_onto(res, fig1, None)):
+            records.append([(m.kind, m.data, m.conj) for m in moves])
+            kinds.update(m.kind for m in moves)
+    assert kinds == {"shift-expand": 605, "shift-reduce": 11, "permute": 45, "type3-expand": 5, "reduce": 965}
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "94711ba0c70fae94"
 
 
 def test_step2_coboundary_is_the_spanning_tree_solution_up_to_a_constant(fig1, base_bg):
