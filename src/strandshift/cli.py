@@ -22,7 +22,7 @@ from .diagrams import compose, equal, from_forest_pair, identity_diagram, invert
 from .dot import closed_dot, diagram_dot
 from .errors import LimitExceeded, ParseError, SignatureMismatch
 from .graphs import normalize_graph, validate_graph
-from .semigroup import bfs_equal, decide_equal, dump_presentation, max_winding, presentation_from_graph
+from .semigroup import bfs_equal, decide_equal, degree, dump_presentation, max_winding, presentation_from_graph
 from .textio import format_element, format_graph, format_loops, parse_element, parse_graph, parse_loops
 
 
@@ -160,6 +160,12 @@ def cmd_semigroup_eq(args):
     n = max(max_winding(lhs), max_winding(rhs))
     pres = presentation_from_graph(g, n)
     va, vb = pres.vector(lhs), pres.vector(rhs)
+    if args.semigroup_cap is not None:
+        least = max(degree(va), degree(vb))
+        if args.semigroup_cap < least:
+            raise ValueError(
+                f"--semigroup-cap {args.semigroup_cap}: cap below the degree of an input; the least cap is {least}"
+            )
     verdict = decide_equal(va, vb, pres)
     report = {
         "equal": verdict,

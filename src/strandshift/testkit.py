@@ -12,8 +12,10 @@ off the tree potentials of the keys.  The class enumeration
 applies the loop relations one at a time instead of the completed
 rewriting system.  The stage presentation builds stage N whole, one
 generator per color and winding and one relation per vertex and winding,
-completes all of it at once and searches all windings jointly; the
-pipeline completes and searches one winding's block at a time.
+completes all of it at once, taking S-pairs last in, first out and keeping
+every rule, and searches all windings jointly; the pipeline completes one
+winding's block to its reduced basis, least lcm first, and searches one
+block at a time.
 The reference reducer and the reference semi-reduction reuse the redex
 scan and the moves, but rescan and reorder the whole diagram before every
 step instead of keeping a worklist, and the semi-reduction builds a new
@@ -95,7 +97,7 @@ from .graphs import (
     normalize_graph,
     validate_graph,
 )
-from .semigroup import Presentation, _block_path, _divides, _normal_form, _orient
+from .semigroup import Presentation, _block_path, _divides, _key, _normal_form, _orient
 
 
 @dataclass
@@ -1009,6 +1011,17 @@ def stage_completed_rules(sp: StagePresentation) -> list:
             rules.append(_orient(s1, s2))
             pending.extend((t, len(rules) - 1) for t in range(len(rules) - 1))
     return rules
+
+
+def reduced_rules(rules) -> set:
+    """The reduced basis of a confluent rule set: a rule leaves when the lead
+    of a rule kept before it divides its lead, least lead first, and every
+    kept tail is rewritten to its normal form."""
+    kept = []
+    for u, v in sorted(rules, key=lambda rule: _key(rule[0])):
+        if not any(_divides(w, u) for w, _ in kept):
+            kept.append((u, v))
+    return {(u, _normal_form(v, kept)) for u, v in kept}
 
 
 def stage_decide_equal(a: tuple, b: tuple, rules) -> bool:

@@ -532,9 +532,18 @@ def test_semigroup_eq_cap_below_input_degree(files, capsys, cap):
             cap,
         ],
     )
-    assert code == 1
-    assert out == ""
-    assert "cap below the degree of an input" in err
+    assert (code, out) == (1, "")
+    assert err == f"error: --semigroup-cap {cap}: cap below the degree of an input; the least cap is 1\n"
+
+
+@pytest.mark.parametrize("lhs, rhs, cap, least", [("2*L(B,1)+L(G,2)", "L(R,1)", "2", 3), ("L(B,1)", "L(G,1)+L(R,1)", "-1", 2)])
+def test_semigroup_eq_cap_below_input_degree_names_the_flag_and_least_cap(capsys, lhs, rhs, cap, least):
+    """The least cap that --semigroup-cap accepts is the larger degree of
+    the two inputs, and the error says so."""
+    graph = str(FIXTURES / "three_color.graph")
+    code, out, err = run(capsys, ["semigroup-eq", "--graph", graph, "--lhs", lhs, "--rhs", rhs, "--semigroup-cap", cap])
+    message = f"--semigroup-cap {cap}: cap below the degree of an input; the least cap is {least}"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_export_dot(files, tmp_path, capsys):
@@ -1194,16 +1203,38 @@ def _run_cli(*argv, timeout=30):
 
 
 def test_semigroup_eq_whose_completion_runs_on_is_refused():
-    """fixtures/random_v8_seed12.graph is the random graph of seed 12 at
-    max_vertices=8.  The completion of its loops semigroup runs on, so the
-    S-pair bound refuses the query: exit 2, with the limit named.  The CI
-    workflow runs the same command."""
-    text = (FIXTURES / "random_v8_seed12.graph").read_text()
-    assert text == format_graph(*random_graph(GeneratorConfig(seed=12, max_vertices=8)))
-    graph = str(FIXTURES / "random_v8_seed12.graph")
+    """fixtures/random_v14_seed56.graph is the random graph of seed 56 at
+    max_vertices=14, with 14 vertices.  The completion of its loops
+    semigroup runs on, so the S-pair bound refuses the query: exit 2, with
+    the limit named.  The CI workflow runs the same command."""
+    text = (FIXTURES / "random_v14_seed56.graph").read_text()
+    assert text == format_graph(*random_graph(GeneratorConfig(seed=56, max_vertices=14)))
+    graph = str(FIXTURES / "random_v14_seed56.graph")
     proc = _run_cli("semigroup-eq", "--graph", graph, "--lhs", "L(V0,1)", "--rhs", "L(V1,1)")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "limit exceeded: semigroup-completion" in proc.stderr
+
+
+def test_semigroup_eq_on_random_graph_seed_12_is_not_equal():
+    """fixtures/random_v8_seed12.graph is the random graph of seed 12 at
+    max_vertices=8, whose completion once ran past the S-pair bound.  It
+    now answers "not equal", and a character certifies that answer without
+    completion: chi = (1,0,2,1,1,2,0,1) mod 3 over V0-V7 is 0 on every
+    relation vector (children minus vertex), so it is a monoid map to Z/3,
+    and it sends L(V0,1) to 1 and L(V1,1) to 0.  The CI workflow runs the
+    same command."""
+    text = (FIXTURES / "random_v8_seed12.graph").read_text()
+    assert text == format_graph(*random_graph(GeneratorConfig(seed=12, max_vertices=8)))
+    g = parse_graph(text)[0]
+    chi = dict(zip(g.vertices, (1, 0, 2, 1, 1, 2, 0, 1)))
+    assert g.vertices == tuple(f"V{i}" for i in range(8))
+    for v in g.vertices:
+        if not g.is_isolated_color(v):
+            assert (sum(chi[c] for c in g.child_colors(v)) - chi[v]) % 3 == 0
+    assert (chi["V0"], chi["V1"]) == (1, 0)
+    graph = str(FIXTURES / "random_v8_seed12.graph")
+    proc = _run_cli("semigroup-eq", "--graph", graph, "--lhs", "L(V0,1)", "--rhs", "L(V1,1)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "not equal in stage 1\n", "")
 
 
 def _three_color_query(n):

@@ -1028,3 +1028,17 @@ def test_planted_conjugacy_fuzz_never_denies():
             if not res.conjugate:
                 denied.append((seed, e, res.step_failed))
     assert not denied, f"'not conjugate' on planted pairs {denied}"
+
+
+@pytest.mark.parametrize("seed", [9, 11, 12, 40, 41, 50, 61, 63, 64, 65])
+def test_planted_conjugates_on_graphs_whose_completion_once_ran_on(seed):
+    """Random graphs of up to 8 vertices whose loops-semigroup completion
+    once ran past the S-pair bound, so that their planted pairs were
+    refused.  Each of six planted pairs must now be "conjugate" with a
+    verified witness; no refusal is allowed."""
+    for e in range(6):
+        g, f, target = planted_conjugates(dict(seed=seed, max_vertices=8), e, 2 + e % 5)
+        res = is_conjugate(f, target, g)
+        assert res.conjugate, (e, res.step_failed, res.reason)
+        w = conjugator_witness(f, target, res, g)
+        assert w is not None and equal(compose(compose(w, target), invert(w)), f)

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandshift.semigroup import (
+    Presentation,
     _divides,
+    _key,
     _normal_form,
+    _orient,
     bfs_equal,
     bfs_path,
     completed_rules,
@@ -22,6 +25,7 @@ from strandshift.testkit import (
     GeneratorConfig,
     enumerate_class,
     random_graph,
+    reduced_rules,
     stage_bfs_path,
     stage_completed_rules,
     stage_decide_equal,
@@ -335,12 +339,41 @@ def _lifted(rules, block, n):
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_completed_rules_are_lifted_winding_one_rules(n):
     """Completing the whole stage at once, with nothing told of windings,
-    gives N copies of the block completion: no rule mixes windings."""
+    gives N copies of the block completion once both are reduced: no rule
+    mixes windings.  The stage completion keeps every rule it derives, so
+    its rules are reduced here; the reduced basis is unique, so the two
+    sets are equal."""
     for g in BLOCK_GRAPHS:
         block = completed_rules(presentation_from_graph(g, n))
-        stage = stage_completed_rules(stage_presentation(g, n))
+        stage = reduced_rules(stage_completed_rules(stage_presentation(g, n)))
         assert len(stage) == n * len(block)
-        assert set(stage) == set(_lifted(block, len(g.vertices), n))
+        assert stage == set(_lifted(block, len(g.vertices), n))
+
+
+SEED12_GRAPH = parse_graph((FIXTURES / "random_v8_seed12.graph").read_text())[0]
+
+
+def test_completed_rules_are_the_reduced_basis():
+    """No lead divides another lead or any tail, every rule points down the
+    graded order, and the rules are sorted by lead."""
+    for g in BLOCK_GRAPHS + FIXTURE_GRAPHS + [SEED12_GRAPH]:
+        rules = completed_rules(presentation_from_graph(g, 1))
+        for u, v in rules:
+            assert _orient(u, v) == (u, v)
+            assert not any(_divides(w, v) for w, _ in rules)
+            assert [w for w, _ in rules if _divides(w, u)] == [u]
+        assert rules == sorted(rules, key=lambda rule: _key(rule[0]))
+
+
+def test_completed_rules_do_not_depend_on_the_order_of_the_relations():
+    rng = random.Random(36)
+    for g in BLOCK_GRAPHS + FIXTURE_GRAPHS + [SEED12_GRAPH]:
+        p = presentation_from_graph(g, 1)
+        rules = completed_rules(p)
+        shuffled = list(p.relations)
+        rng.shuffle(shuffled)
+        for relations in (p.relations[::-1], tuple(shuffled)):
+            assert completed_rules(Presentation(g, 1, relations)) == rules
 
 
 @st.composite
