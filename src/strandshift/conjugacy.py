@@ -293,7 +293,9 @@ def _moves_onto(result: ConjugacyResult, graph: ShiftGraph, semigroup_cap) -> li
     the relation search gives up: a's trace, then the pushes that realize
     step 2's pairs, the type 3 moves that realize the loop-part equality and
     the permutation that aligns the base lines, which edit one copy of a's
-    semi-reduced diagram in place."""
+    semi-reduced diagram in place.  A `semigroup_cap` below the larger
+    degree of the two loop vectors is refused with a ValueError, as
+    `semigroup-eq` refuses it, when there are loops to search."""
     a, b = result.analyses
     moves_a = list(a.trace)
     cur = _ClosedTables(a.semi)
@@ -305,8 +307,11 @@ def _moves_onto(result: ConjugacyResult, graph: ShiftGraph, semigroup_cap) -> li
         pres = presentation_from_graph(graph, n)
         va, vb = pres.vector(a.loops), pres.vector(b.loops)
         need = max(degree(va), degree(vb))
-        cap = need + 8 if semigroup_cap is None else max(semigroup_cap, need)
-        path = bfs_path(va, vb, pres, cap)
+        if semigroup_cap is not None and semigroup_cap < need:
+            raise ValueError(
+                f"--semigroup-cap {semigroup_cap}: cap below the degree of an input; the least cap is {need}"
+            )
+        path = bfs_path(va, vb, pres, need + 8 if semigroup_cap is None else semigroup_cap)
         if path is None:
             return None
         moves_a.extend(_realize_semigroup_path(cur, graph, path))
@@ -332,7 +337,8 @@ def conjugator_witness(
     and h_b that of b's trace, h = h_a^-1 . h_b: one stack of layers, b's
     trace in order on the identity and then a's moves inverted in reverse,
     reduced once.  The witness's one check is diagram algebra: h g h^-1 = f,
-    which rejects every wrong h, before it is returned.
+    which rejects every wrong h, before it is returned.  A `semigroup_cap`
+    below the degree of a loop part raises ValueError.
     """
     if not (result.conjugate and result.analyses):
         return None

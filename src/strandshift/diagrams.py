@@ -277,63 +277,68 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
     of the domain forest is glued to leaf i of the range forest.
 
     The pair is checked against `g` unless `fp.checked` holds that check's
-    internal nodes for `g` itself.  Ids come from one builder's `fresh`,
-    depth first, domain forest first: per root its end point, then per node
-    its strand and, for an internal node, its point.  Each forest grows from
-    an explicit stack, not by recursion, so the depth of a forest is not
-    limited.
+    tries for `g` itself.  The tries give the number of ids in advance, per
+    forest one per root, node and internal node, so one builder's `fresh`
+    hands them out as one block, the same ids as one call per id, and they
+    are counted off depth first, domain forest first: per root its end
+    point, then per node its strand and, for an internal node, its point.
+    Each forest grows from an explicit stack, not by recursion, so the
+    depth of a forest is not limited.
     """
     if fp.checked is None or fp.checked[0] is not g:
         validate_forest_pair(g, fp)
-    _, domain_internal, range_internal = fp.checked
+    _, domain_tries, range_tries, internal = fp.checked
     b = _Builder()
-    fresh = b.fresh
+    first = b.fresh(2 * (len(fp.base) + len(fp) + internal))
     point_color, strand_color, strand_from, strand_to, in_slots, out_slots = b.tables()
-    kids = {v: [((e,), g.edges[e][1]) for e in reversed(es)] for v, es in g.out_order.items()}
+    kids = {v: [(e, g.edges[e][1]) for e in reversed(es)] for v, es in g.out_order.items()}
 
-    def grow(leaves, internal, head, heads, tail, tails):
-        """One forest.  A node's strand meets the node's own point, for an
-        internal node, through `head`/`heads` and its parent's point, or a
-        root's new end point, through `tail`/`tails`.  Returns the end points
-        and the leaves' strands, both in order."""
-        leaf_strand = {}
+    def grow(tries, nid, head, heads, tail, tails):
+        """One forest, from id `nid` on.  A node's strand meets the node's
+        own point, for an internal node, through `head`/`heads` and its
+        parent's point, or a root's new end point, through `tail`/`tails`.
+        Returns the end points and the leaves' strands, both in order, and
+        the next id."""
+        leaf_strands = [None] * len(fp)
         ends = []
         for root, color in enumerate(fp.base):
-            p = fresh()
+            p = nid
+            nid += 1
             point_color[p] = color
             heads[p] = []
             tails[p] = []
             ends.append(p)
-            # (edges, color, parent point) for a node to grow, and (None,
+            # (node, color, parent point) for a node to grow, and (None,
             # strand, parent point) for an internal node's strand, which
             # meets its parent once every node below it has grown
-            stack = [((), color, p)]
+            stack = [(tries[root], color, p)]
             push = stack.append
             while stack:
-                edges, x, parent = stack.pop()
-                if edges is None:
+                node, x, parent = stack.pop()
+                if node is None:
                     s = x
                 else:
-                    split = (root, edges) in internal
-                    s = fresh(2) if split else fresh()
+                    s = nid
                     strand_color[s] = x
-                    if split:
+                    if type(node) is dict:
                         q = s + 1
+                        nid += 2
                         point_color[q] = x
                         head[s] = q
                         heads[q] = [s]
                         tails[q] = []
                         push((None, s, parent))
                         for e, c in kids[x]:
-                            push((edges + e, c, q))
+                            push((node[e], c, q))
                         continue
-                    leaf_strand[root, edges] = s
+                    nid += 1
+                    leaf_strands[node] = s
                 tail[s] = parent
                 tails[parent].append(s)
-        return ends, [leaf_strand[w] for w in leaves]
+        return ends, leaf_strands, nid
 
-    sources, domain_leaves = grow(fp.domain_leaves, domain_internal, strand_to, in_slots, strand_from, out_slots)
-    sinks, range_leaves = grow(fp.range_leaves, range_internal, strand_from, out_slots, strand_to, in_slots)
+    sources, domain_leaves, nid = grow(domain_tries, first, strand_to, in_slots, strand_from, out_slots)
+    sinks, range_leaves, _ = grow(range_tries, nid, strand_from, out_slots, strand_to, in_slots)
     # Glue leaf i of the domain forest to leaf i of the range forest: the two
     # dangling strands fuse, keeping the domain-side id.
     for s, t in zip(domain_leaves, range_leaves):

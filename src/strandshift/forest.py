@@ -26,8 +26,9 @@ class ForestPair:
     """The two leaf sequences over a base.
 
     `checked` is set by :func:`validate_forest_pair` once the pair passes:
-    (graph, domain internal nodes, range internal nodes), so that a builder
-    given the same graph need not check the pair again.
+    (graph, domain tries, range tries, internal nodes of both forests), so
+    that a builder given the same graph need not check the pair again, and
+    grows each forest from its tries and takes its ids in one block.
     """
 
     domain_leaves: tuple  # tuple[PathWord, ...]
@@ -51,92 +52,121 @@ class LeafFault(ValueError):
 def _check_leaf_forest(g: ShiftGraph, base: BaseTuple, leaves, side: str):
     """Check that `leaves` is the leaf set of a complete rooted subforest.
 
-    One pass over the leaves checks each edge against the edge table, rejects
-    a repeated leaf and adds the leaf's proper prefixes to the internal-node
-    dict, longest first, stopping at the first one already there: its own
-    prefixes came with it, so each internal node is built once.  The
-    antichain, completeness and root checks then run against that dict.
+    One pass over the leaves checks each edge against the edge table and
+    files the leaf in a trie: `tries` maps each root to its node, an
+    internal node is a dict from edge id to child, and leaf i is the int i.
+    A leaf that passes through a leaf or ends on a node already filed
+    repeats a leaf or breaks the antichain; only then are the leaves walked
+    again (:func:`_first_leaf_fault`) to name the first fault in leaf order.
 
-    Completeness is a count.  Once the leaves are distinct paths and none is
-    internal, every node but a root fills one child slot of its parent, an
-    internal node, so the forest is complete exactly when the nodes that are
-    not roots number as many as the internal nodes' children.  Only a failed
-    count looks for the missing child, scanning the internal nodes in
-    insertion order, so the fault it names is the first in leaf order
-    whatever the hash seed.
+    Completeness is a count, kept as the trie grows.  Once the leaves are
+    distinct paths and none is internal, every node but a root fills one
+    child slot of its parent, an internal node, and no two fill the same
+    slot, so the forest is complete exactly when the nodes that are not
+    roots number as many as the internal nodes' child slots.  Only a failed
+    count looks for the missing child (:func:`_first_missing_child`).
 
-    Returns (internal, colors): `internal` maps each internal node, as a
-    plain (root, edges) tuple, which equals and hashes like its PathWord, to
-    its color; `colors` lists the leaf colors in leaf order.
+    Returns (tries, internal, colors): `internal` counts the internal nodes
+    and `colors` lists the leaf colors in leaf order.
 
     A fault is a :class:`LeafFault` at the leaf it names, or for an
     incomplete forest at the first leaf below the node missing a child.
     Words are named as the element format writes them, except a leaf that
     is not a path of the graph, which may have no written form.
     """
-    table = g.edges
-    seen = set()
-    internal = {}
+    table, out_order = g.edges, g.out_order
+    tries = {}
+    internal = slots = 0
     colors = []
     for i, w in enumerate(leaves):
         root, edges = w
         if not 0 <= root < len(base):
             raise LeafFault(f"{side} leaf {w} is not a path of the graph", side, i)
         at = base[root]
+        parent, key = tries, root  # the leaf's node is parent[key]
         for e in edges:
             ends = table.get(e)
             if ends is None or ends[0] != at:
                 raise LeafFault(f"{side} leaf {w} is not a path of the graph", side, i)
-            at = ends[1]
+            node = parent.get(key)
+            if node is None:
+                node = parent[key] = {}
+                internal += 1
+                slots += len(out_order[at])
+            elif type(node) is int:
+                _first_leaf_fault(g, base, leaves, side)
+            parent, key, at = node, e, ends[1]
+        if key in parent:
+            _first_leaf_fault(g, base, leaves, side)
+        parent[key] = i
+        colors.append(at)
+    if len(leaves) + internal - len(tries) != slots:
+        _first_missing_child(g, base, leaves, side, tries)
+    if len(tries) != len(base):
+        raise ValueError(f"{side} forest does not cover every root")
+    return tries, internal, colors
+
+
+def _first_leaf_fault(g: ShiftGraph, base: BaseTuple, leaves, side: str):
+    """Raise the first fault of leaves that are not distinct paths or not an
+    antichain: in leaf order a leaf that is no path or repeats an earlier
+    one, and only if there is none the first leaf below another."""
+    seen = set()
+    for i, w in enumerate(leaves):
+        at = base[w.root] if 0 <= w.root < len(base) else None
+        for e in w.edges:
+            ends = g.edges.get(e)
+            at = ends[1] if ends is not None and ends[0] == at else None
+        if at is None:
+            raise LeafFault(f"{side} leaf {w} is not a path of the graph", side, i)
         if w in seen:
             raise LeafFault(f"{side} leaf {format_word(w, base)} repeated", side, i)
         seen.add(w)
-        colors.append(at)
-        for n in range(len(edges) - 1, -1, -1):
-            p = (root, edges[:n])
-            if p in internal:
-                break
-            internal[p] = table[edges[n - 1]][1] if n else base[root]
-    if not seen.isdisjoint(internal):
-        for i, w in enumerate(leaves):
-            if any((w.root, w.edges[:n]) in seen for n in range(len(w.edges))):
-                raise LeafFault(f"{side} leaves are not an antichain at {format_word(w, base)}", side, i)
-    roots = {w.root for w in leaves}
-    if len(seen) + len(internal) - len(roots) != sum(len(g.out_order[c]) for c in internal.values()):
-        for (root, edges), color in internal.items():
-            for e in g.out_order[color]:
-                c = PathWord(root, edges + (e,))
-                if c not in internal and c not in seen:
-                    p = PathWord(root, edges)
-                    below = next(i for i, w in enumerate(leaves) if p.is_prefix_of(w))
+    for i, w in enumerate(leaves):
+        if any((w.root, w.edges[:n]) in seen for n in range(len(w.edges))):
+            raise LeafFault(f"{side} leaves are not an antichain at {format_word(w, base)}", side, i)
+
+
+def _first_missing_child(g: ShiftGraph, base: BaseTuple, leaves, side: str, tries):
+    """Raise the fault of the first internal node that misses a child, in
+    the order the leaves reach the nodes (each leaf's new nodes deepest
+    first), at the first leaf below it."""
+    reached = set()
+    for i, (root, edges) in enumerate(leaves):
+        node, at, new = tries[root], base[root], []
+        for n, e in enumerate(edges):
+            if (root, edges[:n]) not in reached:
+                reached.add((root, edges[:n]))
+                new.append((PathWord(root, edges[:n]), node, at))
+            node, at = node[e], g.edges[e][1]
+        for p, node, at in reversed(new):
+            for e in g.out_order[at]:
+                if e not in node:
                     raise LeafFault(
                         f"{side} forest incomplete below {format_word(p, base)}: "
-                        f"missing child {format_word(c, base)}",
+                        f"missing child {format_word(p.child(e), base)}",
                         side,
-                        below,
+                        i,
                     )
-    if len(roots) != len(base):
-        raise ValueError(f"{side} forest does not cover every root")
-    return internal, colors
 
 
 def validate_forest_pair(g: ShiftGraph, fp: ForestPair):
     """Raise ValueError unless fp is a well-formed color-preserving pair; a
     :class:`LeafFault` names the leaf at fault, a colour fault the range leaf.
 
-    Returns the internal nodes of the domain and the range forest, as
-    :func:`_check_leaf_forest` gives them, and records them with `g` in
-    `fp.checked`.
+    Records the domain and the range tries, as :func:`_check_leaf_forest`
+    gives them, in `fp.checked` with `g` and the number of internal nodes
+    of both forests, and returns the two tries.
     """
     if len(fp.domain_leaves) != len(fp.range_leaves):
         raise ValueError("leaf sequences differ in length")
-    domain, domain_colors = _check_leaf_forest(g, fp.base, fp.domain_leaves, "domain")
-    rng, range_colors = _check_leaf_forest(g, fp.base, fp.range_leaves, "range")
+    domain, domain_internal, domain_colors = _check_leaf_forest(g, fp.base, fp.domain_leaves, "domain")
+    rng, range_internal, range_colors = _check_leaf_forest(g, fp.base, fp.range_leaves, "range")
     if domain_colors != range_colors:
         for i, (cd, cr) in enumerate(zip(domain_colors, range_colors)):
             if cd != cr:
                 raise LeafFault(f"pairing not color-preserving at leaf {i}: {cd} vs {cr}", "range", i)
-    object.__setattr__(fp, "checked", (g, domain, rng))
+    object.__setattr__(fp, "checked", (g, domain, rng, domain_internal + range_internal))
     return domain, rng
 
 

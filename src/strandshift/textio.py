@@ -20,13 +20,17 @@ base repeats a vertex, its k-th occurrence is addressed as `Name#k`.
 Loop multisets for the semigroup commands are sums like `L(R,1)+2*L(B,2)`.
 
 A text is read as a list of token strings, and the readers address tokens
-by their index in it.  A token's line and column are worked out from the
-text only when a :class:`ParseError` is raised at it.
+by their index in it.  A token is a punctuation mark or a run of word
+characters (`str.isalnum()` or `_`).  A text with no stray character holds
+nothing else but whitespace, so spacing out every punctuation mark with
+`str.replace` and splitting with `str.split` yields its tokens exactly: the
+whitespace of regular expressions is `str.isspace` on every code point.  A
+token's line and column are worked out from the text only when a
+:class:`ParseError` is raised at it.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 
@@ -35,11 +39,14 @@ from .forest import ForestPair, LeafFault, validate_forest_pair
 from .graphs import PathWord, ShiftGraph, _structure_faults, written_roots
 
 _PUNCT = ("->", ";", ":", ",", "[", "]", "(", ")", "+", "*", "#", ".")
-# A token is a punctuation mark or a run of \w, which is str.isalnum() or "_".
-_TOKEN = re.compile("|".join(map(re.escape, _PUNCT)) + r"|\w+")
-# A character no token takes: not \w, whitespace or punctuation, or a "-"
-# that does not start "->", or a ">" that does not end it.
+_SPACED = tuple((p, f" {p} ") for p in _PUNCT)
+# A character no token takes: not \w (str.isalnum() or "_"), whitespace or
+# punctuation, or a "-" that does not start "->", or a ">" that does not
+# end it.  It places a fault; _OUTSIDE finds whether there is one.
 _STRAY = re.compile(r"[^\w\s;:,\[\]()+*#.>-]|-(?!>)|(?<!-)>")
+# A character outside every token once each "->" is removed: the removal
+# leaves a "-" or ">" exactly where the text has a stray one.
+_OUTSIDE = re.compile(r"[^\w\s;:,\[\]()+*#.]")
 # What a name cannot be: a punctuation mark, or the end of the tokens.
 _NOT_NAME = frozenset(_PUNCT) | {None}
 
@@ -50,23 +57,31 @@ def _line_col(text: str, offset: int):
 
 
 class _Tokens:
-    """The tokens of a text: `toks` lists them as strings and ends with None."""
+    """The tokens of a text: `toks` lists them as strings and ends with None.
+    A text with a stray character fails at the first one."""
 
     def __init__(self, text: str):
-        stray = _STRAY.search(text)
-        if stray:
+        if _OUTSIDE.search(text.replace("->", "")):
+            stray = _STRAY.search(text)
             raise ParseError(f"unexpected character {stray[0]!r}", *_line_col(text, stray.start()))
         self.text = text
-        self.toks = _TOKEN.findall(text)
+        for p, spaced in _SPACED:
+            text = text.replace(p, spaced)
+        self.toks = text.split()
         self.toks.append(None)
 
     def where(self, i):
-        """Line and column of token i, or of the last token when i is the end."""
+        """Line and column of token i, or of the last token when i is the end.
+        Only whitespace lies between two tokens, so each is found by one
+        `str.index` from the end of the one before."""
         last = len(self.toks) - 2
         if last < 0:
             return 1, 1
-        m = next(itertools.islice(_TOKEN.finditer(self.text), min(i, last), None))
-        return _line_col(self.text, m.start())
+        at = end = 0
+        for tok in self.toks[: min(i, last) + 1]:
+            at = self.text.index(tok, end)
+            end = at + len(tok)
+        return _line_col(self.text, at)
 
     def fail(self, message, i):
         raise ParseError(message, *self.where(i))
@@ -120,7 +135,9 @@ def parse_graph(text: str):
     """Parse a graph file into (ShiftGraph, base tuple).
 
     A fault is reported at the statement it concerns, a base entry that is
-    not a vertex at that entry.
+    not a vertex at that entry.  The graph checks its own structure when it
+    is built; only when it refuses are its structural faults listed again,
+    to find the statement of the first.
     """
     ts = _Tokens(text)
     toks = ts.toks
@@ -169,9 +186,13 @@ def parse_graph(text: str):
     for j in base:
         if toks[j] not in vertices:
             ts.fail(f"base entry {toks[j]} is not a vertex", j)
-    for statement, message in _structure_faults(vertices, edges, order):
-        ts.fail(message, at[statement])
-    return ShiftGraph(vertices, edges, order), tuple(toks[j] for j in base)
+    try:
+        g = ShiftGraph(vertices, edges, order)
+    except ValueError:
+        for statement, message in _structure_faults(vertices, edges, order):
+            ts.fail(message, at[statement])
+        raise
+    return g, tuple(toks[j] for j in base)
 
 
 def parse_element(text: str, g: ShiftGraph, base) -> ForestPair:

@@ -24,6 +24,7 @@ from strandshift.diagrams import (
 from strandshift.dot import diagram_dot
 from strandshift.graphs import PathWord
 from strandshift.testkit import GeneratorConfig, identity_pair, random_element, random_graph
+from strandshift.testkit import _Tokens as ReferenceTokens
 from strandshift.textio import (
     _PUNCT,
     _Tokens,
@@ -188,6 +189,30 @@ def test_scanner_positions(text):
         assert lines[line - 1][col - 1 : col - 1 + len(tok)] == tok
     assert [(line, col) for _, line, col in toks] == sorted((line, col) for _, line, col in toks)
     assert "".join(tok for tok, _, _ in toks) == "".join(text.split())
+
+
+# lone "-" and ">", whitespace that is neither " " nor a control the pieces
+# above draw (\x1c, no-break space, line separator, ideographic space), and
+# a digit that is not ASCII (Arabic-Indic three)
+_WIDE_PIECES = [*_SCANNER_PIECES, "-", ">", "\x1c", "\u00a0", "\u2028", "\u3000", "\u0663"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_WIDE_PIECES), max_size=40).map("".join))
+def test_scanner_matches_the_reference_on_a_wide_alphabet(text):
+    """The scanner fails as the reference reader's scanner does, with the
+    same message, line and column, or reads the same tokens at the same
+    lines and columns."""
+    try:
+        want = [tok[1:] for tok in ReferenceTokens(text).toks]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _Tokens(text)
+        assert (str(got.value), got.value.line, got.value.column) == (str(exc), exc.line, exc.column)
+        return
+    ts = _Tokens(text)
+    assert ts.toks[:-1] == [tok for tok, *_ in ReferenceTokens(text).toks] and ts.toks[-1] is None
+    assert [ts.where(i) for i in range(len(ts.toks) - 1)] == want
 
 
 def test_non_numeric_occurrence_fails_at_its_token(files, tmp_path, capsys):
@@ -544,6 +569,21 @@ def test_semigroup_eq_cap_below_input_degree_names_the_flag_and_least_cap(capsys
     code, out, err = run(capsys, ["semigroup-eq", "--graph", graph, "--lhs", lhs, "--rhs", rhs, "--semigroup-cap", cap])
     message = f"--semigroup-cap {cap}: cap below the degree of an input; the least cap is {least}"
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cap", ["-5", "0", "3"])
+def test_conj_witness_cap_below_loop_degree_is_refused(capsys, cap):
+    """`conj --witness` refuses a cap below the larger degree of the two
+    loop vectors, 4 here, as `semigroup-eq` does, instead of raising it;
+    the least cap itself is taken as given and finds the witness."""
+    argv = ["conj", "--witness", "--graph", str(FIXTURES / "three_color.graph")]
+    argv += ["--lhs", str(FIXTURES / "fig1_e0.elem"), "--rhs", str(FIXTURES / "fig1_e0_conj1000.elem")]
+    message = f"--semigroup-cap {cap}: cap below the degree of an input; the least cap is 4"
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, [*json_flag, *argv, "--semigroup-cap", cap])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, _ = run(capsys, [*argv, "--semigroup-cap", "4"])
+    assert code == 0 and "witness:\n" in out
 
 
 def test_export_dot(files, tmp_path, capsys):

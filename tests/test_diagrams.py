@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from strandshift.diagrams import (
     reduce_with_log,
     to_forest_pair,
 )
-from strandshift.errors import SignatureMismatch
+from strandshift.errors import ParseError, SignatureMismatch
 from strandshift.forest import ForestPair
 from strandshift.graphs import PathWord
 from strandshift.testkit import (
@@ -39,6 +40,9 @@ from strandshift.testkit import (
     split_diagram,
     validate_strand_diagram,
 )
+from strandshift.textio import parse_element, parse_graph
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def build_sigma_expected():
@@ -161,6 +165,32 @@ def test_from_forest_pair_ids_match_recorded_digest():
             d = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e, growth_steps=2 + e % 5)))
             records.append(([list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks))
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "83df3d6350c89809"
+
+
+def test_from_forest_pair_tables_match_recorded_digest(fig1, base_bg, full_shift2):
+    """Pins the six tables (items in order), sources and sinks that the
+    builder makes from every fixture element read against every fixture
+    graph that accepts it, and from 210 random elements at growth 1-8 on
+    fig1, the binary full shift and random graphs 1-70."""
+    records = []
+    graphs = [parse_graph(path.read_text()) for path in sorted(FIXTURES.glob("*.graph"))]
+    for path in sorted(FIXTURES.glob("*.elem")):
+        for g, base in graphs:
+            try:
+                fp = parse_element(path.read_text(), g, base)
+            except ParseError:
+                continue
+            records.append(path.name)
+            d = from_forest_pair(g, fp)
+            records.append(([list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks))
+    assert len(records) == 2 * 23
+    for seed in range(70):
+        steps = 1 + seed % 8
+        cases = [(fig1, base_bg), (full_shift2, ("v",)), random_graph(GeneratorConfig(seed=1 + seed))]
+        for g, base in cases:
+            d = from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=seed, growth_steps=steps)))
+            records.append(([list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks))
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "fc281b9dc26e4d0c"
 
 
 def test_to_forest_pair_round_trips(fig1, base_bg, sigma):

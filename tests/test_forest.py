@@ -101,12 +101,25 @@ def _missing_children(g, base, leaves):
     return {(p, c) for p in prefixes for c in children(g, base, p) if c not in covered}
 
 
+def _trie_nodes(tries):
+    """(path, node) for every node of the tries: an internal node is the
+    dict of its children, a leaf the int of its index."""
+    stack = [((root, ()), node) for root, node in tries.items()]
+    while stack:
+        (root, edges), node = stack.pop()
+        yield (root, edges), node
+        if isinstance(node, dict):
+            stack.extend(((root, edges + (e,)), child) for e, child in node.items())
+
+
 def test_forest_check_matches_the_reference():
     """The one-pass check accepts and rejects what the prefix-by-prefix
     reference does, with the same message, on random elements and on every
     single mutation of them.  For an incomplete forest the reference names
     whichever missing child its set yields first, so there the node and
-    child named need only be missing."""
+    child named need only be missing.  An accepted forest's tries file
+    every leaf at its path, and their internal nodes are exactly the proper
+    prefixes of the leaves, each with a child per out-edge of its colour."""
     checked = incomplete = 0
     for graph_seed in range(1, 21):
         g, base = random_graph(GeneratorConfig(seed=graph_seed))
@@ -119,10 +132,16 @@ def test_forest_check_matches_the_reference():
                     checked += 1
                     if want is None:
                         assert not isinstance(got, str), got
-                        internal, colors = got
+                        tries, count, colors = got
+                        nodes = dict(_trie_nodes(tries))
+                        internal = {p: node for p, node in nodes.items() if isinstance(node, dict)}
                         prefixes = {(w.root, w.edges[:n]) for w in mutant for n in range(len(w.edges))}
-                        assert set(internal) == prefixes
-                        assert all(color_of_word(g, base, PathWord(*p)) == c for p, c in internal.items())
+                        assert set(internal) == prefixes and count == len(internal)
+                        for p, node in internal.items():
+                            assert set(node) == set(g.out_order[color_of_word(g, base, PathWord(*p))])
+                        assert {p: i for p, i in nodes.items() if p not in internal} == {
+                            tuple(w): i for i, w in enumerate(mutant)
+                        }
                         assert colors == [color_of_word(g, base, w) for w in mutant]
                     elif "incomplete" in want:
                         incomplete += 1

@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandshift import graphs, textio
 from strandshift.errors import ParseError
 from strandshift.graphs import written_roots
 from strandshift.testkit import (
@@ -157,3 +158,18 @@ def test_unmutated_cases_read():
         g, base = parse_graph(graph_text)
         assert parse_element(text, g, base) == reference_parse_element(text, g, base)
     assert any("#" in text for _, text in ELEMENTS)
+
+
+def test_valid_graph_checks_its_structure_once(monkeypatch):
+    """The reader builds the graph once its statements are read, and looks
+    for the statement at fault only when the graph refuses to build."""
+    real, calls = graphs._structure_faults, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_structure_faults", counted)
+    monkeypatch.setattr(textio, "_structure_faults", counted, raising=False)
+    g, base = parse_graph((FIXTURES / "three_color.graph").read_text())
+    assert len(calls) == 1 and base == ("B", "G")
