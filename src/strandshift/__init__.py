@@ -28,6 +28,7 @@ from .diagrams import (
     from_forest_pair,
     identity_diagram,
     invert,
+    power,
     product,
     reduce,
     to_forest_pair,

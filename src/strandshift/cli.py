@@ -18,7 +18,7 @@ import sys
 
 from .closed import close
 from .conjugacy import conjugator_witness, is_conjugate
-from .diagrams import compose, equal, from_forest_pair, identity_diagram, invert, product, reduce, to_forest_pair
+from .diagrams import compose, equal, from_forest_pair, invert, power, reduce, to_forest_pair
 from .dot import closed_dot, diagram_dot
 from .errors import LimitExceeded, ParseError, SignatureMismatch
 from .graphs import normalize_graph, validate_graph
@@ -102,29 +102,7 @@ def cmd_invert(args):
 
 def cmd_power(args):
     g, d = _load(args, "elem")
-    d = reduce(d)
-    n = args.n
-    result = None
-    square = d if n >= 0 else invert(d)
-    # Binary exponentiation over the bits of |n|, lowest first: the first set
-    # bit adopts the current square and each later one takes a product, so at
-    # most 2*floor(log2 |n|) products, each of reduced factors and so reduced
-    # at its seam only.  The product is associative and the reduced form is
-    # unique, so the printed element is the one the factor-at-a-time product
-    # gives; only point ids in the DOT drawing follow the order of the
-    # products.  n = 0 leaves no result: the identity.  `to_forest_pair` cuts
-    # the result without recursion, so the depth of its forests is not
-    # limited.
-    k = abs(n)
-    while k:
-        if k & 1:
-            result = square if result is None else product(result, square)
-        k >>= 1
-        if k:
-            square = product(square, square)
-    if result is None:
-        result = identity_diagram(d.domain())
-    return _element_out(args, g, result, n=n)
+    return _element_out(args, g, power(d, args.n), n=args.n)
 
 
 def cmd_eq(args):

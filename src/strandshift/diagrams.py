@@ -23,14 +23,19 @@ records flag the points in `marked` (a closed diagram's base points): it
 writes every open, closed and skeleton key.  A closed diagram trades the
 source and sink orders for a base line.
 
-Constructors adopt, and every edit copies once: a diagram keeps the six dicts
-it is given and never changes them, so an inverse shares its input's
-tables, and an edit rewrites one working copy, ``_Builder(d)``, in place
-and builds one diagram from it.  A product of reduced diagrams
-(:func:`product`) is one such edit: the factors are glued on one copy, only
-the seam where they meet is reduced, and one diagram is built.  A working
-copy holds slot sequences as lists; a hand-built diagram may use tuples,
-but not both, since type 1 redexes compare whole slot sequences.
+Constructors adopt, and every edit copies at most once: a diagram keeps the
+six dicts it is given and never changes them, so an inverse shares its
+input's tables, and an edit rewrites one working copy, ``_Builder(d)``, in
+place and builds one diagram from it.  Gluing is one such edit,
+:func:`_glue`, which glues a diagram's tables, or a working copy's own,
+onto a working copy in place; :func:`compose`, :func:`product` and
+:func:`power` all glue through it.  A product of reduced diagrams
+(:func:`product`) glues b onto one copy of a, reduces only the seam where
+they meet and builds one diagram.  A power (:func:`power`) keeps two
+working copies, the square and the result, glues onto them in place and
+builds one diagram at the end.  A working copy holds slot sequences as
+lists; a hand-built diagram may use tuples, but not both, since type 1
+redexes compare whole slot sequences.
 """
 
 from __future__ import annotations
@@ -93,7 +98,15 @@ class StrandDiagram(_Tables):
 
 
 def _check_structure(d) -> None:
-    """Cheap internal consistency checks of an open diagram's tables."""
+    """Cheap internal consistency checks of an open diagram's tables and
+    end points: the end points are distinct points, no source has an
+    in-strand and no sink an out-strand."""
+    ends = d.sources + d.sinks
+    assert len(set(ends)) == len(ends), "repeated end point"
+    for p in d.sources:
+        assert p in d.point_color and not d.in_slots[p], f"source {p} broken"
+    for p in d.sinks:
+        assert p in d.point_color and not d.out_slots[p], f"sink {p} broken"
     for s, p in d.strand_from.items():
         assert p in d.point_color and s in d.out_slots[p], f"strand {s} origin broken"
     for s, p in d.strand_to.items():
@@ -204,7 +217,9 @@ def canonical_key(d: StrandDiagram) -> tuple:
 class _Builder(_Tables):
     """The one working copy that every table edit edits: ``_Builder(d)``
     copies d's six tables, slot sequences as lists, and ``_Builder()``
-    starts six empty ones.  `fresh` is the pipeline's one id allocator."""
+    starts six empty ones.  `fresh` is the pipeline's one id allocator;
+    only a glued factor's ids are not its, which :func:`_glue` moves past
+    the live ones."""
 
     __slots__ = ("_next",)
 
@@ -350,41 +365,59 @@ def from_forest_pair(g: ShiftGraph, fp: ForestPair) -> StrandDiagram:
 # ---------------------------------------------------------------------------
 # groupoid operations
 
-def _glue(a: StrandDiagram, b: StrandDiagram):
-    """Concatenate onto one copy of a's tables: a's i-th sink is spliced onto
-    b's i-th source, and the glued strand keeps the id of a's strand.
+def _glue(w, w_sinks, b, b_sources, b_sinks):
+    """Glue b's tables onto the working copy w in place: w's i-th sink (of
+    `w_sinks`) is spliced onto b's i-th source, and the glued strand keeps
+    w's id.  b's ids move past w's by 1 + the largest live id of w, the
+    offset ``_Builder(a).fresh()`` gives on a diagram a with w's tables.  It
+    is scanned for, not read off w's `fresh` counter, which runs past the
+    live ids once a reduction removes the largest; the counter is reset, so
+    `fresh` scans anew after a glue.
 
-    Returns the working copy, the new sinks (b's, moved past a's ids) and
-    the seam, the set of the origins of the glued strands.
+    b may be w itself: its point and strand items are walked from
+    snapshots, and its slot lists need no copy, since the remap only adds
+    keys.  Returns b's sinks, moved, and the seam, the origins of the glued
+    strands, in w's table order.
     """
-    if a.range() != b.domain():
-        raise SignatureMismatch(f"range {a.range()} != domain {b.domain()}")
-    w = _Builder(a)
-    offset = w.fresh()
     pc, sc, sf, st, ins, outs = w.tables()
-    for p, c in b.point_color.items():
-        pc[p + offset] = c
-        ins[p + offset] = [s + offset for s in b.in_slots[p]]
-        outs[p + offset] = [s + offset for s in b.out_slots[p]]
-    for s, c in b.strand_color.items():
-        sc[s + offset] = c
-        sf[s + offset] = b.strand_from[s] + offset
-        st[s + offset] = b.strand_to[s] + offset
+    rng, dom = tuple(pc[p] for p in w_sinks), tuple(b.point_color[p] for p in b_sources)
+    if rng != dom:
+        raise SignatureMismatch(f"range {rng} != domain {dom}")
+    origins = {sf[ins[p][0]] for p in w_sinks}
+    # in table order, stopping at the last one
+    seam = list(itertools.islice(filter(origins.__contains__, pc), len(origins)))
+    offset = 1 + max(itertools.chain(pc, sc, (-1,)))
+    b_ins, b_outs, b_sf, b_st = b.in_slots, b.out_slots, b.strand_from, b.strand_to
+    points, strands = list(b.point_color.items()), list(b.strand_color.items())
+    pc.update({p + offset: c for p, c in points})
+    ins.update({p + offset: [s + offset for s in b_ins[p]] for p, _ in points})
+    outs.update({p + offset: [s + offset for s in b_outs[p]] for p, _ in points})
+    sc.update({s + offset: c for s, c in strands})
+    sf.update({s + offset: b_sf[s] + offset for s, _ in strands})
+    st.update({s + offset: b_st[s] + offset for s, _ in strands})
 
-    seam = set()
-    for snk, src in zip(a.sinks, (p + offset for p in b.sources)):
-        s_a, s_b = ins[snk][0], outs[src][0]
-        seam.add(sf[s_a])
+    for snk, src in zip(w_sinks, b_sources):
+        s_a, s_b = ins[snk][0], outs[src + offset][0]
         _retarget(st, ins, s_a, s_b)
         _drop_point(w, snk)
-        _drop_point(w, src)
+        _drop_point(w, src + offset)
         _drop_strand(w, s_b)
-    return w, tuple(p + offset for p in b.sinks), seam
+    w._next = None
+    return tuple(p + offset for p in b_sinks), seam
+
+
+def _times(w, w_sinks, b, b_sources, b_sinks):
+    """w := w b in place, for reduced w and b: glue, then reduce at the seam
+    only (see :func:`product`).  Returns the new sinks."""
+    sinks, seam = _glue(w, w_sinks, b, b_sources, b_sinks)
+    _reduce_in_place(w, _redexes_at(w, seam))
+    return sinks
 
 
 def compose(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     """Concatenate: a's i-th sink is spliced onto b's i-th source. Not reduced."""
-    w, sinks, _ = _glue(a, b)
+    w = _Builder(a)
+    sinks, _ = _glue(w, a.sinks, b, b.sources, b.sinks)
     return w.build(a.sources, sinks)
 
 
@@ -400,13 +433,61 @@ def product(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     glued strand takes the in-slot of b's source strand, and neither is an
     out-strand of a point off the seam, so off the seam every test comes out
     as it did in a or b, where it found no redex.  So the redexes at the
-    seam are all the composite's.  Taken in table order, they are the list
-    :func:`find_redexes` gives on the composite, so from there the reduction
-    runs step for step as :func:`reduce_with_log` runs on the same tables.
+    seam are all the composite's.  Taken in a's table order, they are the
+    list :func:`find_redexes` gives on the composite, so from there the
+    reduction runs step for step as :func:`reduce_with_log` runs on the
+    same tables.
     """
-    w, sinks, seam = _glue(a, b)
-    _reduce_in_place(w, _redexes_at(w, [p for p in a.point_color if p in seam]))
-    return w.build(a.sources, sinks)
+    w = _Builder(a)
+    return w.build(a.sources, _times(w, a.sinks, b, b.sources, b.sinks))
+
+
+def power(d: StrandDiagram, n: int) -> StrandDiagram:
+    """d to the n-th power, reduced: the identity on d's domain for n = 0,
+    and d^-1 raised to |n| for n < 0.
+
+    Right-to-left binary exponentiation (Knuth, TAOCP vol. 2, 4.6.3) on two
+    working copies, the square S and the result R.  d is reduced once and
+    copied into S, flipped in the copy for n < 0, so no inverse is built.
+    Going through the bits of |n|, lowest first, the first
+    set bit makes R a copy of S, and each later one glues S onto R in place;
+    after every bit but the top one, S is glued onto itself in place.  So at
+    most 2*floor(log2 |n|) glues, each of reduced factors and so reduced at
+    its seam only (see :func:`product`), and R is built, and checked, once.
+    When no squaring follows the first set bit (|n| a power of 2), R adopts
+    S itself rather than a copy of the largest square.
+
+    Each glue offsets the right factor's ids by 1 + the largest live id of
+    the left, and tests its seam in the left's table order, just as
+    :func:`product` does on a built diagram with the same tables.  So the
+    result has the tables and ids, items in order, of the chain of
+    products ``R = S`` at the first set bit, ``R = product(R, S)`` at each
+    later one and ``S = product(S, S)`` between bits, and so the same
+    `--dot` drawing.  The product is associative and the reduced form is
+    unique, so the element is the one the factor-at-a-time product gives;
+    only the ids follow the order of the products.
+    """
+    d = reduce(d)
+    k = abs(n)
+    if not k:
+        return identity_diagram(d.domain())
+    square = _Builder(d)
+    sources, s_sinks = d.sources, d.sinks
+    if n < 0:
+        square.strand_from, square.strand_to = square.strand_to, square.strand_from
+        square.in_slots, square.out_slots = square.out_slots, square.in_slots
+        sources, s_sinks = s_sinks, sources
+    result = None
+    while True:
+        if k & 1:
+            if result is None:
+                result, r_sinks = (square if k == 1 else _Builder(square)), s_sinks
+            else:
+                r_sinks = _times(result, r_sinks, square, sources, s_sinks)
+        k >>= 1
+        if not k:
+            return result.build(sources, r_sinks)
+        s_sinks = _times(square, s_sinks, square, sources, s_sinks)
 
 
 def invert(d: StrandDiagram) -> StrandDiagram:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandshift import cli, closed, conjugacy, testkit
+from strandshift import cli, closed, conjugacy, diagrams, testkit
 from strandshift.cli import build_parser, main
 from strandshift.diagrams import (
     canonical_key,
@@ -17,7 +17,6 @@ from strandshift.diagrams import (
     from_forest_pair,
     identity_diagram,
     invert,
-    product,
     reduce,
     to_forest_pair,
 )
@@ -762,11 +761,24 @@ def test_help_exits_0(capsys, argv):
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+
+def _count_glues_and_reductions(monkeypatch) -> list:
+    """Record "reduce" at each call of `reduce`, from a command or from
+    `diagrams.power`, and "glue" at each in-place glue."""
+    seen = []
+    glue = diagrams._glue
+    monkeypatch.setattr(cli, "reduce", lambda d: seen.append("reduce") or reduce(d))
+    monkeypatch.setattr(diagrams, "reduce", lambda d: seen.append("reduce") or reduce(d))
+    monkeypatch.setattr(diagrams, "_glue", lambda *args: seen.append("glue") or glue(*args))
+    return seen
+
+
 # stdout and the SHA-256 prefix of the DOT file on fixtures/three_color.graph,
 # recorded while `_element_out` still reduced a second time for the DOT file,
-# and the reductions, each `reduce` or reduced `product` one: `power -n 3`
-# reduces its input and takes two products, whose result is already reduced;
-# its first set bit adopts the square f itself.
+# and the calls of `reduce` and of the in-place glue, each one: `compose`
+# glues once and reduces the composite; `power -n 3` reduces its input and
+# glues twice, once to square f and once to multiply f by its square, and
+# each glue reduces at its seam only, so the result is already reduced.
 ELEMENT_DOT_OUTPUT = [
     pytest.param(
         ["reduce", "--elem", "sigma.elem"], 1,
@@ -779,7 +791,7 @@ ELEMENT_DOT_OUTPUT = [
         id="reduce-identity",
     ),
     pytest.param(
-        ["compose", "--lhs", "sigma.elem", "--rhs", "sigma.elem"], 1,
+        ["compose", "--lhs", "sigma.elem", "--rhs", "sigma.elem"], 1 + 1,
         "element\n  domain [B.1, B.2, G.3, G.4.1, G.4.2]\n  range  [G.4.1, B.2, B.1, G.3, G.4.2]\n",
         "8f67e2b55e66215c",
         id="compose-sigma-sigma",
@@ -793,18 +805,16 @@ ELEMENT_DOT_OUTPUT = [
 ]
 
 
-@pytest.mark.parametrize("args, reductions, stdout, dot_digest", ELEMENT_DOT_OUTPUT)
-def test_dot_output_reuses_the_reduction(args, reductions, stdout, dot_digest, tmp_path, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "reduce", lambda d: calls.append(d) or reduce(d))
-    monkeypatch.setattr(cli, "product", lambda a, b: calls.append((a, b)) or product(a, b))
+@pytest.mark.parametrize("args, calls, stdout, dot_digest", ELEMENT_DOT_OUTPUT)
+def test_dot_output_reuses_the_reduction(args, calls, stdout, dot_digest, tmp_path, capsys, monkeypatch):
+    seen = _count_glues_and_reductions(monkeypatch)
     dot = tmp_path / "out.dot"
     argv = [args[0], "--graph", str(FIXTURES / "three_color.graph")]
     argv += [str(FIXTURES / a) if a.endswith(".elem") else a for a in args[1:]]
     code, out, _ = run(capsys, argv + ["--dot", str(dot)])
     assert code == 0 and out == stdout
     assert hashlib.sha256(dot.read_bytes()).hexdigest()[:16] == dot_digest
-    assert len(calls) == reductions
+    assert len(seen) == calls
 
 
 def test_conj_former_false_negative_is_conjugate(capsys):
@@ -1369,13 +1379,14 @@ def test_power_equals_the_factor_at_a_time_product(name, full_shift2, tmp_path, 
 
 @pytest.mark.parametrize("n", [64, -100, 7, -255])
 def test_power_takes_logarithmically_many_products(n, capsys, monkeypatch):
-    # at |n| = 2^k - 1 every bit is set: a product into an identity would break the bound
-    calls = []
-    monkeypatch.setattr(cli, "product", lambda a, b: calls.append(1) or product(a, b))
+    # |n| = 2^k squares k times and adopts the last square; at |n| = 2^k - 1
+    # every bit is set, and a glue into an identity would break the bound
+    seen = _count_glues_and_reductions(monkeypatch)
     argv = ["power", "--graph", str(FIXTURES / "three_color.graph"), "--elem", str(FIXTURES / "sigma.elem")]
     code, _, _ = run(capsys, argv + ["-n", str(n)])
     assert code == 0
-    assert len(calls) <= 2 * (abs(n).bit_length() - 1)
+    assert seen.count("reduce") == 1
+    assert abs(n).bit_length() - 1 <= seen.count("glue") <= 2 * (abs(n).bit_length() - 1)
 
 
 def test_power_of_a_huge_exponent(tmp_path, capsys):

@@ -17,6 +17,7 @@ from strandshift.diagrams import (
     identity_diagram,
     invert,
     is_reduced,
+    power,
     product,
     reduce,
     reduce_with_log,
@@ -333,6 +334,11 @@ def snapshot(d):
     return copy.deepcopy([getattr(d, t) for t in TABLES])
 
 
+def table_record(d):
+    """The tables with their items in order, the sources and the sinks."""
+    return [list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks
+
+
 def unreduced(fig1, base_bg, sigma):
     """Diagrams with type 0, 1 and 2 redexes."""
     s = from_forest_pair(fig1, sigma)
@@ -548,10 +554,6 @@ def test_product_is_the_reduced_composite(full_shift2, thompson_x0):
     products and the identity), product(a, b) has the tables of
     reduce(compose(a, b)), ids and table order included.  The composite is
     built as a StrandDiagram, so its structure is checked too."""
-
-    def record(d):
-        return [list(getattr(d, t).items()) for t in TABLES], d.sources, d.sinks
-
     pairs = 0
     for gs in range(1, 21):
         g, base = random_graph(GeneratorConfig(seed=gs))
@@ -563,11 +565,11 @@ def test_product_is_the_reduced_composite(full_shift2, thompson_x0):
         factors += [reduce(compose(elements[0], invert(elements[0]))), reduce(compose(elements[1], elements[2]))]
         for a in factors:
             for b in factors:
-                assert record(product(a, b)) == record(reduce(compose(a, b))), (gs, pairs)
+                assert table_record(product(a, b)) == table_record(reduce(compose(a, b))), (gs, pairs)
                 pairs += 1
     x0 = reduce(from_forest_pair(full_shift2, thompson_x0))
     for a, b in ((x0, x0), (x0, invert(x0)), (invert(x0), x0)):
-        assert record(product(a, b)) == record(reduce(compose(a, b)))
+        assert table_record(product(a, b)) == table_record(reduce(compose(a, b)))
     assert pairs == 20 * 11 * 11
 
 
@@ -583,3 +585,73 @@ def test_product_scans_the_seam_and_builds_one_diagram(full_shift2, thompson_x0,
     monkeypatch.setattr(diagrams, "_check_structure", lambda d: checked.append(d) or real(d))
     result = product(square, x0)
     assert checked == [result] and canonical_key(result) == expected
+
+
+POWER_EXPONENTS = list(range(-9, 18)) + [31, 32, 33, 64, 100]
+
+
+def product_chain(d, n):
+    """d^n as the chain of built products that `power` runs in place:
+    right-to-left binary exponentiation, the first set bit adopting the
+    square."""
+    d = reduce(d)
+    result, square = None, d if n >= 0 else invert(d)
+    k = abs(n)
+    while k:
+        if k & 1:
+            result = square if result is None else product(result, square)
+        k >>= 1
+        if k:
+            square = product(square, square)
+    return identity_diagram(d.domain()) if result is None else result
+
+
+def power_inputs(fig1, sigma, full_shift2, thompson_x0):
+    g, base = parse_graph((FIXTURES / "houghton2.graph").read_text())
+    yield from_forest_pair(g, parse_element((FIXTURES / "houghton2_t.elem").read_text(), g, base))
+    yield from_forest_pair(fig1, sigma)
+    yield from_forest_pair(full_shift2, thompson_x0)
+    for gs in range(1, 7):
+        g, base = random_graph(GeneratorConfig(seed=gs))
+        for e in range(3):
+            yield from_forest_pair(g, random_element(g, base, GeneratorConfig(seed=e, growth_steps=2 + e)))
+
+
+def test_power_is_the_product_chain(fig1, sigma, full_shift2, thompson_x0):
+    """On the fixtures and random elements, unreduced as built, power(d, n)
+    has the tables (items in order), ids, sources and sinks of the chain of
+    built products, and leaves d as it was."""
+    cases = 0
+    for i, d in enumerate(power_inputs(fig1, sigma, full_shift2, thompson_x0)):
+        before = snapshot(d), d.sources, d.sinks
+        for n in POWER_EXPONENTS:
+            assert table_record(power(d, n)) == table_record(product_chain(d, n)), (i, n)
+            cases += 1
+        assert (snapshot(d), d.sources, d.sinks) == before, i
+    assert cases == 21 * len(POWER_EXPONENTS)
+
+
+def test_power_builds_and_checks_one_diagram(fig1, sigma, full_shift2, thompson_x0, monkeypatch):
+    inputs = [reduce(d) for d in power_inputs(fig1, sigma, full_shift2, thompson_x0)]
+    checked = []
+    real = diagrams._check_structure
+    monkeypatch.setattr(diagrams, "_check_structure", lambda d: checked.append(d) or real(d))
+    for d in inputs:
+        for n in (0, 1, -1, 2, 3, -7, 32, 33, -100):
+            checked.clear()
+            result = power(d, n)
+            assert checked == [result], n
+
+
+def test_build_refuses_bad_end_points():
+    """A chain of two strands 0 -> 1 -> 3 and a point 5 on its own."""
+    tables = ({0: "v", 1: "v", 3: "v", 5: "v"}, {2: "v", 4: "v"}, {2: 0, 4: 1}, {2: 1, 4: 3})
+    slots = ({0: [], 1: [2], 3: [4], 5: []}, {0: [2], 1: [4], 3: [], 5: []})
+    StrandDiagram(*tables, *slots, [0, 5], [3])
+    for sources, sinks, fault in (
+        ([0], [6], "sink 6 broken"),  # not a point
+        ([1], [3], "source 1 broken"),  # has an in-strand
+        ([0, 5], [3, 5], "repeated end point"),  # 5 is a source and a sink
+    ):
+        with pytest.raises(AssertionError, match=fault):
+            StrandDiagram(*tables, *slots, sources, sinks)
